@@ -11,11 +11,10 @@ import click
 
 from . import __version__
 from .ann_index import AnnIndex, IndexParams, build_index
-from .corpus import content_tokens, corpus_index, load_abbreviations, load_corpus, load_stopwords
+from .corpus import corpus_index, load_abbreviations, load_corpus, load_stopwords
 from .doc_align import align_documents, read_doc_pairs, write_doc_pairs
 from .embeddings import (
     AvgEmbedder,
-    DualMatrixEmbedder,
     PrecomputedEmbedder,
     embed_corpus,
     load_embeddings,
@@ -28,7 +27,7 @@ from .evaluate import (
     eval_sentence_alignment,
     load_eval_dataset,
 )
-from .metrics import Bm25Stats, CosineScorer, make_scorer
+from .metrics import make_scorer
 from .pipeline import PipelineConfig, PipelineStageError, run_pipeline, validate_config
 from .sent_align import (
     FilterPolicy,
@@ -135,34 +134,12 @@ def align_docs(source_embeddings, index_path, k, theta_d, out) -> None:
     logger.info("wrote %d document pairs to %s", n, out)
 
 
-def _build_cli_scorer(scorer, vectors, source_sent_embeddings, target_sent_embeddings,
-                      tgt_docs, bm25_k1, bm25_b):
-    if scorer == "cosine":
-        if source_sent_embeddings and target_sent_embeddings:
-            return CosineScorer(
-                DualMatrixEmbedder(
-                    load_embeddings(source_sent_embeddings),
-                    load_embeddings(target_sent_embeddings),
-                )
-            )
-        if vectors:
-            return CosineScorer(AvgEmbedder(load_word_vectors(vectors)))
-        raise click.UsageError(
-            "cosine needs --vectors or both --source-sent-embeddings and "
-            "--target-sent-embeddings"
-        )
-    if scorer == "bm25":
-        stats = Bm25Stats.from_documents(
-            (content_tokens(s.tokens) for d in tgt_docs.values() for s in d.sentences),
-            k1=bm25_k1,
-            b=bm25_b,
-        )
-        return make_scorer("bm25", stats=stats)
-    if scorer in ("wmd", "rwmd"):
-        if not vectors:
-            raise click.UsageError(f"{scorer} needs --vectors")
-        return make_scorer(scorer, table=load_word_vectors(vectors))
-    return make_scorer(scorer)
+def _scorer(kind: str, **inputs):
+    """make_scorer, with missing inputs reported as a usage error."""
+    try:
+        return make_scorer(kind, **inputs)
+    except ValueError as e:
+        raise click.UsageError(str(e)) from e
 
 
 @main.command("align-sents")
@@ -197,9 +174,25 @@ def align_sents(doc_pairs, source_corpus, target_corpus, scorer, vectors,
     src_docs = corpus_index(load_corpus(source_corpus, "src", stopwords=stops))
     tgt_docs = corpus_index(load_corpus(target_corpus, "tgt", stopwords=stops))
     pairs = read_doc_pairs(doc_pairs)
-    scorer_obj = _build_cli_scorer(
-        scorer, vectors, source_sent_embeddings, target_sent_embeddings,
-        tgt_docs, bm25_k1, bm25_b,
+    embedders = {}
+    if source_sent_embeddings or target_sent_embeddings:
+        if not (source_sent_embeddings and target_sent_embeddings):
+            raise click.UsageError(
+                "give both --source-sent-embeddings and --target-sent-embeddings"
+            )
+        embedders = {
+            "embedder": PrecomputedEmbedder(load_embeddings(source_sent_embeddings)),
+            "target_embedder": PrecomputedEmbedder(
+                load_embeddings(target_sent_embeddings)
+            ),
+        }
+    scorer_obj = _scorer(
+        scorer,
+        table=load_word_vectors(vectors) if vectors else None,
+        target_docs=tgt_docs.values(),
+        k1=bm25_k1,
+        b=bm25_b,
+        **embedders,
     )
     policy = FilterPolicy(
         min_overlap=min_overlap,
@@ -227,6 +220,39 @@ def _echo_report(report, include_timing: bool) -> None:
     click.echo(report.table(), err=True)
 
 
+def _shared_matrix_embedder(flag, path, table, src_docs, tgt_docs, level):
+    """Resolve an eval embedding flag, whose one matrix covers both sides, or
+    else the --vectors table into an embedder; None when neither is given.
+
+    A matrix has one row per unit id, so a source and a target unit that
+    share an id cannot both be read from it. That is a usage error.
+    """
+    if not path:
+        return AvgEmbedder(table) if table is not None else None
+
+    def unit_ids(docs):
+        if level == "document":
+            return [d.doc_id for d in docs]
+        return [s.uid for d in docs for s in d.sentences]
+
+    target_ids = set(unit_ids(tgt_docs))
+    shared = next((uid for uid in unit_ids(src_docs) if uid in target_ids), None)
+    if shared is not None:
+        raise click.UsageError(
+            f"{flag} holds one matrix for both sides, but a source and a target "
+            f"{level} share the unit id {shared!r}"
+        )
+    return PrecomputedEmbedder(load_embeddings(path))
+
+
+def _all_docs(dataset):
+    """(source, target) documents of an eval dataset, noise pools included."""
+    return (
+        [*dataset.src_docs.values(), *dataset.noise_src],
+        [*dataset.tgt_docs.values(), *dataset.noise_tgt],
+    )
+
+
 _positive_labels_option = click.option(
     "--positive-labels", default="good", show_default=True,
     help="Comma-separated labels treated as positive.",
@@ -239,7 +265,8 @@ _positive_labels_option = click.option(
               type=click.Choice(["cosine", "overlap", "bm25", "wmd", "rwmd"]))
 @click.option("--vectors", type=click.Path(exists=True, dir_okay=False))
 @click.option("--sent-embeddings", type=click.Path(exists=True, dir_okay=False),
-              help="Precomputed sentence embeddings covering both sides.")
+              help="Precomputed sentence embeddings covering both sides; "
+              "source and target ids must differ.")
 @click.option("--bm25-k1", default=1.2, show_default=True, type=float)
 @click.option("--bm25-b", default=0.75, show_default=True, type=float)
 @_positive_labels_option
@@ -248,31 +275,19 @@ def eval_sent(data_dir, scorer, vectors, sent_embeddings, bm25_k1, bm25_b,
               positive_labels, include_timing) -> None:
     """Sentence retrieval inside the gold article pairs."""
     dataset = load_eval_dataset(data_dir)
-    if scorer == "cosine":
-        if sent_embeddings:
-            embedder = PrecomputedEmbedder(load_embeddings(sent_embeddings))
-        elif vectors:
-            embedder = AvgEmbedder(load_word_vectors(vectors))
-        else:
-            raise click.UsageError("cosine needs --vectors or --sent-embeddings")
-        scorer_obj = CosineScorer(embedder)
-    elif scorer == "bm25":
-        stats = Bm25Stats.from_documents(
-            (
-                content_tokens(s.tokens)
-                for d in dataset.tgt_docs.values()
-                for s in d.sentences
-            ),
-            k1=bm25_k1,
-            b=bm25_b,
-        )
-        scorer_obj = make_scorer("bm25", stats=stats)
-    elif scorer in ("wmd", "rwmd"):
-        if not vectors:
-            raise click.UsageError(f"{scorer} needs --vectors")
-        scorer_obj = make_scorer(scorer, table=load_word_vectors(vectors))
-    else:
-        scorer_obj = make_scorer(scorer)
+    table = load_word_vectors(vectors) if vectors else None
+    embedder = _shared_matrix_embedder(
+        "--sent-embeddings", sent_embeddings, table,
+        dataset.src_docs.values(), dataset.tgt_docs.values(), "sentence",
+    )
+    scorer_obj = _scorer(
+        scorer,
+        embedder=embedder,
+        table=table,
+        target_docs=dataset.tgt_docs.values(),
+        k1=bm25_k1,
+        b=bm25_b,
+    )
     report = eval_sentence_alignment(
         dataset, scorer_obj, positive_labels=tuple(positive_labels.split(","))
     )
@@ -283,18 +298,19 @@ def eval_sent(data_dir, scorer, vectors, sent_embeddings, bm25_k1, bm25_b,
 @click.option("--data-dir", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--vectors", type=click.Path(exists=True, dir_okay=False))
 @click.option("--doc-embeddings", type=click.Path(exists=True, dir_okay=False),
-              help="Precomputed document embeddings covering both sides.")
+              help="Precomputed document embeddings covering both sides; "
+              "source and target ids must differ.")
 @click.option("--n-noise", default=1000, show_default=True, type=int)
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--include-timing", is_flag=True)
 def eval_doc(data_dir, vectors, doc_embeddings, n_noise, seed, include_timing) -> None:
     """Document identification among noise articles."""
     dataset = load_eval_dataset(data_dir)
-    if doc_embeddings:
-        embedder = PrecomputedEmbedder(load_embeddings(doc_embeddings))
-    elif vectors:
-        embedder = AvgEmbedder(load_word_vectors(vectors))
-    else:
+    table = load_word_vectors(vectors) if vectors else None
+    embedder = _shared_matrix_embedder(
+        "--doc-embeddings", doc_embeddings, table, *_all_docs(dataset), "document"
+    )
+    if embedder is None:
         raise click.UsageError("needs --vectors or --doc-embeddings")
     report = eval_document_alignment(dataset, embedder=embedder, n_noise=n_noise, seed=seed)
     _echo_report(report, include_timing)
@@ -322,23 +338,14 @@ def eval_joint_cmd(data_dir, mode, vectors, doc_embeddings, sent_embeddings,
     """Hierarchical retrieval vs flat dataset-wide retrieval."""
     dataset = load_eval_dataset(data_dir)
     table = load_word_vectors(vectors) if vectors else None
-    if sent_embeddings:
-        sent_scorer = CosineScorer(PrecomputedEmbedder(load_embeddings(sent_embeddings)))
-    elif table is not None:
-        sent_scorer = CosineScorer(AvgEmbedder(table))
-    else:
-        raise click.UsageError("needs --vectors or --sent-embeddings")
-    if doc_embeddings:
-        doc_embedder = PrecomputedEmbedder(load_embeddings(doc_embeddings))
-    elif table is not None:
-        doc_embedder = AvgEmbedder(table)
-    else:
-        doc_embedder = None
-    rescorer = None
-    if rescore != "none":
-        if table is None:
-            raise click.UsageError(f"--rescore {rescore} needs --vectors")
-        rescorer = make_scorer(rescore, table=table)
+    docs = _all_docs(dataset)
+    sent_scorer = _scorer("cosine", embedder=_shared_matrix_embedder(
+        "--sent-embeddings", sent_embeddings, table, *docs, "sentence"
+    ))
+    doc_embedder = _shared_matrix_embedder(
+        "--doc-embeddings", doc_embeddings, table, *docs, "document"
+    )
+    rescorer = None if rescore == "none" else _scorer(rescore, table=table)
     report = eval_joint(
         mode,
         dataset,

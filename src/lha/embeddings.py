@@ -27,7 +27,6 @@ __all__ = [
     "embed_avg",
     "AvgEmbedder",
     "PrecomputedEmbedder",
-    "DualMatrixEmbedder",
     "embed_corpus",
 ]
 
@@ -192,7 +191,8 @@ def load_embeddings(path: Path | str) -> EmbeddingMatrix:
 
     Layout, all little-endian: magic ``LHAE``, u16 version, u8 flags (bit 0 =
     unit-normalized), u64 count, u32 dim, then ``count`` ids (u32 byte length
-    + UTF-8 bytes), then ``count * dim`` float32 row values.
+    + UTF-8 bytes), then ``count * dim`` float32 row values. A row holding a
+    NaN or an infinity is rejected.
     """
     with open(path, "rb") as fh:
         header = _read_exact(fh, _HEADER.size, "header")
@@ -212,6 +212,11 @@ def load_embeddings(path: Path | str) -> EmbeddingMatrix:
         if trailing:
             raise EmbeddingFormatError("trailing bytes after rows")
     rows = np.frombuffer(row_bytes, dtype="<f4").reshape(count, dim)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise EmbeddingFormatError(
+            f"non-finite value in the row of unit id {unit_ids[bad[0]]!r}"
+        )
     return EmbeddingMatrix(
         unit_ids, rows.copy(), unit_normalized=bool(flags & _FLAG_UNIT_NORMALIZED)
     )
@@ -252,6 +257,13 @@ class AvgEmbedder:
     def document_vector(self, doc: Document) -> np.ndarray:
         return embed_avg(doc.tokens(), self.table)
 
+    def sentence_rows(self, sentences: Sequence[Sentence]) -> np.ndarray:
+        """One float64 row per sentence, in order."""
+        rows = np.zeros((len(sentences), self.dim), dtype=np.float64)
+        for i, s in enumerate(sentences):
+            rows[i] = self.sentence_vector(s)
+        return rows
+
 
 class PrecomputedEmbedder:
     """Looks units up in an existing matrix keyed by unit id."""
@@ -269,31 +281,10 @@ class PrecomputedEmbedder:
     def document_vector(self, doc: Document) -> np.ndarray:
         return self.matrix.row(doc.doc_id).astype(np.float64)
 
-
-class DualMatrixEmbedder:
-    """Resolves units from a source or a target matrix by unit id.
-
-    The sentence stage scores source sentences against target sentences with
-    one embedder; this joins the two per-corpus embedding files.
-    """
-
-    def __init__(self, src: EmbeddingMatrix, tgt: EmbeddingMatrix):
-        if src.dim != tgt.dim:
-            raise ValueError(f"dimension mismatch: {src.dim} vs {tgt.dim}")
-        self.src = src
-        self.tgt = tgt
-
-    @property
-    def dim(self) -> int:
-        return self.src.dim
-
-    def sentence_vector(self, sentence: Sentence) -> np.ndarray:
-        matrix = self.src if sentence.uid in self.src else self.tgt
-        return matrix.row(sentence.uid).astype(np.float64)
-
-    def document_vector(self, doc: Document) -> np.ndarray:
-        matrix = self.src if doc.doc_id in self.src else self.tgt
-        return matrix.row(doc.doc_id).astype(np.float64)
+    def sentence_rows(self, sentences: Sequence[Sentence]) -> np.ndarray:
+        """One float64 row per sentence, in order, gathered in one step."""
+        index = [self.matrix.row_index(s.uid) for s in sentences]
+        return self.matrix.rows[index].astype(np.float64)
 
 
 def embed_corpus(

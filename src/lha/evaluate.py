@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .ann_index import IndexParams, build_index
-from .corpus import Document
+from .corpus import Document, Sentence
 from .doc_align import align_documents
 from .embeddings import AvgEmbedder, PrecomputedEmbedder, embed_corpus
 from .metrics import CosineScorer, Scorer, UnembeddableSentenceError
@@ -492,23 +492,26 @@ def eval_document_alignment(
 
 def _rescore(
     scored: dict[PairKey, float],
-    sentences_by_uid: Mapping[str, object],
+    src_by_uid: Mapping[str, Sentence],
+    tgt_by_uid: Mapping[str, Sentence],
     rescorer: Scorer,
     top: int,
 ) -> dict[PairKey, float]:
-    """Keep the top candidates per source sentence and re-score them."""
+    """Keep the top candidates per source sentence and re-score them.
+
+    The sides are looked up separately because a source and a target
+    sentence may share a uid.
+    """
     by_source: dict[str, list[tuple[float, str]]] = {}
     for (s_uid, t_uid), sim in scored.items():
         by_source.setdefault(s_uid, []).append((sim, t_uid))
     out: dict[PairKey, float] = {}
     for s_uid, cands in by_source.items():
         cands.sort(key=lambda c: (-c[0], c[1]))
-        src_sentence = sentences_by_uid[s_uid]
+        src_sentence = src_by_uid[s_uid]
         for sim, t_uid in cands[:top]:
             try:
-                out[(s_uid, t_uid)] = rescorer.score(
-                    src_sentence, sentences_by_uid[t_uid]
-                )
+                out[(s_uid, t_uid)] = rescorer.score(src_sentence, tgt_by_uid[t_uid])
             except UnembeddableSentenceError:
                 out[(s_uid, t_uid)] = 0.0
     return out
@@ -548,10 +551,8 @@ def eval_joint(
     tgt_list = [dataset.tgt_docs[b] for b in tgt_gold]
     src_list += _sample_noise(dataset.noise_src, set(src_gold), n_noise, rng)
     tgt_list += _sample_noise(dataset.noise_tgt, set(tgt_gold), n_noise, rng)
-    sentences_by_uid: dict[str, object] = {}
-    for doc in src_list + tgt_list:
-        for s in doc.sentences:
-            sentences_by_uid[s.uid] = s
+    src_sents = [s for doc in src_list for s in doc.sentences]
+    tgt_sents = [s for doc in tgt_list for s in doc.sentences]
     details: dict = {
         "protocol": "joint",
         "mode": mode,
@@ -583,25 +584,13 @@ def eval_joint(
     else:
         if not isinstance(sent_scorer, CosineScorer):
             raise ValueError("global mode needs a cosine (embedding) scorer")
-        src_sents = [s for doc in src_list for s in doc.sentences]
-        tgt_sents = [s for doc in tgt_list for s in doc.sentences]
-        embedder = sent_scorer.embedder
-        tgt_rows = np.zeros((len(tgt_sents), embedder.dim), dtype=np.float64)
-        for j, s in enumerate(tgt_sents):
-            tgt_rows[j] = embedder.sentence_vector(s)
-        tgt_norms = np.linalg.norm(tgt_rows, axis=1)
-        tgt_unit = tgt_rows / np.where(tgt_norms > 0.0, tgt_norms, 1.0)[:, None]
+        tgt_unit = sent_scorer.target_rows(tgt_sents)
         tgt_uids = np.array([s.uid for s in tgt_sents], dtype=np.str_)
         top = min(global_top, len(tgt_sents))
         block = 512
         for lo in range(0, len(src_sents), block):
             chunk = src_sents[lo : lo + block]
-            rows = np.zeros((len(chunk), embedder.dim), dtype=np.float64)
-            for i, s in enumerate(chunk):
-                rows[i] = embedder.sentence_vector(s)
-            norms = np.linalg.norm(rows, axis=1)
-            rows /= np.where(norms > 0.0, norms, 1.0)[:, None]
-            sims = rows @ tgt_unit.T
+            sims = sent_scorer.source_rows(chunk) @ tgt_unit.T
             for i, s in enumerate(chunk):
                 row = sims[i]
                 if top < len(row):
@@ -614,7 +603,13 @@ def eval_joint(
         details["global_top"] = top
     details["candidates"] = len(scored)
     if rescorer is not None:
-        scored = _rescore(scored, sentences_by_uid, rescorer, rescore_top)
+        scored = _rescore(
+            scored,
+            {s.uid: s for s in src_sents},
+            {s.uid: s for s in tgt_sents},
+            rescorer,
+            rescore_top,
+        )
         details["rescore_top"] = rescore_top
         details["rescored"] = len(scored)
     wall = time.perf_counter() - start

@@ -17,7 +17,7 @@ from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 from scipy.spatial.distance import cdist
 
-from .corpus import Sentence, content_tokens
+from .corpus import Document, Sentence, content_tokens
 from .embeddings import AvgEmbedder, PrecomputedEmbedder, WordVectorTable, embed_avg
 
 __all__ = [
@@ -253,13 +253,34 @@ class Scorer:
 
 
 class CosineScorer(Scorer):
+    """Cosine of sentence embeddings.
+
+    Source sentences (the rows of ``matrix``) are read from ``embedder`` and
+    target sentences (its columns) from ``target_embedder``, which defaults
+    to the same embedder. Keeping the sides apart lets both corpora use the
+    same unit ids.
+    """
+
     kind = "cosine"
 
-    def __init__(self, embedder: AvgEmbedder | PrecomputedEmbedder):
+    def __init__(
+        self,
+        embedder: AvgEmbedder | PrecomputedEmbedder,
+        target_embedder: AvgEmbedder | PrecomputedEmbedder | None = None,
+    ):
+        if target_embedder is None:
+            target_embedder = embedder
+        if embedder.dim != target_embedder.dim:
+            raise ValueError(
+                f"dimension mismatch: {embedder.dim} vs {target_embedder.dim}"
+            )
         self.embedder = embedder
+        self.target_embedder = target_embedder
 
     def score(self, x: Sentence, y: Sentence) -> float:
-        return cosine(self.embedder.sentence_vector(x), self.embedder.sentence_vector(y))
+        return cosine(
+            self.embedder.sentence_vector(x), self.target_embedder.sentence_vector(y)
+        )
 
     def score_bags(self, x: Sequence[str], y: Sequence[str]) -> float:
         if not isinstance(self.embedder, AvgEmbedder):
@@ -267,16 +288,21 @@ class CosineScorer(Scorer):
         table = self.embedder.table
         return cosine(embed_avg(list(x), table), embed_avg(list(y), table))
 
-    def _stack(self, sentences: Sequence[Sentence]) -> np.ndarray:
-        rows = np.zeros((len(sentences), self.embedder.dim), dtype=np.float64)
-        for i, s in enumerate(sentences):
-            rows[i] = self.embedder.sentence_vector(s)
-        norms = np.linalg.norm(rows, axis=1)
-        safe = np.where(norms > 0.0, norms, 1.0)
-        return rows / safe[:, None]
+    def source_rows(self, xs: Sequence[Sentence]) -> np.ndarray:
+        return _unit_rows(self.embedder.sentence_rows(xs))
+
+    def target_rows(self, ys: Sequence[Sentence]) -> np.ndarray:
+        return _unit_rows(self.target_embedder.sentence_rows(ys))
 
     def matrix(self, xs: Sequence[Sentence], ys: Sequence[Sentence]) -> np.ndarray:
-        return self._stack(xs) @ self._stack(ys).T
+        return self.source_rows(xs) @ self.target_rows(ys).T
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """L2-normalize float64 rows; all-zero rows stay zero."""
+    norms = np.linalg.norm(rows, axis=1)
+    safe = np.where(norms > 0.0, norms, 1.0)
+    return rows / safe[:, None]
 
 
 class OverlapScorer(Scorer):
@@ -374,24 +400,36 @@ def make_scorer(
     embedder: AvgEmbedder | PrecomputedEmbedder | None = None,
     table: WordVectorTable | None = None,
     stats: Bm25Stats | None = None,
+    target_embedder: AvgEmbedder | PrecomputedEmbedder | None = None,
+    target_docs: Iterable[Document] | None = None,
+    k1: float = 1.2,
+    b: float = 0.75,
 ) -> Scorer:
-    """Build a scorer by name, validating that its inputs were supplied."""
+    """Build a scorer by name; a missing input raises ValueError.
+
+    cosine falls back to averaging ``table`` vectors when no embedder is
+    given. bm25 without ``stats`` computes them over ``target_docs``.
+    """
     if kind == "cosine":
+        if embedder is None and table is not None:
+            embedder = AvgEmbedder(table)
         if embedder is None:
-            raise ValueError("cosine scorer needs an embedder")
-        return CosineScorer(embedder)
+            raise ValueError("cosine scorer needs an embedder or a word-vector table")
+        return CosineScorer(embedder, target_embedder)
     if kind == "overlap":
         return OverlapScorer()
     if kind == "bm25":
+        if stats is None and target_docs is not None:
+            stats = Bm25Stats.from_documents(
+                (content_tokens(s.tokens) for d in target_docs for s in d.sentences),
+                k1=k1,
+                b=b,
+            )
         if stats is None:
             raise ValueError("bm25 scorer needs collection statistics")
         return Bm25Scorer(stats)
-    if kind == "wmd":
+    if kind in ("wmd", "rwmd"):
         if table is None:
-            raise ValueError("wmd scorer needs a word-vector table")
-        return WmdScorer(table)
-    if kind == "rwmd":
-        if table is None:
-            raise ValueError("rwmd scorer needs a word-vector table")
-        return RwmdScorer(table)
+            raise ValueError(f"{kind} scorer needs a word-vector table")
+        return WmdScorer(table) if kind == "wmd" else RwmdScorer(table)
     raise ValueError(f"unknown scorer kind {kind!r}")

@@ -1,10 +1,11 @@
 """End-to-end orchestration: embed, index, align documents, align sentences,
 filter, emit, with manifest-based stage caching.
 
-Every stage records content hashes of its inputs, its parameters, and its
-outputs in ``manifest.json``. A stage is skipped when all three match, so
-reruns are free and deleting an intermediate file rebuilds exactly that
-file. Hashing is content-based throughout; timestamps are never consulted.
+Every stage records the tool version, content hashes of its inputs, its
+parameters, and its outputs in ``manifest.json``. A stage is skipped when all
+four match, so reruns are free, an upgrade recomputes, and deleting an
+intermediate file rebuilds exactly that file. Hashing is content-based
+throughout; timestamps are never consulted.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from . import __version__
 from .ann_index import AnnIndex, IndexParams, build_index
 from .corpus import (
     Document,
-    content_tokens,
     corpus_index,
     load_abbreviations,
     load_corpus,
@@ -32,14 +32,13 @@ from .corpus import (
 from .doc_align import align_documents, read_doc_pairs, write_doc_pairs
 from .embeddings import (
     AvgEmbedder,
-    DualMatrixEmbedder,
     PrecomputedEmbedder,
     embed_corpus,
     load_embeddings,
     load_word_vectors,
     save_embeddings,
 )
-from .metrics import Bm25Stats, CosineScorer, Scorer, make_scorer
+from .metrics import make_scorer
 from .sent_align import (
     FilterPolicy,
     align_sentences,
@@ -309,7 +308,12 @@ class _Manifest:
     ) -> None:
         record = self.data["stages"].get(name)
         params_canon = json.loads(json.dumps(params, sort_keys=True))
-        if record and record.get("inputs") == inputs and record.get("params") == params_canon:
+        if (
+            record
+            and record.get("tool_version") == __version__
+            and record.get("inputs") == inputs
+            and record.get("params") == params_canon
+        ):
             recorded = record.get("outputs", {})
             if all(
                 p.exists() and recorded.get(p.name) == _sha256(p) for p in outputs
@@ -323,6 +327,7 @@ class _Manifest:
         except Exception as e:
             raise PipelineStageError(name, e) from e
         self.data["stages"][name] = {
+            "tool_version": __version__,
             "inputs": inputs,
             "params": params_canon,
             "outputs": {p.name: _sha256(p) for p in outputs},
@@ -384,45 +389,32 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
         "summary": out_dir / "summary.json",
     }
 
-    def doc_embedder_for(side: str):
-        if config.doc_strategy == "avg":
-            return AvgEmbedder(table)
-        path = (
-            config.doc_embeddings_source if side == "src" else config.doc_embeddings_target
+    def embed_units(
+        level: str, side: str, corpus_path: str, corpus_hash: str, out_path: Path
+    ) -> None:
+        unit = "doc" if level == "document" else "sent"
+        strategy = getattr(config, f"{unit}_strategy")
+        pre_path = getattr(
+            config, f"{unit}_embeddings_{'source' if side == 'src' else 'target'}"
         )
-        return PrecomputedEmbedder(load_embeddings(path))
-
-    def embed_docs(side: str, corpus_path: str, corpus_hash: str, out_path: Path) -> None:
-        strategy_hash = (
-            vectors_hash
-            if config.doc_strategy == "avg"
-            else _sha256(
-                Path(
-                    config.doc_embeddings_source
-                    if side == "src"
-                    else config.doc_embeddings_target
-                )
-            )
-        )
+        if strategy == "avg":
+            strategy_hash = vectors_hash
+            make_embedder = lambda: AvgEmbedder(table)
+        else:
+            strategy_hash = _sha256(Path(pre_path))
+            make_embedder = lambda: PrecomputedEmbedder(load_embeddings(pre_path))
         manifest.run_stage(
-            f"embed_docs_{side}",
+            f"embed_{unit}s_{side}",
             inputs={"corpus": corpus_hash, "embedding_source": strategy_hash, **text_params},
-            params={
-                "level": "document",
-                "strategy": config.doc_strategy,
-                "normalize": config.normalize,
-            },
+            params={"level": level, "strategy": strategy, "normalize": config.normalize},
             outputs=[out_path],
             compute=lambda: save_embeddings(
                 embed_corpus(
                     load_corpus(
-                        corpus_path,
-                        side,
-                        stopwords=stopwords,
-                        abbreviations=abbreviations,
+                        corpus_path, side, stopwords=stopwords, abbreviations=abbreviations
                     ),
-                    "document",
-                    doc_embedder_for(side),
+                    level,
+                    make_embedder(),
                     normalize=config.normalize,
                 ),
                 out_path,
@@ -430,8 +422,8 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
             cached_stages=cached,
         )
 
-    embed_docs("src", config.source_corpus, src_hash, paths["docs_source"])
-    embed_docs("tgt", config.target_corpus, tgt_hash, paths["docs_target"])
+    embed_units("document", "src", config.source_corpus, src_hash, paths["docs_source"])
+    embed_units("document", "tgt", config.target_corpus, tgt_hash, paths["docs_target"])
 
     index_params = IndexParams(
         trees=config.trees,
@@ -477,55 +469,28 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
 
     use_sent_embeddings = config.scorer == "cosine"
     if use_sent_embeddings:
-        def embed_sents(side: str, corpus_path: str, corpus_hash: str, out_path: Path) -> None:
-            if config.sent_strategy == "avg":
-                strategy_hash = vectors_hash
-                make_embedder = lambda: AvgEmbedder(table)
-            else:
-                pre_path = (
-                    config.sent_embeddings_source
-                    if side == "src"
-                    else config.sent_embeddings_target
-                )
-                strategy_hash = _sha256(Path(pre_path))
-                make_embedder = lambda: PrecomputedEmbedder(load_embeddings(pre_path))
-            manifest.run_stage(
-                f"embed_sents_{side}",
-                inputs={
-                    "corpus": corpus_hash,
-                    "embedding_source": strategy_hash,
-                    **text_params,
-                },
-                params={
-                    "level": "sentence",
-                    "strategy": config.sent_strategy,
-                    "normalize": config.normalize,
-                },
-                outputs=[out_path],
-                compute=lambda: save_embeddings(
-                    embed_corpus(
-                        load_corpus(
-                            corpus_path,
-                            side,
-                            stopwords=stopwords,
-                            abbreviations=abbreviations,
-                        ),
-                        "sentence",
-                        make_embedder(),
-                        normalize=config.normalize,
-                    ),
-                    out_path,
-                ),
-                cached_stages=cached,
-            )
-
-        embed_sents("src", config.source_corpus, src_hash, paths["sents_source"])
-        embed_sents("tgt", config.target_corpus, tgt_hash, paths["sents_target"])
+        embed_units("sentence", "src", config.source_corpus, src_hash, paths["sents_source"])
+        embed_units("sentence", "tgt", config.target_corpus, tgt_hash, paths["sents_target"])
 
     def compute_alignment() -> None:
         src_docs = load_docs(config.source_corpus, "src")
         tgt_docs = load_docs(config.target_corpus, "tgt")
-        scorer = _build_scorer(config, table, tgt_docs, paths)
+        embedders = {}
+        if use_sent_embeddings:
+            embedders = {
+                "embedder": PrecomputedEmbedder(load_embeddings(paths["sents_source"])),
+                "target_embedder": PrecomputedEmbedder(
+                    load_embeddings(paths["sents_target"])
+                ),
+            }
+        scorer = make_scorer(
+            config.scorer,
+            table=table,
+            target_docs=tgt_docs.values(),
+            k1=config.bm25_k1,
+            b=config.bm25_b,
+            **embedders,
+        )
         exclusion = (
             load_exclusion_set(config.exclusion_file)
             if config.exclusion_file
@@ -675,27 +640,3 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
         outputs=outputs,
         cached_stages=cached,
     )
-
-
-def _build_scorer(
-    config: PipelineConfig,
-    table,
-    tgt_docs: dict[str, Document],
-    paths: dict[str, Path],
-) -> Scorer:
-    if config.scorer == "cosine":
-        src_m = load_embeddings(paths["sents_source"])
-        tgt_m = load_embeddings(paths["sents_target"])
-        return CosineScorer(DualMatrixEmbedder(src_m, tgt_m))
-    if config.scorer == "bm25":
-        stats = Bm25Stats.from_documents(
-            (
-                content_tokens(s.tokens)
-                for d in tgt_docs.values()
-                for s in d.sentences
-            ),
-            k1=config.bm25_k1,
-            b=config.bm25_b,
-        )
-        return make_scorer("bm25", stats=stats)
-    return make_scorer(config.scorer, table=table)

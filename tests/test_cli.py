@@ -329,3 +329,113 @@ class TestEvalCommands:
         report = json.loads(result.stdout)
         assert report["details"]["rescorer"] == "wmd"
         assert report["details"]["rescored"] <= report["details"]["candidates"]
+
+
+class TestSharedIds:
+    def test_align_sents_reads_each_side_from_its_own_file(self, tmp_path) -> None:
+        # Both corpora hold doc A; the target's A#0 is the weather sentence.
+        write_jsonl(tmp_path / "source.jsonl", [
+            {"id": "A", "sentences": ["The cat and the dog.", "Rain and snow."]},
+        ])
+        write_vectors(tmp_path / "vectors.txt", _TOY_VECTORS)
+        outputs = {}
+        for tgt_id in ("A", "B"):
+            corpus = write_jsonl(tmp_path / f"target_{tgt_id}.jsonl", [
+                {"id": tgt_id, "sentences": ["Rain and snow.", "The cat and the dog."]},
+            ])
+            for side, path in (("src", tmp_path / "source.jsonl"), ("tgt", corpus)):
+                invoke("embed", "--corpus", str(path), "--level", "sent",
+                       "--vectors", str(tmp_path / "vectors.txt"),
+                       "--out", str(tmp_path / f"{side}_{tgt_id}.lhae"))
+            pairs = tmp_path / f"pairs_{tgt_id}.tsv"
+            pairs.write_text(f"A\t{tgt_id}\t1.0\n", encoding="utf-8")
+            out = tmp_path / f"groups_{tgt_id}.jsonl"
+            result = invoke(
+                "align-sents", "--doc-pairs", str(pairs),
+                "--source-corpus", str(tmp_path / "source.jsonl"),
+                "--target-corpus", str(corpus),
+                "--source-sent-embeddings", str(tmp_path / f"src_{tgt_id}.lhae"),
+                "--target-sent-embeddings", str(tmp_path / f"tgt_{tgt_id}.lhae"),
+                "--k", "1", "--theta-s", "0.6", "--min-overlap", "0.0",
+                "--out", str(out),
+            )
+            assert result.exit_code == 0, result.output
+            outputs[tgt_id] = out.read_text(encoding="utf-8")
+        assert outputs["A"] == outputs["B"].replace('"B', '"A')
+        assert {(g.source_text, g.target_text)
+                for g in read_groups(tmp_path / "groups_A.jsonl")} == {
+            ("The cat and the dog.", "The cat and the dog."),
+            ("Rain and snow.", "Rain and snow."),
+        }
+
+    def test_align_sents_needs_both_embedding_files(self, workspace) -> None:
+        invoke("embed", "--corpus", str(workspace / "source.jsonl"), "--level", "sent",
+               "--vectors", str(workspace / "vectors.txt"),
+               "--out", str(workspace / "src.lhae"))
+        (workspace / "pairs.tsv").write_text("s1\tt1\t1.0\n", encoding="utf-8")
+        result = invoke(
+            "align-sents", "--doc-pairs", str(workspace / "pairs.tsv"),
+            "--source-corpus", str(workspace / "source.jsonl"),
+            "--target-corpus", str(workspace / "target.jsonl"),
+            "--vectors", str(workspace / "vectors.txt"),
+            "--source-sent-embeddings", str(workspace / "src.lhae"),
+            "--theta-s", "0.6", "--out", str(workspace / "g.jsonl"),
+        )
+        assert result.exit_code == 2
+        assert "--target-sent-embeddings" in result.output
+
+    @staticmethod
+    def one_matrix(eval_dir: Path, vectors: Path, level: str) -> Path:
+        """Embed both sides of the eval set, noise included, into one file."""
+        merged = eval_dir / "merged.jsonl"
+        merged.write_text("".join(
+            (eval_dir / name).read_text(encoding="utf-8")
+            for name in ("source_docs.jsonl", "target_docs.jsonl",
+                         "noise_source_docs.jsonl", "noise_target_docs.jsonl")
+        ), encoding="utf-8")
+        out = eval_dir / f"{level}.lhae"
+        result = invoke("embed", "--corpus", str(merged), "--level", level,
+                        "--vectors", str(vectors), "--out", str(out))
+        assert result.exit_code == 0, result.output
+        return out
+
+    def test_one_matrix_flags_work_without_shared_ids(self, workspace, eval_dir) -> None:
+        vectors = workspace / "vectors.txt"
+        sents = self.one_matrix(eval_dir, vectors, "sent")
+        docs = self.one_matrix(eval_dir, vectors, "doc")
+        result = invoke("eval", "sent", "--data-dir", str(eval_dir),
+                        "--sent-embeddings", str(sents))
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["f1_max"] == 1.0
+        result = invoke("eval", "doc", "--data-dir", str(eval_dir),
+                        "--doc-embeddings", str(docs), "--n-noise", "1")
+        assert result.exit_code == 0, result.output
+        result = invoke("eval", "joint", "--data-dir", str(eval_dir), "--mode", "lha",
+                        "--sent-embeddings", str(sents), "--doc-embeddings", str(docs),
+                        "--k-doc", "2", "--theta-d", "0.6", "--n-noise", "1")
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("command, flag, level, shared", [
+        (["eval", "sent"], "--sent-embeddings", "sent", "'s1#0'"),
+        (["eval", "doc", "--n-noise", "1"], "--doc-embeddings", "doc", "'s1'"),
+        (["eval", "joint", "--mode", "global", "--n-noise", "1"],
+         "--sent-embeddings", "sent", "'s1#0'"),
+        (["eval", "joint", "--mode", "lha", "--n-noise", "1"],
+         "--doc-embeddings", "doc", "'s1'"),
+    ])
+    def test_one_matrix_flags_reject_shared_ids(
+        self, workspace, eval_dir, command, flag, level, shared
+    ) -> None:
+        vectors = workspace / "vectors.txt"
+        target = eval_dir / "target_docs.jsonl"
+        target.write_text(target.read_text(encoding="utf-8").replace('"t1"', '"s1"'),
+                          encoding="utf-8")
+        (eval_dir / "doc_pairs.tsv").write_text("s1\ts1\ns2\tt2\n", encoding="utf-8")
+        # the ids clash, so no one file can cover both sides; any file will do
+        matrix = eval_dir / "source.lhae"
+        invoke("embed", "--corpus", str(eval_dir / "source_docs.jsonl"), "--level", level,
+               "--vectors", str(vectors), "--out", str(matrix))
+        result = invoke(*command, "--data-dir", str(eval_dir), "--vectors", str(vectors),
+                        flag, str(matrix))
+        assert result.exit_code == 2
+        assert flag in result.output and shared in result.output

@@ -8,7 +8,6 @@ import pytest
 from lha.corpus import tokenize
 from lha.embeddings import (
     AvgEmbedder,
-    DualMatrixEmbedder,
     EmbeddingFormatError,
     EmbeddingLookupError,
     EmbeddingMatrix,
@@ -191,6 +190,16 @@ class TestBinaryFormat:
             load_embeddings(path)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, tmp_path, bad) -> None:
+        rows = np.zeros((3, 2), dtype=np.float32)
+        rows[1, 1] = bad
+        path = tmp_path / "m.lhae"
+        save_embeddings(EmbeddingMatrix(["a", "b#0", "c"], rows), path)
+        with pytest.raises(EmbeddingFormatError, match="non-finite.*'b#0'"):
+            load_embeddings(path)
+
+
 class TestEmbedCorpus:
     def test_sentence_level_ids_in_corpus_order(self, toy_table) -> None:
         docs = [
@@ -265,27 +274,3 @@ class TestEmbedCorpus:
             docs, level="sentence", embedder=PrecomputedEmbedder(source), normalize=False
         )
         assert np.array_equal(matrix.rows, rows)
-
-
-class TestDualMatrixEmbedder:
-    def test_resolves_across_sides(self) -> None:
-        src = EmbeddingMatrix(["a#0"], np.array([[1, 0]], dtype=np.float32))
-        tgt = EmbeddingMatrix(["b#0"], np.array([[0, 1]], dtype=np.float32))
-        embedder = DualMatrixEmbedder(src, tgt)
-        s_a = doc("a", ["Cat."]).sentences[0]
-        s_b = doc("b", ["Dog."]).sentences[0]
-        assert np.array_equal(embedder.sentence_vector(s_a), [1.0, 0.0])
-        assert np.array_equal(embedder.sentence_vector(s_b), [0.0, 1.0])
-
-    def test_dim_mismatch_rejected(self) -> None:
-        src = EmbeddingMatrix(["a"], np.zeros((1, 2), dtype=np.float32))
-        tgt = EmbeddingMatrix(["b"], np.zeros((1, 3), dtype=np.float32))
-        with pytest.raises(ValueError, match="dim"):
-            DualMatrixEmbedder(src, tgt)
-
-    def test_unknown_id_raises(self) -> None:
-        src = EmbeddingMatrix(["a#0"], np.zeros((1, 2), dtype=np.float32))
-        embedder = DualMatrixEmbedder(src, src)
-        stray = doc("zz", ["Dog."]).sentences[0]
-        with pytest.raises(EmbeddingLookupError):
-            embedder.sentence_vector(stray)

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from lha.embeddings import AvgEmbedder
+from lha.embeddings import AvgEmbedder, PrecomputedEmbedder, embed_corpus
 from lha.evaluate import (
     LABELS,
     EvalDataset,
@@ -24,7 +24,7 @@ from lha.evaluate import (
     normalize_label,
     save_gold_pairs,
 )
-from lha.metrics import CosineScorer, OverlapScorer
+from lha.metrics import CosineScorer, OverlapScorer, WmdScorer
 from conftest import doc, write_jsonl
 from oracles import f1_sweep_oracle
 
@@ -410,3 +410,62 @@ class TestLoadEvalDataset:
         (tmp_path / "doc_pairs.tsv").write_text("only-one-id\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 1"):
             load_eval_dataset(tmp_path)
+
+
+def shared_id_dataset(target_id: str) -> EvalDataset:
+    """One gold article pair whose sides may share the id "A". Each target
+    sentence differs from the source sentence of the same ordinal."""
+    src = doc("A", ["The cat sat.", "An apple fell."])
+    tgt = doc(target_id, ["A banana fell.", "A kitten sat."])
+    return EvalDataset(
+        src_docs={"A": src},
+        tgt_docs={target_id: tgt},
+        gold_doc_pairs=[("A", target_id)],
+        gold_pairs=[
+            GoldPair("A#0", f"{target_id}#1", "good"),
+            GoldPair("A#1", f"{target_id}#0", "good"),
+        ],
+        noise_src=[doc("ns1", ["Rain is coming."])],
+        noise_tgt=[doc("nt1", ["The storm rain came."])],
+    )
+
+
+class TestJointSharedIds:
+    """A source and a target sentence with the same uid stay apart."""
+
+    def test_rescore_reads_each_side(self, toy_table) -> None:
+        embedder = AvgEmbedder(toy_table)
+        reports = [
+            eval_joint(
+                "lha", shared_id_dataset(target_id), CosineScorer(embedder),
+                doc_embedder=embedder, k_doc=1, theta_d=0.5, n_noise=1,
+                rescorer=WmdScorer(toy_table), rescore_top=1,
+            ).to_dict()
+            for target_id in ("A", "B")
+        ]
+        assert reports[0] == reports[1]
+        assert reports[0]["recall_at_max"] == 1.0
+        assert reports[0]["details"]["rescored"] == 3  # A#0, A#1 and the noise sentence
+
+    def test_global_mode_embeds_targets_with_target_embedder(self, toy_table) -> None:
+        dataset = shared_id_dataset("A")
+        avg = AvgEmbedder(toy_table)
+        src_docs = [*dataset.src_docs.values(), *dataset.noise_src]
+        tgt_docs = [*dataset.tgt_docs.values(), *dataset.noise_tgt]
+        scorer = CosineScorer(
+            PrecomputedEmbedder(embed_corpus(src_docs, "sentence", avg)),
+            PrecomputedEmbedder(embed_corpus(tgt_docs, "sentence", avg)),
+        )
+        shared = eval_joint("global", dataset, scorer, n_noise=1, global_top=1)
+        # with distinct ids one matrix can hold both sides
+        renamed_dataset = shared_id_dataset("B")
+        both = PrecomputedEmbedder(embed_corpus(
+            [*renamed_dataset.src_docs.values(), *renamed_dataset.noise_src,
+             *renamed_dataset.tgt_docs.values(), *renamed_dataset.noise_tgt],
+            "sentence", avg,
+        ))
+        renamed = eval_joint(
+            "global", renamed_dataset, CosineScorer(both), n_noise=1, global_top=1
+        )
+        assert shared.to_dict() == renamed.to_dict()
+        assert shared.recall_at_max == 1.0

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from lha.corpus import content_tokens
-from lha.embeddings import AvgEmbedder, WordVectorTable
+from lha.embeddings import (
+    AvgEmbedder,
+    EmbeddingLookupError,
+    EmbeddingMatrix,
+    PrecomputedEmbedder,
+    WordVectorTable,
+)
 from lha.metrics import (
     Bm25Scorer,
     Bm25Stats,
@@ -25,7 +31,7 @@ from lha.metrics import (
     unigram_overlap,
     wmd,
 )
-from conftest import sent
+from conftest import doc, sent
 from oracles import transport_cost_oracle
 
 # random-table sentences use this pool; a few words stay out of vocabulary
@@ -322,3 +328,83 @@ class TestScorers:
             make_scorer("wmd")
         with pytest.raises(ValueError, match="unknown"):
             make_scorer("levenshtein")
+
+
+class TestCosineSides:
+    """Rows come from the source embedder and columns from the target one,
+    so both corpora may use the same sentence ids."""
+
+    def test_each_side_reads_its_own_matrix(self) -> None:
+        src = EmbeddingMatrix(["a#0", "a#1"], np.array([[1, 0], [0, 1]], dtype=np.float32))
+        tgt = EmbeddingMatrix(["a#0", "a#1"], np.array([[0, 2], [3, 0]], dtype=np.float32))
+        scorer = CosineScorer(PrecomputedEmbedder(src), PrecomputedEmbedder(tgt))
+        xs = [sent("Cat.", doc_id="a", ordinal=0), sent("Rain.", doc_id="a", ordinal=1)]
+        ys = [sent("Rain.", doc_id="a", ordinal=0), sent("Cat.", doc_id="a", ordinal=1)]
+        assert np.array_equal(scorer.matrix(xs, ys), [[0.0, 1.0], [1.0, 0.0]])
+        assert scorer.score(xs[0], ys[1]) == pytest.approx(1.0)
+        assert scorer.score(xs[0], ys[0]) == pytest.approx(0.0)
+
+    def test_target_defaults_to_source(self, toy_table) -> None:
+        embedder = AvgEmbedder(toy_table)
+        assert CosineScorer(embedder).target_embedder is embedder
+
+    def test_dim_mismatch_rejected(self) -> None:
+        src = EmbeddingMatrix(["a#0"], np.zeros((1, 2), dtype=np.float32))
+        tgt = EmbeddingMatrix(["b#0"], np.zeros((1, 3), dtype=np.float32))
+        with pytest.raises(ValueError, match="dim"):
+            CosineScorer(PrecomputedEmbedder(src), PrecomputedEmbedder(tgt))
+        with pytest.raises(ValueError, match="dim"):
+            make_scorer(
+                "cosine",
+                embedder=PrecomputedEmbedder(src),
+                target_embedder=PrecomputedEmbedder(tgt),
+            )
+
+    def test_id_missing_on_its_own_side_raises(self) -> None:
+        # a#0 has a row only in the target matrix; as a source sentence it
+        # must not borrow that row
+        src = EmbeddingMatrix(["b#0"], np.ones((1, 2), dtype=np.float32))
+        tgt = EmbeddingMatrix(["a#0"], np.ones((1, 2), dtype=np.float32))
+        scorer = CosineScorer(PrecomputedEmbedder(src), PrecomputedEmbedder(tgt))
+        stray = sent("Cat.", doc_id="a", ordinal=0)
+        with pytest.raises(EmbeddingLookupError, match="a#0"):
+            scorer.matrix([stray], [stray])
+        with pytest.raises(EmbeddingLookupError, match="a#0"):
+            scorer.score(stray, stray)
+
+    def test_row_gather_matches_per_sentence_lookups(self, toy_table) -> None:
+        xs = [sent(t, doc_id="d", ordinal=i)
+              for i, t in enumerate(["The cat sat.", "Rain fell.", "Zzz."])]
+        ys = [sent(t, doc_id="e", ordinal=i)
+              for i, t in enumerate(["A kitten.", "Snow and sun."])]
+        avg = AvgEmbedder(toy_table)
+        matrix = EmbeddingMatrix(
+            [s.uid for s in xs + ys],
+            np.vstack([avg.sentence_vector(s) for s in xs + ys]).astype(np.float32),
+        )
+        pre = PrecomputedEmbedder(matrix)
+        for sentences in (xs, ys, []):
+            expected_rows = np.zeros((len(sentences), matrix.dim))
+            for i, s in enumerate(sentences):
+                expected_rows[i] = pre.sentence_vector(s)
+            assert pre.sentence_rows(sentences).tobytes() == expected_rows.tobytes()
+        expected = np.zeros((len(xs), len(ys)))
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                expected[i, j] = cosine(pre.sentence_vector(x), pre.sentence_vector(y))
+        assert np.allclose(CosineScorer(pre).matrix(xs, ys), expected, atol=1e-12)
+
+
+class TestMakeScorer:
+    def test_cosine_falls_back_to_table(self, toy_table) -> None:
+        scorer = make_scorer("cosine", table=toy_table)
+        assert isinstance(scorer.embedder, AvgEmbedder)
+        assert scorer.score(sent("cat"), sent("kitten")) > 0.99
+
+    def test_bm25_stats_from_target_docs(self) -> None:
+        docs = [doc("t1", ["Cat sat.", "Dog ran."]), doc("t2", ["Cat ate."])]
+        scorer = make_scorer("bm25", target_docs=docs, k1=2.0, b=0.5)
+        expected = Bm25Stats.from_documents(
+            [content_tokens(s.tokens) for d in docs for s in d.sentences], k1=2.0, b=0.5
+        )
+        assert scorer.stats == expected

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from lha import __version__
 from lha.pipeline import (
     PipelineConfig,
     PipelineStageError,
@@ -312,3 +313,108 @@ class TestRunPipeline:
         rerun = run_pipeline(config)
         assert "align_sents" in rerun.cached_stages
         assert "embed_sents_src" not in rerun.cached_stages
+
+
+def undo_renames(text: str, renames: dict[str, str]) -> str:
+    """Map renamed target ids back to their shared ids in an output file."""
+    for shared, renamed in renames.items():
+        for template in ('"{}#', '"{}"', "\t{}\t"):
+            text = text.replace(template.format(renamed), template.format(shared))
+    return text
+
+
+class TestSharedIds:
+    """English and Simple Wikipedia articles often share an id. A run on
+    corpora that share ids must equal the run with the target renamed."""
+
+    def run_pair(self, tmp_path, source, target, renames, **overrides):
+        """Run on ``target`` as given and with its ids renamed by
+        ``renames`` (shared id -> new id); return the shared run's groups."""
+        config = dataclasses.replace(make_workspace(tmp_path), **overrides)
+        write_jsonl(Path(config.source_corpus), source)
+        renamed_target = [{**r, "id": renames.get(r["id"], r["id"])} for r in target]
+        out = {}
+        for name, records in (("shared", target), ("renamed", renamed_target)):
+            corpus = write_jsonl(tmp_path / f"target_{name}.jsonl", records)
+            out[name] = tmp_path / name
+            run_pipeline(dataclasses.replace(
+                config, target_corpus=str(corpus), out_dir=str(out[name])
+            ))
+        for name in ("groups.jsonl", "groups.tsv", "doc_pairs.tsv"):
+            assert (out["shared"] / name).read_text("utf-8") == undo_renames(
+                (out["renamed"] / name).read_text("utf-8"), renames
+            ), name
+        assert json.loads((out["shared"] / "summary.json").read_text("utf-8")) == (
+            json.loads((out["renamed"] / "summary.json").read_text("utf-8"))
+        )
+        return read_groups(out["shared"] / "groups.jsonl")
+
+    def test_cat_dog_not_scored_with_source_rows(self, tmp_path) -> None:
+        # Scored with the source row of the same id, target A#0 "Rain and
+        # snow." looked identical to source A#0 and was emitted at 1.0.
+        groups = self.run_pair(
+            tmp_path,
+            [{"id": "A", "sentences": ["The cat and the dog.", "Rain and snow."]}],
+            [{"id": "A", "sentences": ["Rain and snow.", "The cat and the dog."]}],
+            {"A": "B"},
+            k_doc=1, k_sent=1, min_overlap=0.0,
+        )
+        assert sorted((g.source_text, g.target_text) for g in groups) == [
+            ("Rain and snow.", "Rain and snow."),
+            ("The cat and the dog.", "The cat and the dog."),
+        ]
+        assert [g.score for g in groups] == pytest.approx([1.0, 1.0])
+
+    def test_workspace_with_source_ids_on_target(self, tmp_path) -> None:
+        source = [
+            {"id": "s1", "sentences": ["The cat sat.", "An apple fell."]},
+            {"id": "s2", "sentences": ["Rain is coming."]},
+        ]
+        # target s2 is the pets+food article and s1 the weather one, so each
+        # shared id names a different article on each side
+        target = [
+            {"id": "s2", "sentences": ["A kitten sat.", "A banana fell."]},
+            {"id": "s1", "sentences": ["The storm rain came."]},
+        ]
+        groups = self.run_pair(tmp_path, source, target, {"s2": "t1", "s1": "t2"})
+        assert {(g.source_text, g.target_text) for g in groups} == {
+            ("The cat sat.", "A kitten sat."),
+            ("An apple fell.", "A banana fell."),
+            ("Rain is coming.", "The storm rain came."),
+        }
+
+
+class TestToolVersion:
+    def test_stage_records_carry_version(self, tmp_path) -> None:
+        config = make_workspace(tmp_path)
+        run_pipeline(config)
+        manifest = json.loads((Path(config.out_dir) / "manifest.json").read_text("utf-8"))
+        assert {r["tool_version"] for r in manifest["stages"].values()} == {__version__}
+
+    @pytest.mark.parametrize("stage", ["embed_docs_tgt", "align_sents"])
+    def test_version_mismatch_recomputes_that_stage(self, tmp_path, stage) -> None:
+        # Outputs recomputed by the same code hash the same, so the stages
+        # that read them stay cached: exactly the edited stage recomputes.
+        config = make_workspace(tmp_path)
+        run_pipeline(config)
+        out_dir = Path(config.out_dir)
+        before = out_bytes(out_dir)
+        manifest_path = out_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text("utf-8"))
+        manifest["stages"][stage]["tool_version"] = "0.1.0"
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        second = run_pipeline(config)
+        assert sorted(second.cached_stages) == sorted(set(ALL_STAGES) - {stage})
+        assert out_bytes(out_dir) == before
+        manifest = json.loads(manifest_path.read_text("utf-8"))
+        assert manifest["stages"][stage]["tool_version"] == __version__
+
+    def test_record_without_version_recomputes(self, tmp_path) -> None:
+        config = make_workspace(tmp_path)
+        run_pipeline(config)
+        manifest_path = Path(config.out_dir) / "manifest.json"
+        manifest = json.loads(manifest_path.read_text("utf-8"))
+        for record in manifest["stages"].values():
+            del record["tool_version"]
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert run_pipeline(config).cached_stages == []
