@@ -1,65 +1,28 @@
-"""Approximate nearest-neighbor index over embedding rows.
+"""Exact cosine nearest-neighbor index over embedding rows.
 
-A forest of randomized projection trees. Each tree splits on the direction
-between two randomly chosen points, at the median projection, so trees are
-balanced and build depth is logarithmic. Queries search all trees through a
-shared priority queue ordered by distance to the crossed split boundaries,
-collect a fixed candidate budget, then rank candidates by true cosine.
+Every query scores all indexed rows with one matrix product, so results are
+exact at every corpus size. A block of queries shares one product. Results
+are ordered by similarity descending, then unit id ascending.
 
-All-zero rows are excluded at build time and never returned. Building and
-querying are deterministic for a fixed seed.
+All-zero rows are excluded at build time and never returned. The index is
+stored in the ``.lhae`` embedding format.
 """
 
 from __future__ import annotations
 
-import heapq
-import json
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix
+from .embeddings import EmbeddingMatrix, load_embeddings, save_embeddings
 
 __all__ = [
-    "IndexParams",
     "Neighbor",
     "AnnIndex",
-    "IndexFormatError",
     "build_index",
     "exact_knn",
 ]
-
-_MAGIC = b"LHAI"
-_VERSION = 1
-
-
-class IndexFormatError(ValueError):
-    """Malformed index file."""
-
-
-@dataclass(frozen=True)
-class IndexParams:
-    """Build and search knobs.
-
-    ``search_k`` is the candidate budget per query. It is deliberately
-    independent of the query's k so that the top-j of a k-NN query equals
-    the j-NN query outright.
-    """
-
-    trees: int = 50
-    leaf_size: int = 100
-    seed: int = 0
-    search_k: int = 25000
-
-    def validate(self) -> None:
-        if self.trees < 1:
-            raise ValueError(f"trees must be >= 1, got {self.trees}")
-        if self.leaf_size < 1:
-            raise ValueError(f"leaf_size must be >= 1, got {self.leaf_size}")
-        if self.search_k < 1:
-            raise ValueError(f"search_k must be >= 1, got {self.search_k}")
 
 
 @dataclass(frozen=True)
@@ -68,252 +31,53 @@ class Neighbor:
     similarity: float
 
 
-@dataclass
-class _Tree:
-    # Internal node arrays; children >= 0 index internal nodes, < 0 encode
-    # leaf l as -(l + 1). Leaf l holds leaf_items[leaf_offsets[l]:leaf_offsets[l+1]].
-    normals: np.ndarray
-    thresholds: np.ndarray
-    children: np.ndarray
-    leaf_offsets: np.ndarray
-    leaf_items: np.ndarray
-
-    @property
-    def root(self) -> int:
-        return 0 if len(self.thresholds) else -1
-
-
-def _build_tree(
-    rows64: np.ndarray, items: np.ndarray, leaf_size: int, rng: np.random.Generator
-) -> _Tree:
-    dim = rows64.shape[1]
-    normals: list[np.ndarray] = []
-    thresholds: list[float] = []
-    children: list[list[int]] = []
-    leaf_offsets: list[int] = [0]
-    leaf_items: list[int] = []
-
-    def rec(subset: np.ndarray) -> int:
-        if len(subset) <= leaf_size:
-            leaf_items.extend(int(i) for i in subset)
-            leaf_offsets.append(len(leaf_items))
-            return -(len(leaf_offsets) - 1)
-        i1 = int(rng.integers(len(subset)))
-        i2 = int(rng.integers(len(subset) - 1))
-        if i2 >= i1:
-            i2 += 1
-        normal = rows64[subset[i1]] - rows64[subset[i2]]
-        norm = np.linalg.norm(normal)
-        if norm < 1e-12:
-            normal = rng.standard_normal(dim)
-            norm = np.linalg.norm(normal)
-        normal = normal / norm
-        proj = rows64[subset] @ normal
-        order = np.argsort(proj, kind="stable")
-        half = len(subset) // 2
-        threshold = (proj[order[half - 1]] + proj[order[half]]) / 2.0
-        node = len(normals)
-        normals.append(normal)
-        thresholds.append(0.0)
-        children.append([0, 0])
-        thresholds[node] = float(threshold)
-        left = rec(subset[order[:half]])
-        right = rec(subset[order[half:]])
-        children[node] = [left, right]
-        return node
-
-    rec(items)
-    if normals:
-        normals_arr = np.vstack(normals)
-        children_arr = np.array(children, dtype=np.int32)
-    else:
-        normals_arr = np.zeros((0, dim), dtype=np.float64)
-        children_arr = np.zeros((0, 2), dtype=np.int32)
-    return _Tree(
-        normals=normals_arr,
-        thresholds=np.array(thresholds, dtype=np.float64),
-        children=children_arr,
-        leaf_offsets=np.array(leaf_offsets, dtype=np.int64),
-        leaf_items=np.array(leaf_items, dtype=np.int32),
-    )
-
-
 class AnnIndex:
-    """Cosine nearest-neighbor index over an embedding matrix."""
+    """Cosine nearest-neighbor index over the non-zero rows of a matrix."""
 
-    metric = "cosine"
-
-    def __init__(
-        self,
-        unit_ids: list[str],
-        rows: np.ndarray,
-        params: IndexParams,
-        trees: list[_Tree],
-    ):
-        self.unit_ids = unit_ids
-        self.rows = np.ascontiguousarray(rows, dtype=np.float32)
-        self.params = params
-        self._trees = trees
-        self._ids_arr = np.array(unit_ids, dtype=np.str_)
-        rows64 = self.rows.astype(np.float64)
-        self._row_norms = np.linalg.norm(rows64, axis=1)
+    def __init__(self, unit_ids: list[str], rows: np.ndarray):
+        rows64 = np.asarray(rows, dtype=np.float32).astype(np.float64)
+        norms = np.linalg.norm(rows64, axis=1)
+        keep = np.flatnonzero(norms > 0.0)
+        self.unit_ids = [unit_ids[i] for i in keep]
+        self._ids_arr = np.array(self.unit_ids, dtype=np.str_)
+        self._rows64 = rows64[keep]
+        self._row_norms = norms[keep]
 
     @property
     def dim(self) -> int:
-        return self.rows.shape[1]
+        return self._rows64.shape[1]
 
     @property
     def size(self) -> int:
-        return self.rows.shape[0]
+        return self._rows64.shape[0]
 
-    @classmethod
-    def build(cls, matrix: EmbeddingMatrix, params: IndexParams | None = None) -> "AnnIndex":
-        params = params or IndexParams()
-        params.validate()
-        if matrix.count == 0 or matrix.dim == 0:
-            raise ValueError("cannot index an empty embedding matrix")
-        rows64 = matrix.rows.astype(np.float64)
-        nonzero = np.flatnonzero(np.linalg.norm(rows64, axis=1) > 0.0)
-        rng = np.random.default_rng(params.seed)
-        trees = [
-            _build_tree(rows64, nonzero, params.leaf_size, rng)
-            for _ in range(params.trees)
-        ]
-        return cls(list(matrix.unit_ids), matrix.rows, params, trees)
-
-    def query(
-        self, v: np.ndarray, k: int, search_k: int | None = None
-    ) -> list[Neighbor]:
+    def query(self, v: np.ndarray, k: int) -> list[Neighbor]:
         """Return up to k nearest rows by cosine, ties broken by unit id."""
         v64 = np.asarray(v, dtype=np.float64).ravel()
-        if v64.shape[0] != self.dim:
-            raise ValueError(f"query dim {v64.shape[0]} != index dim {self.dim}")
-        if k <= 0:
-            return []
-        budget = search_k if search_k is not None else self.params.search_k
-        if budget < 1:
-            raise ValueError(f"search_k must be >= 1, got {budget}")
-        # All split margins for one query fit in a handful of small matmuls,
-        # which keeps the heap loop free of per-node dot products.
-        margins = [tree.normals @ v64 - tree.thresholds for tree in self._trees]
-        seen = np.zeros(self.size, dtype=bool)
-        chunks: list[np.ndarray] = []
-        n_cand = 0
-        heap: list[tuple[float, int, int]] = [
-            (-np.inf, t, tree.root) for t, tree in enumerate(self._trees)
-        ]
-        heapq.heapify(heap)
-        while heap and n_cand < budget:
-            neg_q, t, code = heapq.heappop(heap)
-            if code < 0:
-                tree = self._trees[t]
-                leaf = -code - 1
-                items = tree.leaf_items[tree.leaf_offsets[leaf] : tree.leaf_offsets[leaf + 1]]
-                fresh = items[~seen[items]]
-                if fresh.size:
-                    seen[fresh] = True
-                    chunks.append(fresh)
-                    n_cand += fresh.size
-                continue
-            margin = margins[t][code]
-            left, right = self._trees[t].children[code]
-            if margin < 0.0:
-                near, far = int(left), int(right)
-            else:
-                near, far = int(right), int(left)
-            heapq.heappush(heap, (neg_q, t, near))
-            heapq.heappush(heap, (max(neg_q, abs(margin)), t, far))
-        if not chunks:
-            return []
-        idx = np.concatenate(chunks).astype(np.int64)
-        norm_v = float(np.linalg.norm(v64))
-        if norm_v == 0.0:
-            sims = np.zeros(len(idx), dtype=np.float64)
-        else:
-            dots = self.rows[idx].astype(np.float64) @ v64
-            sims = dots / (self._row_norms[idx] * norm_v)
-        top = _top_by_similarity(self._ids_arr[idx], sims, k)
-        return [
-            Neighbor(unit_id=str(self._ids_arr[idx[i]]), similarity=float(sims[i]))
-            for i in top
-        ]
+        return self.query_block(v64[None, :], k)[0]
+
+    def query_block(self, vs: np.ndarray, k: int) -> list[list[Neighbor]]:
+        """``query`` for each row of ``vs``, scored with one matrix product."""
+        vs64 = np.asarray(vs, dtype=np.float64)
+        if vs64.ndim != 2 or vs64.shape[1] != self.dim:
+            raise ValueError(f"query dim {vs64.shape[-1]} != index dim {self.dim}")
+        out = []
+        for v, dots in zip(vs64, vs64 @ self._rows64.T):
+            # A zero query scores every row 0.
+            norm = float(np.linalg.norm(v))
+            sims = dots / (self._row_norms * norm) if norm > 0.0 else np.zeros_like(dots)
+            top = _top_by_similarity(self._ids_arr, sims, k)
+            out.append([Neighbor(str(self._ids_arr[i]), float(sims[i])) for i in top])
+        return out
 
     def save(self, path: Path | str) -> None:
-        meta = {
-            "magic": _MAGIC.decode("ascii"),
-            "version": _VERSION,
-            "metric": self.metric,
-            "dim": self.dim,
-            "size": self.size,
-            "params": {
-                "trees": self.params.trees,
-                "leaf_size": self.params.leaf_size,
-                "seed": self.params.seed,
-                "search_k": self.params.search_k,
-            },
-        }
-        arrays: dict[str, np.ndarray] = {"rows": self.rows}
-        for t, tree in enumerate(self._trees):
-            arrays[f"t{t}_normals"] = tree.normals
-            arrays[f"t{t}_thresholds"] = tree.thresholds
-            arrays[f"t{t}_children"] = tree.children
-            arrays[f"t{t}_leaf_offsets"] = tree.leaf_offsets
-            arrays[f"t{t}_leaf_items"] = tree.leaf_items
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<H", _VERSION))
-            _write_block(fh, json.dumps(meta, sort_keys=True).encode("utf-8"))
-            _write_block(fh, "\n".join(self.unit_ids).encode("utf-8"))
-            fh.write(struct.pack("<I", len(arrays)))
-            for name in sorted(arrays):
-                arr = np.ascontiguousarray(arrays[name])
-                _write_block(fh, name.encode("ascii"))
-                _write_block(fh, _dtype_tag(arr.dtype).encode("ascii"))
-                fh.write(struct.pack("<B", arr.ndim))
-                for d in arr.shape:
-                    fh.write(struct.pack("<Q", d))
-                _write_block(fh, arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+        rows = self._rows64.astype(np.float32)
+        save_embeddings(EmbeddingMatrix(self.unit_ids, rows), path)
 
     @classmethod
     def load(cls, path: Path | str) -> "AnnIndex":
-        with open(path, "rb") as fh:
-            magic = _read_exact(fh, 4, "magic")
-            if magic != _MAGIC:
-                raise IndexFormatError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-            (version,) = struct.unpack("<H", _read_exact(fh, 2, "version"))
-            if version != _VERSION:
-                raise IndexFormatError(f"unsupported version {version}")
-            meta = json.loads(_read_block(fh, "meta").decode("utf-8"))
-            ids_blob = _read_block(fh, "ids").decode("utf-8")
-            unit_ids = ids_blob.split("\n") if ids_blob else []
-            (n_arrays,) = struct.unpack("<I", _read_exact(fh, 4, "array count"))
-            arrays: dict[str, np.ndarray] = {}
-            for _ in range(n_arrays):
-                name = _read_block(fh, "array name").decode("ascii")
-                dtype = np.dtype(_read_block(fh, "array dtype").decode("ascii"))
-                (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "array ndim"))
-                shape = tuple(
-                    struct.unpack("<Q", _read_exact(fh, 8, "array shape"))[0]
-                    for _ in range(ndim)
-                )
-                data = _read_block(fh, f"array {name}")
-                arrays[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
-        params = IndexParams(**meta["params"])
-        trees = []
-        for t in range(params.trees):
-            trees.append(
-                _Tree(
-                    normals=arrays[f"t{t}_normals"],
-                    thresholds=arrays[f"t{t}_thresholds"],
-                    children=arrays[f"t{t}_children"],
-                    leaf_offsets=arrays[f"t{t}_leaf_offsets"],
-                    leaf_items=arrays[f"t{t}_leaf_items"],
-                )
-            )
-        index = cls(unit_ids, arrays["rows"], params, trees)
-        if index.dim != meta["dim"] or index.size != meta["size"]:
-            raise IndexFormatError("metadata does not match stored arrays")
-        return index
+        matrix = load_embeddings(path)
+        return cls(matrix.unit_ids, matrix.rows)
 
 
 def _top_by_similarity(ids: np.ndarray, sims: np.ndarray, k: int) -> np.ndarray:
@@ -323,6 +87,8 @@ def _top_by_similarity(ids: np.ndarray, sims: np.ndarray, k: int) -> np.ndarray:
     sort only runs over the k-th value's tie group, not the whole array.
     """
     n = sims.shape[0]
+    if k <= 0:
+        return np.arange(0)
     if k < n:
         kth = sims[np.argpartition(-sims, k - 1)[:k]].min()
         cand = np.flatnonzero(sims >= kth)
@@ -332,37 +98,18 @@ def _top_by_similarity(ids: np.ndarray, sims: np.ndarray, k: int) -> np.ndarray:
     return cand[order]
 
 
-def _dtype_tag(dtype: np.dtype) -> str:
-    return dtype.newbyteorder("<").str
-
-
-def _write_block(fh, data: bytes) -> None:
-    fh.write(struct.pack("<Q", len(data)))
-    fh.write(data)
-
-
-def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise IndexFormatError(f"truncated file reading {what}")
-    return data
-
-
-def _read_block(fh, what: str) -> bytes:
-    (length,) = struct.unpack("<Q", _read_exact(fh, 8, f"{what} length"))
-    return _read_exact(fh, length, what)
-
-
-def build_index(matrix: EmbeddingMatrix, params: IndexParams | None = None) -> AnnIndex:
+def build_index(matrix: EmbeddingMatrix) -> AnnIndex:
     """Build an AnnIndex over a matrix, skipping all-zero rows."""
-    return AnnIndex.build(matrix, params)
+    if matrix.count == 0 or matrix.dim == 0:
+        raise ValueError("cannot index an empty embedding matrix")
+    return AnnIndex(matrix.unit_ids, matrix.rows)
 
 
 def exact_knn(matrix: EmbeddingMatrix, v: np.ndarray, k: int) -> list[Neighbor]:
     """Exhaustive cosine top-k over the matrix, ties broken by unit id.
 
-    All-zero rows are excluded, matching index behavior, so an index query
-    with a budget covering the whole matrix returns exactly this result.
+    All-zero rows are excluded, matching index behavior. This is the
+    one-query reference the index is tested against.
     """
     v64 = np.asarray(v, dtype=np.float64).ravel()
     if matrix.dim != v64.shape[0]:

@@ -10,7 +10,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .ann_index import AnnIndex, IndexParams, build_index
+from .ann_index import AnnIndex, build_index
 from .corpus import corpus_index, load_abbreviations, load_corpus, load_stopwords
 from .doc_align import align_documents, read_doc_pairs, write_doc_pairs
 from .embeddings import (
@@ -104,15 +104,9 @@ def embed(corpus, level, strategy, vectors, normalize, out, dataset_tag,
 @main.command()
 @click.option("--embeddings", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--trees", default=50, show_default=True, type=int)
-@click.option("--leaf-size", default=100, show_default=True, type=int)
-@click.option("--search-k", default=25000, show_default=True, type=int)
-@click.option("--seed", default=0, show_default=True, type=int)
-def index(embeddings, out, trees, leaf_size, search_k, seed) -> None:
-    """Build the nearest-neighbor index over an embedding file."""
-    matrix = load_embeddings(embeddings)
-    params = IndexParams(trees=trees, leaf_size=leaf_size, seed=seed, search_k=search_k)
-    idx = build_index(matrix, params)
+def index(embeddings, out) -> None:
+    """Build the exact nearest-neighbor index over an embedding file."""
+    idx = build_index(load_embeddings(embeddings))
     idx.save(out)
     logger.info("indexed %d rows (dim %d) into %s", idx.size, idx.dim, out)
 

@@ -1,8 +1,9 @@
 """Stage 1: pair each source document with its nearest target documents.
 
-For every source embedding row the target index is queried for K neighbors;
-pairs below theta_d are dropped. Output is canonicalized by source id, then
-similarity descending, then target id, so runs are comparable byte-for-byte.
+For every source embedding row the target index is queried for K neighbors,
+a block of source rows at a time; pairs below theta_d are dropped. Output is
+canonicalized by source id, then similarity descending, then target id, so
+runs are comparable byte-for-byte.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ from .ann_index import AnnIndex
 from .embeddings import EmbeddingMatrix
 
 __all__ = ["DocPair", "align_documents", "write_doc_pairs", "read_doc_pairs"]
+
+# Source rows scored per matrix product.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -40,20 +44,16 @@ def align_documents(
     if src.dim != tgt_index.dim:
         raise ValueError(f"source dim {src.dim} != index dim {tgt_index.dim}")
     rows64 = src.rows.astype(np.float64)
-    norms = np.linalg.norm(rows64, axis=1)
+    live = np.flatnonzero(np.linalg.norm(rows64, axis=1) > 0.0)
     pairs: list[DocPair] = []
-    for i, source_id in enumerate(src.unit_ids):
-        if norms[i] == 0.0:
-            continue
-        for nb in tgt_index.query(rows64[i], k):
-            if nb.similarity >= theta_d:
-                pairs.append(
-                    DocPair(
-                        source_id=source_id,
-                        target_id=nb.unit_id,
-                        similarity=nb.similarity,
-                    )
-                )
+    for lo in range(0, live.size, _BLOCK):
+        block = live[lo : lo + _BLOCK]
+        for i, neighbors in zip(block, tgt_index.query_block(rows64[block], k)):
+            pairs.extend(
+                DocPair(src.unit_ids[i], nb.unit_id, nb.similarity)
+                for nb in neighbors
+                if nb.similarity >= theta_d
+            )
     pairs.sort(key=lambda p: (p.source_id, -p.similarity, p.target_id))
     return pairs
 

@@ -302,18 +302,19 @@ def embed_corpus(
     if level not in ("document", "sentence"):
         raise ValueError(f"level must be 'document' or 'sentence', got {level!r}")
     unit_ids: list[str] = []
-    vectors: list[np.ndarray] = []
-    for doc in docs:
-        if level == "document":
-            unit_ids.append(doc.doc_id)
-            vectors.append(embedder.document_vector(doc))
-        else:
-            for sentence in doc.sentences:
-                unit_ids.append(sentence.uid)
-                vectors.append(embedder.sentence_vector(sentence))
-    if vectors:
-        rows = np.vstack([v.astype(np.float64) for v in vectors])
-    else:
-        rows = np.zeros((0, embedder.dim), dtype=np.float64)
-    matrix = EmbeddingMatrix(unit_ids, rows.astype(np.float32))
+
+    def vectors():
+        for doc in docs:
+            if level == "document":
+                unit_ids.append(doc.doc_id)
+                yield embedder.document_vector(doc)
+            else:
+                for sentence in doc.sentences:
+                    unit_ids.append(sentence.uid)
+                    yield embedder.sentence_vector(sentence)
+
+    # Each vector is cast to float32 as it is made, so no float64 copy of
+    # the whole corpus is ever held.
+    rows = np.fromiter(vectors(), dtype=np.dtype((np.float32, embedder.dim)))
+    matrix = EmbeddingMatrix(unit_ids, rows)
     return matrix.normalized() if normalize else matrix

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .ann_index import IndexParams, build_index
+from .ann_index import _top_by_similarity, build_index
 from .corpus import Document, Sentence
 from .doc_align import align_documents
 from .embeddings import AvgEmbedder, PrecomputedEmbedder, embed_corpus
@@ -529,7 +529,6 @@ def eval_joint(
     rescorer: Scorer | None = None,
     rescore_top: int = 50,
     global_top: int = 50,
-    index_params: IndexParams | None = None,
     positive_labels: Sequence[str] = ("good",),
 ) -> EvalReport:
     """Compare hierarchical retrieval against flat dataset-wide retrieval.
@@ -568,8 +567,7 @@ def eval_joint(
             raise ValueError("lha mode needs a document embedder")
         src_m = embed_corpus(src_list, "document", doc_embedder, normalize=True)
         tgt_m = embed_corpus(tgt_list, "document", doc_embedder, normalize=True)
-        index = build_index(tgt_m, index_params or IndexParams(seed=seed))
-        doc_pairs = align_documents(src_m, index, k_doc, theta_d)
+        doc_pairs = align_documents(src_m, build_index(tgt_m), k_doc, theta_d)
         details["doc_pairs"] = len(doc_pairs)
         src_by_id = {d.doc_id: d for d in src_list}
         tgt_by_id = {d.doc_id: d for d in tgt_list}
@@ -591,14 +589,8 @@ def eval_joint(
         for lo in range(0, len(src_sents), block):
             chunk = src_sents[lo : lo + block]
             sims = sent_scorer.source_rows(chunk) @ tgt_unit.T
-            for i, s in enumerate(chunk):
-                row = sims[i]
-                if top < len(row):
-                    part = np.argpartition(-row, top - 1)[:top]
-                else:
-                    part = np.arange(len(row))
-                order = part[np.lexsort((tgt_uids[part], -row[part]))]
-                for j in order:
+            for s, row in zip(chunk, sims):
+                for j in _top_by_similarity(tgt_uids, row, top):
                     scored[(s.uid, str(tgt_uids[j]))] = float(row[j])
         details["global_top"] = top
     details["candidates"] = len(scored)

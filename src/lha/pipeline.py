@@ -15,12 +15,13 @@ import hashlib
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
-from .ann_index import AnnIndex, IndexParams, build_index
+from .ann_index import AnnIndex, build_index
 from .corpus import (
     Document,
     corpus_index,
@@ -94,10 +95,6 @@ class PipelineConfig:
     exclusion_file: str | None = None
     stopwords_file: str | None = None
     abbreviations_file: str | None = None
-    seed: int = 0
-    trees: int = 50
-    leaf_size: int = 100
-    search_k: int = 25000
     emit_tsv: bool = True
 
     @classmethod
@@ -166,10 +163,6 @@ def validate_config(config: PipelineConfig) -> list[tuple[str, str]]:
         err(f"k_doc must be >= 1, got {config.k_doc}")
     if config.k_sent < 1:
         err(f"k_sent must be >= 1, got {config.k_sent}")
-    for name in ("trees", "leaf_size", "search_k"):
-        value = getattr(config, name)
-        if value < 1:
-            err(f"{name} must be >= 1, got {value}")
     if config.scorer not in _SCORERS:
         err(f"scorer must be one of {_SCORERS}, got {config.scorer!r}")
     for name in ("doc_strategy", "sent_strategy"):
@@ -293,9 +286,16 @@ class _Manifest:
         self.data["tool_version"] = __version__
 
     def save(self) -> None:
-        self.path.write_text(
-            json.dumps(self.data, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        # Written aside and renamed over the old file, so a run killed
+        # mid-save leaves the previous manifest readable.
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        try:
+            tmp.write_text(
+                json.dumps(self.data, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+            )
+            os.replace(tmp, self.path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     def run_stage(
         self,
@@ -367,10 +367,16 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
     if config.word_vectors:
         table = load_word_vectors(config.word_vectors)
 
-    def load_docs(path: str, tag: str) -> dict[str, Document]:
-        return corpus_index(
-            load_corpus(path, tag, stopwords=stopwords, abbreviations=abbreviations)
-        )
+    corpora: dict[str, dict[str, Document]] = {}
+
+    def docs(side: str) -> dict[str, Document]:
+        """The side's corpus, parsed on first use and kept for the run."""
+        if side not in corpora:
+            path = config.source_corpus if side == "src" else config.target_corpus
+            corpora[side] = corpus_index(
+                load_corpus(path, side, stopwords=stopwords, abbreviations=abbreviations)
+            )
+        return corpora[side]
 
     src_hash = _sha256(Path(config.source_corpus))
     tgt_hash = _sha256(Path(config.target_corpus))
@@ -389,9 +395,7 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
         "summary": out_dir / "summary.json",
     }
 
-    def embed_units(
-        level: str, side: str, corpus_path: str, corpus_hash: str, out_path: Path
-    ) -> None:
+    def embed_units(level: str, side: str, corpus_hash: str, out_path: Path) -> None:
         unit = "doc" if level == "document" else "sent"
         strategy = getattr(config, f"{unit}_strategy")
         pre_path = getattr(
@@ -410,9 +414,7 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
             outputs=[out_path],
             compute=lambda: save_embeddings(
                 embed_corpus(
-                    load_corpus(
-                        corpus_path, side, stopwords=stopwords, abbreviations=abbreviations
-                    ),
+                    docs(side).values(),
                     level,
                     make_embedder(),
                     normalize=config.normalize,
@@ -422,28 +424,17 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
             cached_stages=cached,
         )
 
-    embed_units("document", "src", config.source_corpus, src_hash, paths["docs_source"])
-    embed_units("document", "tgt", config.target_corpus, tgt_hash, paths["docs_target"])
+    embed_units("document", "src", src_hash, paths["docs_source"])
+    embed_units("document", "tgt", tgt_hash, paths["docs_target"])
 
-    index_params = IndexParams(
-        trees=config.trees,
-        leaf_size=config.leaf_size,
-        seed=config.seed,
-        search_k=config.search_k,
-    )
     manifest.run_stage(
         "index_docs",
         inputs={"embeddings": _sha256(paths["docs_target"])},
-        params={
-            "trees": config.trees,
-            "leaf_size": config.leaf_size,
-            "seed": config.seed,
-            "search_k": config.search_k,
-        },
+        params={},
         outputs=[paths["index"]],
-        compute=lambda: build_index(
-            load_embeddings(paths["docs_target"]), index_params
-        ).save(paths["index"]),
+        compute=lambda: build_index(load_embeddings(paths["docs_target"])).save(
+            paths["index"]
+        ),
         cached_stages=cached,
     )
 
@@ -469,12 +460,12 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
 
     use_sent_embeddings = config.scorer == "cosine"
     if use_sent_embeddings:
-        embed_units("sentence", "src", config.source_corpus, src_hash, paths["sents_source"])
-        embed_units("sentence", "tgt", config.target_corpus, tgt_hash, paths["sents_target"])
+        embed_units("sentence", "src", src_hash, paths["sents_source"])
+        embed_units("sentence", "tgt", tgt_hash, paths["sents_target"])
 
     def compute_alignment() -> None:
-        src_docs = load_docs(config.source_corpus, "src")
-        tgt_docs = load_docs(config.target_corpus, "tgt")
+        src_docs = docs("src")
+        tgt_docs = docs("tgt")
         embedders = {}
         if use_sent_embeddings:
             embedders = {

@@ -1,18 +1,13 @@
-"""Randomized projection forest and its exact oracle."""
+"""Exact cosine index, its block form and its one-query reference."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from lha.ann_index import (
-    AnnIndex,
-    IndexFormatError,
-    IndexParams,
-    build_index,
-    exact_knn,
-)
-from lha.embeddings import EmbeddingMatrix
+from lha.ann_index import AnnIndex, build_index, exact_knn
+from lha.doc_align import align_documents
+from lha.embeddings import EmbeddingFormatError, EmbeddingMatrix
 from oracles import knn_oracle
 
 
@@ -24,13 +19,25 @@ def unit_matrix(n: int, dim: int, seed: int, prefix: str = "u") -> EmbeddingMatr
     return EmbeddingMatrix(ids, rows.astype(np.float32), unit_normalized=True)
 
 
-SMALL_PARAMS = IndexParams(trees=8, leaf_size=16, seed=0, search_k=512)
+def tied_matrix(n: int, dim: int, seed: int, zero_every: int = 7) -> EmbeddingMatrix:
+    """Small-integer rows: many exact ties and exact arithmetic, so every
+    summation order gives the same similarities. Ids run opposite to row
+    positions, and every ``zero_every``-th row is all zero."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-2, 3, size=(n, dim)).astype(np.float32)
+    rows[::zero_every] = 0.0
+    ids = [f"r{n - i:05d}" for i in range(n)]
+    return EmbeddingMatrix(ids, rows)
+
+
+def as_pairs(neighbors) -> list[tuple[str, float]]:
+    return [(nb.unit_id, nb.similarity) for nb in neighbors]
 
 
 class TestBuild:
     def test_single_row(self) -> None:
         matrix = EmbeddingMatrix(["only"], np.array([[1.0, 0.0]], dtype=np.float32))
-        index = build_index(matrix, SMALL_PARAMS)
+        index = build_index(matrix)
         assert index.size == 1
         got = index.query(np.array([0.3, 0.7]), k=5)
         assert [n.unit_id for n in got] == ["only"]
@@ -38,37 +45,26 @@ class TestBuild:
     def test_empty_matrix_rejected(self) -> None:
         matrix = EmbeddingMatrix([], np.zeros((0, 4), dtype=np.float32))
         with pytest.raises(ValueError, match="empty"):
-            build_index(matrix, SMALL_PARAMS)
-
-    def test_deterministic_given_seed(self) -> None:
-        matrix = unit_matrix(500, 8, seed=1)
-        a = build_index(matrix, SMALL_PARAMS)
-        b = build_index(matrix, SMALL_PARAMS)
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            probe = rng.standard_normal(8)
-            assert a.query(probe, 5) == b.query(probe, 5)
+            build_index(matrix)
 
     def test_zero_rows_never_returned(self) -> None:
         rows = np.vstack([np.eye(3), np.zeros((2, 3))]).astype(np.float32)
         matrix = EmbeddingMatrix(["a", "b", "c", "z1", "z2"], rows)
-        index = build_index(matrix, SMALL_PARAMS)
+        index = build_index(matrix)
         got = index.query(np.array([1.0, 1.0, 1.0]), k=10)
         assert {n.unit_id for n in got} == {"a", "b", "c"}
 
-    def test_params_validated(self) -> None:
-        with pytest.raises(ValueError, match="trees"):
-            IndexParams(trees=0).validate()
-        with pytest.raises(ValueError, match="leaf_size"):
-            IndexParams(leaf_size=0).validate()
-        with pytest.raises(ValueError, match="search_k"):
-            IndexParams(search_k=0).validate()
+    def test_all_zero_rows_return_nothing(self) -> None:
+        matrix = EmbeddingMatrix(["z1", "z2"], np.zeros((2, 3), dtype=np.float32))
+        index = build_index(matrix)
+        assert index.size == 0
+        assert index.query(np.ones(3), k=3) == []
 
 
 class TestQuery:
     def test_self_retrieval(self) -> None:
         matrix = unit_matrix(300, 8, seed=3)
-        index = build_index(matrix, SMALL_PARAMS)
+        index = build_index(matrix)
         for i in (0, 17, 299):
             got = index.query(matrix.rows[i], k=1)
             assert got[0].unit_id == matrix.unit_ids[i]
@@ -76,25 +72,28 @@ class TestQuery:
 
     def test_k_larger_than_size(self) -> None:
         matrix = unit_matrix(10, 4, seed=4)
-        index = build_index(matrix, SMALL_PARAMS)
+        index = build_index(matrix)
         got = index.query(np.ones(4), k=50)
         assert len(got) == 10
 
     def test_k_zero_or_negative(self) -> None:
         matrix = unit_matrix(10, 4, seed=4)
-        index = build_index(matrix, SMALL_PARAMS)
+        index = build_index(matrix)
         assert index.query(np.ones(4), k=0) == []
         assert index.query(np.ones(4), k=-2) == []
+        assert index.query_block(np.ones((3, 4)), k=0) == [[], [], []]
 
     def test_dim_mismatch(self) -> None:
         matrix = unit_matrix(10, 4, seed=5)
-        index = build_index(matrix, SMALL_PARAMS)
+        index = build_index(matrix)
         with pytest.raises(ValueError, match="dim"):
             index.query(np.ones(3), k=1)
+        with pytest.raises(ValueError, match="dim"):
+            index.query_block(np.ones((2, 3)), k=1)
 
     def test_sorted_descending_no_duplicates(self) -> None:
         matrix = unit_matrix(400, 8, seed=6)
-        index = build_index(matrix, SMALL_PARAMS)
+        index = build_index(matrix)
         rng = np.random.default_rng(7)
         for _ in range(10):
             got = index.query(rng.standard_normal(8), k=20)
@@ -105,7 +104,7 @@ class TestQuery:
 
     def test_similarities_are_true_cosine(self) -> None:
         matrix = unit_matrix(400, 8, seed=8)
-        index = build_index(matrix, SMALL_PARAMS)
+        index = build_index(matrix)
         rng = np.random.default_rng(9)
         probe = rng.standard_normal(8)
         rows64 = matrix.rows.astype(np.float64)
@@ -116,7 +115,7 @@ class TestQuery:
 
     def test_monotone_k(self) -> None:
         matrix = unit_matrix(600, 8, seed=10)
-        index = build_index(matrix, SMALL_PARAMS)
+        index = build_index(matrix)
         rng = np.random.default_rng(11)
         for _ in range(10):
             probe = rng.standard_normal(8)
@@ -126,14 +125,14 @@ class TestQuery:
 
     def test_zero_query_scores_zero(self) -> None:
         matrix = unit_matrix(20, 4, seed=12)
-        index = build_index(matrix, SMALL_PARAMS)
+        index = build_index(matrix)
         got = index.query(np.zeros(4), k=3)
         assert [n.similarity for n in got] == [0.0, 0.0, 0.0]
-        assert [n.unit_id for n in got] == sorted(m.unit_id for m in got)
+        assert [n.unit_id for n in got] == sorted(matrix.unit_ids)[:3]
 
-    def test_exhaustive_budget_matches_exact(self) -> None:
+    def test_matches_exact_knn(self) -> None:
         matrix = unit_matrix(500, 8, seed=13)
-        index = build_index(matrix, IndexParams(trees=8, leaf_size=16, seed=0, search_k=10**6))
+        index = build_index(matrix)
         rng = np.random.default_rng(14)
         for _ in range(20):
             probe = rng.standard_normal(8)
@@ -142,6 +141,55 @@ class TestQuery:
             assert [n.unit_id for n in got] == [n.unit_id for n in expected]
             for g, e in zip(got, expected):
                 assert g.similarity == pytest.approx(e.similarity, abs=1e-12)
+
+
+class TestExactness:
+    """The index, its block form and align_documents against the
+    references, on fixtures with ties, zero rows, k beyond the index size
+    and more queries than one block holds."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k", [1, 3, 60, 500])
+    def test_query_and_block_equal_references_with_ties(self, seed, k) -> None:
+        matrix = tied_matrix(90, 4, seed=seed)
+        index = build_index(matrix)
+        queries = tied_matrix(150, 4, seed=seed + 100, zero_every=11).rows
+        blocked = index.query_block(queries, k)
+        assert len(blocked) == len(queries)
+        for q, block_result in zip(queries, blocked):
+            expected = as_pairs(exact_knn(matrix, q, k))
+            assert as_pairs(block_result) == expected
+            assert as_pairs(index.query(q, k)) == expected
+            assert expected == knn_oracle(matrix.unit_ids, matrix.rows, q, k)
+
+    def test_block_form_on_float_rows(self) -> None:
+        matrix = unit_matrix(700, 16, seed=15)
+        index = build_index(matrix)
+        queries = np.random.default_rng(16).standard_normal((130, 16))
+        for q, got in zip(queries, index.query_block(queries, 7)):
+            expected = knn_oracle(matrix.unit_ids, matrix.rows, q, 7)
+            assert [n.unit_id for n in got] == [uid for uid, _ in expected]
+            for nb, (_, sim) in zip(got, expected):
+                assert nb.similarity == pytest.approx(sim, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 4, 200])
+    def test_align_documents_equals_exact_knn(self, k) -> None:
+        tgt = tied_matrix(80, 4, seed=20)
+        src_rows = tied_matrix(150, 4, seed=21, zero_every=9).rows
+        src = EmbeddingMatrix([f"s{i:03d}" for i in range(150)], src_rows)
+        theta_d = 0.2
+        pairs = align_documents(src, build_index(tgt), k, theta_d)
+        expected = []
+        for uid, row in zip(src.unit_ids, src_rows):
+            if not row.any():
+                continue
+            expected.extend(
+                (uid, nb.unit_id, nb.similarity)
+                for nb in exact_knn(tgt, row, k)
+                if nb.similarity >= theta_d
+            )
+        expected.sort(key=lambda p: (p[0], -p[2], p[1]))
+        assert [(p.source_id, p.target_id, p.similarity) for p in pairs] == expected
 
 
 class TestExactKnn:
@@ -184,12 +232,13 @@ class TestExactKnn:
 class TestPersistence:
     def test_round_trip_preserves_answers(self, tmp_path) -> None:
         matrix = unit_matrix(300, 8, seed=16)
-        index = build_index(matrix, SMALL_PARAMS)
+        matrix.rows[5] = 0.0
+        index = build_index(matrix)
         path = tmp_path / "x.lhai"
         index.save(path)
         loaded = AnnIndex.load(path)
-        assert loaded.params == index.params
         assert loaded.unit_ids == index.unit_ids
+        assert matrix.unit_ids[5] not in loaded.unit_ids
         rng = np.random.default_rng(17)
         for _ in range(15):
             probe = rng.standard_normal(8)
@@ -197,7 +246,7 @@ class TestPersistence:
 
     def test_save_is_deterministic(self, tmp_path) -> None:
         matrix = unit_matrix(50, 4, seed=18)
-        index = build_index(matrix, SMALL_PARAMS)
+        index = build_index(matrix)
         index.save(tmp_path / "one.lhai")
         index.save(tmp_path / "two.lhai")
         assert (tmp_path / "one.lhai").read_bytes() == (tmp_path / "two.lhai").read_bytes()
@@ -205,27 +254,21 @@ class TestPersistence:
     def test_wrong_magic(self, tmp_path) -> None:
         path = tmp_path / "x.lhai"
         path.write_bytes(b"NOPE" + bytes(40))
-        with pytest.raises(IndexFormatError, match="magic"):
+        with pytest.raises(EmbeddingFormatError, match="magic"):
+            AnnIndex.load(path)
+
+    def test_forest_era_file_fails_loudly(self, tmp_path) -> None:
+        # The tree-forest format began with magic LHAI and a u16 version 1.
+        path = tmp_path / "x.lhai"
+        path.write_bytes(b"LHAI\x01\x00" + bytes(40))
+        with pytest.raises(EmbeddingFormatError, match="magic"):
             AnnIndex.load(path)
 
     def test_truncation(self, tmp_path) -> None:
         matrix = unit_matrix(50, 4, seed=19)
-        index = build_index(matrix, SMALL_PARAMS)
+        index = build_index(matrix)
         path = tmp_path / "x.lhai"
         index.save(path)
         path.write_bytes(path.read_bytes()[:-20])
-        with pytest.raises(IndexFormatError, match="truncated"):
+        with pytest.raises(EmbeddingFormatError, match="truncated"):
             AnnIndex.load(path)
-
-
-def test_default_budget_is_exhaustive_below_its_size() -> None:
-    # With fewer rows than the default candidate budget the forest visits
-    # everything, so results must equal the exact scan.
-    matrix = unit_matrix(2000, 16, seed=20)
-    index = build_index(matrix)
-    rng = np.random.default_rng(21)
-    for _ in range(10):
-        probe = rng.standard_normal(16)
-        got = index.query(probe, k=10)
-        expected = exact_knn(matrix, probe, 10)
-        assert [n.unit_id for n in got] == [n.unit_id for n in expected]

@@ -43,7 +43,7 @@ def workspace(tmp_path: Path) -> Path:
         "out_dir": str(tmp_path / "out"),
         "word_vectors": str(tmp_path / "vectors.txt"),
         "k_doc": 2, "k_sent": 2, "theta_d": 0.3, "theta_s": 0.6,
-        "min_overlap": 0.2, "trees": 4, "leaf_size": 8, "search_k": 256,
+        "min_overlap": 0.2,
     }), encoding="utf-8")
     return tmp_path
 
@@ -152,7 +152,6 @@ class TestStageCommands:
         result = invoke(
             "index", "--embeddings", str(workspace / "tgt.lhae"),
             "--out", str(workspace / "tgt.lhai"),
-            "--trees", "4", "--leaf-size", "8", "--search-k", "256",
         )
         assert result.exit_code == 0
         result = invoke(

@@ -5,11 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lha.ann_index import IndexParams, build_index
+from lha.ann_index import build_index
 from lha.doc_align import DocPair, align_documents, read_doc_pairs, write_doc_pairs
 from lha.embeddings import EmbeddingMatrix
-
-PARAMS = IndexParams(trees=8, leaf_size=16, seed=0, search_k=4096)
 
 
 def unit_rows(n: int, dim: int, seed: int) -> np.ndarray:
@@ -31,13 +29,13 @@ def matrices(seed: int = 0, n: int = 40, dim: int = 8):
 class TestAlignDocuments:
     def test_threshold_above_one_empties_output(self) -> None:
         src, tgt = matrices()
-        index = build_index(tgt, PARAMS)
+        index = build_index(tgt)
         assert align_documents(src, index, k=5, theta_d=1.0 + 1e-9) == []
 
     def test_self_alignment(self) -> None:
         src, _ = matrices()
         both = EmbeddingMatrix(list(src.unit_ids), src.rows.copy(), unit_normalized=True)
-        index = build_index(both, PARAMS)
+        index = build_index(both)
         pairs = align_documents(src, index, k=1, theta_d=0.0)
         assert len(pairs) == src.count
         for p in pairs:
@@ -46,7 +44,7 @@ class TestAlignDocuments:
 
     def test_at_most_k_per_source_grouped_and_sorted(self) -> None:
         src, tgt = matrices(seed=2)
-        index = build_index(tgt, PARAMS)
+        index = build_index(tgt)
         pairs = align_documents(src, index, k=3, theta_d=-1.0)
         per_source: dict[str, list[DocPair]] = {}
         for p in pairs:
@@ -58,14 +56,14 @@ class TestAlignDocuments:
 
     def test_threshold_monotonicity(self) -> None:
         src, tgt = matrices(seed=3)
-        index = build_index(tgt, PARAMS)
+        index = build_index(tgt)
         low = {(p.source_id, p.target_id) for p in align_documents(src, index, 5, 0.1)}
         high = {(p.source_id, p.target_id) for p in align_documents(src, index, 5, 0.3)}
         assert high <= low
 
     def test_k_monotonicity_per_source_prefix(self) -> None:
         src, tgt = matrices(seed=4)
-        index = build_index(tgt, PARAMS)
+        index = build_index(tgt)
         small = align_documents(src, index, k=2, theta_d=-1.0)
         large = align_documents(src, index, k=5, theta_d=-1.0)
 
@@ -81,7 +79,7 @@ class TestAlignDocuments:
 
     def test_similarities_are_fresh_cosines(self) -> None:
         src, tgt = matrices(seed=5)
-        index = build_index(tgt, PARAMS)
+        index = build_index(tgt)
         pairs = align_documents(src, index, k=4, theta_d=0.0)
         assert pairs
         s64 = src.rows.astype(np.float64)
@@ -99,20 +97,20 @@ class TestAlignDocuments:
         rows[2] = 0.0
         src = EmbeddingMatrix([f"s{i}" for i in range(5)], rows)
         tgt = EmbeddingMatrix(["t0", "t1"], unit_rows(2, 4, seed=7), unit_normalized=True)
-        index = build_index(tgt, PARAMS)
+        index = build_index(tgt)
         pairs = align_documents(src, index, k=1, theta_d=-1.0)
         assert {p.source_id for p in pairs} == {"s0", "s1", "s3", "s4"}
 
     def test_dim_mismatch(self) -> None:
         src, _ = matrices(seed=8, dim=8)
         _, tgt = matrices(seed=9, dim=16)
-        index = build_index(tgt, PARAMS)
+        index = build_index(tgt)
         with pytest.raises(ValueError, match="dim"):
             align_documents(src, index, k=1, theta_d=0.0)
 
     def test_k_must_be_positive(self) -> None:
         src, tgt = matrices(seed=10)
-        index = build_index(tgt, PARAMS)
+        index = build_index(tgt)
         with pytest.raises(ValueError, match="k"):
             align_documents(src, index, k=0, theta_d=0.0)
 

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from lha.embeddings import AvgEmbedder, PrecomputedEmbedder, embed_corpus
+from lha.embeddings import AvgEmbedder, EmbeddingMatrix, PrecomputedEmbedder, embed_corpus
 from lha.evaluate import (
     LABELS,
     EvalDataset,
@@ -469,3 +469,26 @@ class TestJointSharedIds:
         )
         assert shared.to_dict() == renamed.to_dict()
         assert shared.recall_at_max == 1.0
+
+
+def test_global_mode_breaks_boundary_ties_by_target_id() -> None:
+    # A zero-vector source sentence ties with all 100 targets at 0. The
+    # targets' ids run opposite to their positions, so only the id
+    # tie-break keeps t000-t049.
+    tgt_ids = [f"t{i:03d}" for i in reversed(range(100))]
+    rows = np.random.default_rng(0).random((100, 4)) + 0.1
+    scorer = CosineScorer(
+        PrecomputedEmbedder(EmbeddingMatrix(["A#0"], np.zeros((1, 4), dtype=np.float32))),
+        PrecomputedEmbedder(EmbeddingMatrix([f"{t}#0" for t in tgt_ids], rows)),
+    )
+    dataset = EvalDataset(
+        src_docs={"A": doc("A", ["The cat sat."])},
+        tgt_docs={t: doc(t, ["A kitten sat."]) for t in tgt_ids},
+        gold_doc_pairs=[("A", t) for t in tgt_ids],
+        gold_pairs=[GoldPair("A#0", f"t{i:03d}#0", "good") for i in range(50)],
+        noise_src=[],
+        noise_tgt=[],
+    )
+    report = eval_joint("global", dataset, scorer, n_noise=0, global_top=50)
+    assert report.details["candidates"] == 50
+    assert report.recall_at_max == 1.0

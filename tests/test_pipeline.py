@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+import lha.pipeline
 from lha import __version__
 from lha.pipeline import (
     PipelineConfig,
@@ -51,9 +53,6 @@ def make_workspace(root: Path, out_name: str = "out") -> PipelineConfig:
         theta_d=0.3,
         theta_s=0.6,
         min_overlap=0.2,
-        trees=4,
-        leaf_size=8,
-        search_k=256,
     )
 
 
@@ -76,6 +75,16 @@ class TestConfigFile:
         }), encoding="utf-8")
         with pytest.raises(ValueError, match="theta_sent"):
             PipelineConfig.from_file(path)
+
+    def test_removed_index_keys_rejected(self, tmp_path) -> None:
+        # Keys of the deleted tree forest fail loudly instead of being ignored.
+        for key in ("seed", "trees", "leaf_size", "search_k"):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({
+                "source_corpus": "a", "target_corpus": "b", "out_dir": "o", key: 1,
+            }), encoding="utf-8")
+            with pytest.raises(ValueError, match=key):
+                PipelineConfig.from_file(path)
 
     def test_missing_required_keys(self, tmp_path) -> None:
         path = tmp_path / "config.json"
@@ -418,3 +427,50 @@ class TestToolVersion:
             del record["tool_version"]
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         assert run_pipeline(config).cached_stages == []
+
+
+class TestParseOnce:
+    @pytest.mark.parametrize("scorer", ["cosine", "wmd"])
+    def test_each_corpus_parsed_once_per_run(self, tmp_path, monkeypatch, scorer) -> None:
+        config = dataclasses.replace(make_workspace(tmp_path), scorer=scorer)
+        parsed: list[str] = []
+        load_corpus = lha.pipeline.load_corpus
+
+        def counting(path, *args, **kwargs):
+            parsed.append(Path(path).name)
+            return load_corpus(path, *args, **kwargs)
+
+        monkeypatch.setattr(lha.pipeline, "load_corpus", counting)
+        run_pipeline(config)
+        assert sorted(parsed) == ["source.jsonl", "target.jsonl"]
+        parsed.clear()
+        assert sorted(run_pipeline(config).cached_stages) == sorted(
+            s for s in ALL_STAGES if scorer == "cosine" or not s.startswith("embed_sents")
+        )
+        assert parsed == []
+
+
+class TestAtomicManifest:
+    def test_failed_rename_keeps_previous_manifest(self, tmp_path, monkeypatch) -> None:
+        config = make_workspace(tmp_path)
+        run_pipeline(config)
+        out_dir = Path(config.out_dir)
+        manifest_path = out_dir / "manifest.json"
+        before = manifest_path.read_bytes()
+        (out_dir / "summary.json").unlink()
+        renames: list[str] = []
+
+        def killed(src, dst):
+            renames.append(Path(dst).name)
+            raise OSError("killed mid-save")
+
+        monkeypatch.setattr(os, "replace", killed)
+        with pytest.raises(OSError, match="killed"):
+            run_pipeline(config)
+        monkeypatch.undo()
+        assert renames == ["manifest.json"]
+        assert manifest_path.read_bytes() == before
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            OUTPUT_FILES + ["manifest.json"]
+        )
+        assert sorted(run_pipeline(config).cached_stages) == sorted(ALL_STAGES)
