@@ -2,7 +2,8 @@
 
 Every query scores all indexed rows with one matrix product, so results are
 exact at every corpus size. A block of queries shares one product. Results
-are ordered by similarity descending, then unit id ascending.
+are ordered by similarity descending, then unit id ascending; identical rows
+score identically wherever they sit in the matrix.
 
 All-zero rows are excluded at build time and never returned. The index is
 stored in the ``.lhae`` embedding format.
@@ -63,11 +64,18 @@ class AnnIndex:
             raise ValueError(f"query dim {vs64.shape[-1]} != index dim {self.dim}")
         out = []
         for v, dots in zip(vs64, vs64 @ self._rows64.T):
-            # A zero query scores every row 0.
             norm = float(np.linalg.norm(v))
-            sims = dots / (self._row_norms * norm) if norm > 0.0 else np.zeros_like(dots)
-            top = _top_by_similarity(self._ids_arr, sims, k)
-            out.append([Neighbor(str(self._ids_arr[i]), float(sims[i])) for i in top])
+            if norm > 0.0:
+                denominators = self._row_norms * norm
+                sims = dots / denominators
+            else:  # A zero query scores every row 0.
+                denominators, sims = None, np.zeros_like(dots)
+            top, top_sims = _top_by_similarity(
+                self._ids_arr, sims, k, self._rows64, v, denominators
+            )
+            out.append(
+                [Neighbor(str(self._ids_arr[i]), float(s)) for i, s in zip(top, top_sims)]
+            )
         return out
 
     def save(self, path: Path | str) -> None:
@@ -80,22 +88,36 @@ class AnnIndex:
         return cls(matrix.unit_ids, matrix.rows)
 
 
-def _top_by_similarity(ids: np.ndarray, sims: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k best entries, similarity descending then id ascending.
+# Candidates this close to the k-th similarity are rescored: far wider than
+# the last-bit differences between matrix products.
+_NEAR = 1e-9
 
-    Partitions by value first so the deterministic (but slow) lexicographic
-    sort only runs over the k-th value's tie group, not the whole array.
+
+def _top_by_similarity(
+    ids: np.ndarray, sims: np.ndarray, k: int, rows: np.ndarray, v: np.ndarray,
+    denominators: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and similarities of the k best rows, similarity descending
+    then id ascending.
+
+    ``sims`` come from a matrix product, whose last bits depend on a row's
+    position, so identical rows can score one ulp apart. The rows at or near
+    the k-th value are rescored one by one (elementwise product with ``v``
+    summed in float64, over ``denominators`` when given) before the id
+    tie-break, and their rescored similarities are returned.
     """
-    n = sims.shape[0]
     if k <= 0:
-        return np.arange(0)
-    if k < n:
+        return np.arange(0), sims[:0]
+    cand = np.arange(sims.shape[0])
+    if k < cand.size:
         kth = sims[np.argpartition(-sims, k - 1)[:k]].min()
-        cand = np.flatnonzero(sims >= kth)
-    else:
-        cand = np.arange(n)
-    order = np.lexsort((ids[cand], -sims[cand]))[:k]
-    return cand[order]
+        cand = np.flatnonzero(sims >= kth - _NEAR)
+    # initial=0.0 keeps a zero query's scores at +0.0, not -0.0.
+    exact = np.sum(rows[cand] * v, axis=1, initial=0.0)
+    if denominators is not None:
+        exact /= denominators[cand]
+    order = np.lexsort((ids[cand], -exact))[:k]
+    return cand[order], exact[order]
 
 
 def build_index(matrix: EmbeddingMatrix) -> AnnIndex:
@@ -121,11 +143,13 @@ def exact_knn(matrix: EmbeddingMatrix, v: np.ndarray, k: int) -> list[Neighbor]:
     keep = np.flatnonzero(norms > 0.0)
     if keep.size == 0:
         return []
+    rows64 = rows64[keep]
     norm_v = float(np.linalg.norm(v64))
-    if norm_v == 0.0:
-        sims = np.zeros(keep.size, dtype=np.float64)
+    if norm_v > 0.0:
+        denominators = norms[keep] * norm_v
+        sims = (rows64 @ v64) / denominators
     else:
-        sims = (rows64[keep] @ v64) / (norms[keep] * norm_v)
+        denominators, sims = None, np.zeros(keep.size, dtype=np.float64)
     ids = np.array(matrix.unit_ids, dtype=np.str_)[keep]
-    top = _top_by_similarity(ids, sims, k)
-    return [Neighbor(unit_id=str(ids[i]), similarity=float(sims[i])) for i in top]
+    top, top_sims = _top_by_similarity(ids, sims, k, rows64, v64, denominators)
+    return [Neighbor(str(ids[i]), float(s)) for i, s in zip(top, top_sims)]

@@ -76,13 +76,12 @@ def _parse_strategy(strategy: str, vectors: str | None, dim_hint: str):
               help="avg or precomputed:<embedding file>")
 @click.option("--vectors", type=click.Path(exists=True, dir_okay=False),
               help="Word-vector file for the avg strategy.")
-@click.option("--normalize/--no-normalize", default=True, show_default=True)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @click.option("--dataset-tag", default="", help="Tag stored on loaded documents.")
 @click.option("--stopwords", type=click.Path(exists=True, dir_okay=False))
 @click.option("--abbreviations", type=click.Path(exists=True, dir_okay=False))
-def embed(corpus, level, strategy, vectors, normalize, out, dataset_tag,
-          stopwords, abbreviations) -> None:
+def embed(corpus, level, strategy, vectors, out, dataset_tag, stopwords,
+          abbreviations) -> None:
     """Embed a corpus at document or sentence level into a binary file."""
     embedder = _parse_strategy(strategy, vectors, "embedding")
     docs = load_corpus(
@@ -91,12 +90,7 @@ def embed(corpus, level, strategy, vectors, normalize, out, dataset_tag,
         stopwords=load_stopwords(stopwords),
         abbreviations=load_abbreviations(abbreviations),
     )
-    matrix = embed_corpus(
-        docs,
-        "document" if level == "doc" else "sentence",
-        embedder,
-        normalize=normalize,
-    )
+    matrix = embed_corpus(docs, "document" if level == "doc" else "sentence", embedder)
     save_embeddings(matrix, out)
     logger.info("wrote %d x %d embeddings to %s", matrix.count, matrix.dim, out)
 
@@ -156,17 +150,24 @@ def _scorer(kind: str, **inputs):
 @click.option("--bm25-k1", default=1.2, show_default=True, type=float)
 @click.option("--bm25-b", default=0.75, show_default=True, type=float)
 @click.option("--stopwords", type=click.Path(exists=True, dir_okay=False))
+@click.option("--abbreviations", type=click.Path(exists=True, dir_okay=False),
+              help="The list the sentence embeddings were split with.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @click.option("--tsv-out", type=click.Path(dir_okay=False),
               help="Also write source<TAB>target text pairs.")
 def align_sents(doc_pairs, source_corpus, target_corpus, scorer, vectors,
                 source_sent_embeddings, target_sent_embeddings, k, theta_s,
                 min_overlap, max_len_ratio, exclude, filter_stage,
-                bm25_k1, bm25_b, stopwords, out, tsv_out) -> None:
+                bm25_k1, bm25_b, stopwords, abbreviations, out, tsv_out) -> None:
     """Stage 2: align sentences within document pairs and filter groups."""
     stops = load_stopwords(stopwords)
-    src_docs = corpus_index(load_corpus(source_corpus, "src", stopwords=stops))
-    tgt_docs = corpus_index(load_corpus(target_corpus, "tgt", stopwords=stops))
+    abbrevs = load_abbreviations(abbreviations)
+    src_docs = corpus_index(
+        load_corpus(source_corpus, "src", stopwords=stops, abbreviations=abbrevs)
+    )
+    tgt_docs = corpus_index(
+        load_corpus(target_corpus, "tgt", stopwords=stops, abbreviations=abbrevs)
+    )
     pairs = read_doc_pairs(doc_pairs)
     embedders = {}
     if source_sent_embeddings or target_sent_embeddings:

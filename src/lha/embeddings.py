@@ -291,13 +291,11 @@ def embed_corpus(
     docs: Iterable[Document],
     level: str,
     embedder: AvgEmbedder | PrecomputedEmbedder,
-    normalize: bool = True,
 ) -> EmbeddingMatrix:
-    """Embed every unit of a corpus into one matrix, in corpus order.
+    """Embed every unit of a corpus into one L2-normalized matrix (zero rows
+    stay zero), in corpus order.
 
-    ``level`` is ``"document"`` or ``"sentence"``. With ``normalize`` the
-    rows are L2-normalized (zero rows stay zero), which downstream cosine
-    scoring and indexing expect.
+    ``level`` is ``"document"`` or ``"sentence"``.
     """
     if level not in ("document", "sentence"):
         raise ValueError(f"level must be 'document' or 'sentence', got {level!r}")
@@ -316,5 +314,4 @@ def embed_corpus(
     # Each vector is cast to float32 as it is made, so no float64 copy of
     # the whole corpus is ever held.
     rows = np.fromiter(vectors(), dtype=np.dtype((np.float32, embedder.dim)))
-    matrix = EmbeddingMatrix(unit_ids, rows)
-    return matrix.normalized() if normalize else matrix
+    return EmbeddingMatrix(unit_ids, rows).normalized()

@@ -438,8 +438,8 @@ def _doc_sim_matrix(
     if (embedder is None) == (scorer is None):
         raise ValueError("provide exactly one of embedder or scorer")
     if embedder is not None:
-        src_m = embed_corpus(src_list, "document", embedder, normalize=True)
-        tgt_m = embed_corpus(tgt_list, "document", embedder, normalize=True)
+        src_m = embed_corpus(src_list, "document", embedder)
+        tgt_m = embed_corpus(tgt_list, "document", embedder)
         return src_m.rows.astype(np.float64) @ tgt_m.rows.astype(np.float64).T
     from .corpus import content_tokens
 
@@ -565,8 +565,8 @@ def eval_joint(
     if mode == "lha":
         if doc_embedder is None:
             raise ValueError("lha mode needs a document embedder")
-        src_m = embed_corpus(src_list, "document", doc_embedder, normalize=True)
-        tgt_m = embed_corpus(tgt_list, "document", doc_embedder, normalize=True)
+        src_m = embed_corpus(src_list, "document", doc_embedder)
+        tgt_m = embed_corpus(tgt_list, "document", doc_embedder)
         doc_pairs = align_documents(src_m, build_index(tgt_m), k_doc, theta_d)
         details["doc_pairs"] = len(doc_pairs)
         src_by_id = {d.doc_id: d for d in src_list}
@@ -588,10 +588,10 @@ def eval_joint(
         block = 512
         for lo in range(0, len(src_sents), block):
             chunk = src_sents[lo : lo + block]
-            sims = sent_scorer.source_rows(chunk) @ tgt_unit.T
-            for s, row in zip(chunk, sims):
-                for j in _top_by_similarity(tgt_uids, row, top):
-                    scored[(s.uid, str(tgt_uids[j]))] = float(row[j])
+            src_unit = sent_scorer.source_rows(chunk)
+            for s, v, row in zip(chunk, src_unit, src_unit @ tgt_unit.T):
+                for j, sim in zip(*_top_by_similarity(tgt_uids, row, top, tgt_unit, v)):
+                    scored[(s.uid, str(tgt_uids[j]))] = float(sim)
         details["global_top"] = top
     details["candidates"] = len(scored)
     if rescorer is not None:

@@ -1,11 +1,13 @@
-"""End-to-end orchestration: embed, index, align documents, align sentences,
+"""End-to-end orchestration: embed, align documents, align sentences,
 filter, emit, with manifest-based stage caching.
 
-Every stage records the tool version, content hashes of its inputs, its
-parameters, and its outputs in ``manifest.json``. A stage is skipped when all
-four match, so reruns are free, an upgrade recomputes, and deleting an
-intermediate file rebuilds exactly that file. Hashing is content-based
-throughout; timestamps are never consulted.
+``run_pipeline`` declares its stages as one list of records (name, inputs,
+params, outputs, compute) and runs them in order. Every stage records the
+tool version, content hashes of its inputs, its parameters, and its outputs
+in ``manifest.json``. A stage is skipped when all four match, so reruns are
+free, an upgrade recomputes, and deleting an intermediate file rebuilds
+exactly that file. Hashing is content-based throughout, and each file is
+hashed once per run; timestamps are never consulted.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
-from .ann_index import AnnIndex, build_index
+from .ann_index import build_index
 from .corpus import (
     Document,
     corpus_index,
@@ -81,7 +83,6 @@ class PipelineConfig:
     sent_strategy: str = "avg"
     sent_embeddings_source: str | None = None
     sent_embeddings_target: str | None = None
-    normalize: bool = True
     scorer: str = "cosine"
     bm25_k1: float = 1.2
     bm25_b: float = 0.75
@@ -225,37 +226,14 @@ def validate_config(config: PipelineConfig) -> list[tuple[str, str]]:
 
 @dataclass
 class RunSummary:
-    documents_source: int
-    documents_target: int
-    sentences_source: int
-    sentences_target: int
-    doc_pairs: int
-    raw_sentence_pairs: int
-    merged_groups: int
-    dropped: dict[str, int]
-    groups: int
-    mean_source_tokens: float
-    mean_target_tokens: float
-    pct_multi_sentence_source: float
-    pct_multi_sentence_target: float
+    """The run's ``summary.json`` plus its output paths and cached stages."""
+
+    summary: dict
     outputs: dict[str, str]
     cached_stages: list[str] = field(default_factory=list)
 
     def to_dict(self, include_runtime: bool = False) -> dict:
-        out = {
-            "documents": {"source": self.documents_source, "target": self.documents_target},
-            "sentences": {"source": self.sentences_source, "target": self.sentences_target},
-            "doc_pairs": self.doc_pairs,
-            "raw_sentence_pairs": self.raw_sentence_pairs,
-            "merged_groups": self.merged_groups,
-            "dropped": dict(sorted(self.dropped.items())),
-            "groups": self.groups,
-            "mean_source_tokens": self.mean_source_tokens,
-            "mean_target_tokens": self.mean_target_tokens,
-            "pct_multi_sentence_source": self.pct_multi_sentence_source,
-            "pct_multi_sentence_target": self.pct_multi_sentence_target,
-            "outputs": dict(sorted(self.outputs.items())),
-        }
+        out = {**self.summary, "outputs": dict(sorted(self.outputs.items()))}
         if include_runtime:
             out["cached_stages"] = list(self.cached_stages)
         return out
@@ -272,6 +250,22 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+@dataclass(frozen=True)
+class _Stage:
+    """One cached step: ``compute`` writes ``outputs``.
+
+    An input is a literal such as ``"builtin"``, or the Path of a file: a
+    pipeline input, or an output of an earlier stage. A file input stands in
+    the manifest as its content hash.
+    """
+
+    name: str
+    inputs: dict[str, str | Path]
+    params: dict
+    outputs: list[Path]
+    compute: Callable[[], None]
+
+
 class _Manifest:
     def __init__(self, path: Path):
         self.path = path
@@ -284,6 +278,13 @@ class _Manifest:
             except json.JSONDecodeError:
                 logger.warning("ignoring unreadable manifest at %s", path)
         self.data["tool_version"] = __version__
+        # Content hash of every file read or written in this run.
+        self.hashes: dict[Path, str] = {}
+
+    def hash(self, path: Path) -> str:
+        if path not in self.hashes:
+            self.hashes[path] = _sha256(path)
+        return self.hashes[path]
 
     def save(self) -> None:
         # Written aside and renamed over the old file, so a run killed
@@ -297,49 +298,49 @@ class _Manifest:
         finally:
             tmp.unlink(missing_ok=True)
 
-    def run_stage(
-        self,
-        name: str,
-        inputs: dict[str, str],
-        params: dict,
-        outputs: Sequence[Path],
-        compute: Callable[[], None],
-        cached_stages: list[str],
-    ) -> None:
-        record = self.data["stages"].get(name)
-        params_canon = json.loads(json.dumps(params, sort_keys=True))
+    def run_stage(self, stage: _Stage, cached_stages: list[str]) -> None:
+        """Skip the stage when its record matches, else compute and record it."""
+        inputs = {
+            key: self.hash(value) if isinstance(value, Path) else value
+            for key, value in stage.inputs.items()
+        }
+        params = json.loads(json.dumps(stage.params, sort_keys=True))
+        record = self.data["stages"].get(stage.name)
         if (
             record
             and record.get("tool_version") == __version__
             and record.get("inputs") == inputs
-            and record.get("params") == params_canon
+            and record.get("params") == params
+            and all(
+                p.exists() and record.get("outputs", {}).get(p.name) == self.hash(p)
+                for p in stage.outputs
+            )
         ):
-            recorded = record.get("outputs", {})
-            if all(
-                p.exists() and recorded.get(p.name) == _sha256(p) for p in outputs
-            ):
-                logger.info("stage %s: cached", name)
-                cached_stages.append(name)
-                return
-        logger.info("stage %s: computing", name)
+            logger.info("stage %s: cached", stage.name)
+            cached_stages.append(stage.name)
+            return
+        logger.info("stage %s: computing", stage.name)
         try:
-            compute()
+            stage.compute()
         except Exception as e:
-            raise PipelineStageError(name, e) from e
-        self.data["stages"][name] = {
+            raise PipelineStageError(stage.name, e) from e
+        for p in stage.outputs:
+            self.hashes[p] = _sha256(p)
+        self.data["stages"][stage.name] = {
             "tool_version": __version__,
             "inputs": inputs,
-            "params": params_canon,
-            "outputs": {p.name: _sha256(p) for p in outputs},
+            "params": params,
+            "outputs": {p.name: self.hashes[p] for p in stage.outputs},
         }
         self.save()
 
 
-_BUILTIN = "builtin"
+def _file_or_builtin(path: str | None) -> Path | str:
+    return Path(path) if path else "builtin"
 
 
-def _hash_or_builtin(path: str | None) -> str:
-    return _sha256(Path(path)) if path else _BUILTIN
+def _write_json(path: Path, data: dict) -> None:
+    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def run_pipeline(config: PipelineConfig) -> RunSummary:
@@ -359,8 +360,8 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
     stopwords = load_stopwords(config.stopwords_file)
     abbreviations = load_abbreviations(config.abbreviations_file)
     text_params = {
-        "stopwords": _hash_or_builtin(config.stopwords_file),
-        "abbreviations": _hash_or_builtin(config.abbreviations_file),
+        "stopwords": _file_or_builtin(config.stopwords_file),
+        "abbreviations": _file_or_builtin(config.abbreviations_file),
     }
 
     table = None
@@ -378,14 +379,13 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
             )
         return corpora[side]
 
-    src_hash = _sha256(Path(config.source_corpus))
-    tgt_hash = _sha256(Path(config.target_corpus))
-    vectors_hash = _hash_or_builtin(config.word_vectors)
+    src_corpus = Path(config.source_corpus)
+    tgt_corpus = Path(config.target_corpus)
+    vectors = _file_or_builtin(config.word_vectors)
 
     paths = {
         "docs_source": out_dir / "docs_source.lhae",
         "docs_target": out_dir / "docs_target.lhae",
-        "index": out_dir / "docs_target.lhai",
         "doc_pairs": out_dir / "doc_pairs.tsv",
         "sents_source": out_dir / "sents_source.lhae",
         "sents_target": out_dir / "sents_target.lhae",
@@ -395,73 +395,40 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
         "summary": out_dir / "summary.json",
     }
 
-    def embed_units(level: str, side: str, corpus_hash: str, out_path: Path) -> None:
+    def embed_units(level: str, side: str, corpus: Path, out_path: Path) -> _Stage:
         unit = "doc" if level == "document" else "sent"
         strategy = getattr(config, f"{unit}_strategy")
         pre_path = getattr(
             config, f"{unit}_embeddings_{'source' if side == 'src' else 'target'}"
         )
         if strategy == "avg":
-            strategy_hash = vectors_hash
+            embedding_source = vectors
             make_embedder = lambda: AvgEmbedder(table)
         else:
-            strategy_hash = _sha256(Path(pre_path))
+            embedding_source = Path(pre_path)
             make_embedder = lambda: PrecomputedEmbedder(load_embeddings(pre_path))
-        manifest.run_stage(
+        return _Stage(
             f"embed_{unit}s_{side}",
-            inputs={"corpus": corpus_hash, "embedding_source": strategy_hash, **text_params},
-            params={"level": level, "strategy": strategy, "normalize": config.normalize},
+            inputs={"corpus": corpus, "embedding_source": embedding_source, **text_params},
+            params={"level": level, "strategy": strategy},
             outputs=[out_path],
             compute=lambda: save_embeddings(
-                embed_corpus(
-                    docs(side).values(),
-                    level,
-                    make_embedder(),
-                    normalize=config.normalize,
-                ),
-                out_path,
+                embed_corpus(docs(side).values(), level, make_embedder()), out_path
             ),
-            cached_stages=cached,
         )
 
-    embed_units("document", "src", src_hash, paths["docs_source"])
-    embed_units("document", "tgt", tgt_hash, paths["docs_target"])
-
-    manifest.run_stage(
-        "index_docs",
-        inputs={"embeddings": _sha256(paths["docs_target"])},
-        params={},
-        outputs=[paths["index"]],
-        compute=lambda: build_index(load_embeddings(paths["docs_target"])).save(
-            paths["index"]
-        ),
-        cached_stages=cached,
-    )
-
-    manifest.run_stage(
-        "align_docs",
-        inputs={
-            "source_embeddings": _sha256(paths["docs_source"]),
-            "index": _sha256(paths["index"]),
-        },
-        params={"k_doc": config.k_doc, "theta_d": config.theta_d},
-        outputs=[paths["doc_pairs"]],
-        compute=lambda: write_doc_pairs(
+    def compute_doc_pairs() -> None:
+        write_doc_pairs(
             align_documents(
                 load_embeddings(paths["docs_source"]),
-                AnnIndex.load(paths["index"]),
+                build_index(load_embeddings(paths["docs_target"])),
                 config.k_doc,
                 config.theta_d,
             ),
             paths["doc_pairs"],
-        ),
-        cached_stages=cached,
-    )
+        )
 
     use_sent_embeddings = config.scorer == "cosine"
-    if use_sent_embeddings:
-        embed_units("sentence", "src", src_hash, paths["sents_source"])
-        embed_units("sentence", "tgt", tgt_hash, paths["sents_target"])
 
     def compute_alignment() -> None:
         src_docs = docs("src")
@@ -525,109 +492,91 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
             "dropped": dict(sorted(drop_counts.items())),
             "groups": len(groups),
         }
-        paths["align_stats"].write_text(
-            json.dumps(stats, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_json(paths["align_stats"], stats)
 
     align_inputs = {
-        "doc_pairs": _sha256(paths["doc_pairs"]),
-        "source_corpus": src_hash,
-        "target_corpus": tgt_hash,
-        "exclusion": _hash_or_builtin(config.exclusion_file),
+        "doc_pairs": paths["doc_pairs"],
+        "source_corpus": src_corpus,
+        "target_corpus": tgt_corpus,
+        "exclusion": _file_or_builtin(config.exclusion_file),
         **text_params,
     }
     if use_sent_embeddings:
-        align_inputs["sents_source"] = _sha256(paths["sents_source"])
-        align_inputs["sents_target"] = _sha256(paths["sents_target"])
+        align_inputs["sents_source"] = paths["sents_source"]
+        align_inputs["sents_target"] = paths["sents_target"]
     elif config.scorer in ("wmd", "rwmd"):
-        align_inputs["vectors"] = vectors_hash
-    align_outputs = [paths["groups"], paths["align_stats"]]
-    if config.emit_tsv:
-        align_outputs.append(paths["groups_tsv"])
-    manifest.run_stage(
-        "align_sents",
-        inputs=align_inputs,
-        params={
-            "k_sent": config.k_sent,
-            "theta_s": config.theta_s,
-            "scorer": config.scorer,
-            "bm25_k1": config.bm25_k1,
-            "bm25_b": config.bm25_b,
-            "min_overlap": config.min_overlap,
-            "max_len_ratio": config.max_len_ratio,
-            "filter_stage": config.filter_stage,
-            "emit_tsv": config.emit_tsv,
-        },
-        outputs=align_outputs,
-        compute=compute_alignment,
-        cached_stages=cached,
-    )
+        align_inputs["vectors"] = vectors
 
     def compute_summary() -> None:
         stats = json.loads(paths["align_stats"].read_text("utf-8"))
         groups = read_groups(paths["groups"])
         n = len(groups)
-        src_lens = [len(tokenize(g.source_text, stopwords)) for g in groups]
-        tgt_lens = [len(tokenize(g.target_text, stopwords)) for g in groups]
-        summary_dict = {
-            "documents": stats["documents"],
-            "sentences": stats["sentences"],
-            "doc_pairs": stats["doc_pairs"],
-            "raw_sentence_pairs": stats["raw_sentence_pairs"],
-            "merged_groups": stats["merged_groups"],
-            "dropped": stats["dropped"],
+
+        def mean_tokens(texts) -> float:
+            total = sum(len(tokenize(t, stopwords)) for t in texts)
+            return round(total / n, 2) if n else 0.0
+
+        def pct_multi(id_lists) -> float:
+            multi = sum(len(ids) > 1 for ids in id_lists)
+            return round(100.0 * multi / n, 1) if n else 0.0
+
+        _write_json(paths["summary"], {
+            **stats,
             "groups": n,
-            "mean_source_tokens": round(sum(src_lens) / n, 2) if n else 0.0,
-            "mean_target_tokens": round(sum(tgt_lens) / n, 2) if n else 0.0,
-            "pct_multi_sentence_source": round(
-                100.0 * sum(1 for g in groups if len(g.source_ids) > 1) / n, 1
-            )
-            if n
-            else 0.0,
-            "pct_multi_sentence_target": round(
-                100.0 * sum(1 for g in groups if len(g.target_ids) > 1) / n, 1
-            )
-            if n
-            else 0.0,
-        }
-        paths["summary"].write_text(
-            json.dumps(summary_dict, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+            "mean_source_tokens": mean_tokens(g.source_text for g in groups),
+            "mean_target_tokens": mean_tokens(g.target_text for g in groups),
+            "pct_multi_sentence_source": pct_multi(g.source_ids for g in groups),
+            "pct_multi_sentence_target": pct_multi(g.target_ids for g in groups),
+        })
 
-    manifest.run_stage(
-        "summary",
-        inputs={
-            "groups": _sha256(paths["groups"]),
-            "align_stats": _sha256(paths["align_stats"]),
-        },
-        params={},
-        outputs=[paths["summary"]],
-        compute=compute_summary,
-        cached_stages=cached,
-    )
+    stages = [
+        embed_units("document", "src", src_corpus, paths["docs_source"]),
+        embed_units("document", "tgt", tgt_corpus, paths["docs_target"]),
+        _Stage(
+            "align_docs",
+            inputs={
+                "source_embeddings": paths["docs_source"],
+                "target_embeddings": paths["docs_target"],
+            },
+            params={key: getattr(config, key) for key in ("k_doc", "theta_d")},
+            outputs=[paths["doc_pairs"]],
+            compute=compute_doc_pairs,
+        ),
+        *(
+            [
+                embed_units("sentence", "src", src_corpus, paths["sents_source"]),
+                embed_units("sentence", "tgt", tgt_corpus, paths["sents_target"]),
+            ]
+            if use_sent_embeddings
+            else []
+        ),
+        _Stage(
+            "align_sents",
+            inputs=align_inputs,
+            params={key: getattr(config, key) for key in (
+                "k_sent", "theta_s", "scorer", "bm25_k1", "bm25_b",
+                "min_overlap", "max_len_ratio", "filter_stage", "emit_tsv",
+            )},
+            outputs=[paths["groups"], paths["align_stats"]]
+            + ([paths["groups_tsv"]] if config.emit_tsv else []),
+            compute=compute_alignment,
+        ),
+        _Stage(
+            "summary",
+            inputs={"groups": paths["groups"], "align_stats": paths["align_stats"]},
+            params={},
+            outputs=[paths["summary"]],
+            compute=compute_summary,
+        ),
+    ]
+    for stage in stages:
+        manifest.run_stage(stage, cached)
 
-    summary_dict = json.loads(paths["summary"].read_text("utf-8"))
-    outputs = {
-        "groups": str(paths["groups"]),
-        "doc_pairs": str(paths["doc_pairs"]),
-        "summary": str(paths["summary"]),
-    }
+    outputs = ["groups", "doc_pairs", "summary"]
     if config.emit_tsv:
-        outputs["groups_tsv"] = str(paths["groups_tsv"])
+        outputs.append("groups_tsv")
     return RunSummary(
-        documents_source=summary_dict["documents"]["source"],
-        documents_target=summary_dict["documents"]["target"],
-        sentences_source=summary_dict["sentences"]["source"],
-        sentences_target=summary_dict["sentences"]["target"],
-        doc_pairs=summary_dict["doc_pairs"],
-        raw_sentence_pairs=summary_dict["raw_sentence_pairs"],
-        merged_groups=summary_dict["merged_groups"],
-        dropped=summary_dict["dropped"],
-        groups=summary_dict["groups"],
-        mean_source_tokens=summary_dict["mean_source_tokens"],
-        mean_target_tokens=summary_dict["mean_target_tokens"],
-        pct_multi_sentence_source=summary_dict["pct_multi_sentence_source"],
-        pct_multi_sentence_target=summary_dict["pct_multi_sentence_target"],
-        outputs=outputs,
+        summary=json.loads(paths["summary"].read_text("utf-8")),
+        outputs={name: str(paths[name]) for name in outputs},
         cached_stages=cached,
     )

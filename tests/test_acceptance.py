@@ -272,7 +272,7 @@ def test_07_pipeline_determinism_and_resume(tmp_path: Path) -> None:
     assert out_bytes(Path(config1.out_dir), names) == first
     report(
         "PASS pipeline determinism: two fresh runs are byte-identical "
-        "across all 11 output files, and resuming after deleting intermediates "
+        "across all 10 output files, and resuming after deleting intermediates "
         "reproduces them bit-exactly"
     )
 

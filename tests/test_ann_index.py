@@ -192,6 +192,28 @@ class TestExactness:
         assert [(p.source_id, p.target_id, p.similarity) for p in pairs] == expected
 
 
+class TestIdenticalRows:
+    def test_float_copies_tie_and_break_by_id(self) -> None:
+        # A matrix product's last bits depend on a row's position, so the two
+        # copies of a row can score one ulp apart; here that happens when a
+        # copy sits in the product's last few rows. Ids run opposite to
+        # positions, so position order and id order disagree.
+        rng = np.random.default_rng(0)
+        ids = [f"t{299 - i:04d}" for i in range(300)]
+        for _ in range(200):
+            rows = rng.standard_normal((300, 100)).astype(np.float32)
+            a, b = rng.choice(300, size=2, replace=False)
+            rows[b] = rows[a]
+            index = AnnIndex(ids, rows)
+            queries = rows[a] + 0.5 * rng.standard_normal((64, 100))
+            both = sorted([ids[a], ids[b]])
+            top1, top2 = index.query_block(queries, 1), index.query_block(queries, 2)
+            for one, two in zip(top1, top2):
+                assert [nb.unit_id for nb in one] == both[:1]
+                assert [nb.unit_id for nb in two] == both
+                assert two[0].similarity == two[1].similarity
+
+
 class TestExactKnn:
     def test_matches_plain_loop_oracle(self) -> None:
         rng = np.random.default_rng(15)

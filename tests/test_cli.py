@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from lha.cli import main
 from lha.doc_align import read_doc_pairs
 from lha.embeddings import load_embeddings
+from lha.pipeline import PipelineConfig, run_pipeline
 from lha.sent_align import read_groups
 from conftest import _TOY_VECTORS, write_jsonl, write_vectors
 
@@ -134,6 +135,15 @@ class TestEmbedCommand:
         assert result.exit_code == 2
         assert "--vectors" in result.output
 
+    def test_normalize_switch_is_gone(self, workspace) -> None:
+        result = invoke(
+            "embed", "--corpus", str(workspace / "source.jsonl"), "--level", "doc",
+            "--vectors", str(workspace / "vectors.txt"), "--no-normalize",
+            "--out", str(workspace / "x.lhae"),
+        )
+        assert result.exit_code == 2
+        assert "--no-normalize" in result.output
+
     def test_unknown_strategy(self, workspace) -> None:
         result = invoke(
             "embed", "--corpus", str(workspace / "source.jsonl"),
@@ -186,6 +196,51 @@ class TestStageCommands:
         groups = read_groups(groups_path)
         assert len(groups) == 3
         assert tsv_path.read_text(encoding="utf-8").count("\n") == 3
+
+    def test_custom_abbreviations_chain_equals_pipeline(self, tmp_path) -> None:
+        # Without "dr" on the list "Dr." is a sentence of its own, so the
+        # sentence ids in the embeddings only match a corpus split the same way.
+        for side, text in (("source", "Dr. Smith saw the cat. The dog ran home."),
+                           ("target", "Dr. Smith saw the kitten. A puppy ran home.")):
+            write_jsonl(tmp_path / f"{side}.jsonl", [{"id": side[0], "text": text}])
+        write_vectors(tmp_path / "vectors.txt", _TOY_VECTORS)
+        abbreviations = tmp_path / "abbreviations.txt"
+        abbreviations.write_text("mr\nmrs\n", encoding="utf-8")
+        common = ["--vectors", str(tmp_path / "vectors.txt"),
+                  "--abbreviations", str(abbreviations)]
+        for side in ("source", "target"):
+            for level in ("doc", "sent"):
+                result = invoke("embed", "--corpus", str(tmp_path / f"{side}.jsonl"),
+                                "--level", level, *common,
+                                "--out", str(tmp_path / f"{level}_{side}.lhae"))
+                assert result.exit_code == 0, result.output
+        invoke("index", "--embeddings", str(tmp_path / "doc_target.lhae"),
+               "--out", str(tmp_path / "target.lhai"))
+        invoke("align-docs", "--source-embeddings", str(tmp_path / "doc_source.lhae"),
+               "--index", str(tmp_path / "target.lhai"), "--k", "1",
+               "--theta-d", "0.3", "--out", str(tmp_path / "doc_pairs.tsv"))
+        result = invoke(
+            "align-sents", "--doc-pairs", str(tmp_path / "doc_pairs.tsv"),
+            "--source-corpus", str(tmp_path / "source.jsonl"),
+            "--target-corpus", str(tmp_path / "target.jsonl"),
+            "--source-sent-embeddings", str(tmp_path / "sent_source.lhae"),
+            "--target-sent-embeddings", str(tmp_path / "sent_target.lhae"),
+            "--abbreviations", str(abbreviations),
+            "--k", "1", "--theta-s", "0.6", "--min-overlap", "0.0",
+            "--out", str(tmp_path / "groups.jsonl"),
+        )
+        assert result.exit_code == 0, result.output
+        run_pipeline(PipelineConfig(
+            source_corpus=str(tmp_path / "source.jsonl"),
+            target_corpus=str(tmp_path / "target.jsonl"),
+            out_dir=str(tmp_path / "out"),
+            word_vectors=str(tmp_path / "vectors.txt"),
+            abbreviations_file=str(abbreviations),
+            k_doc=1, k_sent=1, theta_d=0.3, theta_s=0.6, min_overlap=0.0,
+        ))
+        chained = (tmp_path / "groups.jsonl").read_text("utf-8")
+        assert chained == (tmp_path / "out" / "groups.jsonl").read_text("utf-8")
+        assert "s#2" in chained
 
     def test_align_sents_cosine_needs_embeddings_or_vectors(self, workspace) -> None:
         pairs_path = self.run_stages(workspace)

@@ -213,8 +213,8 @@ class TestEmbedCorpus:
     def test_single_sentence_doc_row_equals_sentence_row(self, toy_table) -> None:
         docs = [doc("d1", ["The cat sat."])]
         embedder = AvgEmbedder(toy_table)
-        doc_matrix = embed_corpus(docs, level="document", embedder=embedder, normalize=False)
-        sent_matrix = embed_corpus(docs, level="sentence", embedder=embedder, normalize=False)
+        doc_matrix = embed_corpus(docs, level="document", embedder=embedder)
+        sent_matrix = embed_corpus(docs, level="sentence", embedder=embedder)
         assert np.array_equal(doc_matrix.rows[0], sent_matrix.rows[0])
 
     def test_avg_rows_match_scripted_mean(self, toy_vectors_file, tmp_path) -> None:
@@ -231,7 +231,7 @@ class TestEmbedCorpus:
         from lha.embeddings import load_word_vectors
 
         table = load_word_vectors(toy_vectors_file)
-        matrix = embed_corpus(docs, level="sentence", embedder=AvgEmbedder(table), normalize=False)
+        matrix = embed_corpus(docs, level="sentence", embedder=AvgEmbedder(table))
 
         import re
 
@@ -239,14 +239,14 @@ class TestEmbedCorpus:
             words = [w.lower() for w in re.findall(r"\w+", text)]
             hits = [raw[w] for w in words if w in raw]
             expected = np.array(hits, dtype=np.float64).mean(axis=0)
+            expected /= np.linalg.norm(expected)
             assert np.allclose(matrix.rows[i], expected, atol=1e-6), text
 
     def test_document_level_uses_concatenated_tokens(self, toy_table) -> None:
         docs = [doc("d1", ["The cat.", "A dog!"])]
-        matrix = embed_corpus(
-            docs, level="document", embedder=AvgEmbedder(toy_table), normalize=False
-        )
+        matrix = embed_corpus(docs, level="document", embedder=AvgEmbedder(toy_table))
         expected = embed_avg(["cat", "dog"], toy_table)
+        expected /= np.linalg.norm(expected)
         assert np.allclose(matrix.rows[0], expected, atol=1e-6)
 
     def test_normalize_flag(self, toy_table) -> None:
@@ -270,7 +270,6 @@ class TestEmbedCorpus:
         rows = np.array([[1, 2], [3, 4]], dtype=np.float32)
         source = EmbeddingMatrix(["d1#0", "d1#1"], rows)
         docs = [doc("d1", ["A.", "B."])]
-        matrix = embed_corpus(
-            docs, level="sentence", embedder=PrecomputedEmbedder(source), normalize=False
-        )
-        assert np.array_equal(matrix.rows, rows)
+        matrix = embed_corpus(docs, level="sentence", embedder=PrecomputedEmbedder(source))
+        expected = rows / np.linalg.norm(rows.astype(np.float64), axis=1)[:, None]
+        assert np.array_equal(matrix.rows, expected.astype(np.float32))

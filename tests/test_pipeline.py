@@ -22,12 +22,12 @@ from lha.sent_align import read_groups
 from conftest import _TOY_VECTORS, write_jsonl, write_vectors
 
 ALL_STAGES = [
-    "embed_docs_src", "embed_docs_tgt", "index_docs", "align_docs",
+    "embed_docs_src", "embed_docs_tgt", "align_docs",
     "embed_sents_src", "embed_sents_tgt", "align_sents", "summary",
 ]
 
 OUTPUT_FILES = [
-    "docs_source.lhae", "docs_target.lhae", "docs_target.lhai",
+    "docs_source.lhae", "docs_target.lhae",
     "doc_pairs.tsv", "sents_source.lhae", "sents_target.lhae",
     "groups.jsonl", "groups.tsv", "align_stats.json", "summary.json",
 ]
@@ -85,6 +85,16 @@ class TestConfigFile:
             }), encoding="utf-8")
             with pytest.raises(ValueError, match=key):
                 PipelineConfig.from_file(path)
+
+    def test_removed_normalize_key_rejected(self, tmp_path) -> None:
+        # Embeddings are always unit-normalized; the old switch fails loudly.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "source_corpus": "a", "target_corpus": "b", "out_dir": "o",
+            "normalize": False,
+        }), encoding="utf-8")
+        with pytest.raises(ValueError, match="normalize"):
+            PipelineConfig.from_file(path)
 
     def test_missing_required_keys(self, tmp_path) -> None:
         path = tmp_path / "config.json"
@@ -193,10 +203,10 @@ class TestRunPipeline:
     def test_end_to_end(self, tmp_path) -> None:
         config = make_workspace(tmp_path)
         summary = run_pipeline(config)
-        assert summary.documents_source == 2 and summary.documents_target == 2
-        assert summary.sentences_source == 3 and summary.sentences_target == 3
-        assert summary.doc_pairs == 2
-        assert summary.groups == 3
+        assert summary.summary["documents"] == {"source": 2, "target": 2}
+        assert summary.summary["sentences"] == {"source": 3, "target": 3}
+        assert summary.summary["doc_pairs"] == 2
+        assert summary.summary["groups"] == 3
         assert summary.cached_stages == []
         out_dir = Path(config.out_dir)
         for name in OUTPUT_FILES + ["manifest.json"]:
@@ -252,7 +262,6 @@ class TestRunPipeline:
         assert "align_sents" not in second.cached_stages
         assert "embed_docs_tgt" in second.cached_stages
         assert "embed_sents_tgt" in second.cached_stages
-        assert "index_docs" in second.cached_stages
 
     def test_param_change_recomputes_alignment_only(self, tmp_path) -> None:
         config = make_workspace(tmp_path)
@@ -260,11 +269,11 @@ class TestRunPipeline:
         tightened = dataclasses.replace(config, theta_s=0.995)
         second = run_pipeline(tightened)
         assert "align_sents" not in second.cached_stages
-        for stage in ("embed_docs_src", "embed_docs_tgt", "index_docs",
-                      "align_docs", "embed_sents_src", "embed_sents_tgt"):
+        for stage in ("embed_docs_src", "embed_docs_tgt", "align_docs",
+                      "embed_sents_src", "embed_sents_tgt"):
             assert stage in second.cached_stages
         # the apple/banana pair scores ~0.994 and falls below the new cut
-        assert second.groups == 2
+        assert second.summary["groups"] == 2
 
     def test_resume_after_deleting_intermediate(self, tmp_path) -> None:
         config = make_workspace(tmp_path)
@@ -318,7 +327,7 @@ class TestRunPipeline:
             theta_s=0.1,
         )
         summary = run_pipeline(config)
-        assert summary.groups >= 1
+        assert summary.summary["groups"] >= 1
         rerun = run_pipeline(config)
         assert "align_sents" in rerun.cached_stages
         assert "embed_sents_src" not in rerun.cached_stages
@@ -448,6 +457,24 @@ class TestParseOnce:
             s for s in ALL_STAGES if scorer == "cosine" or not s.startswith("embed_sents")
         )
         assert parsed == []
+
+
+class TestHashOnce:
+    def test_each_file_hashed_once_per_run(self, tmp_path, monkeypatch) -> None:
+        config = make_workspace(tmp_path)
+        hashed: list[str] = []
+        sha256 = lha.pipeline._sha256
+
+        def counting(path):
+            hashed.append(Path(path).name)
+            return sha256(path)
+
+        monkeypatch.setattr(lha.pipeline, "_sha256", counting)
+        inputs = ["source.jsonl", "target.jsonl", "vectors.txt"]
+        for expected_cached in ([], ALL_STAGES):
+            hashed.clear()
+            assert sorted(run_pipeline(config).cached_stages) == sorted(expected_cached)
+            assert sorted(hashed) == sorted(inputs + OUTPUT_FILES)
 
 
 class TestAtomicManifest:
