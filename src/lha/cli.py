@@ -16,6 +16,7 @@ from .doc_align import align_documents, read_doc_pairs, write_doc_pairs
 from .embeddings import (
     AvgEmbedder,
     PrecomputedEmbedder,
+    check_sentence_rows,
     embed_corpus,
     load_embeddings,
     load_word_vectors,
@@ -90,7 +91,10 @@ def embed(corpus, level, strategy, vectors, out, dataset_tag, stopwords,
         stopwords=load_stopwords(stopwords),
         abbreviations=load_abbreviations(abbreviations),
     )
-    matrix = embed_corpus(docs, "document" if level == "doc" else "sentence", embedder)
+    try:
+        matrix = embed_corpus(docs, "document" if level == "doc" else "sentence", embedder)
+    except ValueError as e:
+        raise click.UsageError(str(e)) from e
     save_embeddings(matrix, out)
     logger.info("wrote %d x %d embeddings to %s", matrix.count, matrix.dim, out)
 
@@ -175,12 +179,17 @@ def align_sents(doc_pairs, source_corpus, target_corpus, scorer, vectors,
             raise click.UsageError(
                 "give both --source-sent-embeddings and --target-sent-embeddings"
             )
-        embedders = {
-            "embedder": PrecomputedEmbedder(load_embeddings(source_sent_embeddings)),
-            "target_embedder": PrecomputedEmbedder(
-                load_embeddings(target_sent_embeddings)
-            ),
-        }
+        for key, path, docs in (
+            ("embedder", source_sent_embeddings, src_docs),
+            ("target_embedder", target_sent_embeddings, tgt_docs),
+        ):
+            matrix = load_embeddings(path)
+            uids = {s.uid for d in docs.values() for s in d.sentences}
+            try:
+                check_sentence_rows(matrix, docs, uids)
+            except ValueError as e:
+                raise click.UsageError(f"{path}: {e}") from e
+            embedders[key] = PrecomputedEmbedder(matrix)
     scorer_obj = _scorer(
         scorer,
         table=load_word_vectors(vectors) if vectors else None,
@@ -196,8 +205,7 @@ def align_sents(doc_pairs, source_corpus, target_corpus, scorer, vectors,
         stage=filter_stage,
     )
     groups = list(
-        align_sentences(pairs, src_docs, tgt_docs, scorer_obj, k, theta_s,
-                        policy, stops)
+        align_sentences(pairs, src_docs, tgt_docs, scorer_obj, k, theta_s, policy)
     )
     n = write_groups(groups, out)
     if tsv_out:

@@ -321,6 +321,11 @@ def load_corpus(
             doc_id = str(raw_id)
             if not doc_id:
                 raise CorpusError("document id is empty", line_no)
+            if any(ch in doc_id for ch in "\t\n\r"):
+                # Ids are written as fields of tab-separated, line-based files.
+                raise CorpusError(
+                    f"document id {doc_id!r} contains a tab or line break", line_no
+                )
             if doc_id in seen:
                 raise DuplicateDocumentError(f"duplicate document id {doc_id!r}", line_no)
             seen.add(doc_id)

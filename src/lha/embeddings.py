@@ -10,7 +10,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "embed_avg",
     "AvgEmbedder",
     "PrecomputedEmbedder",
+    "check_sentence_rows",
     "embed_corpus",
 ]
 
@@ -287,6 +288,21 @@ class PrecomputedEmbedder:
         return self.matrix.rows[index].astype(np.float64)
 
 
+def check_sentence_rows(
+    matrix: EmbeddingMatrix, doc_ids: Collection[str], sentence_ids: Collection[str]
+) -> None:
+    """Reject a row ``doc#n`` of a document in ``doc_ids`` that is not one of
+    ``sentence_ids``, the uids the corpus split produced: the matrix was made
+    from another split, and its rows would be read for other sentences."""
+    for uid in matrix.unit_ids:
+        doc_id, _, ordinal = uid.rpartition("#")
+        if ordinal.isdigit() and doc_id in doc_ids and uid not in sentence_ids:
+            raise ValueError(
+                f"sentence embedding row {uid!r} is not a sentence of document "
+                f"{doc_id!r} as the corpus is split"
+            )
+
+
 def embed_corpus(
     docs: Iterable[Document],
     level: str,
@@ -295,14 +311,17 @@ def embed_corpus(
     """Embed every unit of a corpus into one L2-normalized matrix (zero rows
     stay zero), in corpus order.
 
-    ``level`` is ``"document"`` or ``"sentence"``.
+    ``level`` is ``"document"`` or ``"sentence"``. Precomputed sentence
+    embeddings must match the corpus split (see ``check_sentence_rows``).
     """
     if level not in ("document", "sentence"):
         raise ValueError(f"level must be 'document' or 'sentence', got {level!r}")
     unit_ids: list[str] = []
+    doc_ids: list[str] = []
 
     def vectors():
         for doc in docs:
+            doc_ids.append(doc.doc_id)
             if level == "document":
                 unit_ids.append(doc.doc_id)
                 yield embedder.document_vector(doc)
@@ -314,4 +333,6 @@ def embed_corpus(
     # Each vector is cast to float32 as it is made, so no float64 copy of
     # the whole corpus is ever held.
     rows = np.fromiter(vectors(), dtype=np.dtype((np.float32, embedder.dim)))
+    if level == "sentence" and isinstance(embedder, PrecomputedEmbedder):
+        check_sentence_rows(embedder.matrix, set(doc_ids), set(unit_ids))
     return EmbeddingMatrix(unit_ids, rows).normalized()

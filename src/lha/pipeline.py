@@ -30,8 +30,9 @@ from .corpus import (
     load_abbreviations,
     load_corpus,
     load_stopwords,
-    tokenize,
 )
+# perfbench/spans.py patches lha.pipeline.tokenize; the pipeline never calls it.
+from .corpus import tokenize  # noqa: F401
 from .doc_align import align_documents, read_doc_pairs, write_doc_pairs
 from .embeddings import (
     AvgEmbedder,
@@ -46,10 +47,11 @@ from .sent_align import (
     FilterPolicy,
     align_sentences,
     load_exclusion_set,
-    read_groups,
     write_groups,
     write_groups_tsv,
 )
+# perfbench/spans.py patches lha.pipeline.read_groups; the pipeline never calls it.
+from .sent_align import read_groups  # noqa: F401
 
 __all__ = [
     "PipelineConfig",
@@ -462,24 +464,18 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
         )
         doc_pairs = read_doc_pairs(paths["doc_pairs"])
         drop_counts: dict[str, int] = {}
-        groups = list(
-            align_sentences(
-                doc_pairs,
-                src_docs,
-                tgt_docs,
-                scorer,
-                config.k_sent,
-                config.theta_s,
-                policy,
-                stopwords,
-                drop_counts,
-            )
-        )
+        groups = list(align_sentences(
+            doc_pairs, src_docs, tgt_docs, scorer, config.k_sent, config.theta_s,
+            policy, drop_counts,
+        ))
         write_groups(groups, paths["groups"])
         if config.emit_tsv:
             write_groups_tsv(groups, paths["groups_tsv"])
         raw_pairs = drop_counts.pop("raw_pairs")
         merged = drop_counts.pop("merged_groups")
+        source_tokens = drop_counts.pop("source_tokens")
+        target_tokens = drop_counts.pop("target_tokens")
+        n = len(groups)
         stats = {
             "documents": {"source": len(src_docs), "target": len(tgt_docs)},
             "sentences": {
@@ -490,9 +486,24 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
             "raw_sentence_pairs": raw_pairs,
             "merged_groups": merged,
             "dropped": dict(sorted(drop_counts.items())),
-            "groups": len(groups),
+            "groups": n,
         }
         _write_json(paths["align_stats"], stats)
+
+        def mean(total: int) -> float:
+            return round(total / n, 2) if n else 0.0
+
+        def pct_multi(id_lists) -> float:
+            multi = sum(len(ids) > 1 for ids in id_lists)
+            return round(100.0 * multi / n, 1) if n else 0.0
+
+        _write_json(paths["summary"], {
+            **stats,
+            "mean_source_tokens": mean(source_tokens),
+            "mean_target_tokens": mean(target_tokens),
+            "pct_multi_sentence_source": pct_multi(g.source_ids for g in groups),
+            "pct_multi_sentence_target": pct_multi(g.target_ids for g in groups),
+        })
 
     align_inputs = {
         "doc_pairs": paths["doc_pairs"],
@@ -506,28 +517,6 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
         align_inputs["sents_target"] = paths["sents_target"]
     elif config.scorer in ("wmd", "rwmd"):
         align_inputs["vectors"] = vectors
-
-    def compute_summary() -> None:
-        stats = json.loads(paths["align_stats"].read_text("utf-8"))
-        groups = read_groups(paths["groups"])
-        n = len(groups)
-
-        def mean_tokens(texts) -> float:
-            total = sum(len(tokenize(t, stopwords)) for t in texts)
-            return round(total / n, 2) if n else 0.0
-
-        def pct_multi(id_lists) -> float:
-            multi = sum(len(ids) > 1 for ids in id_lists)
-            return round(100.0 * multi / n, 1) if n else 0.0
-
-        _write_json(paths["summary"], {
-            **stats,
-            "groups": n,
-            "mean_source_tokens": mean_tokens(g.source_text for g in groups),
-            "mean_target_tokens": mean_tokens(g.target_text for g in groups),
-            "pct_multi_sentence_source": pct_multi(g.source_ids for g in groups),
-            "pct_multi_sentence_target": pct_multi(g.target_ids for g in groups),
-        })
 
     stages = [
         embed_units("document", "src", src_corpus, paths["docs_source"]),
@@ -557,16 +546,9 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
                 "k_sent", "theta_s", "scorer", "bm25_k1", "bm25_b",
                 "min_overlap", "max_len_ratio", "filter_stage", "emit_tsv",
             )},
-            outputs=[paths["groups"], paths["align_stats"]]
+            outputs=[paths["groups"], paths["align_stats"], paths["summary"]]
             + ([paths["groups_tsv"]] if config.emit_tsv else []),
             compute=compute_alignment,
-        ),
-        _Stage(
-            "summary",
-            inputs={"groups": paths["groups"], "align_stats": paths["align_stats"]},
-            params={},
-            outputs=[paths["summary"]],
-            compute=compute_summary,
         ),
     ]
     for stage in stages:

@@ -18,7 +18,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Document, content_tokens, tokenize
+from .corpus import Document, Sentence, content_tokens
+# perfbench/spans.py patches lha.sent_align.tokenize; this module never calls it.
+from .corpus import tokenize  # noqa: F401
 from .doc_align import DocPair
 from .metrics import Scorer, unigram_overlap
 
@@ -31,7 +33,6 @@ __all__ = [
     "merge_components",
     "merge_groups",
     "filter_reason",
-    "filter_groups",
     "align_sentences",
     "normalize_pair_key",
     "load_exclusion_set",
@@ -43,6 +44,9 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _WS_RE = re.compile(r"\s+")
+# What write_groups_tsv writes as a space, so each group stays one line
+# of two fields.
+_TSV_SPACES = str.maketrans("\t\r\n", "   ")
 
 
 @dataclass(frozen=True)
@@ -197,67 +201,53 @@ def merge_components(
 
 def merge_groups(
     pairs: Sequence[tuple[int, int, float]], src_doc: Document, tgt_doc: Document
-) -> list[AlignedGroup]:
+) -> list[tuple[tuple[int, ...], tuple[int, ...], AlignedGroup]]:
     """Merge surviving pairs into AlignedGroups (one per connected component).
 
-    Sides are emitted in document order, joined by single spaces; the group
-    score is the maximum member-pair similarity.
+    Returns each component's source and target sentence indices with its
+    group. Sides are emitted in document order, joined by single spaces; the
+    group score is the maximum member-pair similarity.
     """
-    components = merge_components(pairs)
-    best: dict[tuple[int, ...], float] = {}
-    member_of: dict[int, tuple[int, ...]] = {}
-    for srcs, _ in components:
-        for i in srcs:
-            member_of[i] = srcs
-    for i, j, sim in pairs:
-        key = member_of[i]
-        if key not in best or sim > best[key]:
-            best[key] = sim
-    groups = []
-    for srcs, tgts in components:
-        groups.append(
-            AlignedGroup(
-                source_doc=src_doc.doc_id,
-                target_doc=tgt_doc.doc_id,
-                source_ids=tuple(src_doc.sentences[i].uid for i in srcs),
-                target_ids=tuple(tgt_doc.sentences[j].uid for j in tgts),
-                source_text=" ".join(src_doc.sentences[i].text for i in srcs),
-                target_text=" ".join(tgt_doc.sentences[j].text for j in tgts),
-                score=best[srcs],
-            )
-        )
-    return groups
+    return [
+        (srcs, tgts, AlignedGroup(
+            source_doc=src_doc.doc_id,
+            target_doc=tgt_doc.doc_id,
+            source_ids=tuple(src_doc.sentences[i].uid for i in srcs),
+            target_ids=tuple(tgt_doc.sentences[j].uid for j in tgts),
+            source_text=" ".join(src_doc.sentences[i].text for i in srcs),
+            target_text=" ".join(tgt_doc.sentences[j].text for j in tgts),
+            score=max(sim for i, _, sim in pairs if i in srcs),
+        ))
+        for srcs, tgts in merge_components(pairs)
+    ]
 
 
 def filter_reason(
-    group: AlignedGroup,
-    policy: FilterPolicy,
-    stopwords: frozenset[str] | None = None,
+    sources: Sequence[Sentence], targets: Sequence[Sentence], policy: FilterPolicy
 ) -> str | None:
-    """Why the policy drops this group, or None if it passes.
+    """Why the policy drops the group of these member sentences, or None if
+    it passes.
 
     Checked in order: lexical overlap (content tokens of the target covered
     by the source), target/source length ratio over all tokens, and the
-    exclusion set on normalized text keys.
+    exclusion set on normalized text keys. The tokens are the ones each
+    sentence was parsed with: a group's text joins its members with single
+    spaces and no token spans whitespace, so they are exactly the tokens of
+    the group's text.
     """
-    src_tokens = tokenize(group.source_text, stopwords)
-    tgt_tokens = tokenize(group.target_text, stopwords)
+    src_tokens = [t for s in sources for t in s.tokens]
+    tgt_tokens = [t for s in targets for t in s.tokens]
     overlap = unigram_overlap(content_tokens(src_tokens), content_tokens(tgt_tokens))
     if overlap < policy.min_overlap:
         return "overlap"
     if len(tgt_tokens) > policy.max_len_ratio * len(src_tokens):
         return "length_ratio"
-    if normalize_pair_key(group.source_text, group.target_text) in policy.exclusion_set:
+    key = normalize_pair_key(
+        " ".join(s.text for s in sources), " ".join(s.text for s in targets)
+    )
+    if key in policy.exclusion_set:
         return "excluded"
     return None
-
-
-def filter_groups(
-    groups: Iterable[AlignedGroup],
-    policy: FilterPolicy,
-    stopwords: frozenset[str] | None = None,
-) -> list[AlignedGroup]:
-    return [g for g in groups if filter_reason(g, policy, stopwords) is None]
 
 
 def align_sentences(
@@ -268,7 +258,6 @@ def align_sentences(
     k: int,
     theta_s: float,
     policy: FilterPolicy | None = None,
-    stopwords: frozenset[str] | None = None,
     drop_counts: dict[str, int] | None = None,
 ) -> Iterator[AlignedGroup]:
     """Run the full sentence stage over a list of document pairs.
@@ -276,12 +265,14 @@ def align_sentences(
     Yields filtered groups in doc-pair order, deduplicated globally on the
     exact (source_text, target_text) pair. A doc pair referencing an unknown
     document id is logged and skipped. ``drop_counts``, when given, is
-    filled with per-reason drop tallies.
+    filled with per-reason drop tallies, the ``raw_pairs`` and
+    ``merged_groups`` counts, and the token totals of the yielded groups'
+    sides (``source_tokens``, ``target_tokens``).
     """
     policy = policy or FilterPolicy()
     counts = drop_counts if drop_counts is not None else {}
     for key in ("missing_doc", "overlap", "length_ratio", "excluded", "duplicate",
-                "raw_pairs", "merged_groups"):
+                "raw_pairs", "merged_groups", "source_tokens", "target_tokens"):
         counts.setdefault(key, 0)
     seen: set[tuple[str, str]] = set()
     for dp in doc_pairs:
@@ -299,38 +290,29 @@ def align_sentences(
         if policy.stage == "pair":
             kept_pairs = []
             for i, j, sim in pairs:
-                single = AlignedGroup(
-                    source_doc=src.doc_id,
-                    target_doc=tgt.doc_id,
-                    source_ids=(src.sentences[i].uid,),
-                    target_ids=(tgt.sentences[j].uid,),
-                    source_text=src.sentences[i].text,
-                    target_text=tgt.sentences[j].text,
-                    score=sim,
-                )
-                reason = filter_reason(single, policy, stopwords)
+                reason = filter_reason((src.sentences[i],), (tgt.sentences[j],), policy)
                 if reason is None:
                     kept_pairs.append((i, j, sim))
                 else:
                     counts[reason] += 1
             pairs = kept_pairs
-        groups = merge_groups(pairs, src, tgt)
-        counts["merged_groups"] += len(groups)
-        if policy.stage == "group":
-            kept = []
-            for g in groups:
-                reason = filter_reason(g, policy, stopwords)
-                if reason is None:
-                    kept.append(g)
-                else:
+        merged = merge_groups(pairs, src, tgt)
+        counts["merged_groups"] += len(merged)
+        for srcs, tgts, g in merged:
+            sources = [src.sentences[i] for i in srcs]
+            targets = [tgt.sentences[j] for j in tgts]
+            if policy.stage == "group":
+                reason = filter_reason(sources, targets, policy)
+                if reason is not None:
                     counts[reason] += 1
-            groups = kept
-        for g in groups:
+                    continue
             key = (g.source_text, g.target_text)
             if key in seen:
                 counts["duplicate"] += 1
                 continue
             seen.add(key)
+            counts["source_tokens"] += sum(len(s.tokens) for s in sources)
+            counts["target_tokens"] += sum(len(s.tokens) for s in targets)
             yield g
 
 
@@ -339,16 +321,8 @@ def write_groups(groups: Iterable[AlignedGroup], path: Path | str) -> int:
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
         for g in groups:
-            record = {
-                "source_doc": g.source_doc,
-                "target_doc": g.target_doc,
-                "source_ids": list(g.source_ids),
-                "target_ids": list(g.target_ids),
-                "source_text": g.source_text,
-                "target_text": g.target_text,
-                "score": g.score,
-            }
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
+            # The record's keys are the field names.
+            fh.write(json.dumps(vars(g), ensure_ascii=False, sort_keys=True))
             fh.write("\n")
             n += 1
     return n
@@ -376,10 +350,16 @@ def read_groups(path: Path | str) -> list[AlignedGroup]:
 
 
 def write_groups_tsv(groups: Iterable[AlignedGroup], path: Path | str) -> int:
-    """Write ``source_text<TAB>target_text`` lines for translation tooling."""
+    """Write ``source_text<TAB>target_text`` lines for translation tooling.
+
+    A tab, carriage return or newline inside a text is written as a space,
+    so each group is exactly one line of two fields.
+    """
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
         for g in groups:
-            fh.write(f"{g.source_text}\t{g.target_text}\n")
+            source = g.source_text.translate(_TSV_SPACES)
+            target = g.target_text.translate(_TSV_SPACES)
+            fh.write(f"{source}\t{target}\n")
             n += 1
     return n

@@ -10,6 +10,7 @@ import pytest
 
 from lha.corpus import Document, Sentence, tokenize
 from lha.embeddings import WordVectorTable
+from lha.sent_align import FilterPolicy, filter_reason
 
 
 def sent(text: str, doc_id: str = "d0", ordinal: int = 0) -> Sentence:
@@ -24,6 +25,14 @@ def doc(
 ) -> Document:
     sentences = tuple(sent(t, doc_id=doc_id, ordinal=i) for i, t in enumerate(texts))
     return Document(doc_id=doc_id, dataset_tag=tag, sentences=sentences, title=title)
+
+
+def filter_texts(source_text: str, target_text: str, policy: FilterPolicy) -> str | None:
+    """``filter_reason`` for a group whose sides are these texts, each
+    tokenised whole as one sentence."""
+    return filter_reason(
+        (sent(source_text, "s"),), (sent(target_text, "t"),), policy
+    )
 
 
 def write_jsonl(path: Path, records: list[dict]) -> Path:

@@ -3,17 +3,21 @@
 Each oracle takes a different algorithmic route than the library code it
 checks: transport cost via successive shortest paths instead of an LP
 solver, threshold sweeps via exhaustive Fraction arithmetic, component
-merging via breadth-first search, nearest neighbors via a plain sort.
+merging via breadth-first search, nearest neighbors via a plain sort, the
+sentence filter and token counts via re-tokenising each group's text.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 import numpy as np
+
+from lha.corpus import tokenize
+from lha.sent_align import AlignedGroup, FilterPolicy, extract_nn_pairs, normalize_pair_key
 
 
 def transport_cost_oracle(
@@ -183,3 +187,106 @@ def components_oracle(
                     queue.append(nxt)
         out.add((tuple(sorted(left)), tuple(sorted(right))))
     return out
+
+
+def text_filter_oracle(
+    source_text: str,
+    target_text: str,
+    policy: FilterPolicy,
+    stopwords: frozenset[str],
+    boundary: Counter | None = None,
+) -> str | None:
+    """The sentence filter's rule on a group's texts, each tokenised whole.
+
+    ``boundary``, when given, counts the checks decided exactly at the
+    policy's bound (``overlap`` at ``min_overlap``, ``length_ratio`` at
+    ``max_len_ratio``); both bounds keep the group.
+    """
+    src = tokenize(source_text, stopwords)
+    tgt = tokenize(target_text, stopwords)
+
+    def content(tokens) -> set[str]:
+        return {
+            t.normalized for t in tokens
+            if not (t.is_punct or t.is_number or t.is_stopword)
+        }
+
+    src_words, tgt_words = content(src), content(tgt)
+    overlap = len(tgt_words & src_words) / len(tgt_words) if tgt_words else 0.0
+    if boundary is not None:
+        boundary["overlap"] += overlap == policy.min_overlap
+    if overlap < policy.min_overlap:
+        return "overlap"
+    if boundary is not None:
+        boundary["length_ratio"] += len(tgt) == policy.max_len_ratio * len(src)
+    if len(tgt) > policy.max_len_ratio * len(src):
+        return "length_ratio"
+    if normalize_pair_key(source_text, target_text) in policy.exclusion_set:
+        return "excluded"
+    return None
+
+
+def align_sentences_oracle(
+    doc_pairs, src_docs, tgt_docs, scorer, k: int, theta_s: float,
+    policy: FilterPolicy, stopwords: frozenset[str], boundary: Counter | None = None,
+) -> tuple[list[AlignedGroup], dict[str, int]]:
+    """The sentence stage with every filter decision and token total taken
+    from the group texts: scoring and top-k as the library does them,
+    components by breadth-first search, the filter by ``text_filter_oracle``.
+
+    Returns the groups and the counts ``align_sentences`` fills in.
+    """
+    counts = dict.fromkeys((
+        "missing_doc", "overlap", "length_ratio", "excluded", "duplicate",
+        "raw_pairs", "merged_groups", "source_tokens", "target_tokens",
+    ), 0)
+    groups: list[AlignedGroup] = []
+    seen: set[tuple[str, str]] = set()
+    for dp in doc_pairs:
+        src, tgt = src_docs.get(dp.source_id), tgt_docs.get(dp.target_id)
+        if src is None or tgt is None:
+            counts["missing_doc"] += 1
+            continue
+        values = scorer.matrix(src.sentences, tgt.sentences)
+        pairs = extract_nn_pairs(values, k, theta_s)
+        counts["raw_pairs"] += len(pairs)
+        if policy.stage == "pair":
+            kept = []
+            for i, j, sim in pairs:
+                reason = text_filter_oracle(
+                    src.sentences[i].text, tgt.sentences[j].text, policy, stopwords,
+                    boundary,
+                )
+                if reason is None:
+                    kept.append((i, j, sim))
+                else:
+                    counts[reason] += 1
+            pairs = kept
+        components = sorted(components_oracle([(i, j) for i, j, _ in pairs]))
+        counts["merged_groups"] += len(components)
+        for srcs, tgts in components:
+            source_text = " ".join(src.sentences[i].text for i in srcs)
+            target_text = " ".join(tgt.sentences[j].text for j in tgts)
+            if policy.stage == "group":
+                reason = text_filter_oracle(
+                    source_text, target_text, policy, stopwords, boundary
+                )
+                if reason is not None:
+                    counts[reason] += 1
+                    continue
+            if (source_text, target_text) in seen:
+                counts["duplicate"] += 1
+                continue
+            seen.add((source_text, target_text))
+            counts["source_tokens"] += len(tokenize(source_text, stopwords))
+            counts["target_tokens"] += len(tokenize(target_text, stopwords))
+            groups.append(AlignedGroup(
+                source_doc=src.doc_id,
+                target_doc=tgt.doc_id,
+                source_ids=tuple(src.sentences[i].uid for i in srcs),
+                target_ids=tuple(tgt.sentences[j].uid for j in tgts),
+                source_text=source_text,
+                target_text=target_text,
+                score=max(sim for i, _, sim in pairs if i in srcs),
+            ))
+    return groups, counts

@@ -25,18 +25,15 @@ from lha.evaluate import eval_document_alignment, eval_joint, eval_sentence_alig
 from lha.metrics import CosineScorer, make_scorer, rwmd, wmd
 from lha.pipeline import run_pipeline
 from lha.sent_align import (
-    AlignedGroup,
     FilterPolicy,
     align_sentences,
-    filter_reason,
     merge_components,
     read_groups,
     write_groups,
 )
-from lha.corpus import default_stopwords
 from lha.doc_align import DocPair
 from lha.metrics import OverlapScorer
-from conftest import doc
+from conftest import doc, filter_texts
 from oracles import components_oracle, f1_sweep_oracle, transport_cost_oracle
 from test_pipeline import OUTPUT_FILES, make_workspace, out_bytes
 
@@ -280,28 +277,21 @@ def test_07_pipeline_determinism_and_resume(tmp_path: Path) -> None:
 def test_08_filter_boundary_semantics(tmp_path: Path) -> None:
     policy = FilterPolicy()  # min_overlap 0.4, max_len_ratio 1.5
 
-    def group_of(source_text: str, target_text: str) -> AlignedGroup:
-        return AlignedGroup(
-            source_doc="s", target_doc="t", source_ids=("s#0",),
-            target_ids=("t#0",), source_text=source_text,
-            target_text=target_text, score=0.9,
-        )
-
     # overlap exactly 0.4: two of the target's five content words covered
-    at_min = group_of("alpha beta zeta eta", "alpha beta gamma delta epsilon")
-    assert filter_reason(at_min, policy) is None
+    assert filter_texts("alpha beta zeta eta", "alpha beta gamma delta epsilon",
+                        policy) is None
 
     # overlap 0.399: 399 of 1000 distinct target words covered
     words = [f"tok{i:04d}" for i in range(1000)]
-    below = group_of(" ".join(words[:399] + ["filler"] * 601), " ".join(words))
-    assert filter_reason(below, policy) == "overlap"
+    below = (" ".join(words[:399] + ["filler"] * 601), " ".join(words))
+    assert filter_texts(*below, policy) == "overlap"
 
     # length ratio exactly 1.5 kept, above it dropped
     source = " ".join(f"word{i}" for i in range(10))
-    at_ratio = group_of(source, " ".join(f"word{i % 10}" for i in range(15)))
-    over_ratio = group_of(source, " ".join(f"word{i % 10}" for i in range(16)))
-    assert filter_reason(at_ratio, policy) is None
-    assert filter_reason(over_ratio, policy) == "length_ratio"
+    at_ratio = " ".join(f"word{i % 10}" for i in range(15))
+    over_ratio = " ".join(f"word{i % 10}" for i in range(16))
+    assert filter_texts(source, at_ratio, policy) is None
+    assert filter_texts(source, over_ratio, policy) == "length_ratio"
 
     # an aligned run's survivors re-validate from the output file alone
     src_docs = {
@@ -324,9 +314,8 @@ def test_08_filter_boundary_semantics(tmp_path: Path) -> None:
     write_groups(groups, path)
     reloaded = read_groups(path)
     assert reloaded == groups
-    stopwords = default_stopwords()
     for g in reloaded:
-        assert filter_reason(g, policy, stopwords) is None
+        assert filter_texts(g.source_text, g.target_text, policy) is None
     assert counts["overlap"] >= 1  # the weather pair fails the coverage floor
     report(
         "PASS filter boundaries: coverage 0.4 kept and 0.399 dropped, length "

@@ -6,13 +6,14 @@ import json
 import logging
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from lha.cli import main
 from lha.doc_align import read_doc_pairs
-from lha.embeddings import load_embeddings
-from lha.pipeline import PipelineConfig, run_pipeline
+from lha.embeddings import EmbeddingMatrix, load_embeddings, save_embeddings
+from lha.pipeline import PipelineConfig, PipelineStageError, run_pipeline
 from lha.sent_align import read_groups
 from conftest import _TOY_VECTORS, write_jsonl, write_vectors
 
@@ -251,6 +252,85 @@ class TestStageCommands:
             "--theta-s", "0.6", "--out", str(workspace / "g.jsonl"),
         )
         assert result.exit_code == 2
+
+
+class TestSplitMismatch:
+    """Sentence embeddings made from another split of the corpus are
+    refused: each row would be read for the wrong sentence."""
+
+    @pytest.fixture
+    def mismatched(self, tmp_path) -> Path:
+        # Split without "dr" on the list, "Dr." is a sentence of its own and
+        # the embeddings hold s#0..s#2 and t#0..t#2; the default list splits
+        # each document into two sentences.
+        for side, text in (("source", "Dr. Smith saw the cat. The dog ran home."),
+                           ("target", "Dr. Smith saw the kitten. A puppy ran home.")):
+            write_jsonl(tmp_path / f"{side}.jsonl", [{"id": side[0], "text": text}])
+        write_vectors(tmp_path / "vectors.txt", _TOY_VECTORS)
+        abbreviations = tmp_path / "abbreviations.txt"
+        abbreviations.write_text("mr\nmrs\n", encoding="utf-8")
+        for side in ("source", "target"):
+            result = invoke("embed", "--corpus", str(tmp_path / f"{side}.jsonl"),
+                            "--level", "sent", "--vectors", str(tmp_path / "vectors.txt"),
+                            "--abbreviations", str(abbreviations),
+                            "--out", str(tmp_path / f"sent_{side}.lhae"))
+            assert result.exit_code == 0, result.output
+        (tmp_path / "doc_pairs.tsv").write_text("s\tt\t0.9\n", encoding="utf-8")
+        return tmp_path
+
+    def test_embed_precomputed(self, mismatched) -> None:
+        result = invoke(
+            "embed", "--corpus", str(mismatched / "source.jsonl"), "--level", "sent",
+            "--strategy", f"precomputed:{mismatched / 'sent_source.lhae'}",
+            "--out", str(mismatched / "again.lhae"),
+        )
+        assert result.exit_code == 2
+        assert "'s#2'" in result.output
+        assert not (mismatched / "again.lhae").exists()
+
+    def test_align_sents(self, mismatched) -> None:
+        result = invoke(
+            "align-sents", "--doc-pairs", str(mismatched / "doc_pairs.tsv"),
+            "--source-corpus", str(mismatched / "source.jsonl"),
+            "--target-corpus", str(mismatched / "target.jsonl"),
+            "--source-sent-embeddings", str(mismatched / "sent_source.lhae"),
+            "--target-sent-embeddings", str(mismatched / "sent_target.lhae"),
+            "--k", "1", "--theta-s", "0.6", "--min-overlap", "0.0",
+            "--out", str(mismatched / "groups.jsonl"),
+        )
+        assert result.exit_code == 2
+        assert "'s#2'" in result.output
+        assert not (mismatched / "groups.jsonl").exists()
+
+    def test_pipeline(self, mismatched) -> None:
+        config = PipelineConfig(
+            source_corpus=str(mismatched / "source.jsonl"),
+            target_corpus=str(mismatched / "target.jsonl"),
+            out_dir=str(mismatched / "out"),
+            word_vectors=str(mismatched / "vectors.txt"),
+            sent_strategy="precomputed",
+            sent_embeddings_source=str(mismatched / "sent_source.lhae"),
+            sent_embeddings_target=str(mismatched / "sent_target.lhae"),
+            k_doc=1, k_sent=1, theta_d=0.3, theta_s=0.6, min_overlap=0.0,
+        )
+        with pytest.raises(PipelineStageError, match="'s#2'") as excinfo:
+            run_pipeline(config)
+        assert excinfo.value.stage == "embed_sents_src"
+
+    def test_rows_of_other_documents_allowed(self, mismatched) -> None:
+        # The default split of source.jsonl gives s#0 and s#1; rows of a
+        # document outside the corpus may be split any way.
+        ids = ["s#0", "s#1", "x#0", "x#7"]
+        save_embeddings(
+            EmbeddingMatrix(ids, np.eye(4, dtype=np.float32)), mismatched / "wide.lhae"
+        )
+        result = invoke(
+            "embed", "--corpus", str(mismatched / "source.jsonl"), "--level", "sent",
+            "--strategy", f"precomputed:{mismatched / 'wide.lhae'}",
+            "--out", str(mismatched / "narrow.lhae"),
+        )
+        assert result.exit_code == 0, result.output
+        assert load_embeddings(mismatched / "narrow.lhae").unit_ids == ["s#0", "s#1"]
 
 
 class TestRunCommand:

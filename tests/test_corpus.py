@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -107,6 +108,59 @@ class TestTokenize:
         assert again == first
 
 
+# Characters the joined-text property must hold for: ASCII and non-ASCII
+# letters, digits, underscores, punctuation, quotes, a combining accent and
+# whitespace of every kind that can sit inside a pre-split sentence.
+_JOIN_ALPHABET = (
+    "abcXYZ019_" "éßЖ中ٳ" ".,;:!?-()[]'\"“”‘’«»…" "\u0301" "  \t\n\r\u00a0\u2003"
+)
+
+
+def _random_text(rng: random.Random) -> str:
+    return "".join(rng.choice(_JOIN_ALPHABET) for _ in range(rng.randint(0, 14)))
+
+
+class TestJoinedTextTokens:
+    """A group's text is its members' texts joined by single spaces; the
+    filter and the summary read the members' own tokens instead of
+    tokenising that text again, which must give the same tokens."""
+
+    def test_random_texts(self) -> None:
+        rng = random.Random(0)
+        checked = 0
+        for _ in range(3000):
+            texts = [_random_text(rng).strip() for _ in range(rng.randint(1, 4))]
+            texts = [t for t in texts if t]
+            if not texts:
+                continue
+            joined = tokenize(" ".join(texts))
+            assert joined == tuple(t for text in texts for t in tokenize(text)), texts
+            checked += 1
+        assert checked > 2500
+
+    def test_parsed_sentences_of_a_corpus(self, tmp_path) -> None:
+        rng = random.Random(1)
+        records = []
+        for n in range(60):
+            sentences = [_random_text(rng) + rng.choice("abc") for _ in range(4)]
+            records.append({"id": f"p{n}", "sentences": sentences})
+            records.append({"id": f"r{n}", "text": ". ".join(sentences) + "."})
+        path = write_jsonl(tmp_path / "c.jsonl", records)
+        stopwords = default_stopwords()
+        spans = 0
+        for document in load_corpus(path):
+            members = document.sentences
+            for start in range(len(members)):
+                for end in range(start + 1, min(start + 4, len(members)) + 1):
+                    span = members[start:end]
+                    text = " ".join(s.text for s in span)
+                    assert tokenize(text, stopwords) == tuple(
+                        t for s in span for t in s.tokens
+                    ), text
+                    spans += 1
+        assert spans > 500
+
+
 class TestContentTokens:
     def test_stopword_and_punct_removed(self) -> None:
         assert content_tokens(tokenize("The cat sat.")) == ["cat", "sat"]
@@ -152,6 +206,16 @@ class TestLoadCorpus:
             [{"id": "d1", "text": "A."}, {"id": "d1", "text": "B."}],
         )
         with pytest.raises(DuplicateDocumentError, match="'d1'") as exc:
+            list(load_corpus(path))
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("doc_id", ["a\tx", "a\nx", "a\rx", "\t"])
+    def test_id_with_tab_or_line_break_rejected(self, tmp_path, doc_id) -> None:
+        # Ids are fields of tab-separated, line-based outputs (doc_pairs.tsv).
+        path = write_jsonl(
+            tmp_path / "c.jsonl", [{"id": "d1", "text": "A."}, {"id": doc_id, "text": "B."}]
+        )
+        with pytest.raises(CorpusError, match="tab or line break") as exc:
             list(load_corpus(path))
         assert exc.value.line == 2
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import lha.pipeline
+import lha.sent_align
 from lha import __version__
 from lha.pipeline import (
     PipelineConfig,
@@ -23,7 +24,7 @@ from conftest import _TOY_VECTORS, write_jsonl, write_vectors
 
 ALL_STAGES = [
     "embed_docs_src", "embed_docs_tgt", "align_docs",
-    "embed_sents_src", "embed_sents_tgt", "align_sents", "summary",
+    "embed_sents_src", "embed_sents_tgt", "align_sents",
 ]
 
 OUTPUT_FILES = [
@@ -457,6 +458,44 @@ class TestParseOnce:
             s for s in ALL_STAGES if scorer == "cosine" or not s.startswith("embed_sents")
         )
         assert parsed == []
+
+
+class TestTokeniseOnce:
+    @pytest.mark.parametrize("filter_stage", ["group", "pair"])
+    def test_run_never_tokenises_outside_parsing(
+        self, tmp_path, monkeypatch, filter_stage
+    ) -> None:
+        config = dataclasses.replace(make_workspace(tmp_path), filter_stage=filter_stage)
+        expected = run_pipeline(config)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("tokenize called outside parsing")
+
+        monkeypatch.setattr(lha.pipeline, "tokenize", refuse)
+        monkeypatch.setattr(lha.sent_align, "tokenize", refuse)
+        again = run_pipeline(dataclasses.replace(config, out_dir=str(tmp_path / "again")))
+        assert again.summary == expected.summary
+        assert again.summary["mean_source_tokens"] > 0
+
+
+class TestGroupsTsv:
+    def test_one_line_per_group(self, tmp_path) -> None:
+        config = make_workspace(tmp_path)
+        write_jsonl(Path(config.source_corpus), [
+            {"id": "s1", "sentences": ["The dog\nran home."]},
+        ])
+        write_jsonl(Path(config.target_corpus), [
+            {"id": "t1", "sentences": ["A puppy\tran home."]},
+        ])
+        run_pipeline(config)
+        out_dir = Path(config.out_dir)
+        assert (out_dir / "groups.tsv").read_text("utf-8") == (
+            "The dog ran home.\tA puppy ran home.\n"
+        )
+        (group,) = read_groups(out_dir / "groups.jsonl")
+        assert (group.source_text, group.target_text) == (
+            "The dog\nran home.", "A puppy\tran home."
+        )
 
 
 class TestHashOnce:

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import json
 import logging
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from lha.corpus import default_stopwords
+from lha.corpus import Document, default_stopwords
 from lha.doc_align import DocPair
 from lha.embeddings import AvgEmbedder
 from lha.metrics import CosineScorer, OverlapScorer
@@ -19,8 +21,6 @@ from lha.sent_align import (
     SimMatrix,
     align_sentences,
     extract_nn_pairs,
-    filter_groups,
-    filter_reason,
     load_exclusion_set,
     merge_components,
     merge_groups,
@@ -30,8 +30,8 @@ from lha.sent_align import (
     write_groups,
     write_groups_tsv,
 )
-from conftest import doc
-from oracles import components_oracle
+from conftest import doc, filter_texts
+from oracles import align_sentences_oracle, components_oracle
 
 
 def group_of(source_text: str, target_text: str, score: float = 0.9) -> AlignedGroup:
@@ -195,7 +195,9 @@ class TestMergeGroups:
         src = doc("a", ["The cat sat.", "An apple fell."])
         tgt = doc("b", ["A kitten sat.", "Banana bread.", "Fresh bread."])
         pairs = [(0, 0, 0.95), (1, 1, 0.8), (1, 2, 0.85)]
-        groups = merge_groups(pairs, src, tgt)
+        merged = merge_groups(pairs, src, tgt)
+        assert [(srcs, tgts) for srcs, tgts, _ in merged] == [((0,), (0,)), ((1,), (1, 2))]
+        groups = [g for _, _, g in merged]
         assert len(groups) == 2
         pets, food = groups
         assert pets.source_ids == ("a#0",) and pets.target_ids == ("b#0",)
@@ -210,57 +212,48 @@ class TestMergeGroups:
         src = doc("a", ["One.", "Two."])
         tgt = doc("b", ["Eins.", "Zwei."])
         pairs = [(0, 0, 0.7), (0, 1, 0.9), (1, 1, 0.6)]
-        (group,) = merge_groups(pairs, src, tgt)
+        ((_, _, group),) = merge_groups(pairs, src, tgt)
         assert group.score == pytest.approx(0.9)
 
     def test_sides_in_document_order(self) -> None:
         src = doc("a", ["First.", "Second.", "Third."])
         tgt = doc("b", ["Uno.", "Dos."])
         pairs = [(2, 0, 0.5), (0, 0, 0.6), (0, 1, 0.7)]
-        (group,) = merge_groups(pairs, src, tgt)
+        ((srcs, tgts, group),) = merge_groups(pairs, src, tgt)
+        assert (srcs, tgts) == ((0, 2), (0, 1))
         assert group.source_text == "First. Third."
         assert group.target_text == "Uno. Dos."
 
 
 class TestFilters:
     def test_identical_text_kept(self) -> None:
-        group = group_of("Plain words here.", "Plain words here.")
-        assert filter_reason(group, FilterPolicy()) is None
+        assert filter_texts("Plain words here.", "Plain words here.", FilterPolicy()) is None
 
     def test_length_ratio_boundary(self) -> None:
         source = " ".join(f"word{i}" for i in range(10))
         kept_target = " ".join(f"word{i % 10}" for i in range(15))
         dropped_target = " ".join(f"word{i % 10}" for i in range(16))
-        assert filter_reason(group_of(source, kept_target), FilterPolicy()) is None
-        assert (
-            filter_reason(group_of(source, dropped_target), FilterPolicy())
-            == "length_ratio"
-        )
+        assert filter_texts(source, kept_target, FilterPolicy()) is None
+        assert filter_texts(source, dropped_target, FilterPolicy()) == "length_ratio"
 
     def test_overlap_boundary_exact_minimum_kept(self) -> None:
         # target has 5 distinct content words, source covers 2: overlap 0.4
         source = "alpha beta zeta eta"
         target = "alpha beta gamma delta epsilon"
-        assert filter_reason(group_of(source, target), FilterPolicy()) is None
+        assert filter_texts(source, target, FilterPolicy()) is None
 
     def test_overlap_just_below_minimum_dropped(self) -> None:
         words = [f"tok{i:04d}" for i in range(1000)]
         target = " ".join(words)
         source = " ".join(words[:399] + ["unrelated"] * 601)
-        group = group_of(source, target)
-        assert filter_reason(group, FilterPolicy()) == "overlap"
+        assert filter_texts(source, target, FilterPolicy()) == "overlap"
 
     def test_exclusion_set(self) -> None:
         policy = FilterPolicy(
             exclusion_set=frozenset({normalize_pair_key("Held OUT.", "Held  out.")})
         )
-        assert filter_reason(group_of("Held out.", "Held out."), policy) == "excluded"
-        assert filter_reason(group_of("Kept in.", "Kept in."), policy) is None
-
-    def test_filter_groups_keeps_passers(self) -> None:
-        good = group_of("Plain words here.", "Plain words here.")
-        bad = group_of("alpha beta", "gamma delta epsilon zeta")
-        assert filter_groups([good, bad], FilterPolicy()) == [good]
+        assert filter_texts("Held out.", "Held out.", policy) == "excluded"
+        assert filter_texts("Kept in.", "Kept in.", policy) is None
 
     def test_policy_validation(self) -> None:
         with pytest.raises(ValueError, match="min_overlap"):
@@ -390,6 +383,93 @@ class TestAlignSentences:
             assert len(g.source_ids) == 1 and len(g.target_ids) == 1
 
 
+# Content words, stopwords, numbers, punctuation and non-ASCII words, so that
+# overlaps such as 1/3 and 1/2 and length ratios such as 1.5 occur exactly.
+_WORDS = (
+    "cat dog sun rain tree boat milk bread café naïve "
+    "the a of and is 3 42 3rd , . ! ? 's"
+).split()
+
+
+def _random_doc(rng: random.Random, doc_id: str) -> Document:
+    texts = []
+    for _ in range(rng.randint(1, 5)):
+        words = [rng.choice(_WORDS) for _ in range(rng.randint(1, 6))]
+        glue = rng.choice([" "] * 6 + ["\n", "\t", "  "])
+        texts.append(glue.join(words).capitalize())
+    return doc(doc_id, texts)
+
+
+class TestTextOracle:
+    """The filter and the token totals read each member sentence's parsed
+    tokens; they must decide and count as the rule applied to each group's
+    text, re-tokenised, does."""
+
+    POLICIES = [
+        dict(min_overlap=0.5, max_len_ratio=1.5),
+        dict(min_overlap=0.0, max_len_ratio=1.0),
+        dict(min_overlap=1.0, max_len_ratio=2.0),
+        dict(min_overlap=1 / 3, max_len_ratio=0.5),
+        dict(min_overlap=0.4, max_len_ratio=1.5, exclusion=True),
+    ]
+
+    def corpora(self, seed: int):
+        rng = random.Random(seed)
+        src_docs = {f"s{n}": _random_doc(rng, f"s{n}") for n in range(5)}
+        # A copy of s0, so its groups come again as duplicates.
+        src_docs["s5"] = doc("s5", [s.text for s in src_docs["s0"].sentences])
+        tgt_docs = {f"t{n}": _random_doc(rng, f"t{n}") for n in range(6)}
+        doc_pairs = [DocPair(s, t, 0.9) for s in src_docs for t in tgt_docs]
+        doc_pairs.append(DocPair("s0", "missing", 0.9))
+        return src_docs, tgt_docs, doc_pairs
+
+    def exclusion_for(self, src_docs, tgt_docs, doc_pairs) -> frozenset:
+        """Every third group of an unfiltered run, in another case and spacing."""
+        groups = align_sentences(
+            doc_pairs, src_docs, tgt_docs, OverlapScorer(), k=2, theta_s=0.0,
+            policy=FilterPolicy(min_overlap=0.0, max_len_ratio=100.0),
+        )
+        return frozenset(
+            normalize_pair_key(g.source_text.upper(), "  " + g.target_text)
+            for g in list(groups)[::3]
+        )
+
+    def test_groups_and_counts_match_text_oracle(self) -> None:
+        stopwords = default_stopwords()
+        boundary: Counter = Counter()
+        reasons: Counter = Counter()
+        for seed in range(8):
+            src_docs, tgt_docs, doc_pairs = self.corpora(seed)
+            exclusion = self.exclusion_for(src_docs, tgt_docs, doc_pairs)
+            for spec in self.POLICIES:
+                for stage in ("group", "pair"):
+                    policy = FilterPolicy(
+                        min_overlap=spec["min_overlap"],
+                        max_len_ratio=spec["max_len_ratio"],
+                        exclusion_set=exclusion if spec.get("exclusion") else frozenset(),
+                        stage=stage,
+                    )
+                    for theta_s in (0.0, 0.3):
+                        args = (doc_pairs, src_docs, tgt_docs, OverlapScorer(), 2, theta_s)
+                        counts: dict[str, int] = {}
+                        groups = list(align_sentences(
+                            *args, policy=policy, drop_counts=counts
+                        ))
+                        expected, expected_counts = align_sentences_oracle(
+                            *args, policy, stopwords, boundary
+                        )
+                        assert groups == expected, (seed, spec, stage, theta_s)
+                        assert counts == expected_counts, (seed, spec, stage, theta_s)
+                        reasons.update({k: counts[k] for k in (
+                            "overlap", "length_ratio", "excluded", "duplicate"
+                        )})
+        # The fixtures reach both bounds exactly and every drop reason.
+        assert boundary["overlap"] > 0 and boundary["length_ratio"] > 0, boundary
+        assert all(reasons[k] > 0 for k in (
+            "overlap", "length_ratio", "excluded", "duplicate"
+        )), reasons
+
+
 class TestGroupIo:
     def test_jsonl_round_trip_and_field_names(self, tmp_path) -> None:
         groups = [
@@ -424,6 +504,12 @@ class TestGroupIo:
         assert write_groups_tsv(groups, path) == 2
         assert path.read_text(encoding="utf-8") == "A b.\tC d.\nE f.\tG h.\n"
 
+    def test_tsv_keeps_one_line_per_group(self, tmp_path) -> None:
+        groups = [group_of("The dog\nran home.", "A puppy\tran\r home.")]
+        path = tmp_path / "groups.tsv"
+        write_groups_tsv(groups, path)
+        assert path.read_bytes() == b"The dog ran home.\tA puppy ran  home.\n"
+
     def test_filter_soundness_recheckable_from_file(self, tmp_path, toy_table) -> None:
         src_docs, tgt_docs, scorer = pet_food_corpora(toy_table)
         doc_pairs = [DocPair("s1", "t1", 0.9), DocPair("s2", "t2", 0.8)]
@@ -435,6 +521,5 @@ class TestGroupIo:
         )
         path = tmp_path / "groups.jsonl"
         write_groups(groups, path)
-        stopwords = default_stopwords()
         for g in read_groups(path):
-            assert filter_reason(g, policy, stopwords) is None
+            assert filter_texts(g.source_text, g.target_text, policy) is None
