@@ -6,6 +6,6 @@ inside each document pair extracts, merges and filters aligned groups. The
 evaluate module measures both stages against hand-labelled data.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = ["__version__"]

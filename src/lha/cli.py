@@ -15,6 +15,7 @@ from .corpus import corpus_index, load_abbreviations, load_corpus, load_stopword
 from .doc_align import align_documents, read_doc_pairs, write_doc_pairs
 from .embeddings import (
     AvgEmbedder,
+    EmbeddingLookupError,
     PrecomputedEmbedder,
     check_sentence_rows,
     embed_corpus,
@@ -93,7 +94,7 @@ def embed(corpus, level, strategy, vectors, out, dataset_tag, stopwords,
     )
     try:
         matrix = embed_corpus(docs, "document" if level == "doc" else "sentence", embedder)
-    except ValueError as e:
+    except (ValueError, EmbeddingLookupError) as e:
         raise click.UsageError(str(e)) from e
     save_embeddings(matrix, out)
     logger.info("wrote %d x %d embeddings to %s", matrix.count, matrix.dim, out)
@@ -184,10 +185,12 @@ def align_sents(doc_pairs, source_corpus, target_corpus, scorer, vectors,
             ("target_embedder", target_sent_embeddings, tgt_docs),
         ):
             matrix = load_embeddings(path)
-            uids = {s.uid for d in docs.values() for s in d.sentences}
+            uids = [s.uid for d in docs.values() for s in d.sentences]
             try:
-                check_sentence_rows(matrix, docs, uids)
-            except ValueError as e:
+                check_sentence_rows(matrix, docs, set(uids))
+                for uid in uids:
+                    matrix.row_index(uid)
+            except (ValueError, EmbeddingLookupError) as e:
                 raise click.UsageError(f"{path}: {e}") from e
             embedders[key] = PrecomputedEmbedder(matrix)
     scorer_obj = _scorer(

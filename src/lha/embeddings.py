@@ -45,6 +45,8 @@ class EmbeddingFormatError(ValueError):
 class EmbeddingLookupError(KeyError):
     """A requested unit id has no row in a precomputed matrix."""
 
+    __str__ = Exception.__str__  # the message unquoted, unlike KeyError's
+
 
 class WordVectorTable:
     """Lowercased token -> float64 vector, loaded from a textual vector file."""

@@ -9,6 +9,7 @@ arithmetic so results match an exhaustive oracle bit-for-bit.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import math
@@ -20,10 +21,10 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .ann_index import _top_by_similarity, build_index
-from .corpus import Document, Sentence
+from .corpus import Document, Sentence, load_corpus
 from .doc_align import align_documents
 from .embeddings import AvgEmbedder, PrecomputedEmbedder, embed_corpus
-from .metrics import CosineScorer, Scorer, UnembeddableSentenceError
+from .metrics import CosineScorer, Scorer
 from .sent_align import sentence_sim_matrix
 
 __all__ = [
@@ -314,8 +315,6 @@ def load_eval_dataset(root: Path | str) -> EvalDataset:
     line), gold_pairs.jsonl (labelled sentence pairs keyed docid#ordinal),
     and noise_source_docs.jsonl / noise_target_docs.jsonl (distractor pools).
     """
-    from .corpus import load_corpus
-
     root = Path(root)
     missing = [name for name in _DATASET_FILES if not (root / name).exists()]
     if missing:
@@ -397,20 +396,11 @@ def eval_sentence_alignment(
 
 
 def _with_timing(report: EvalReport, wall: float, details: dict) -> EvalReport:
-    throughput = report.scored_pairs / wall if wall > 0 else 0.0
-    merged = dict(report.details)
-    merged.update(details)
-    return EvalReport(
-        f1_max=report.f1_max,
-        precision_at_max=report.precision_at_max,
-        recall_at_max=report.recall_at_max,
-        best_threshold=report.best_threshold,
-        positives_total=report.positives_total,
-        retrieved_at_max=report.retrieved_at_max,
-        throughput_units_per_sec=throughput,
+    return dataclasses.replace(
+        report,
+        throughput_units_per_sec=report.scored_pairs / wall if wall > 0 else 0.0,
         wall_clock_sec=wall,
-        scored_pairs=report.scored_pairs,
-        details=merged,
+        details={**report.details, **details},
     )
 
 
@@ -441,15 +431,14 @@ def _doc_sim_matrix(
         src_m = embed_corpus(src_list, "document", embedder)
         tgt_m = embed_corpus(tgt_list, "document", embedder)
         return src_m.rows.astype(np.float64) @ tgt_m.rows.astype(np.float64).T
-    from .corpus import content_tokens
+    if isinstance(scorer, CosineScorer):
+        raise ValueError("for document cosine, pass embedder= instead of a scorer")
 
-    src_bags = [content_tokens(d.tokens()) for d in src_list]
-    tgt_bags = [content_tokens(d.tokens()) for d in tgt_list]
-    out = np.zeros((len(src_bags), len(tgt_bags)), dtype=np.float64)
-    for i, x in enumerate(src_bags):
-        for j, y in enumerate(tgt_bags):
-            out[i, j] = scorer.score_bags(x, y)
-    return out
+    def whole(d: Document) -> Sentence:
+        """The document as one sentence holding all of its tokens."""
+        return Sentence(d.doc_id, 0, "", tuple(d.tokens()))
+
+    return scorer.matrix([whole(d) for d in src_list], [whole(d) for d in tgt_list])
 
 
 def eval_document_alignment(
@@ -462,7 +451,7 @@ def eval_document_alignment(
     """The document-identification protocol: mix the gold articles with noise
     articles on both sides, score every cross pair, sweep against the gold
     article pairs. Scoring uses either document embeddings (cosine) or a
-    word-count scorer over document token bags.
+    non-cosine scorer over whole documents.
     """
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -508,12 +497,9 @@ def _rescore(
     out: dict[PairKey, float] = {}
     for s_uid, cands in by_source.items():
         cands.sort(key=lambda c: (-c[0], c[1]))
-        src_sentence = src_by_uid[s_uid]
-        for sim, t_uid in cands[:top]:
-            try:
-                out[(s_uid, t_uid)] = rescorer.score(src_sentence, tgt_by_uid[t_uid])
-            except UnembeddableSentenceError:
-                out[(s_uid, t_uid)] = 0.0
+        t_uids = [t_uid for _, t_uid in cands[:top]]
+        row = rescorer.matrix([src_by_uid[s_uid]], [tgt_by_uid[t] for t in t_uids])[0]
+        out.update({(s_uid, t): sim for t, sim in zip(t_uids, row.tolist())})
     return out
 
 

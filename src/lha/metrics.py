@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -18,7 +18,7 @@ from scipy.sparse import coo_matrix
 from scipy.spatial.distance import cdist
 
 from .corpus import Document, Sentence, content_tokens
-from .embeddings import AvgEmbedder, PrecomputedEmbedder, WordVectorTable, embed_avg
+from .embeddings import AvgEmbedder, PrecomputedEmbedder, WordVectorTable
 
 __all__ = [
     "UnembeddableSentenceError",
@@ -112,7 +112,9 @@ def bm25(query: Sequence[str], doc: Sequence[str], stats: Bm25Stats) -> float:
     ratio = dl / stats.avg_doc_len if stats.avg_doc_len > 0 else 0.0
     norm = stats.k1 * (1.0 - stats.b + stats.b * ratio)
     score = 0.0
-    for term in set(query):
+    # First-occurrence order, not set order: float sums must not depend on
+    # the per-process string hash seed.
+    for term in dict.fromkeys(query):
         f = tf.get(term, 0)
         if f == 0:
             continue
@@ -228,28 +230,15 @@ def to_similarity(distance: float, scheme: str = "inverse") -> float:
 
 
 class Scorer:
-    """Pairwise sentence similarity with a batched matrix form.
-
-    ``score`` raises on sentences the metric cannot handle (no in-vocabulary
-    content tokens for the transport metrics); ``matrix`` instead scores such
-    sentences 0 against everything, which is what alignment wants.
+    """Sentence similarity: ``matrix(xs, ys)[i, j]`` scores ``xs[i]`` against
+    ``ys[j]``. A sentence the metric cannot handle (for the transport metrics,
+    one with no in-vocabulary content token) scores 0 against everything.
     """
 
     kind: str = "?"
 
-    def score(self, x: Sentence, y: Sentence) -> float:
-        raise NotImplementedError
-
-    def score_bags(self, x: Sequence[str], y: Sequence[str]) -> float:
-        """Score two plain token bags (document-level evaluation path)."""
-        raise NotImplementedError
-
     def matrix(self, xs: Sequence[Sentence], ys: Sequence[Sentence]) -> np.ndarray:
-        out = np.zeros((len(xs), len(ys)), dtype=np.float64)
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                out[i, j] = self.score(x, y)
-        return out
+        raise NotImplementedError
 
 
 class CosineScorer(Scorer):
@@ -277,17 +266,6 @@ class CosineScorer(Scorer):
         self.embedder = embedder
         self.target_embedder = target_embedder
 
-    def score(self, x: Sentence, y: Sentence) -> float:
-        return cosine(
-            self.embedder.sentence_vector(x), self.target_embedder.sentence_vector(y)
-        )
-
-    def score_bags(self, x: Sequence[str], y: Sequence[str]) -> float:
-        if not isinstance(self.embedder, AvgEmbedder):
-            raise ValueError("token-bag scoring needs a word-vector embedder")
-        table = self.embedder.table
-        return cosine(embed_avg(list(x), table), embed_avg(list(y), table))
-
     def source_rows(self, xs: Sequence[Sentence]) -> np.ndarray:
         return _unit_rows(self.embedder.sentence_rows(xs))
 
@@ -308,12 +286,6 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
 class OverlapScorer(Scorer):
     kind = "overlap"
 
-    def score(self, x: Sentence, y: Sentence) -> float:
-        return unigram_overlap(content_tokens(x), content_tokens(y))
-
-    def score_bags(self, x: Sequence[str], y: Sequence[str]) -> float:
-        return unigram_overlap(x, y)
-
     def matrix(self, xs: Sequence[Sentence], ys: Sequence[Sentence]) -> np.ndarray:
         x_sets = [set(content_tokens(x)) for x in xs]
         y_sets = [set(content_tokens(y)) for y in ys]
@@ -332,12 +304,6 @@ class Bm25Scorer(Scorer):
     def __init__(self, stats: Bm25Stats):
         self.stats = stats
 
-    def score(self, x: Sentence, y: Sentence) -> float:
-        return bm25(content_tokens(x), content_tokens(y), self.stats)
-
-    def score_bags(self, x: Sequence[str], y: Sequence[str]) -> float:
-        return bm25(list(x), list(y), self.stats)
-
     def matrix(self, xs: Sequence[Sentence], ys: Sequence[Sentence]) -> np.ndarray:
         x_bags = [content_tokens(x) for x in xs]
         y_bags = [content_tokens(y) for y in ys]
@@ -349,23 +315,10 @@ class Bm25Scorer(Scorer):
 
 
 class _TransportScorer(Scorer):
+    _distance: Callable[[_Nbow, _Nbow], float]
+
     def __init__(self, table: WordVectorTable):
         self.table = table
-
-    def _distance(self, nx: _Nbow, ny: _Nbow) -> float:
-        raise NotImplementedError
-
-    def score(self, x: Sentence, y: Sentence) -> float:
-        nx = _require_nbow(x, self.table)
-        ny = _require_nbow(y, self.table)
-        return to_similarity(self._distance(nx, ny))
-
-    def score_bags(self, x: Sequence[str], y: Sequence[str]) -> float:
-        nx = _nbow(list(x), self.table)
-        ny = _nbow(list(y), self.table)
-        if nx is None or ny is None:
-            return 0.0
-        return to_similarity(self._distance(nx, ny))
 
     def matrix(self, xs: Sequence[Sentence], ys: Sequence[Sentence]) -> np.ndarray:
         x_nb = [_nbow(x, self.table) for x in xs]
@@ -383,16 +336,12 @@ class _TransportScorer(Scorer):
 
 class WmdScorer(_TransportScorer):
     kind = "wmd"
-
-    def _distance(self, nx: _Nbow, ny: _Nbow) -> float:
-        return _wmd_nbow(nx, ny)
+    _distance = staticmethod(_wmd_nbow)
 
 
 class RwmdScorer(_TransportScorer):
     kind = "rwmd"
-
-    def _distance(self, nx: _Nbow, ny: _Nbow) -> float:
-        return _rwmd_nbow(nx, ny)
+    _distance = staticmethod(_rwmd_nbow)
 
 
 def make_scorer(

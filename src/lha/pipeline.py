@@ -114,6 +114,12 @@ class PipelineConfig:
         missing = [k for k in required if k not in raw]
         if missing:
             raise ValueError(f"{path}: missing required keys: {', '.join(missing)}")
+        for f in fields(cls):
+            if f.name in raw and not _json_matches(raw[f.name], str(f.type)):
+                raise ValueError(
+                    f"{path}: config key {f.name!r} expects {f.type}, "
+                    f"got {raw[f.name]!r}"
+                )
         return cls(**raw)
 
     def with_overrides(self, overrides: Sequence[str]) -> "PipelineConfig":
@@ -128,6 +134,17 @@ class PipelineConfig:
                 raise ValueError(f"unknown config key {key!r}")
             updates[key] = _coerce(value, by_name[key].type, key)
         return dataclasses.replace(self, **updates)
+
+
+# The JSON value types each field annotation accepts. Types are matched
+# exactly, so true and false never stand for a number.
+_JSON_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _json_matches(value: object, annotation: str) -> bool:
+    if value is None:
+        return "None" in annotation
+    return type(value) in _JSON_TYPES[annotation.split(" | ")[0]]
 
 
 def _coerce(value: str, annotation: object, key: str):
@@ -275,9 +292,11 @@ class _Manifest:
         if path.exists():
             try:
                 loaded = json.loads(path.read_text("utf-8"))
-                if isinstance(loaded, dict) and "stages" in loaded:
-                    self.data = loaded
-            except json.JSONDecodeError:
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                loaded = None
+            if isinstance(loaded, dict) and isinstance(loaded.get("stages"), dict):
+                self.data = loaded
+            else:
                 logger.warning("ignoring unreadable manifest at %s", path)
         self.data["tool_version"] = __version__
         # Content hash of every file read or written in this run.
@@ -308,13 +327,14 @@ class _Manifest:
         }
         params = json.loads(json.dumps(stage.params, sort_keys=True))
         record = self.data["stages"].get(stage.name)
+        recorded = record.get("outputs") if isinstance(record, dict) else None
         if (
-            record
+            isinstance(recorded, dict)
             and record.get("tool_version") == __version__
             and record.get("inputs") == inputs
             and record.get("params") == params
             and all(
-                p.exists() and record.get("outputs", {}).get(p.name) == self.hash(p)
+                p.exists() and recorded.get(p.name) == self.hash(p)
                 for p in stage.outputs
             )
         ):

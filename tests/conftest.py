@@ -4,12 +4,26 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
 
-from lha.corpus import Document, Sentence, tokenize
+from lha.corpus import Document, Sentence, content_tokens, tokenize
 from lha.embeddings import WordVectorTable
+from lha.metrics import (
+    Bm25Scorer,
+    CosineScorer,
+    OverlapScorer,
+    Scorer,
+    UnembeddableSentenceError,
+    bm25,
+    cosine,
+    rwmd,
+    to_similarity,
+    unigram_overlap,
+    wmd,
+)
 from lha.sent_align import FilterPolicy, filter_reason
 
 
@@ -33,6 +47,28 @@ def filter_texts(source_text: str, target_text: str, policy: FilterPolicy) -> st
     return filter_reason(
         (sent(source_text, "s"),), (sent(target_text, "t"),), policy
     )
+
+
+def pair_score(
+    scorer: Scorer, x: Sentence | Sequence[str], y: Sentence | Sequence[str]
+) -> float:
+    """The cell ``scorer.matrix([x], [y])`` should hold, from the module's
+    per-pair metric. Except for cosine, a side may also be a bag of content
+    tokens. A transport side with no in-vocabulary token scores 0."""
+    if isinstance(scorer, CosineScorer):
+        return cosine(
+            scorer.embedder.sentence_vector(x), scorer.target_embedder.sentence_vector(y)
+        )
+    x, y = (content_tokens(u) if isinstance(u, Sentence) else list(u) for u in (x, y))
+    if isinstance(scorer, OverlapScorer):
+        return unigram_overlap(x, y)
+    if isinstance(scorer, Bm25Scorer):
+        return bm25(x, y, scorer.stats)
+    distance = {"wmd": wmd, "rwmd": rwmd}[scorer.kind]
+    try:
+        return to_similarity(distance(x, y, scorer.table))
+    except UnembeddableSentenceError:
+        return 0.0
 
 
 def write_jsonl(path: Path, records: list[dict]) -> Path:

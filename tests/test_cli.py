@@ -333,6 +333,51 @@ class TestSplitMismatch:
         assert load_embeddings(mismatched / "narrow.lhae").unit_ids == ["s#0", "s#1"]
 
 
+class TestMissingRows:
+    """Precomputed sentence embeddings with no row for a sentence of the
+    corpus are a usage error that names the sentence."""
+
+    @pytest.fixture
+    def two_rows(self, tmp_path) -> Path:
+        texts = ["The cat sat.", "A dog ran.", "Rain fell.", "Snow fell."]
+        write_jsonl(tmp_path / "a.jsonl", [{"id": "a", "sentences": texts}])
+        write_jsonl(tmp_path / "b.jsonl", [{"id": "b", "sentences": texts}])
+        save_embeddings(
+            EmbeddingMatrix(["a#0", "a#1"], np.eye(2, 3, dtype=np.float32)),
+            tmp_path / "two.lhae",
+        )
+        save_embeddings(
+            EmbeddingMatrix([f"b#{i}" for i in range(4)], np.eye(4, 3, dtype=np.float32)),
+            tmp_path / "four.lhae",
+        )
+        (tmp_path / "doc_pairs.tsv").write_text("a\tb\t0.9\n", encoding="utf-8")
+        return tmp_path
+
+    def test_embed_precomputed(self, two_rows) -> None:
+        result = invoke(
+            "embed", "--corpus", str(two_rows / "a.jsonl"), "--level", "sent",
+            "--strategy", f"precomputed:{two_rows / 'two.lhae'}",
+            "--out", str(two_rows / "again.lhae"),
+        )
+        assert result.exit_code == 2
+        assert "no embedding row for unit id 'a#2'" in result.output
+        assert not (two_rows / "again.lhae").exists()
+
+    def test_align_sents(self, two_rows) -> None:
+        result = invoke(
+            "align-sents", "--doc-pairs", str(two_rows / "doc_pairs.tsv"),
+            "--source-corpus", str(two_rows / "a.jsonl"),
+            "--target-corpus", str(two_rows / "b.jsonl"),
+            "--source-sent-embeddings", str(two_rows / "two.lhae"),
+            "--target-sent-embeddings", str(two_rows / "four.lhae"),
+            "--k", "1", "--theta-s", "0.6", "--min-overlap", "0.0",
+            "--out", str(two_rows / "groups.jsonl"),
+        )
+        assert result.exit_code == 2
+        assert "two.lhae: no embedding row for unit id 'a#2'" in result.output
+        assert not (two_rows / "groups.jsonl").exists()
+
+
 class TestRunCommand:
     def test_run_emits_summary_json(self, workspace) -> None:
         result = invoke("run", "--config", str(workspace / "config.json"))
@@ -377,6 +422,26 @@ class TestRunCommand:
                         "--set", f"out_dir={workspace / 'out_quiet'}")
         assert result.exit_code == 0
         assert "INFO" not in result.stderr
+
+
+class TestConfigTypes:
+    """A config value of the wrong JSON type is a usage error naming the key,
+    before anything runs."""
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("validate", "theta_s", "0.7"),
+        ("run", "k_doc", 2.5),
+        ("run", "emit_tsv", "false"),
+    ])
+    def test_wrong_type_is_usage_error(self, workspace, command, key, value) -> None:
+        path = workspace / "config.json"
+        config = json.loads(path.read_text("utf-8"))
+        config[key] = value
+        path.write_text(json.dumps(config), encoding="utf-8")
+        result = invoke(command, "--config", str(path))
+        assert result.exit_code == 2
+        assert f"config key '{key}'" in result.output
+        assert not (workspace / "out").exists()
 
 
 class TestValidateCommand:

@@ -8,12 +8,15 @@ import json
 import numpy as np
 import pytest
 
+from lha.corpus import content_tokens
 from lha.embeddings import AvgEmbedder, EmbeddingMatrix, PrecomputedEmbedder, embed_corpus
 from lha.evaluate import (
     LABELS,
     EvalDataset,
     EvalReport,
     GoldPair,
+    _doc_sim_matrix,
+    _rescore,
     eval_document_alignment,
     eval_joint,
     eval_sentence_alignment,
@@ -24,8 +27,15 @@ from lha.evaluate import (
     normalize_label,
     save_gold_pairs,
 )
-from lha.metrics import CosineScorer, OverlapScorer, WmdScorer
-from conftest import doc, write_jsonl
+from lha.metrics import (
+    Bm25Scorer,
+    Bm25Stats,
+    CosineScorer,
+    OverlapScorer,
+    RwmdScorer,
+    WmdScorer,
+)
+from conftest import doc, pair_score, write_jsonl
 from oracles import f1_sweep_oracle
 
 
@@ -306,6 +316,32 @@ class TestDocumentProtocol:
         with pytest.raises(ValueError, match="exactly one"):
             eval_document_alignment(dataset, n_noise=1)
 
+    def test_scorer_route_scores_whole_documents(self, toy_table) -> None:
+        # The noise articles have no in-vocabulary token: their transport
+        # cells are 0.
+        dataset = topical_dataset()
+        src_list = [*dataset.src_docs.values(), *dataset.noise_src]
+        tgt_list = [*dataset.tgt_docs.values(), *dataset.noise_tgt]
+        stats = Bm25Stats.from_documents(content_tokens(d.tokens()) for d in tgt_list)
+        for scorer in (OverlapScorer(), Bm25Scorer(stats), WmdScorer(toy_table),
+                       RwmdScorer(toy_table)):
+            sims = _doc_sim_matrix(src_list, tgt_list, None, scorer)
+            assert sims.shape == (3, 3)
+            for i, s in enumerate(src_list):
+                for j, t in enumerate(tgt_list):
+                    expected = pair_score(
+                        scorer, content_tokens(s.tokens()), content_tokens(t.tokens())
+                    )
+                    assert sims[i, j] == expected, (scorer.kind, s.doc_id, t.doc_id)
+            assert sims[0, 0] > 0.0
+
+    def test_scorer_route_refuses_cosine(self, toy_table) -> None:
+        with pytest.raises(ValueError, match="embedder="):
+            eval_document_alignment(
+                topical_dataset(), scorer=CosineScorer(AvgEmbedder(toy_table)),
+                n_noise=1,
+            )
+
     def test_noise_pool_too_small(self, toy_table) -> None:
         dataset = topical_dataset()
         with pytest.raises(ValueError, match="noise pool"):
@@ -350,6 +386,30 @@ class TestJointProtocol:
         assert report.details["rescored"] == 3
         assert report.details["rescored"] <= report.details["candidates"]
         assert report.f1_max == 1.0
+
+    def test_rescore_equals_per_pair_transport(self, toy_table) -> None:
+        # t#1 has no in-vocabulary token and scores 0; the candidate scores
+        # tie, so the top 3 per source also exercise the tie-break by uid.
+        src = doc("s", ["The cat sat.", "Rain and snow."]).sentences
+        tgt = doc("t", ["A kitten.", "Xyzzy plugh.", "Storm and sun.", "Bread."]).sentences
+        rng = np.random.default_rng(0)
+        scored = {
+            (x.uid, y.uid): float(rng.integers(3)) for x in src for y in tgt
+        }
+        for rescorer in (WmdScorer(toy_table), RwmdScorer(toy_table)):
+            out = _rescore(
+                scored, {x.uid: x for x in src}, {y.uid: y for y in tgt}, rescorer, 3
+            )
+            expected_keys = []
+            for x in src:
+                ranked = sorted(tgt, key=lambda y: (-scored[(x.uid, y.uid)], y.uid))
+                expected_keys += [(x.uid, y.uid) for y in ranked[:3]]
+            assert list(out) == expected_keys
+            by_uid = {y.uid: y for y in (*src, *tgt)}
+            for (s_uid, t_uid), value in out.items():
+                assert value == pair_score(rescorer, by_uid[s_uid], by_uid[t_uid])
+            unembeddable = [k for k in out if k[1] == "t#1"]
+            assert unembeddable and all(out[k] == 0.0 for k in unembeddable)
 
     def test_mode_validated(self, toy_table) -> None:
         dataset = topical_dataset()

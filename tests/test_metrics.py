@@ -31,7 +31,7 @@ from lha.metrics import (
     unigram_overlap,
     wmd,
 )
-from conftest import doc, sent
+from conftest import doc, pair_score, sent
 from oracles import transport_cost_oracle
 
 # random-table sentences use this pool; a few words stay out of vocabulary
@@ -270,7 +270,7 @@ class TestScorers:
             RwmdScorer(toy_table),
         ]
         for scorer in scorers:
-            assert scorer.score(x, x) == pytest.approx(1.0, abs=1e-9), scorer.kind
+            assert pair_score(scorer, x, x) == pytest.approx(1.0, abs=1e-9), scorer.kind
 
     def test_matrix_matches_pairwise_scores(self, toy_table) -> None:
         xs = [sent(t, "x", i) for i, t in enumerate(
@@ -293,7 +293,7 @@ class TestScorers:
             for i, x in enumerate(xs):
                 for j, y in enumerate(ys):
                     assert full[i, j] == pytest.approx(
-                        scorer.score(x, y), abs=1e-9
+                        pair_score(scorer, x, y), abs=1e-9
                     ), (scorer.kind, i, j)
 
     def test_transport_matrix_zeroes_unembeddable(self, toy_table) -> None:
@@ -302,15 +302,6 @@ class TestScorers:
         matrix = WmdScorer(toy_table).matrix(xs, ys)
         assert matrix[1, 0] == 0.0
         assert matrix[0, 0] > 0.0
-
-    def test_transport_score_raises_on_unembeddable(self, toy_table) -> None:
-        with pytest.raises(UnembeddableSentenceError):
-            WmdScorer(toy_table).score(sent("zzz"), sent("cat"))
-
-    def test_score_bags(self, toy_table) -> None:
-        assert CosineScorer(AvgEmbedder(toy_table)).score_bags(["cat"], ["cat"]) == pytest.approx(1.0)
-        assert OverlapScorer().score_bags(["a", "b"], ["b", "c"]) == pytest.approx(1 / 2)
-        assert WmdScorer(toy_table).score_bags(["zzz"], ["cat"]) == 0.0
 
     def test_factory_kinds(self, toy_table) -> None:
         stats = Bm25Stats.from_documents([["x"]])
@@ -341,8 +332,8 @@ class TestCosineSides:
         xs = [sent("Cat.", doc_id="a", ordinal=0), sent("Rain.", doc_id="a", ordinal=1)]
         ys = [sent("Rain.", doc_id="a", ordinal=0), sent("Cat.", doc_id="a", ordinal=1)]
         assert np.array_equal(scorer.matrix(xs, ys), [[0.0, 1.0], [1.0, 0.0]])
-        assert scorer.score(xs[0], ys[1]) == pytest.approx(1.0)
-        assert scorer.score(xs[0], ys[0]) == pytest.approx(0.0)
+        assert pair_score(scorer, xs[0], ys[1]) == pytest.approx(1.0)
+        assert pair_score(scorer, xs[0], ys[0]) == pytest.approx(0.0)
 
     def test_target_defaults_to_source(self, toy_table) -> None:
         embedder = AvgEmbedder(toy_table)
@@ -370,7 +361,7 @@ class TestCosineSides:
         with pytest.raises(EmbeddingLookupError, match="a#0"):
             scorer.matrix([stray], [stray])
         with pytest.raises(EmbeddingLookupError, match="a#0"):
-            scorer.score(stray, stray)
+            pair_score(scorer, stray, stray)
 
     def test_row_gather_matches_per_sentence_lookups(self, toy_table) -> None:
         xs = [sent(t, doc_id="d", ordinal=i)
@@ -399,7 +390,7 @@ class TestMakeScorer:
     def test_cosine_falls_back_to_table(self, toy_table) -> None:
         scorer = make_scorer("cosine", table=toy_table)
         assert isinstance(scorer.embedder, AvgEmbedder)
-        assert scorer.score(sent("cat"), sent("kitten")) > 0.99
+        assert pair_score(scorer, sent("cat"), sent("kitten")) > 0.99
 
     def test_bm25_stats_from_target_docs(self) -> None:
         docs = [doc("t1", ["Cat sat.", "Dog ran."]), doc("t2", ["Cat ate."])]

@@ -6,6 +6,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,6 +110,31 @@ class TestConfigFile:
         path.write_text("[1, 2]", encoding="utf-8")
         with pytest.raises(ValueError, match="JSON object"):
             PipelineConfig.from_file(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("theta_s", "0.7"), ("k_doc", 2.5), ("emit_tsv", "false"),
+        ("k_sent", True), ("min_overlap", False), ("scorer", None),
+        ("word_vectors", 3), ("out_dir", None),
+    ])
+    def test_value_of_wrong_type_rejected(self, tmp_path, key, value) -> None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "source_corpus": "a", "target_corpus": "b", "out_dir": "o", key: value,
+        }), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"config.json: config key '{key}'"):
+            PipelineConfig.from_file(path)
+
+    def test_value_types_accepted(self, tmp_path) -> None:
+        # An int stands for a float, and an optional key may be null.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "source_corpus": "a", "target_corpus": "b", "out_dir": "o",
+            "theta_s": 1, "bm25_b": 0.5, "k_doc": 3, "emit_tsv": False,
+            "word_vectors": None, "scorer": "wmd",
+        }), encoding="utf-8")
+        config = PipelineConfig.from_file(path)
+        assert (config.theta_s, config.bm25_b, config.k_doc) == (1, 0.5, 3)
+        assert (config.emit_tsv, config.word_vectors, config.scorer) == (False, None, "wmd")
 
 
 class TestOverrides:
@@ -289,15 +316,25 @@ class TestRunPipeline:
         assert "embed_docs_src" in second.cached_stages
         assert out_bytes(out_dir) == before
 
-    def test_corrupt_manifest_recomputes(self, tmp_path) -> None:
+    def test_corrupt_manifest_recomputes(self, tmp_path, caplog) -> None:
         config = make_workspace(tmp_path)
         run_pipeline(config)
         out_dir = Path(config.out_dir)
         before = out_bytes(out_dir)
-        (out_dir / "manifest.json").write_text("{broken", encoding="utf-8")
-        second = run_pipeline(config)
-        assert second.cached_stages == []
-        assert out_bytes(out_dir) == before
+        # Unreadable as a whole, then readable with damaged stage records.
+        for damaged, warned in (
+            (b"{broken", True), (b"\xff\xfe{", True), (b'{"stages": []}', True),
+            (b'["stages"]', True),
+            (b'{"stages": {"align_sents": 5, "align_docs": {"outputs": []}}}', False),
+        ):
+            caplog.clear()
+            (out_dir / "manifest.json").write_bytes(damaged)
+            second = run_pipeline(config)
+            assert second.cached_stages == [], damaged
+            assert out_bytes(out_dir) == before, damaged
+            assert any(
+                "unreadable manifest" in r.message for r in caplog.records
+            ) == warned, damaged
 
     def test_invalid_config_refused(self, tmp_path) -> None:
         config = dataclasses.replace(make_workspace(tmp_path), theta_s=5.0)
@@ -540,3 +577,110 @@ class TestAtomicManifest:
             OUTPUT_FILES + ["manifest.json"]
         )
         assert sorted(run_pipeline(config).cached_stages) == sorted(ALL_STAGES)
+
+
+# Runs each config given as JSON in argv[1] with run_pipeline, in order. When
+# argv[2] names an output, the process ends with exit status 17 just before
+# that file is written, the way a kill would end it.
+_CHILD = """
+import json, os, sys
+import lha.pipeline
+from lha.pipeline import PipelineConfig, run_pipeline
+
+configs, kill_before = json.loads(sys.argv[1]), sys.argv[2]
+write_json = lha.pipeline._write_json
+
+def write_or_die(path, data):
+    if path.name == kill_before:
+        os._exit(17)
+    write_json(path, data)
+
+lha.pipeline._write_json = write_or_die
+for config in configs:
+    run_pipeline(PipelineConfig(**config))
+"""
+
+
+def run_in_child(
+    configs: list[PipelineConfig], kill_before: str = "", hash_seed: str = "0"
+) -> int:
+    paths = [str(Path(lha.pipeline.__file__).resolve().parents[1])]
+    paths += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": os.pathsep.join(paths)}
+    args = json.dumps([dataclasses.asdict(c) for c in configs])
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, args, kill_before],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode in (0, 17), proc.stderr
+    return proc.returncode
+
+
+class TestKilledRun:
+    """A run killed between the writes of one stage is repaired by the next
+    run, which recomputes exactly that stage."""
+
+    def test_rerun_recomputes_only_the_killed_stage(self, tmp_path) -> None:
+        config = make_workspace(tmp_path, out_name="killed")
+        assert run_in_child([config], kill_before="summary.json") == 17
+        out_dir = Path(config.out_dir)
+        assert (out_dir / "groups.jsonl").exists()
+        assert not (out_dir / "summary.json").exists()
+        rerun = run_pipeline(config)
+        assert sorted(rerun.cached_stages) == sorted(set(ALL_STAGES) - {"align_sents"})
+        clean = dataclasses.replace(config, out_dir=str(tmp_path / "clean"))
+        run_pipeline(clean)
+        names = OUTPUT_FILES + ["manifest.json"]
+        assert out_bytes(out_dir, names) == out_bytes(Path(clean.out_dir), names)
+
+    def test_stale_record_of_an_earlier_run_is_not_reused(self, tmp_path) -> None:
+        # B's groups.jsonl is written, but the manifest still holds A's
+        # align_sents record, whose parameters A's rerun matches.
+        run_a = make_workspace(tmp_path)
+        run_b = dataclasses.replace(run_a, theta_s=0.995)
+        run_pipeline(run_a)
+        out_dir = Path(run_a.out_dir)
+        a_bytes = out_bytes(out_dir)
+        assert run_in_child([run_b], kill_before="summary.json") == 17
+        assert (out_dir / "groups.jsonl").read_bytes() != a_bytes["groups.jsonl"]
+        rerun = run_pipeline(run_a)
+        assert "align_sents" not in rerun.cached_stages
+        assert out_bytes(out_dir) == a_bytes
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path) -> None:
+    # Every sentence pair shares many content words, so BM25 sums many terms
+    # and a sum in set order differs in the last bits between hash seeds.
+    words = ["cat", "dog", "kitten", "puppy", "apple", "banana", "bread",
+             "rain", "snow", "storm", "sun"]
+    write_vectors(tmp_path / "vectors.txt", _TOY_VECTORS)
+    for side, shift in (("source", 0), ("target", 3)):
+        write_jsonl(tmp_path / f"{side}.jsonl", [
+            {"id": f"{side[0]}{d}", "sentences": [
+                " ".join(words[(d + i + shift + k) % 11] for k in range(9)) + "."
+                for i in range(3)
+            ]}
+            for d in range(4)
+        ])
+    configs = {
+        seed: [
+            PipelineConfig(
+                source_corpus=str(tmp_path / "source.jsonl"),
+                target_corpus=str(tmp_path / "target.jsonl"),
+                out_dir=str(tmp_path / f"seed{seed}" / scorer),
+                word_vectors=str(tmp_path / "vectors.txt"),
+                scorer=scorer, k_doc=2, k_sent=2, theta_d=0.3,
+                theta_s=0.5, min_overlap=0.2, max_len_ratio=3.0,
+            )
+            for scorer in ("cosine", "overlap", "bm25", "wmd", "rwmd")
+        ]
+        for seed in ("0", "1", "5")
+    }
+    for seed, seed_configs in configs.items():
+        assert run_in_child(seed_configs, hash_seed=seed) == 0
+    names = ["groups.jsonl", "doc_pairs.tsv", "summary.json"]
+    for scorer_runs in zip(*configs.values()):
+        first, *others = (out_bytes(Path(c.out_dir), names) for c in scorer_runs)
+        assert json.loads(first["summary.json"])["groups"] > 0, scorer_runs[0].scorer
+        for other in others:
+            assert other == first, scorer_runs[0].scorer

@@ -30,7 +30,7 @@ from lha.sent_align import (
     write_groups,
     write_groups_tsv,
 )
-from conftest import doc, filter_texts
+from conftest import doc, filter_texts, pair_score
 from oracles import align_sentences_oracle, components_oracle
 
 
@@ -69,7 +69,7 @@ class TestSentenceSimMatrix:
         for _ in range(5):
             i = int(rng.integers(4))
             j = int(rng.integers(3))
-            expected = scorer.score(src.sentences[i], tgt.sentences[j])
+            expected = pair_score(scorer, src.sentences[i], tgt.sentences[j])
             assert matrix.values[i, j] == pytest.approx(expected, abs=1e-6)
 
     def test_empty_document_rejected(self, toy_table) -> None:
