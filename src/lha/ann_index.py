@@ -22,7 +22,6 @@ __all__ = [
     "Neighbor",
     "AnnIndex",
     "build_index",
-    "exact_knn",
 ]
 
 
@@ -125,31 +124,3 @@ def build_index(matrix: EmbeddingMatrix) -> AnnIndex:
     if matrix.count == 0 or matrix.dim == 0:
         raise ValueError("cannot index an empty embedding matrix")
     return AnnIndex(matrix.unit_ids, matrix.rows)
-
-
-def exact_knn(matrix: EmbeddingMatrix, v: np.ndarray, k: int) -> list[Neighbor]:
-    """Exhaustive cosine top-k over the matrix, ties broken by unit id.
-
-    All-zero rows are excluded, matching index behavior. This is the
-    one-query reference the index is tested against.
-    """
-    v64 = np.asarray(v, dtype=np.float64).ravel()
-    if matrix.dim != v64.shape[0]:
-        raise ValueError(f"query dim {v64.shape[0]} != matrix dim {matrix.dim}")
-    if k <= 0:
-        return []
-    rows64 = matrix.rows.astype(np.float64)
-    norms = np.linalg.norm(rows64, axis=1)
-    keep = np.flatnonzero(norms > 0.0)
-    if keep.size == 0:
-        return []
-    rows64 = rows64[keep]
-    norm_v = float(np.linalg.norm(v64))
-    if norm_v > 0.0:
-        denominators = norms[keep] * norm_v
-        sims = (rows64 @ v64) / denominators
-    else:
-        denominators, sims = None, np.zeros(keep.size, dtype=np.float64)
-    ids = np.array(matrix.unit_ids, dtype=np.str_)[keep]
-    top, top_sims = _top_by_similarity(ids, sims, k, rows64, v64, denominators)
-    return [Neighbor(str(ids[i]), float(s)) for i, s in zip(top, top_sims)]

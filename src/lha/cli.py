@@ -1,18 +1,15 @@
-"""Command-line interface: embed, index, align-docs, align-sents, eval, run."""
+"""Command-line interface: embed, align-docs, align-sents, eval, run."""
 
 from __future__ import annotations
 
-import json
 import logging
 import sys
-from pathlib import Path
 
 import click
 
 from . import __version__
-from .ann_index import AnnIndex, build_index
 from .corpus import corpus_index, load_abbreviations, load_corpus, load_stopwords
-from .doc_align import align_documents, read_doc_pairs, write_doc_pairs
+from .doc_align import read_doc_pairs
 from .embeddings import (
     AvgEmbedder,
     EmbeddingLookupError,
@@ -30,7 +27,8 @@ from .evaluate import (
     load_eval_dataset,
 )
 from .metrics import make_scorer
-from .pipeline import PipelineConfig, PipelineStageError, run_pipeline, validate_config
+from .pipeline import PipelineConfig, PipelineStageError, align_doc_files, run_pipeline
+from .pipeline import validate_config, value_findings
 from .sent_align import (
     FilterPolicy,
     align_sentences,
@@ -55,7 +53,7 @@ def main(quiet: bool) -> None:
     )
 
 
-def _parse_strategy(strategy: str, vectors: str | None, dim_hint: str):
+def _parse_strategy(strategy: str, vectors: str | None):
     """Resolve --strategy avg|precomputed:<path> into an embedder."""
     if strategy == "avg":
         if not vectors:
@@ -66,9 +64,7 @@ def _parse_strategy(strategy: str, vectors: str | None, dim_hint: str):
         if not path:
             raise click.UsageError("--strategy precomputed:<path> needs a path")
         return PrecomputedEmbedder(load_embeddings(path))
-    raise click.UsageError(
-        f"unknown {dim_hint} strategy {strategy!r}; use avg or precomputed:<path>"
-    )
+    raise click.UsageError(f"unknown strategy {strategy!r}; use avg or precomputed:<path>")
 
 
 @main.command()
@@ -85,7 +81,7 @@ def _parse_strategy(strategy: str, vectors: str | None, dim_hint: str):
 def embed(corpus, level, strategy, vectors, out, dataset_tag, stopwords,
           abbreviations) -> None:
     """Embed a corpus at document or sentence level into a binary file."""
-    embedder = _parse_strategy(strategy, vectors, "embedding")
+    embedder = _parse_strategy(strategy, vectors)
     docs = load_corpus(
         corpus,
         dataset_tag,
@@ -100,30 +96,30 @@ def embed(corpus, level, strategy, vectors, out, dataset_tag, stopwords,
     logger.info("wrote %d x %d embeddings to %s", matrix.count, matrix.dim, out)
 
 
-@main.command()
-@click.option("--embeddings", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", required=True, type=click.Path(dir_okay=False))
-def index(embeddings, out) -> None:
-    """Build the exact nearest-neighbor index over an embedding file."""
-    idx = build_index(load_embeddings(embeddings))
-    idx.save(out)
-    logger.info("indexed %d rows (dim %d) into %s", idx.size, idx.dim, out)
+def _check_options(scorer: str, **options) -> None:
+    """``validate_config``'s rules for options given as config
+    key=(option, value); an error is a usage error naming the option."""
+    for level, message in value_findings(options, scorer):
+        if level == "error":
+            raise click.UsageError(message)
+        logger.warning("%s", message)
 
 
 @main.command("align-docs")
 @click.option("--source-embeddings", required=True,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--index", "index_path", required=True,
+@click.option("--target-embeddings", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--k", default=5, show_default=True, type=int)
 @click.option("--theta-d", default=0.5, show_default=True, type=float)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-def align_docs(source_embeddings, index_path, k, theta_d, out) -> None:
+def align_docs(source_embeddings, target_embeddings, k, theta_d, out) -> None:
     """Stage 1: pair source documents with nearest target documents."""
-    src = load_embeddings(source_embeddings)
-    idx = AnnIndex.load(index_path)
-    pairs = align_documents(src, idx, k, theta_d)
-    n = write_doc_pairs(pairs, out)
+    _check_options("cosine", k_doc=("--k", k), theta_d=("--theta-d", theta_d))
+    try:
+        n = align_doc_files(source_embeddings, target_embeddings, k, theta_d, out)
+    except ValueError as e:
+        raise click.UsageError(str(e)) from e
     logger.info("wrote %d document pairs to %s", n, out)
 
 
@@ -165,6 +161,11 @@ def align_sents(doc_pairs, source_corpus, target_corpus, scorer, vectors,
                 min_overlap, max_len_ratio, exclude, filter_stage,
                 bm25_k1, bm25_b, stopwords, abbreviations, out, tsv_out) -> None:
     """Stage 2: align sentences within document pairs and filter groups."""
+    _check_options(scorer, k_sent=("--k", k), theta_s=("--theta-s", theta_s),
+                   min_overlap=("--min-overlap", min_overlap),
+                   max_len_ratio=("--max-len-ratio", max_len_ratio))
+    if bool(source_sent_embeddings) != bool(target_sent_embeddings):
+        raise click.UsageError("give both --source- and --target-sent-embeddings")
     stops = load_stopwords(stopwords)
     abbrevs = load_abbreviations(abbreviations)
     src_docs = corpus_index(
@@ -174,16 +175,13 @@ def align_sents(doc_pairs, source_corpus, target_corpus, scorer, vectors,
         load_corpus(target_corpus, "tgt", stopwords=stops, abbreviations=abbrevs)
     )
     pairs = read_doc_pairs(doc_pairs)
+    table = load_word_vectors(vectors) if vectors else None
     embedders = {}
-    if source_sent_embeddings or target_sent_embeddings:
-        if not (source_sent_embeddings and target_sent_embeddings):
-            raise click.UsageError(
-                "give both --source-sent-embeddings and --target-sent-embeddings"
-            )
-        for key, path, docs in (
-            ("embedder", source_sent_embeddings, src_docs),
-            ("target_embedder", target_sent_embeddings, tgt_docs),
-        ):
+    for key, path, docs in (
+        ("embedder", source_sent_embeddings, src_docs),
+        ("target_embedder", target_sent_embeddings, tgt_docs),
+    ):
+        if path:
             matrix = load_embeddings(path)
             uids = [s.uid for d in docs.values() for s in d.sentences]
             try:
@@ -192,10 +190,15 @@ def align_sents(doc_pairs, source_corpus, target_corpus, scorer, vectors,
                     matrix.row_index(uid)
             except (ValueError, EmbeddingLookupError) as e:
                 raise click.UsageError(f"{path}: {e}") from e
-            embedders[key] = PrecomputedEmbedder(matrix)
+        elif scorer == "cosine" and table is not None:
+            # The unit rows `lha embed --level sent` writes and `lha run` scores.
+            matrix = embed_corpus(docs.values(), "sentence", AvgEmbedder(table))
+        else:
+            continue
+        embedders[key] = PrecomputedEmbedder(matrix)
     scorer_obj = _scorer(
         scorer,
-        table=load_word_vectors(vectors) if vectors else None,
+        table=table,
         target_docs=tgt_docs.values(),
         k1=bm25_k1,
         b=bm25_b,
@@ -207,9 +210,7 @@ def align_sents(doc_pairs, source_corpus, target_corpus, scorer, vectors,
         exclusion_set=load_exclusion_set(exclude) if exclude else frozenset(),
         stage=filter_stage,
     )
-    groups = list(
-        align_sentences(pairs, src_docs, tgt_docs, scorer_obj, k, theta_s, policy)
-    )
+    groups = list(align_sentences(pairs, src_docs, tgt_docs, scorer_obj, k, theta_s, policy))
     n = write_groups(groups, out)
     if tsv_out:
         write_groups_tsv(groups, tsv_out)

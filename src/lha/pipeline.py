@@ -57,14 +57,15 @@ __all__ = [
     "PipelineConfig",
     "PipelineStageError",
     "RunSummary",
+    "align_doc_files",
     "validate_config",
+    "value_findings",
     "run_pipeline",
 ]
 
 logger = logging.getLogger(__name__)
 
 _SCORERS = ("cosine", "overlap", "bm25", "wmd", "rwmd")
-_STRATEGIES = ("avg", "precomputed")
 
 
 class PipelineStageError(RuntimeError):
@@ -79,10 +80,8 @@ class PipelineConfig:
     target_corpus: str
     out_dir: str
     word_vectors: str | None = None
-    doc_strategy: str = "avg"
     doc_embeddings_source: str | None = None
     doc_embeddings_target: str | None = None
-    sent_strategy: str = "avg"
     sent_embeddings_source: str | None = None
     sent_embeddings_target: str | None = None
     scorer: str = "cosine"
@@ -114,12 +113,9 @@ class PipelineConfig:
         missing = [k for k in required if k not in raw]
         if missing:
             raise ValueError(f"{path}: missing required keys: {', '.join(missing)}")
-        for f in fields(cls):
-            if f.name in raw and not _json_matches(raw[f.name], str(f.type)):
-                raise ValueError(
-                    f"{path}: config key {f.name!r} expects {f.type}, "
-                    f"got {raw[f.name]!r}"
-                )
+        type_errors = _type_errors(raw)
+        if type_errors:
+            raise ValueError(f"{path}: {type_errors[0]}")
         return cls(**raw)
 
     def with_overrides(self, overrides: Sequence[str]) -> "PipelineConfig":
@@ -147,6 +143,15 @@ def _json_matches(value: object, annotation: str) -> bool:
     return type(value) in _JSON_TYPES[annotation.split(" | ")[0]]
 
 
+def _type_errors(values: dict) -> list[str]:
+    """A message for each config key in ``values`` whose value has the wrong type."""
+    return [
+        f"config key {f.name!r} expects {f.type}, got {values[f.name]!r}"
+        for f in fields(PipelineConfig)
+        if f.name in values and not _json_matches(values[f.name], str(f.type))
+    ]
+
+
 def _coerce(value: str, annotation: object, key: str):
     text = str(annotation)
     if value.lower() in ("null", "none"):
@@ -169,68 +174,76 @@ def _coerce(value: str, annotation: object, key: str):
     return value
 
 
+# Config key, or "theta_s <scorer>", -> (test, allowed values); NaN fails each test.
+_RULES = {
+    "k_doc": (lambda v: v >= 1, ">= 1"),
+    "k_sent": (lambda v: v >= 1, ">= 1"),
+    "theta_d": (lambda v: -1.0 <= v <= 1.0, "within [-1,1] for cosine"),
+    "min_overlap": (lambda v: 0.0 <= v <= 1.0, "in [0,1]"),
+    "max_len_ratio": (lambda v: v > 0.0, "> 0"),
+    "theta_s cosine": (lambda v: -1.0 <= v <= 1.0, "within [-1,1] for cosine"),
+    "theta_s overlap": (lambda v: 0.0 <= v <= 1.0, "within [0,1] for overlap"),
+    "theta_s bm25": (lambda v: v >= 0.0, ">= 0 for bm25"),
+    "theta_s wmd": (lambda v: 0.0 < v <= 1.0, "within (0,1] for wmd and rwmd"),
+}
+_RULES["theta_s rwmd"] = _RULES["theta_s wmd"]
+
+
+def value_findings(values: dict, scorer: str) -> list[tuple[str, str]]:
+    """``validate_config``'s (level, message) findings on ``values``, config
+    key -> (name to report, value); ``theta_s`` is checked for ``scorer``."""
+    findings = []
+    for key, (name, value) in values.items():
+        test, allowed = _RULES[f"{key} {scorer}" if key == "theta_s" else key]
+        if math.isnan(value):
+            findings.append(("error", f"{name} must not be NaN"))
+        elif not test(value):
+            findings.append(("error", f"{name} must be {allowed}, got {value}"))
+        elif key == "theta_s" and scorer == "cosine" and value < 0.3:
+            findings.append(("warning", f"{name} {value} is low for cosine; expect noise"))
+    return findings
+
+
+def _precomputed(config: PipelineConfig, unit: str) -> bool:
+    """Whether both ``{unit}_embeddings_source`` and ``_target`` are given."""
+    return all(getattr(config, f"{unit}_embeddings_{s}") for s in ("source", "target"))
+
+
 def validate_config(config: PipelineConfig) -> list[tuple[str, str]]:
-    """Check ranges and combinations; returns (level, message) findings.
+    """Check types, ranges and combinations; returns (level, message) findings.
 
     Levels are "error" and "warning". The caller decides whether to proceed;
-    run_pipeline refuses on any error.
+    run_pipeline refuses on any error. Values of the wrong type are reported
+    alone, before any range is checked.
     """
+    type_errors = _type_errors(vars(config))
+    if type_errors:
+        return [("error", m) for m in type_errors]
     findings: list[tuple[str, str]] = []
     err = lambda m: findings.append(("error", m))
     warn = lambda m: findings.append(("warning", m))
 
-    if config.k_doc < 1:
-        err(f"k_doc must be >= 1, got {config.k_doc}")
-    if config.k_sent < 1:
-        err(f"k_sent must be >= 1, got {config.k_sent}")
-    if config.scorer not in _SCORERS:
+    keys = ["k_doc", "k_sent", "theta_d", "min_overlap", "max_len_ratio"]
+    if config.scorer in _SCORERS:
+        keys.append("theta_s")
+    else:
         err(f"scorer must be one of {_SCORERS}, got {config.scorer!r}")
-    for name in ("doc_strategy", "sent_strategy"):
-        if getattr(config, name) not in _STRATEGIES:
-            err(f"{name} must be one of {_STRATEGIES}, got {getattr(config, name)!r}")
-    if not 0.0 <= config.min_overlap <= 1.0:
-        err(f"min_overlap must be in [0,1], got {config.min_overlap}")
-    if config.max_len_ratio <= 0.0:
-        err(f"max_len_ratio must be > 0, got {config.max_len_ratio}")
+    findings += value_findings({k: (k, getattr(config, k)) for k in keys}, config.scorer)
     if config.filter_stage not in ("group", "pair"):
         err(f"filter_stage must be 'group' or 'pair', got {config.filter_stage!r}")
-    if math.isnan(config.theta_d) or math.isnan(config.theta_s):
-        err("thresholds must not be NaN")
-    else:
-        if not -1.0 <= config.theta_d <= 1.0:
-            err(f"theta_d must be within [-1,1] for cosine, got {config.theta_d}")
-        if config.scorer == "cosine":
-            if not -1.0 <= config.theta_s <= 1.0:
-                err(f"theta_s must be within [-1,1] for cosine, got {config.theta_s}")
-            elif config.theta_s < 0.3:
-                warn(f"theta_s={config.theta_s} is low for cosine; expect noisy pairs")
-        elif config.scorer == "overlap":
-            if not 0.0 <= config.theta_s <= 1.0:
-                err(f"theta_s must be within [0,1] for overlap, got {config.theta_s}")
-        elif config.scorer in ("wmd", "rwmd"):
-            if not 0.0 < config.theta_s <= 1.0:
-                err(
-                    f"theta_s must be within (0,1] for inverse-distance "
-                    f"similarities, got {config.theta_s}"
-                )
-        elif config.scorer == "bm25" and config.theta_s < 0.0:
-            err(f"theta_s must be >= 0 for bm25, got {config.theta_s}")
-
+    for unit in ("doc", "sent"):
+        files = [getattr(config, f"{unit}_embeddings_{s}") for s in ("source", "target")]
+        if any(files) and not all(files):
+            err(f"give both {unit}_embeddings_source and _target, or neither")
+    if config.scorer != "cosine" and _precomputed(config, "sent"):
+        warn(f"the {config.scorer} scorer does not read sent_embeddings_source/_target")
     needs_vectors = (
-        config.doc_strategy == "avg"
-        or (config.scorer == "cosine" and config.sent_strategy == "avg")
+        not _precomputed(config, "doc")
+        or (config.scorer == "cosine" and not _precomputed(config, "sent"))
         or config.scorer in ("wmd", "rwmd")
     )
     if needs_vectors and not config.word_vectors:
-        err("word_vectors is required by the chosen strategies/scorer")
-    if config.doc_strategy == "precomputed" and not (
-        config.doc_embeddings_source and config.doc_embeddings_target
-    ):
-        err("doc_strategy=precomputed needs doc_embeddings_source and _target")
-    if config.scorer == "cosine" and config.sent_strategy == "precomputed" and not (
-        config.sent_embeddings_source and config.sent_embeddings_target
-    ):
-        err("sent_strategy=precomputed needs sent_embeddings_source and _target")
+        err("word_vectors is required by the chosen embeddings/scorer")
 
     out_dir = Path(config.out_dir).resolve()
     inputs = [config.source_corpus, config.target_corpus, config.word_vectors,
@@ -365,6 +378,14 @@ def _write_json(path: Path, data: dict) -> None:
     path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+def align_doc_files(source: Path | str, target: Path | str, k: int, theta_d: float,
+                    out: Path | str) -> int:
+    """The ``align_docs`` stage: pair the documents of the ``source`` embedding
+    file with those of ``target``, indexed in memory; returns the pairs written."""
+    index = build_index(load_embeddings(target))
+    return write_doc_pairs(align_documents(load_embeddings(source), index, k, theta_d), out)
+
+
 def run_pipeline(config: PipelineConfig) -> RunSummary:
     """Execute all stages, reusing cached results where hashes match."""
     findings = validate_config(config)
@@ -419,7 +440,7 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
 
     def embed_units(level: str, side: str, corpus: Path, out_path: Path) -> _Stage:
         unit = "doc" if level == "document" else "sent"
-        strategy = getattr(config, f"{unit}_strategy")
+        strategy = "precomputed" if _precomputed(config, unit) else "avg"
         pre_path = getattr(
             config, f"{unit}_embeddings_{'source' if side == 'src' else 'target'}"
         )
@@ -439,17 +460,6 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
             ),
         )
 
-    def compute_doc_pairs() -> None:
-        write_doc_pairs(
-            align_documents(
-                load_embeddings(paths["docs_source"]),
-                build_index(load_embeddings(paths["docs_target"])),
-                config.k_doc,
-                config.theta_d,
-            ),
-            paths["doc_pairs"],
-        )
-
     use_sent_embeddings = config.scorer == "cosine"
 
     def compute_alignment() -> None:
@@ -458,10 +468,8 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
         embedders = {}
         if use_sent_embeddings:
             embedders = {
-                "embedder": PrecomputedEmbedder(load_embeddings(paths["sents_source"])),
-                "target_embedder": PrecomputedEmbedder(
-                    load_embeddings(paths["sents_target"])
-                ),
+                key: PrecomputedEmbedder(load_embeddings(paths[f"sents_{side}"]))
+                for key, side in (("embedder", "source"), ("target_embedder", "target"))
             }
         scorer = make_scorer(
             config.scorer,
@@ -471,15 +479,11 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
             b=config.bm25_b,
             **embedders,
         )
-        exclusion = (
-            load_exclusion_set(config.exclusion_file)
-            if config.exclusion_file
-            else frozenset()
-        )
+        exclusion = config.exclusion_file
         policy = FilterPolicy(
             min_overlap=config.min_overlap,
             max_len_ratio=config.max_len_ratio,
-            exclusion_set=exclusion,
+            exclusion_set=load_exclusion_set(exclusion) if exclusion else frozenset(),
             stage=config.filter_stage,
         )
         doc_pairs = read_doc_pairs(paths["doc_pairs"])
@@ -549,7 +553,8 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
             },
             params={key: getattr(config, key) for key in ("k_doc", "theta_d")},
             outputs=[paths["doc_pairs"]],
-            compute=compute_doc_pairs,
+            compute=lambda: align_doc_files(paths["docs_source"], paths["docs_target"],
+                                            config.k_doc, config.theta_d, paths["doc_pairs"]),
         ),
         *(
             [
@@ -573,6 +578,8 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
     ]
     for stage in stages:
         manifest.run_stage(stage, cached)
+    if not config.emit_tsv:  # left by an earlier run with emit_tsv
+        paths["groups_tsv"].unlink(missing_ok=True)
 
     outputs = ["groups", "doc_pairs", "summary"]
     if config.emit_tsv:

@@ -1,11 +1,11 @@
-"""Exact cosine index, its block form and its one-query reference."""
+"""Exact cosine index and its block form against the plain-loop reference."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from lha.ann_index import AnnIndex, build_index, exact_knn
+from lha.ann_index import AnnIndex, build_index
 from lha.doc_align import align_documents
 from lha.embeddings import EmbeddingFormatError, EmbeddingMatrix
 from oracles import knn_oracle
@@ -137,16 +137,16 @@ class TestQuery:
         for _ in range(20):
             probe = rng.standard_normal(8)
             got = index.query(probe, k=10)
-            expected = exact_knn(matrix, probe, 10)
-            assert [n.unit_id for n in got] == [n.unit_id for n in expected]
-            for g, e in zip(got, expected):
-                assert g.similarity == pytest.approx(e.similarity, abs=1e-12)
+            expected = knn_oracle(matrix.unit_ids, matrix.rows, probe, 10)
+            assert [n.unit_id for n in got] == [uid for uid, _ in expected]
+            for g, (_, sim) in zip(got, expected):
+                assert g.similarity == pytest.approx(sim, abs=1e-12)
 
 
 class TestExactness:
-    """The index, its block form and align_documents against the
-    references, on fixtures with ties, zero rows, k beyond the index size
-    and more queries than one block holds."""
+    """The index, its block form and align_documents against the plain-loop
+    reference, on fixtures with ties, zero rows, k beyond the index size and
+    more queries than one block holds."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("k", [1, 3, 60, 500])
@@ -157,10 +157,9 @@ class TestExactness:
         blocked = index.query_block(queries, k)
         assert len(blocked) == len(queries)
         for q, block_result in zip(queries, blocked):
-            expected = as_pairs(exact_knn(matrix, q, k))
+            expected = knn_oracle(matrix.unit_ids, matrix.rows, q, k)
             assert as_pairs(block_result) == expected
             assert as_pairs(index.query(q, k)) == expected
-            assert expected == knn_oracle(matrix.unit_ids, matrix.rows, q, k)
 
     def test_block_form_on_float_rows(self) -> None:
         matrix = unit_matrix(700, 16, seed=15)
@@ -184,9 +183,9 @@ class TestExactness:
             if not row.any():
                 continue
             expected.extend(
-                (uid, nb.unit_id, nb.similarity)
-                for nb in exact_knn(tgt, row, k)
-                if nb.similarity >= theta_d
+                (uid, tgt_id, sim)
+                for tgt_id, sim in knn_oracle(tgt.unit_ids, tgt.rows, row, k)
+                if sim >= theta_d
             )
         expected.sort(key=lambda p: (p[0], -p[2], p[1]))
         assert [(p.source_id, p.target_id, p.similarity) for p in pairs] == expected
@@ -215,40 +214,33 @@ class TestIdenticalRows:
 
 
 class TestExactKnn:
+    """One query of the index on small unnormalised fixtures."""
+
     def test_matches_plain_loop_oracle(self) -> None:
         rng = np.random.default_rng(15)
         rows = rng.standard_normal((80, 5)).astype(np.float32)
         rows[11] = 0.0
         ids = [f"n{i:03d}" for i in range(80)]
-        matrix = EmbeddingMatrix(ids, rows)
+        index = build_index(EmbeddingMatrix(ids, rows))
         for _ in range(25):
             probe = rng.standard_normal(5)
-            got = exact_knn(matrix, probe, 7)
+            got = index.query(probe, 7)
             expected = knn_oracle(ids, rows, probe, 7)
             assert [n.unit_id for n in got] == [uid for uid, _ in expected]
             for nb, (_, sim) in zip(got, expected):
                 assert nb.similarity == pytest.approx(sim, abs=1e-12)
 
     def test_orthonormal_rows(self) -> None:
-        matrix = EmbeddingMatrix(["e0", "e1", "e2"], np.eye(3, dtype=np.float32))
-        got = exact_knn(matrix, np.array([0.0, 1.0, 0.0]), 3)
+        index = build_index(EmbeddingMatrix(["e0", "e1", "e2"], np.eye(3, dtype=np.float32)))
+        got = index.query(np.array([0.0, 1.0, 0.0]), 3)
         assert got[0].unit_id == "e1" and got[0].similarity == pytest.approx(1.0)
         assert {n.similarity for n in got[1:]} == {0.0}
 
-    def test_k_zero(self) -> None:
-        matrix = EmbeddingMatrix(["a"], np.ones((1, 2), dtype=np.float32))
-        assert exact_knn(matrix, np.ones(2), 0) == []
-
     def test_ties_break_by_id(self) -> None:
         rows = np.array([[1, 0], [1, 0], [0, 1]], dtype=np.float32)
-        matrix = EmbeddingMatrix(["bb", "aa", "cc"], rows)
-        got = exact_knn(matrix, np.array([1.0, 0.0]), 2)
+        index = build_index(EmbeddingMatrix(["bb", "aa", "cc"], rows))
+        got = index.query(np.array([1.0, 0.0]), 2)
         assert [n.unit_id for n in got] == ["aa", "bb"]
-
-    def test_dim_mismatch(self) -> None:
-        matrix = EmbeddingMatrix(["a"], np.ones((1, 3), dtype=np.float32))
-        with pytest.raises(ValueError, match="dim"):
-            exact_knn(matrix, np.ones(2), 1)
 
 
 class TestPersistence:

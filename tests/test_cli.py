@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from lha.ann_index import build_index
 from lha.cli import main
 from lha.doc_align import read_doc_pairs
 from lha.embeddings import EmbeddingMatrix, load_embeddings, save_embeddings
@@ -88,8 +89,7 @@ class TestTopLevel:
     def test_help_lists_commands(self) -> None:
         result = invoke("--help")
         assert result.exit_code == 0
-        for command in ("embed", "index", "align-docs", "align-sents", "eval",
-                        "run", "validate"):
+        for command in ("embed", "align-docs", "align-sents", "eval", "run", "validate"):
             assert command in result.output
 
 
@@ -161,13 +161,8 @@ class TestStageCommands:
             invoke("embed", "--corpus", str(workspace / corpus), "--level", "doc",
                    "--vectors", vectors, "--out", str(workspace / f"{side}.lhae"))
         result = invoke(
-            "index", "--embeddings", str(workspace / "tgt.lhae"),
-            "--out", str(workspace / "tgt.lhai"),
-        )
-        assert result.exit_code == 0
-        result = invoke(
             "align-docs", "--source-embeddings", str(workspace / "src.lhae"),
-            "--index", str(workspace / "tgt.lhai"),
+            "--target-embeddings", str(workspace / "tgt.lhae"),
             "--k", "2", "--theta-d", "0.3",
             "--out", str(workspace / "doc_pairs.tsv"),
         )
@@ -198,7 +193,14 @@ class TestStageCommands:
         assert len(groups) == 3
         assert tsv_path.read_text(encoding="utf-8").count("\n") == 3
 
-    def test_custom_abbreviations_chain_equals_pipeline(self, tmp_path) -> None:
+    @pytest.mark.parametrize("scorer, sentence_input", [
+        ("cosine", "vectors"), ("cosine", "embeddings"), ("overlap", "vectors"),
+        ("bm25", "vectors"), ("wmd", "vectors"), ("rwmd", "vectors"),
+    ])
+    def test_custom_abbreviations_chain_equals_pipeline(
+        self, tmp_path, scorer, sentence_input
+    ) -> None:
+        # The README's stage chain writes what `lha run` writes, byte for byte.
         # Without "dr" on the list "Dr." is a sentence of its own, so the
         # sentence ids in the embeddings only match a corpus split the same way.
         for side, text in (("source", "Dr. Smith saw the cat. The dog ran home."),
@@ -215,20 +217,25 @@ class TestStageCommands:
                                 "--level", level, *common,
                                 "--out", str(tmp_path / f"{level}_{side}.lhae"))
                 assert result.exit_code == 0, result.output
-        invoke("index", "--embeddings", str(tmp_path / "doc_target.lhae"),
-               "--out", str(tmp_path / "target.lhai"))
-        invoke("align-docs", "--source-embeddings", str(tmp_path / "doc_source.lhae"),
-               "--index", str(tmp_path / "target.lhai"), "--k", "1",
-               "--theta-d", "0.3", "--out", str(tmp_path / "doc_pairs.tsv"))
+        result = invoke(
+            "align-docs", "--source-embeddings", str(tmp_path / "doc_source.lhae"),
+            "--target-embeddings", str(tmp_path / "doc_target.lhae"), "--k", "1",
+            "--theta-d", "0.3", "--out", str(tmp_path / "doc_pairs.tsv"),
+        )
+        assert result.exit_code == 0, result.output
+        sentences = common if sentence_input == "vectors" else [
+            "--source-sent-embeddings", str(tmp_path / "sent_source.lhae"),
+            "--target-sent-embeddings", str(tmp_path / "sent_target.lhae"),
+            "--abbreviations", str(abbreviations),
+        ]
         result = invoke(
             "align-sents", "--doc-pairs", str(tmp_path / "doc_pairs.tsv"),
             "--source-corpus", str(tmp_path / "source.jsonl"),
             "--target-corpus", str(tmp_path / "target.jsonl"),
-            "--source-sent-embeddings", str(tmp_path / "sent_source.lhae"),
-            "--target-sent-embeddings", str(tmp_path / "sent_target.lhae"),
-            "--abbreviations", str(abbreviations),
+            "--scorer", scorer, *sentences,
             "--k", "1", "--theta-s", "0.6", "--min-overlap", "0.0",
             "--out", str(tmp_path / "groups.jsonl"),
+            "--tsv-out", str(tmp_path / "groups.tsv"),
         )
         assert result.exit_code == 0, result.output
         run_pipeline(PipelineConfig(
@@ -237,10 +244,12 @@ class TestStageCommands:
             out_dir=str(tmp_path / "out"),
             word_vectors=str(tmp_path / "vectors.txt"),
             abbreviations_file=str(abbreviations),
+            scorer=scorer,
             k_doc=1, k_sent=1, theta_d=0.3, theta_s=0.6, min_overlap=0.0,
         ))
+        for name in ("doc_pairs.tsv", "groups.jsonl", "groups.tsv"):
+            assert (tmp_path / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
         chained = (tmp_path / "groups.jsonl").read_text("utf-8")
-        assert chained == (tmp_path / "out" / "groups.jsonl").read_text("utf-8")
         assert "s#2" in chained
 
     def test_align_sents_cosine_needs_embeddings_or_vectors(self, workspace) -> None:
@@ -252,6 +261,106 @@ class TestStageCommands:
             "--theta-s", "0.6", "--out", str(workspace / "g.jsonl"),
         )
         assert result.exit_code == 2
+
+
+class TestStageParameters:
+    """The stage commands check their values with validate_config's rules: a
+    bad value is a usage error naming the option, before any corpus is read
+    and with no output written."""
+
+    @pytest.fixture
+    def stage_inputs(self, workspace) -> Path:
+        vectors = str(workspace / "vectors.txt")
+        for side, corpus in (("src", "source.jsonl"), ("tgt", "target.jsonl")):
+            invoke("embed", "--corpus", str(workspace / corpus), "--level", "doc",
+                   "--vectors", vectors, "--out", str(workspace / f"{side}.lhae"))
+        (workspace / "pairs.tsv").write_text("s1\tt1\t0.9\n", encoding="utf-8")
+        # Reading this corpus would fail, so a value error shows it was not read.
+        (workspace / "broken.jsonl").write_text("not json\n", encoding="utf-8")
+        return workspace
+
+    def align_docs(self, ws: Path, *options: str):
+        return invoke("align-docs", "--source-embeddings", str(ws / "src.lhae"),
+                      "--target-embeddings", str(ws / "tgt.lhae"), *options,
+                      "--out", str(ws / "out.tsv"))
+
+    def align_sents(self, ws: Path, *options: str):
+        return invoke("align-sents", "--doc-pairs", str(ws / "pairs.tsv"),
+                      "--source-corpus", str(ws / "broken.jsonl"),
+                      "--target-corpus", str(ws / "broken.jsonl"),
+                      "--vectors", str(ws / "vectors.txt"), *options,
+                      "--out", str(ws / "out.jsonl"))
+
+    @pytest.mark.parametrize("options, message", [
+        (["--k", "0"], "--k must be >= 1, got 0"),
+        (["--theta-d", "nan"], "--theta-d must not be NaN"),
+        (["--theta-d", "1.5"], "--theta-d must be within [-1,1] for cosine, got 1.5"),
+    ], ids=["k", "theta-d-nan", "theta-d-range"])
+    def test_align_docs_bad_value(self, stage_inputs, options, message) -> None:
+        result = self.align_docs(stage_inputs, *options)
+        assert result.exit_code == 2
+        assert message in result.output
+        assert not (stage_inputs / "out.tsv").exists()
+
+    @pytest.mark.parametrize("options, message", [
+        (["--k", "0", "--theta-s", "0.6"], "--k must be >= 1, got 0"),
+        (["--theta-s", "nan"], "--theta-s must not be NaN"),
+        (["--theta-s", "0.6", "--min-overlap", "2"], "--min-overlap must be in [0,1], got 2.0"),
+        (["--theta-s", "0.6", "--max-len-ratio", "0"], "--max-len-ratio must be > 0, got 0.0"),
+        (["--scorer", "overlap", "--theta-s", "2"],
+         "--theta-s must be within [0,1] for overlap, got 2.0"),
+        (["--scorer", "wmd", "--theta-s", "0"],
+         "--theta-s must be within (0,1] for wmd and rwmd, got 0.0"),
+    ], ids=["k", "theta-s-nan", "min-overlap", "max-len-ratio", "overlap-theta-s",
+            "wmd-theta-s"])
+    def test_align_sents_bad_value(self, stage_inputs, options, message) -> None:
+        result = self.align_sents(stage_inputs, *options)
+        assert result.exit_code == 2
+        assert message in result.output
+        assert not (stage_inputs / "out.jsonl").exists()
+
+    def test_low_cosine_threshold_warns(self, stage_inputs) -> None:
+        ws = stage_inputs
+        result = invoke("align-sents", "--doc-pairs", str(ws / "pairs.tsv"),
+                        "--source-corpus", str(ws / "source.jsonl"),
+                        "--target-corpus", str(ws / "target.jsonl"),
+                        "--vectors", str(ws / "vectors.txt"), "--theta-s", "0.2",
+                        "--out", str(ws / "out.jsonl"))
+        assert result.exit_code == 0, result.output
+        assert "--theta-s 0.2 is low for cosine" in result.stderr
+
+    def test_dimension_mismatch_is_usage_error(self, stage_inputs) -> None:
+        save_embeddings(EmbeddingMatrix(["t1"], np.ones((1, 4), dtype=np.float32)),
+                        stage_inputs / "tgt.lhae")
+        result = self.align_docs(stage_inputs)
+        assert result.exit_code == 2
+        assert "source dim 3 != index dim 4" in result.output
+        assert not (stage_inputs / "out.tsv").exists()
+
+    def test_index_file_is_read_as_target_embeddings(self, stage_inputs) -> None:
+        # An index file is the target's non-zero rows in the embedding
+        # format, so it gives the same pairs as the embeddings themselves.
+        ws = stage_inputs
+        target = load_embeddings(ws / "tgt.lhae")
+        ids = [*target.unit_ids, "zero"]
+        rows = np.vstack([target.rows, np.zeros((1, target.dim), dtype=np.float32)])
+        save_embeddings(EmbeddingMatrix(ids, rows), ws / "tgt.lhae")
+        build_index(load_embeddings(ws / "tgt.lhae")).save(ws / "tgt.lhai")
+        assert load_embeddings(ws / "tgt.lhai").unit_ids == target.unit_ids
+        assert self.align_docs(ws, "--k", "3", "--theta-d", "-1").exit_code == 0
+        from_embeddings = (ws / "out.tsv").read_bytes()
+        result = invoke("align-docs", "--source-embeddings", str(ws / "src.lhae"),
+                        "--target-embeddings", str(ws / "tgt.lhai"), "--k", "3",
+                        "--theta-d", "-1", "--out", str(ws / "out.tsv"))
+        assert result.exit_code == 0, result.output
+        assert (ws / "out.tsv").read_bytes() == from_embeddings
+        assert from_embeddings.count(b"\n") == 4
+
+    def test_index_command_is_gone(self, stage_inputs) -> None:
+        result = invoke("index", "--embeddings", str(stage_inputs / "tgt.lhae"),
+                        "--out", str(stage_inputs / "tgt.lhai"))
+        assert result.exit_code == 2
+        assert "No such command 'index'" in result.output
 
 
 class TestSplitMismatch:
@@ -308,7 +417,6 @@ class TestSplitMismatch:
             target_corpus=str(mismatched / "target.jsonl"),
             out_dir=str(mismatched / "out"),
             word_vectors=str(mismatched / "vectors.txt"),
-            sent_strategy="precomputed",
             sent_embeddings_source=str(mismatched / "sent_source.lhae"),
             sent_embeddings_target=str(mismatched / "sent_target.lhae"),
             k_doc=1, k_sent=1, theta_d=0.3, theta_s=0.6, min_overlap=0.0,

@@ -4,6 +4,7 @@ stage caching, determinism, and resume behavior."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -201,10 +202,49 @@ class TestValidateConfig:
         assert "word_vectors" in self.errors_of(config)
 
     def test_precomputed_needs_paths(self, tmp_path) -> None:
+        # A level is read from files when both of its paths are given; one
+        # path alone is an error.
+        config = make_workspace(tmp_path)
+        for key, unit in (("doc_embeddings_source", "doc"), ("sent_embeddings_target", "sent")):
+            errors = self.errors_of(dataclasses.replace(config, **{key: "x.lhae"}))
+            assert f"give both {unit}_embeddings_source and _target" in errors
+        both = dataclasses.replace(config, doc_embeddings_source="a.lhae",
+                                   doc_embeddings_target="b.lhae")
+        assert self.errors_of(both) == ""
+
+    def test_precomputed_levels_need_no_vectors(self, tmp_path) -> None:
         config = dataclasses.replace(
-            make_workspace(tmp_path), doc_strategy="precomputed"
+            make_workspace(tmp_path), word_vectors=None, scorer="overlap", theta_s=0.5,
+            doc_embeddings_source="a.lhae", doc_embeddings_target="b.lhae",
         )
-        assert "doc_embeddings_source" in self.errors_of(config)
+        assert self.errors_of(config) == ""
+        assert "word_vectors" in self.errors_of(dataclasses.replace(config, scorer="cosine"))
+        assert self.errors_of(dataclasses.replace(
+            config, scorer="cosine", sent_embeddings_source="c.lhae",
+            sent_embeddings_target="d.lhae",
+        )) == ""
+
+    def test_sentence_paths_warn_for_other_scorers(self, tmp_path) -> None:
+        config = dataclasses.replace(
+            make_workspace(tmp_path), sent_embeddings_source="c.lhae",
+            sent_embeddings_target="d.lhae",
+        )
+        assert validate_config(config) == []
+        findings = validate_config(dataclasses.replace(config, scorer="bm25"))
+        assert findings == [
+            ("warning", "the bm25 scorer does not read sent_embeddings_source/_target")
+        ]
+
+    @pytest.mark.parametrize("key, value", [
+        ("k_doc", 2.5), ("theta_s", "0.7"), ("emit_tsv", "false"), ("min_overlap", None),
+    ])
+    def test_wrong_type_reported_alone(self, tmp_path, key, value) -> None:
+        # theta_d=5.0 is out of range; the type error is reported instead.
+        config = dataclasses.replace(make_workspace(tmp_path), theta_d=5.0, **{key: value})
+        ((level, message),) = validate_config(config)
+        assert level == "error"
+        assert message.startswith(f"config key {key!r} expects ")
+        assert message.endswith(f", got {value!r}")
 
     def test_out_dir_collision(self, tmp_path) -> None:
         config = make_workspace(tmp_path)
@@ -356,6 +396,50 @@ class TestRunPipeline:
         summary = run_pipeline(config)
         assert not (Path(config.out_dir) / "groups.tsv").exists()
         assert "groups_tsv" not in summary.outputs
+
+    def test_emit_tsv_off_removes_a_stale_tsv(self, tmp_path) -> None:
+        config = make_workspace(tmp_path)
+        tsv = Path(config.out_dir) / "groups.tsv"
+        run_pipeline(config)
+        assert tsv.exists()
+        off = dataclasses.replace(config, emit_tsv=False, theta_s=0.995)
+        assert "align_sents" not in run_pipeline(off).cached_stages
+        assert not tsv.exists()
+        tsv.write_text("stale\tgroup\n", encoding="utf-8")
+        assert "align_sents" in run_pipeline(off).cached_stages
+        assert not tsv.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("k_doc", 2.5), ("theta_s", "0.7"), ("emit_tsv", "false"),
+    ])
+    def test_wrongly_typed_value_refused(self, tmp_path, key, value) -> None:
+        config = dataclasses.replace(make_workspace(tmp_path), **{key: value})
+        with pytest.raises(ValueError, match=f"invalid config: config key '{key}'"):
+            run_pipeline(config)
+        assert not Path(config.out_dir).exists()
+
+    def test_embedding_paths_select_precomputed(self, tmp_path) -> None:
+        config = make_workspace(tmp_path)
+        run_pipeline(config)
+        out_dir = Path(config.out_dir)
+        precomputed = dataclasses.replace(
+            config, out_dir=str(tmp_path / "pre"),
+            doc_embeddings_source=str(out_dir / "docs_source.lhae"),
+            doc_embeddings_target=str(out_dir / "docs_target.lhae"),
+            sent_embeddings_source=str(out_dir / "sents_source.lhae"),
+            sent_embeddings_target=str(out_dir / "sents_target.lhae"),
+        )
+        run_pipeline(precomputed)
+        for manifest, strategy in ((out_dir / "manifest.json", "avg"),
+                                   (tmp_path / "pre" / "manifest.json", "precomputed")):
+            stages = json.loads(manifest.read_text("utf-8"))["stages"]
+            for name in ("embed_docs_src", "embed_docs_tgt", "embed_sents_src",
+                         "embed_sents_tgt"):
+                assert stages[name]["params"]["strategy"] == strategy
+        pre_stages = json.loads((tmp_path / "pre" / "manifest.json").read_text("utf-8"))
+        assert pre_stages["stages"]["embed_docs_src"]["inputs"]["embedding_source"] == (
+            hashlib.sha256((out_dir / "docs_source.lhae").read_bytes()).hexdigest()
+        )
 
     @pytest.mark.parametrize("scorer", ["overlap", "bm25", "wmd", "rwmd"])
     def test_word_count_and_transport_scorers(self, tmp_path, scorer) -> None:
