@@ -176,10 +176,10 @@ def align_sents(doc_pairs, source_corpus, target_corpus, scorer, vectors,
     )
     pairs = read_doc_pairs(doc_pairs)
     table = load_word_vectors(vectors) if vectors else None
-    embedders = {}
-    for key, path, docs in (
-        ("embedder", source_sent_embeddings, src_docs),
-        ("target_embedder", target_sent_embeddings, tgt_docs),
+    sentence_matrices = {}
+    for side, path, docs in (
+        ("source", source_sent_embeddings, src_docs),
+        ("target", target_sent_embeddings, tgt_docs),
     ):
         if path:
             matrix = load_embeddings(path)
@@ -195,14 +195,14 @@ def align_sents(doc_pairs, source_corpus, target_corpus, scorer, vectors,
             matrix = embed_corpus(docs.values(), "sentence", AvgEmbedder(table))
         else:
             continue
-        embedders[key] = PrecomputedEmbedder(matrix)
+        sentence_matrices[side] = matrix
     scorer_obj = _scorer(
         scorer,
         table=table,
         target_docs=tgt_docs.values(),
         k1=bm25_k1,
         b=bm25_b,
-        **embedders,
+        **sentence_matrices,
     )
     policy = FilterPolicy(
         min_overlap=min_overlap,
@@ -227,15 +227,15 @@ def _echo_report(report, include_timing: bool) -> None:
     click.echo(report.table(), err=True)
 
 
-def _shared_matrix_embedder(flag, path, table, src_docs, tgt_docs, level):
-    """Resolve an eval embedding flag, whose one matrix covers both sides, or
-    else the --vectors table into an embedder; None when neither is given.
+def _shared_matrix(flag, path, src_docs, tgt_docs, level):
+    """Load the file of an eval embedding flag, whose one matrix covers both
+    sides; None when the flag is not given.
 
     A matrix has one row per unit id, so a source and a target unit that
     share an id cannot both be read from it. That is a usage error.
     """
     if not path:
-        return AvgEmbedder(table) if table is not None else None
+        return None
 
     def unit_ids(docs):
         if level == "document":
@@ -249,15 +249,42 @@ def _shared_matrix_embedder(flag, path, table, src_docs, tgt_docs, level):
             f"{flag} holds one matrix for both sides, but a source and a target "
             f"{level} share the unit id {shared!r}"
         )
-    return PrecomputedEmbedder(load_embeddings(path))
+    return load_embeddings(path)
+
+
+def _doc_embedder(path, table, src_docs, tgt_docs):
+    """The --doc-embeddings matrix, or else the --vectors table, as a document
+    embedder; None when neither is given."""
+    matrix = _shared_matrix("--doc-embeddings", path, src_docs, tgt_docs, "document")
+    if matrix is not None:
+        return PrecomputedEmbedder(matrix)
+    return AvgEmbedder(table) if table is not None else None
+
+
+def _sentence_matrices(path, table, src_docs, tgt_docs) -> dict:
+    """The cosine scorer's ``source``/``target`` sentence embeddings: the one
+    --sent-embeddings matrix for both sides, or else each side's unit rows
+    averaged from the --vectors table (the rows `lha embed --level sent`
+    writes and `lha run` scores); empty when neither is given."""
+    matrix = _shared_matrix("--sent-embeddings", path, src_docs, tgt_docs, "sentence")
+    if matrix is not None:
+        return {"source": matrix, "target": matrix}
+    if table is None:
+        return {}
+    return {
+        side: embed_corpus(docs, "sentence", AvgEmbedder(table))
+        for side, docs in (("source", src_docs), ("target", tgt_docs))
+    }
 
 
 def _all_docs(dataset):
-    """(source, target) documents of an eval dataset, noise pools included."""
-    return (
-        [*dataset.src_docs.values(), *dataset.noise_src],
-        [*dataset.tgt_docs.values(), *dataset.noise_tgt],
-    )
+    """(source, target) documents an eval dataset can score: the gold
+    articles, and the noise articles whose ids differ from theirs (the only
+    ones the noise is drawn from)."""
+    def side(gold, noise):
+        return [*gold.values(), *(d for d in noise if d.doc_id not in gold)]
+
+    return side(dataset.src_docs, dataset.noise_src), side(dataset.tgt_docs, dataset.noise_tgt)
 
 
 _positive_labels_option = click.option(
@@ -283,17 +310,18 @@ def eval_sent(data_dir, scorer, vectors, sent_embeddings, bm25_k1, bm25_b,
     """Sentence retrieval inside the gold article pairs."""
     dataset = load_eval_dataset(data_dir)
     table = load_word_vectors(vectors) if vectors else None
-    embedder = _shared_matrix_embedder(
-        "--sent-embeddings", sent_embeddings, table,
-        dataset.src_docs.values(), dataset.tgt_docs.values(), "sentence",
-    )
+    sentence_matrices = {}
+    if scorer == "cosine":
+        sentence_matrices = _sentence_matrices(
+            sent_embeddings, table, dataset.src_docs.values(), dataset.tgt_docs.values()
+        )
     scorer_obj = _scorer(
         scorer,
-        embedder=embedder,
         table=table,
         target_docs=dataset.tgt_docs.values(),
         k1=bm25_k1,
         b=bm25_b,
+        **sentence_matrices,
     )
     report = eval_sentence_alignment(
         dataset, scorer_obj, positive_labels=tuple(positive_labels.split(","))
@@ -307,16 +335,14 @@ def eval_sent(data_dir, scorer, vectors, sent_embeddings, bm25_k1, bm25_b,
 @click.option("--doc-embeddings", type=click.Path(exists=True, dir_okay=False),
               help="Precomputed document embeddings covering both sides; "
               "source and target ids must differ.")
-@click.option("--n-noise", default=1000, show_default=True, type=int)
+@click.option("--n-noise", default=1000, show_default=True, type=click.IntRange(min=0))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--include-timing", is_flag=True)
 def eval_doc(data_dir, vectors, doc_embeddings, n_noise, seed, include_timing) -> None:
     """Document identification among noise articles."""
     dataset = load_eval_dataset(data_dir)
     table = load_word_vectors(vectors) if vectors else None
-    embedder = _shared_matrix_embedder(
-        "--doc-embeddings", doc_embeddings, table, *_all_docs(dataset), "document"
-    )
+    embedder = _doc_embedder(doc_embeddings, table, *_all_docs(dataset))
     if embedder is None:
         raise click.UsageError("needs --vectors or --doc-embeddings")
     report = eval_document_alignment(dataset, embedder=embedder, n_noise=n_noise, seed=seed)
@@ -333,9 +359,9 @@ def eval_doc(data_dir, vectors, doc_embeddings, n_noise, seed, include_timing) -
 @click.option("--theta-d", default=0.5, show_default=True, type=float)
 @click.option("--rescore", default="none", show_default=True,
               type=click.Choice(["none", "wmd", "rwmd"]))
-@click.option("--rescore-top", default=50, show_default=True, type=int)
-@click.option("--global-top", default=50, show_default=True, type=int)
-@click.option("--n-noise", default=1000, show_default=True, type=int)
+@click.option("--rescore-top", default=50, show_default=True, type=click.IntRange(min=1))
+@click.option("--global-top", default=50, show_default=True, type=click.IntRange(min=1))
+@click.option("--n-noise", default=1000, show_default=True, type=click.IntRange(min=0))
 @click.option("--seed", default=0, show_default=True, type=int)
 @_positive_labels_option
 @click.option("--include-timing", is_flag=True)
@@ -343,15 +369,12 @@ def eval_joint_cmd(data_dir, mode, vectors, doc_embeddings, sent_embeddings,
                    k_doc, theta_d, rescore, rescore_top, global_top, n_noise,
                    seed, positive_labels, include_timing) -> None:
     """Hierarchical retrieval vs flat dataset-wide retrieval."""
+    _check_options("cosine", k_doc=("--k-doc", k_doc), theta_d=("--theta-d", theta_d))
     dataset = load_eval_dataset(data_dir)
     table = load_word_vectors(vectors) if vectors else None
     docs = _all_docs(dataset)
-    sent_scorer = _scorer("cosine", embedder=_shared_matrix_embedder(
-        "--sent-embeddings", sent_embeddings, table, *docs, "sentence"
-    ))
-    doc_embedder = _shared_matrix_embedder(
-        "--doc-embeddings", doc_embeddings, table, *docs, "document"
-    )
+    sent_scorer = _scorer("cosine", **_sentence_matrices(sent_embeddings, table, *docs))
+    doc_embedder = _doc_embedder(doc_embeddings, table, *docs)
     rescorer = None if rescore == "none" else _scorer(rescore, table=table)
     report = eval_joint(
         mode,

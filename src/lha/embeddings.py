@@ -14,7 +14,7 @@ from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Document, Sentence, Token, sentence_uid
+from .corpus import Document, Sentence, Token
 
 __all__ = [
     "EmbeddingFormatError",
@@ -22,6 +22,7 @@ __all__ = [
     "WordVectorTable",
     "load_word_vectors",
     "EmbeddingMatrix",
+    "unit_rows",
     "save_embeddings",
     "load_embeddings",
     "embed_avg",
@@ -160,11 +161,14 @@ class EmbeddingMatrix:
         """L2-normalize every row; all-zero rows stay zero."""
         if self.unit_normalized:
             return self
-        rows = self.rows.astype(np.float64)
-        norms = np.linalg.norm(rows, axis=1)
-        safe = np.where(norms > 0.0, norms, 1.0)
-        out = (rows / safe[:, None]).astype(np.float32)
+        out = unit_rows(self.rows.astype(np.float64)).astype(np.float32)
         return EmbeddingMatrix(list(self.unit_ids), out, unit_normalized=True)
+
+
+def unit_rows(rows: np.ndarray) -> np.ndarray:
+    """L2-normalize float64 rows; all-zero rows stay zero."""
+    norms = np.linalg.norm(rows, axis=1)
+    return rows / np.where(norms > 0.0, norms, 1.0)[:, None]
 
 
 def save_embeddings(matrix: EmbeddingMatrix, path: Path | str) -> None:
@@ -260,13 +264,6 @@ class AvgEmbedder:
     def document_vector(self, doc: Document) -> np.ndarray:
         return embed_avg(doc.tokens(), self.table)
 
-    def sentence_rows(self, sentences: Sequence[Sentence]) -> np.ndarray:
-        """One float64 row per sentence, in order."""
-        rows = np.zeros((len(sentences), self.dim), dtype=np.float64)
-        for i, s in enumerate(sentences):
-            rows[i] = self.sentence_vector(s)
-        return rows
-
 
 class PrecomputedEmbedder:
     """Looks units up in an existing matrix keyed by unit id."""
@@ -283,11 +280,6 @@ class PrecomputedEmbedder:
 
     def document_vector(self, doc: Document) -> np.ndarray:
         return self.matrix.row(doc.doc_id).astype(np.float64)
-
-    def sentence_rows(self, sentences: Sequence[Sentence]) -> np.ndarray:
-        """One float64 row per sentence, in order, gathered in one step."""
-        index = [self.matrix.row_index(s.uid) for s in sentences]
-        return self.matrix.rows[index].astype(np.float64)
 
 
 def check_sentence_rows(

@@ -366,6 +366,15 @@ def gold_positive_set(
     }
 
 
+def _score_doc_pair(
+    src: Document, tgt: Document, scorer: Scorer, scored: dict[PairKey, float]
+) -> None:
+    """Add the score of every sentence pair of the two documents to ``scored``."""
+    values = sentence_sim_matrix(src, tgt, scorer)
+    for s, row in zip(src.sentences, values.tolist()):
+        scored.update(((s.uid, t.uid), sim) for t, sim in zip(tgt.sentences, row))
+
+
 def eval_sentence_alignment(
     dataset: EvalDataset,
     scorer: Scorer,
@@ -379,11 +388,7 @@ def eval_sentence_alignment(
         tgt = dataset.tgt_docs.get(tgt_id)
         if src is None or tgt is None:
             raise KeyError(f"gold doc pair ({src_id!r}, {tgt_id!r}) not in corpus")
-        matrix = sentence_sim_matrix(src, tgt, scorer)
-        for i, s_uid in enumerate(matrix.source_sentence_ids):
-            row = matrix.values[i]
-            for j, t_uid in enumerate(matrix.target_sentence_ids):
-                scored[(s_uid, t_uid)] = float(row[j])
+        _score_doc_pair(src, tgt, scorer, scored)
     wall = time.perf_counter() - start
     report = f1max_sweep(scored, gold_positive_set(dataset.gold_pairs, positive_labels))
     details = {
@@ -558,13 +563,9 @@ def eval_joint(
         src_by_id = {d.doc_id: d for d in src_list}
         tgt_by_id = {d.doc_id: d for d in tgt_list}
         for dp in doc_pairs:
-            matrix = sentence_sim_matrix(
-                src_by_id[dp.source_id], tgt_by_id[dp.target_id], sent_scorer
+            _score_doc_pair(
+                src_by_id[dp.source_id], tgt_by_id[dp.target_id], sent_scorer, scored
             )
-            for i, s_uid in enumerate(matrix.source_sentence_ids):
-                row = matrix.values[i]
-                for j, t_uid in enumerate(matrix.target_sentence_ids):
-                    scored[(s_uid, t_uid)] = float(row[j])
     else:
         if not isinstance(sent_scorer, CosineScorer):
             raise ValueError("global mode needs a cosine (embedding) scorer")

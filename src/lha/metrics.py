@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -18,7 +18,7 @@ from scipy.sparse import coo_matrix
 from scipy.spatial.distance import cdist
 
 from .corpus import Document, Sentence, content_tokens
-from .embeddings import AvgEmbedder, PrecomputedEmbedder, WordVectorTable
+from .embeddings import EmbeddingMatrix, WordVectorTable, unit_rows
 
 __all__ = [
     "UnembeddableSentenceError",
@@ -244,43 +244,34 @@ class Scorer:
 class CosineScorer(Scorer):
     """Cosine of sentence embeddings.
 
-    Source sentences (the rows of ``matrix``) are read from ``embedder`` and
-    target sentences (its columns) from ``target_embedder``, which defaults
-    to the same embedder. Keeping the sides apart lets both corpora use the
-    same unit ids.
+    Source sentences (the rows of ``matrix``) are read by uid from
+    ``source`` and target sentences (its columns) from ``target``. Keeping
+    the sides apart lets both corpora use the same unit ids.
     """
 
     kind = "cosine"
 
-    def __init__(
-        self,
-        embedder: AvgEmbedder | PrecomputedEmbedder,
-        target_embedder: AvgEmbedder | PrecomputedEmbedder | None = None,
-    ):
-        if target_embedder is None:
-            target_embedder = embedder
-        if embedder.dim != target_embedder.dim:
-            raise ValueError(
-                f"dimension mismatch: {embedder.dim} vs {target_embedder.dim}"
-            )
-        self.embedder = embedder
-        self.target_embedder = target_embedder
+    def __init__(self, source: EmbeddingMatrix, target: EmbeddingMatrix):
+        if source.dim != target.dim:
+            raise ValueError(f"dimension mismatch: {source.dim} vs {target.dim}")
+        self.source = source
+        self.target = target
 
     def source_rows(self, xs: Sequence[Sentence]) -> np.ndarray:
-        return _unit_rows(self.embedder.sentence_rows(xs))
+        return _unit_rows(self.source, xs)
 
     def target_rows(self, ys: Sequence[Sentence]) -> np.ndarray:
-        return _unit_rows(self.target_embedder.sentence_rows(ys))
+        return _unit_rows(self.target, ys)
 
     def matrix(self, xs: Sequence[Sentence], ys: Sequence[Sentence]) -> np.ndarray:
         return self.source_rows(xs) @ self.target_rows(ys).T
 
 
-def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    """L2-normalize float64 rows; all-zero rows stay zero."""
-    norms = np.linalg.norm(rows, axis=1)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    return rows / safe[:, None]
+def _unit_rows(matrix: EmbeddingMatrix, sentences: Sequence[Sentence]) -> np.ndarray:
+    """The sentences' rows of ``matrix`` as L2-normalized float64 rows, in
+    order; all-zero rows stay zero."""
+    index = [matrix.row_index(s.uid) for s in sentences]
+    return unit_rows(matrix.rows[index].astype(np.float64))
 
 
 class OverlapScorer(Scorer):
@@ -346,25 +337,23 @@ class RwmdScorer(_TransportScorer):
 
 def make_scorer(
     kind: str,
-    embedder: AvgEmbedder | PrecomputedEmbedder | None = None,
+    source: EmbeddingMatrix | None = None,
+    target: EmbeddingMatrix | None = None,
     table: WordVectorTable | None = None,
     stats: Bm25Stats | None = None,
-    target_embedder: AvgEmbedder | PrecomputedEmbedder | None = None,
     target_docs: Iterable[Document] | None = None,
     k1: float = 1.2,
     b: float = 0.75,
 ) -> Scorer:
     """Build a scorer by name; a missing input raises ValueError.
 
-    cosine falls back to averaging ``table`` vectors when no embedder is
-    given. bm25 without ``stats`` computes them over ``target_docs``.
+    cosine reads the ``source`` and ``target`` sentence embedding matrices.
+    bm25 without ``stats`` computes them over ``target_docs``.
     """
     if kind == "cosine":
-        if embedder is None and table is not None:
-            embedder = AvgEmbedder(table)
-        if embedder is None:
-            raise ValueError("cosine scorer needs an embedder or a word-vector table")
-        return CosineScorer(embedder, target_embedder)
+        if source is None or target is None:
+            raise ValueError("cosine scorer needs source and target sentence embeddings")
+        return CosineScorer(source, target)
     if kind == "overlap":
         return OverlapScorer()
     if kind == "bm25":

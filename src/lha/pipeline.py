@@ -204,6 +204,12 @@ def value_findings(values: dict, scorer: str) -> list[tuple[str, str]]:
     return findings
 
 
+# The config keys that name files the run reads.
+_INPUT_FILES = ("source_corpus", "target_corpus", "word_vectors", "doc_embeddings_source",
+                "doc_embeddings_target", "sent_embeddings_source", "sent_embeddings_target",
+                "exclusion_file", "stopwords_file", "abbreviations_file")
+
+
 def _precomputed(config: PipelineConfig, unit: str) -> bool:
     """Whether both ``{unit}_embeddings_source`` and ``_target`` are given."""
     return all(getattr(config, f"{unit}_embeddings_{s}") for s in ("source", "target"))
@@ -246,11 +252,14 @@ def validate_config(config: PipelineConfig) -> list[tuple[str, str]]:
         err("word_vectors is required by the chosen embeddings/scorer")
 
     out_dir = Path(config.out_dir).resolve()
-    inputs = [config.source_corpus, config.target_corpus, config.word_vectors,
-              config.exclusion_file, config.stopwords_file]
-    for p in inputs:
-        if p and Path(p).resolve() == out_dir:
+    for key in _INPUT_FILES:
+        p = getattr(config, key)
+        if not p:
+            continue
+        if Path(p).resolve() == out_dir:
             err(f"output directory equals input path {p!r}")
+        elif not Path(p).is_file():
+            err(f"{key} {p!r} is not an existing file")
     if config.source_corpus == config.target_corpus:
         warn("source and target corpus are the same file (self-alignment)")
     return findings
@@ -465,11 +474,10 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
     def compute_alignment() -> None:
         src_docs = docs("src")
         tgt_docs = docs("tgt")
-        embedders = {}
+        sentence_matrices = {}
         if use_sent_embeddings:
-            embedders = {
-                key: PrecomputedEmbedder(load_embeddings(paths[f"sents_{side}"]))
-                for key, side in (("embedder", "source"), ("target_embedder", "target"))
+            sentence_matrices = {
+                side: load_embeddings(paths[f"sents_{side}"]) for side in ("source", "target")
             }
         scorer = make_scorer(
             config.scorer,
@@ -477,7 +485,7 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
             target_docs=tgt_docs.values(),
             k1=config.bm25_k1,
             b=config.bm25_b,
-            **embedders,
+            **sentence_matrices,
         )
         exclusion = config.exclusion_file
         policy = FilterPolicy(

@@ -25,7 +25,6 @@ from .doc_align import DocPair
 from .metrics import Scorer, unigram_overlap
 
 __all__ = [
-    "SimMatrix",
     "AlignedGroup",
     "FilterPolicy",
     "sentence_sim_matrix",
@@ -47,18 +46,6 @@ _WS_RE = re.compile(r"\s+")
 # What write_groups_tsv writes as a space, so each group stays one line
 # of two fields.
 _TSV_SPACES = str.maketrans("\t\r\n", "   ")
-
-
-@dataclass(frozen=True)
-class SimMatrix:
-    source_sentence_ids: tuple[str, ...]
-    target_sentence_ids: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        expected = (len(self.source_sentence_ids), len(self.target_sentence_ids))
-        if self.values.shape != expected:
-            raise ValueError(f"matrix shape {self.values.shape} != {expected}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +72,7 @@ class FilterPolicy:
     def __post_init__(self) -> None:
         if not 0.0 <= self.min_overlap <= 1.0:
             raise ValueError(f"min_overlap must be in [0,1], got {self.min_overlap}")
-        if self.max_len_ratio <= 0.0:
+        if not self.max_len_ratio > 0.0:
             raise ValueError(f"max_len_ratio must be > 0, got {self.max_len_ratio}")
         if self.stage not in ("group", "pair"):
             raise ValueError(f"stage must be 'group' or 'pair', got {self.stage!r}")
@@ -116,8 +103,9 @@ def load_exclusion_set(path: Path | str) -> frozenset[tuple[str, str]]:
     return frozenset(keys)
 
 
-def sentence_sim_matrix(src_doc: Document, tgt_doc: Document, scorer: Scorer) -> SimMatrix:
-    """Score every sentence of src_doc against every sentence of tgt_doc.
+def sentence_sim_matrix(src_doc: Document, tgt_doc: Document, scorer: Scorer) -> np.ndarray:
+    """Score every sentence of src_doc (rows) against every sentence of
+    tgt_doc (columns), in document order.
 
     Sentences the scorer cannot embed score 0 against everything.
     """
@@ -126,15 +114,14 @@ def sentence_sim_matrix(src_doc: Document, tgt_doc: Document, scorer: Scorer) ->
             f"empty document in pair ({src_doc.doc_id!r}, {tgt_doc.doc_id!r})"
         )
     values = scorer.matrix(src_doc.sentences, tgt_doc.sentences)
-    return SimMatrix(
-        source_sentence_ids=tuple(s.uid for s in src_doc.sentences),
-        target_sentence_ids=tuple(s.uid for s in tgt_doc.sentences),
-        values=values,
-    )
+    expected = (len(src_doc.sentences), len(tgt_doc.sentences))
+    if values.shape != expected:
+        raise ValueError(f"matrix shape {values.shape} != {expected}")
+    return values
 
 
 def extract_nn_pairs(
-    matrix: SimMatrix | np.ndarray, k: int, theta_s: float
+    values: np.ndarray, k: int, theta_s: float
 ) -> list[tuple[int, int, float]]:
     """Union of row-wise and column-wise top-k entries with value >= theta_s.
 
@@ -143,7 +130,6 @@ def extract_nn_pairs(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    values = matrix.values if isinstance(matrix, SimMatrix) else np.asarray(matrix)
     n_rows, n_cols = values.shape
     chosen: set[tuple[int, int]] = set()
     for i in range(n_rows):
@@ -284,8 +270,7 @@ def align_sentences(
                            dp.source_id, dp.target_id, missing)
             counts["missing_doc"] += 1
             continue
-        matrix = sentence_sim_matrix(src, tgt, scorer)
-        pairs = extract_nn_pairs(matrix, k, theta_s)
+        pairs = extract_nn_pairs(sentence_sim_matrix(src, tgt, scorer), k, theta_s)
         counts["raw_pairs"] += len(pairs)
         if policy.stage == "pair":
             kept_pairs = []

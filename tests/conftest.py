@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import pytest
 
 from lha.corpus import Document, Sentence, content_tokens, tokenize
-from lha.embeddings import WordVectorTable
+from lha.embeddings import AvgEmbedder, WordVectorTable, embed_corpus
 from lha.metrics import (
     Bm25Scorer,
     CosineScorer,
@@ -49,6 +49,25 @@ def filter_texts(source_text: str, target_text: str, policy: FilterPolicy) -> st
     )
 
 
+def cosine_scorer(
+    table: WordVectorTable,
+    source: Iterable[Document | Sentence],
+    target: Iterable[Document | Sentence] | None = None,
+) -> CosineScorer:
+    """The cosine scorer over the unit rows ``embed_corpus`` averages from
+    ``table`` (the rows ``lha run`` scores), one matrix per side. The target
+    side defaults to the source's matrix; a bare sentence is embedded as a
+    document of its own."""
+
+    def rows(units: Iterable[Document | Sentence]):
+        docs = [u if isinstance(u, Document) else Document(u.doc_id, "", (u,))
+                for u in units]
+        return embed_corpus(docs, "sentence", AvgEmbedder(table))
+
+    source_rows = rows(source)
+    return CosineScorer(source_rows, source_rows if target is None else rows(target))
+
+
 def pair_score(
     scorer: Scorer, x: Sentence | Sequence[str], y: Sentence | Sequence[str]
 ) -> float:
@@ -56,9 +75,7 @@ def pair_score(
     per-pair metric. Except for cosine, a side may also be a bag of content
     tokens. A transport side with no in-vocabulary token scores 0."""
     if isinstance(scorer, CosineScorer):
-        return cosine(
-            scorer.embedder.sentence_vector(x), scorer.target_embedder.sentence_vector(y)
-        )
+        return cosine(scorer.source.row(x.uid), scorer.target.row(y.uid))
     x, y = (content_tokens(u) if isinstance(u, Sentence) else list(u) for u in (x, y))
     if isinstance(scorer, OverlapScorer):
         return unigram_overlap(x, y)

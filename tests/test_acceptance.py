@@ -22,7 +22,8 @@ from scipy.spatial.distance import cdist
 from lha.ann_index import build_index
 from lha.embeddings import AvgEmbedder, EmbeddingMatrix, WordVectorTable, load_word_vectors
 from lha.evaluate import eval_document_alignment, eval_joint, eval_sentence_alignment, f1max_sweep, load_eval_dataset
-from lha.metrics import CosineScorer, make_scorer, rwmd, wmd
+from lha.cli import _all_docs, _sentence_matrices
+from lha.metrics import make_scorer, rwmd, wmd
 from lha.pipeline import run_pipeline
 from lha.sent_align import (
     FilterPolicy,
@@ -208,7 +209,10 @@ def test_05_reference_scores_on_annotated_data() -> None:
     dataset = load_eval_dataset(os.environ["LHA_EVAL_DATA"])
     table = load_word_vectors(os.environ["LHA_WORD_VECTORS"])
 
-    avg = eval_sentence_alignment(dataset, CosineScorer(AvgEmbedder(table)))
+    sentences = _sentence_matrices(
+        None, table, dataset.src_docs.values(), dataset.tgt_docs.values()
+    )
+    avg = eval_sentence_alignment(dataset, make_scorer("cosine", **sentences))
     assert avg.f1_max == pytest.approx(0.675, abs=0.03), (
         f"sentence F1max with averaged embeddings {avg.f1_max:.4f} "
         f"outside 0.675 +/- 0.03"
@@ -238,14 +242,16 @@ def test_05_reference_scores_on_annotated_data() -> None:
 def test_06_hierarchical_beats_flat_retrieval() -> None:
     dataset = load_eval_dataset(os.environ["LHA_EVAL_DATA"])
     table = load_word_vectors(os.environ["LHA_WORD_VECTORS"])
+    # The scorers `lha eval joint --vectors` builds.
     embedder = AvgEmbedder(table)
+    sent_scorer = make_scorer("cosine", **_sentence_matrices(None, table, *_all_docs(dataset)))
     rescorer = make_scorer("wmd", table=table)
     hierarchical = eval_joint(
-        "lha", dataset, CosineScorer(embedder), doc_embedder=embedder,
+        "lha", dataset, sent_scorer, doc_embedder=embedder,
         n_noise=1000, seed=0, rescorer=rescorer,
     )
     flat = eval_joint(
-        "global", dataset, CosineScorer(embedder),
+        "global", dataset, sent_scorer,
         n_noise=1000, seed=0, rescorer=rescorer,
     )
     gap = hierarchical.f1_max - flat.f1_max

@@ -11,11 +11,18 @@ import pytest
 from click.testing import CliRunner
 
 from lha.ann_index import build_index
-from lha.cli import main
+from lha.cli import _sentence_matrices, main
+from lha.corpus import corpus_index, load_corpus
 from lha.doc_align import read_doc_pairs
-from lha.embeddings import EmbeddingMatrix, load_embeddings, save_embeddings
+from lha.embeddings import (
+    EmbeddingMatrix,
+    load_embeddings,
+    load_word_vectors,
+    save_embeddings,
+)
+from lha.metrics import make_scorer
 from lha.pipeline import PipelineConfig, PipelineStageError, run_pipeline
-from lha.sent_align import read_groups
+from lha.sent_align import read_groups, sentence_sim_matrix
 from conftest import _TOY_VECTORS, write_jsonl, write_vectors
 
 
@@ -553,6 +560,15 @@ class TestConfigTypes:
 
 
 class TestValidateCommand:
+    def test_missing_input_file(self, workspace) -> None:
+        missing = workspace / "absent.jsonl"
+        for command, code in (("validate", 1), ("run", 1)):
+            result = invoke(command, "--config", str(workspace / "config.json"),
+                            "--set", f"source_corpus={missing}")
+            assert result.exit_code == code, command
+            assert f"source_corpus '{missing}' is not an existing file" in result.output
+        assert not (workspace / "out").exists()
+
     def test_ok(self, workspace) -> None:
         result = invoke("validate", "--config", str(workspace / "config.json"))
         assert result.exit_code == 0
@@ -625,6 +641,20 @@ class TestEvalCommands:
             assert report["f1_max"] == 1.0
             assert report["details"]["mode"] == mode
 
+    def test_eval_joint_noise_may_repeat_a_gold_id(self, workspace, eval_dir) -> None:
+        # Noise is never drawn from an article with a gold id, so such an
+        # article changes nothing, though one matrix cannot hold both.
+        args = ["eval", "joint", "--data-dir", str(eval_dir), "--mode", "lha",
+                "--vectors", str(workspace / "vectors.txt"),
+                "--k-doc", "2", "--theta-d", "0.6", "--n-noise", "1"]
+        before = invoke(*args)
+        noise = eval_dir / "noise_source_docs.jsonl"
+        noise.write_text(noise.read_text(encoding="utf-8") + json.dumps(
+            {"id": "s1", "sentences": ["A puppy ran."]}) + "\n", encoding="utf-8")
+        after = invoke(*args)
+        assert after.exit_code == 0, after.output
+        assert after.stdout == before.stdout
+
     def test_eval_joint_rescore(self, workspace, eval_dir) -> None:
         result = invoke(
             "eval", "joint", "--data-dir", str(eval_dir), "--mode", "lha",
@@ -636,6 +666,74 @@ class TestEvalCommands:
         report = json.loads(result.stdout)
         assert report["details"]["rescorer"] == "wmd"
         assert report["details"]["rescored"] <= report["details"]["candidates"]
+
+
+class TestEvalParameters:
+    """Bad eval options are usage errors naming the option, found before the
+    dataset is read (the directory here holds none of its files)."""
+
+    @pytest.mark.parametrize("options, name", [
+        (["joint", "--mode", "lha", "--k-doc", "0"], "--k-doc"),
+        (["joint", "--mode", "lha", "--theta-d", "nan"], "--theta-d"),
+        (["joint", "--mode", "lha", "--theta-d", "1.5"], "--theta-d"),
+        (["joint", "--mode", "lha", "--rescore-top", "0"], "--rescore-top"),
+        (["joint", "--mode", "global", "--global-top", "0"], "--global-top"),
+        (["joint", "--mode", "lha", "--n-noise", "-1"], "--n-noise"),
+        (["doc", "--n-noise", "-1"], "--n-noise"),
+    ], ids=["k-doc", "theta-d-nan", "theta-d-range", "rescore-top", "global-top",
+            "joint-n-noise", "doc-n-noise"])
+    def test_bad_value(self, tmp_path, options, name) -> None:
+        command, *rest = options
+        result = invoke("eval", command, "--data-dir", str(tmp_path), *rest)
+        assert result.exit_code == 2, result.output
+        assert name in result.output
+        assert "evaluation dataset incomplete" not in result.output
+
+
+def test_eval_cosine_rows_are_the_run_rows(tmp_path) -> None:
+    """The cosine scorer `lha eval sent --vectors` builds gives each
+    one-sentence group of `lha run` its score, bit for bit."""
+    rng = np.random.default_rng(0)
+    words = [f"w{i}" for i in range(40)]
+    write_vectors(tmp_path / "vectors.txt",
+                  {w: list(rng.normal(size=16)) for w in words})
+    source, target = [], []
+    for d in range(6):
+        sentences = [" ".join(rng.choice(words, size=8)) + "." for _ in range(4)]
+        edited = [s.replace(s.split()[2], str(rng.choice(words)), 1) for s in sentences]
+        source.append({"id": f"d{d}", "sentences": sentences})
+        # Every other target document reuses its source document's id.
+        target.append({"id": f"d{d}" if d % 2 else f"t{d}",
+                       "sentences": edited[::-1]})
+    write_jsonl(tmp_path / "source.jsonl", source)
+    write_jsonl(tmp_path / "target.jsonl", target)
+    (tmp_path / "config.json").write_text(json.dumps({
+        "source_corpus": str(tmp_path / "source.jsonl"),
+        "target_corpus": str(tmp_path / "target.jsonl"),
+        "out_dir": str(tmp_path / "out"),
+        "word_vectors": str(tmp_path / "vectors.txt"),
+        "k_doc": 2, "k_sent": 2, "theta_d": 0.0, "theta_s": 0.5, "min_overlap": 0.0,
+    }), encoding="utf-8")
+    result = invoke("run", "--config", str(tmp_path / "config.json"))
+    assert result.exit_code == 0, result.output
+
+    src_docs = corpus_index(load_corpus(tmp_path / "source.jsonl", "src"))
+    tgt_docs = corpus_index(load_corpus(tmp_path / "target.jsonl", "tgt"))
+    table = load_word_vectors(tmp_path / "vectors.txt")
+    scorer = make_scorer("cosine", **_sentence_matrices(
+        None, table, src_docs.values(), tgt_docs.values()
+    ))
+    checked = 0
+    for g in read_groups(tmp_path / "out" / "groups.jsonl"):
+        if len(g.source_ids) != 1 or len(g.target_ids) != 1:
+            continue
+        src, tgt = src_docs[g.source_doc], tgt_docs[g.target_doc]
+        values = sentence_sim_matrix(src, tgt, scorer)
+        i = [s.uid for s in src.sentences].index(g.source_ids[0])
+        j = [s.uid for s in tgt.sentences].index(g.target_ids[0])
+        assert values[i, j] == g.score, (g.source_ids, g.target_ids)
+        checked += 1
+    assert checked >= 12
 
 
 class TestSharedIds:

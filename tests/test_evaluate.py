@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lha.corpus import content_tokens
-from lha.embeddings import AvgEmbedder, EmbeddingMatrix, PrecomputedEmbedder, embed_corpus
+from lha.embeddings import AvgEmbedder, EmbeddingMatrix, embed_corpus
 from lha.evaluate import (
     LABELS,
     EvalDataset,
@@ -35,7 +35,7 @@ from lha.metrics import (
     RwmdScorer,
     WmdScorer,
 )
-from conftest import doc, pair_score, write_jsonl
+from conftest import cosine_scorer, doc, pair_score, write_jsonl
 from oracles import f1_sweep_oracle
 
 
@@ -246,10 +246,19 @@ def topical_dataset(pure_weather_pair: bool = False) -> EvalDataset:
     )
 
 
+def dataset_scorer(table, dataset: EvalDataset) -> CosineScorer:
+    """The cosine scorer over every sentence of the dataset, noise included."""
+    return cosine_scorer(
+        table,
+        [*dataset.src_docs.values(), *dataset.noise_src],
+        [*dataset.tgt_docs.values(), *dataset.noise_tgt],
+    )
+
+
 class TestSentenceProtocol:
     def test_good_labels_separate_cleanly(self, toy_table) -> None:
         dataset = topical_dataset()
-        report = eval_sentence_alignment(dataset, CosineScorer(AvgEmbedder(toy_table)))
+        report = eval_sentence_alignment(dataset, dataset_scorer(toy_table, dataset))
         assert report.f1_max == 1.0
         assert report.recall_at_max == 1.0
         assert report.positives_total == 2
@@ -261,7 +270,7 @@ class TestSentenceProtocol:
     def test_positive_labels_widen_gold(self, toy_table) -> None:
         dataset = topical_dataset()
         report = eval_sentence_alignment(
-            dataset, CosineScorer(AvgEmbedder(toy_table)),
+            dataset, dataset_scorer(toy_table, dataset),
             positive_labels=("good", "good_partial"),
         )
         assert report.positives_total == 3
@@ -273,12 +282,11 @@ class TestSentenceProtocol:
         dataset = topical_dataset()
         dataset.gold_doc_pairs.append(("s1", "missing"))
         with pytest.raises(KeyError, match="missing"):
-            eval_sentence_alignment(dataset, CosineScorer(AvgEmbedder(toy_table)))
+            eval_sentence_alignment(dataset, dataset_scorer(toy_table, dataset))
 
     def test_timing_recorded(self, toy_table) -> None:
-        report = eval_sentence_alignment(
-            topical_dataset(), CosineScorer(AvgEmbedder(toy_table))
-        )
+        dataset = topical_dataset()
+        report = eval_sentence_alignment(dataset, dataset_scorer(toy_table, dataset))
         assert report.wall_clock_sec > 0.0
         assert report.throughput_units_per_sec > 0.0
 
@@ -336,10 +344,10 @@ class TestDocumentProtocol:
             assert sims[0, 0] > 0.0
 
     def test_scorer_route_refuses_cosine(self, toy_table) -> None:
+        dataset = topical_dataset()
         with pytest.raises(ValueError, match="embedder="):
             eval_document_alignment(
-                topical_dataset(), scorer=CosineScorer(AvgEmbedder(toy_table)),
-                n_noise=1,
+                dataset, scorer=dataset_scorer(toy_table, dataset), n_noise=1,
             )
 
     def test_noise_pool_too_small(self, toy_table) -> None:
@@ -353,10 +361,9 @@ class TestDocumentProtocol:
 class TestJointProtocol:
     def test_lha_mode(self, toy_table) -> None:
         dataset = topical_dataset()
-        embedder = AvgEmbedder(toy_table)
         report = eval_joint(
-            "lha", dataset, CosineScorer(embedder), doc_embedder=embedder,
-            k_doc=2, theta_d=0.6, n_noise=1, seed=0,
+            "lha", dataset, dataset_scorer(toy_table, dataset),
+            doc_embedder=AvgEmbedder(toy_table), k_doc=2, theta_d=0.6, n_noise=1, seed=0,
         )
         assert report.f1_max == 1.0
         assert report.details["mode"] == "lha"
@@ -366,8 +373,7 @@ class TestJointProtocol:
     def test_global_mode(self, toy_table) -> None:
         dataset = topical_dataset()
         report = eval_joint(
-            "global", dataset, CosineScorer(AvgEmbedder(toy_table)),
-            n_noise=1, seed=0,
+            "global", dataset, dataset_scorer(toy_table, dataset), n_noise=1, seed=0,
         )
         assert report.f1_max == 1.0
         assert report.details["mode"] == "global"
@@ -377,11 +383,11 @@ class TestJointProtocol:
 
     def test_rescoring_caps_candidates(self, toy_table) -> None:
         dataset = topical_dataset()
-        embedder = AvgEmbedder(toy_table)
+        scorer = dataset_scorer(toy_table, dataset)
         report = eval_joint(
-            "lha", dataset, CosineScorer(embedder), doc_embedder=embedder,
+            "lha", dataset, scorer, doc_embedder=AvgEmbedder(toy_table),
             k_doc=2, theta_d=0.6, n_noise=1, seed=0,
-            rescorer=CosineScorer(embedder), rescore_top=1,
+            rescorer=scorer, rescore_top=1,
         )
         assert report.details["rescored"] == 3
         assert report.details["rescored"] <= report.details["candidates"]
@@ -414,18 +420,16 @@ class TestJointProtocol:
     def test_mode_validated(self, toy_table) -> None:
         dataset = topical_dataset()
         with pytest.raises(ValueError, match="mode"):
-            eval_joint("both", dataset, CosineScorer(AvgEmbedder(toy_table)))
+            eval_joint("both", dataset, dataset_scorer(toy_table, dataset))
 
     def test_global_needs_embedding_scorer(self, toy_table) -> None:
         with pytest.raises(ValueError, match="cosine"):
             eval_joint("global", topical_dataset(), OverlapScorer(), n_noise=1)
 
     def test_lha_needs_doc_embedder(self, toy_table) -> None:
+        dataset = topical_dataset()
         with pytest.raises(ValueError, match="embedder"):
-            eval_joint(
-                "lha", topical_dataset(), CosineScorer(AvgEmbedder(toy_table)),
-                n_noise=1,
-            )
+            eval_joint("lha", dataset, dataset_scorer(toy_table, dataset), n_noise=1)
 
 
 class TestLoadEvalDataset:
@@ -456,7 +460,7 @@ class TestLoadEvalDataset:
         assert dataset.gold_doc_pairs == [("s1", "t1"), ("s2", "t2")]
         assert [g.label for g in dataset.gold_pairs] == ["good", "good_partial"]
         assert len(dataset.noise_src) == 1 and len(dataset.noise_tgt) == 1
-        report = eval_sentence_alignment(dataset, CosineScorer(AvgEmbedder(toy_table)))
+        report = eval_sentence_alignment(dataset, dataset_scorer(toy_table, dataset))
         assert report.f1_max == 1.0
 
     def test_missing_files_named(self, tmp_path) -> None:
@@ -494,15 +498,14 @@ class TestJointSharedIds:
     """A source and a target sentence with the same uid stay apart."""
 
     def test_rescore_reads_each_side(self, toy_table) -> None:
-        embedder = AvgEmbedder(toy_table)
-        reports = [
-            eval_joint(
-                "lha", shared_id_dataset(target_id), CosineScorer(embedder),
-                doc_embedder=embedder, k_doc=1, theta_d=0.5, n_noise=1,
+        reports = []
+        for target_id in ("A", "B"):
+            dataset = shared_id_dataset(target_id)
+            reports.append(eval_joint(
+                "lha", dataset, dataset_scorer(toy_table, dataset),
+                doc_embedder=AvgEmbedder(toy_table), k_doc=1, theta_d=0.5, n_noise=1,
                 rescorer=WmdScorer(toy_table), rescore_top=1,
-            ).to_dict()
-            for target_id in ("A", "B")
-        ]
+            ).to_dict())
         assert reports[0] == reports[1]
         assert reports[0]["recall_at_max"] == 1.0
         assert reports[0]["details"]["rescored"] == 3  # A#0, A#1 and the noise sentence
@@ -513,19 +516,18 @@ class TestJointSharedIds:
         src_docs = [*dataset.src_docs.values(), *dataset.noise_src]
         tgt_docs = [*dataset.tgt_docs.values(), *dataset.noise_tgt]
         scorer = CosineScorer(
-            PrecomputedEmbedder(embed_corpus(src_docs, "sentence", avg)),
-            PrecomputedEmbedder(embed_corpus(tgt_docs, "sentence", avg)),
+            embed_corpus(src_docs, "sentence", avg), embed_corpus(tgt_docs, "sentence", avg)
         )
         shared = eval_joint("global", dataset, scorer, n_noise=1, global_top=1)
         # with distinct ids one matrix can hold both sides
         renamed_dataset = shared_id_dataset("B")
-        both = PrecomputedEmbedder(embed_corpus(
+        both = embed_corpus(
             [*renamed_dataset.src_docs.values(), *renamed_dataset.noise_src,
              *renamed_dataset.tgt_docs.values(), *renamed_dataset.noise_tgt],
             "sentence", avg,
-        ))
+        )
         renamed = eval_joint(
-            "global", renamed_dataset, CosineScorer(both), n_noise=1, global_top=1
+            "global", renamed_dataset, CosineScorer(both, both), n_noise=1, global_top=1
         )
         assert shared.to_dict() == renamed.to_dict()
         assert shared.recall_at_max == 1.0
@@ -538,8 +540,8 @@ def test_global_mode_breaks_boundary_ties_by_target_id() -> None:
     tgt_ids = [f"t{i:03d}" for i in reversed(range(100))]
     rows = np.random.default_rng(0).random((100, 4)) + 0.1
     scorer = CosineScorer(
-        PrecomputedEmbedder(EmbeddingMatrix(["A#0"], np.zeros((1, 4), dtype=np.float32))),
-        PrecomputedEmbedder(EmbeddingMatrix([f"{t}#0" for t in tgt_ids], rows)),
+        EmbeddingMatrix(["A#0"], np.zeros((1, 4), dtype=np.float32)),
+        EmbeddingMatrix([f"{t}#0" for t in tgt_ids], rows),
     )
     dataset = EvalDataset(
         src_docs={"A": doc("A", ["The cat sat."])},

@@ -12,8 +12,8 @@ from lha.embeddings import (
     AvgEmbedder,
     EmbeddingLookupError,
     EmbeddingMatrix,
-    PrecomputedEmbedder,
     WordVectorTable,
+    embed_corpus,
 )
 from lha.metrics import (
     Bm25Scorer,
@@ -31,7 +31,7 @@ from lha.metrics import (
     unigram_overlap,
     wmd,
 )
-from conftest import doc, pair_score, sent
+from conftest import cosine_scorer, doc, pair_score, sent
 from oracles import transport_cost_oracle
 
 # random-table sentences use this pool; a few words stay out of vocabulary
@@ -264,7 +264,7 @@ class TestScorers:
     def test_self_score_is_maximal(self, toy_table) -> None:
         x = sent("The cat saw a dog.")
         scorers = [
-            CosineScorer(AvgEmbedder(toy_table)),
+            cosine_scorer(toy_table, [x]),
             OverlapScorer(),
             WmdScorer(toy_table),
             RwmdScorer(toy_table),
@@ -281,7 +281,7 @@ class TestScorers:
         )]
         stats = Bm25Stats.from_documents([content_tokens(y) for y in ys])
         scorers = [
-            CosineScorer(AvgEmbedder(toy_table)),
+            cosine_scorer(toy_table, xs, ys),
             OverlapScorer(),
             Bm25Scorer(stats),
             WmdScorer(toy_table),
@@ -305,13 +305,14 @@ class TestScorers:
 
     def test_factory_kinds(self, toy_table) -> None:
         stats = Bm25Stats.from_documents([["x"]])
-        embedder = AvgEmbedder(toy_table)
+        rows = embed_corpus([doc("d", ["A cat."])], "sentence", AvgEmbedder(toy_table))
         for kind in ("cosine", "overlap", "bm25", "wmd", "rwmd"):
-            scorer = make_scorer(kind, embedder=embedder, table=toy_table, stats=stats)
+            scorer = make_scorer(kind, source=rows, target=rows, table=toy_table,
+                                 stats=stats)
             assert scorer.kind == kind
 
     def test_factory_validates_inputs(self, toy_table) -> None:
-        with pytest.raises(ValueError, match="embedder"):
+        with pytest.raises(ValueError, match="embeddings"):
             make_scorer("cosine")
         with pytest.raises(ValueError, match="statistics"):
             make_scorer("bm25")
@@ -322,41 +323,33 @@ class TestScorers:
 
 
 class TestCosineSides:
-    """Rows come from the source embedder and columns from the target one,
+    """Rows come from the source matrix and columns from the target one,
     so both corpora may use the same sentence ids."""
 
     def test_each_side_reads_its_own_matrix(self) -> None:
         src = EmbeddingMatrix(["a#0", "a#1"], np.array([[1, 0], [0, 1]], dtype=np.float32))
         tgt = EmbeddingMatrix(["a#0", "a#1"], np.array([[0, 2], [3, 0]], dtype=np.float32))
-        scorer = CosineScorer(PrecomputedEmbedder(src), PrecomputedEmbedder(tgt))
+        scorer = CosineScorer(src, tgt)
         xs = [sent("Cat.", doc_id="a", ordinal=0), sent("Rain.", doc_id="a", ordinal=1)]
         ys = [sent("Rain.", doc_id="a", ordinal=0), sent("Cat.", doc_id="a", ordinal=1)]
         assert np.array_equal(scorer.matrix(xs, ys), [[0.0, 1.0], [1.0, 0.0]])
         assert pair_score(scorer, xs[0], ys[1]) == pytest.approx(1.0)
         assert pair_score(scorer, xs[0], ys[0]) == pytest.approx(0.0)
 
-    def test_target_defaults_to_source(self, toy_table) -> None:
-        embedder = AvgEmbedder(toy_table)
-        assert CosineScorer(embedder).target_embedder is embedder
-
     def test_dim_mismatch_rejected(self) -> None:
         src = EmbeddingMatrix(["a#0"], np.zeros((1, 2), dtype=np.float32))
         tgt = EmbeddingMatrix(["b#0"], np.zeros((1, 3), dtype=np.float32))
         with pytest.raises(ValueError, match="dim"):
-            CosineScorer(PrecomputedEmbedder(src), PrecomputedEmbedder(tgt))
+            CosineScorer(src, tgt)
         with pytest.raises(ValueError, match="dim"):
-            make_scorer(
-                "cosine",
-                embedder=PrecomputedEmbedder(src),
-                target_embedder=PrecomputedEmbedder(tgt),
-            )
+            make_scorer("cosine", source=src, target=tgt)
 
     def test_id_missing_on_its_own_side_raises(self) -> None:
         # a#0 has a row only in the target matrix; as a source sentence it
         # must not borrow that row
         src = EmbeddingMatrix(["b#0"], np.ones((1, 2), dtype=np.float32))
         tgt = EmbeddingMatrix(["a#0"], np.ones((1, 2), dtype=np.float32))
-        scorer = CosineScorer(PrecomputedEmbedder(src), PrecomputedEmbedder(tgt))
+        scorer = CosineScorer(src, tgt)
         stray = sent("Cat.", doc_id="a", ordinal=0)
         with pytest.raises(EmbeddingLookupError, match="a#0"):
             scorer.matrix([stray], [stray])
@@ -373,25 +366,21 @@ class TestCosineSides:
             [s.uid for s in xs + ys],
             np.vstack([avg.sentence_vector(s) for s in xs + ys]).astype(np.float32),
         )
-        pre = PrecomputedEmbedder(matrix)
+        scorer = CosineScorer(matrix, matrix)
         for sentences in (xs, ys, []):
             expected_rows = np.zeros((len(sentences), matrix.dim))
             for i, s in enumerate(sentences):
-                expected_rows[i] = pre.sentence_vector(s)
-            assert pre.sentence_rows(sentences).tobytes() == expected_rows.tobytes()
+                expected_rows[i] = scorer.source_rows([s])[0]
+            assert scorer.source_rows(sentences).tobytes() == expected_rows.tobytes()
+            assert scorer.target_rows(sentences).tobytes() == expected_rows.tobytes()
         expected = np.zeros((len(xs), len(ys)))
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
-                expected[i, j] = cosine(pre.sentence_vector(x), pre.sentence_vector(y))
-        assert np.allclose(CosineScorer(pre).matrix(xs, ys), expected, atol=1e-12)
+                expected[i, j] = cosine(matrix.row(x.uid), matrix.row(y.uid))
+        assert np.allclose(scorer.matrix(xs, ys), expected, atol=1e-12)
 
 
 class TestMakeScorer:
-    def test_cosine_falls_back_to_table(self, toy_table) -> None:
-        scorer = make_scorer("cosine", table=toy_table)
-        assert isinstance(scorer.embedder, AvgEmbedder)
-        assert pair_score(scorer, sent("cat"), sent("kitten")) > 0.99
-
     def test_bm25_stats_from_target_docs(self) -> None:
         docs = [doc("t1", ["Cat sat.", "Dog ran."]), doc("t2", ["Cat ate."])]
         scorer = make_scorer("bm25", target_docs=docs, k1=2.0, b=0.5)

@@ -184,6 +184,14 @@ class TestValidateConfig:
     def errors_of(self, config: PipelineConfig) -> str:
         return "; ".join(m for level, m in validate_config(config) if level == "error")
 
+    @staticmethod
+    def placeholders(monkeypatch, root: Path, *names: str) -> None:
+        """Create the named input files in ``root`` and work from there:
+        validate_config reports a missing input file."""
+        monkeypatch.chdir(root)
+        for name in names:
+            (root / name).touch()
+
     def test_range_errors(self, tmp_path) -> None:
         config = make_workspace(tmp_path)
         assert "k_doc" in self.errors_of(dataclasses.replace(config, k_doc=0))
@@ -201,10 +209,11 @@ class TestValidateConfig:
         config = dataclasses.replace(make_workspace(tmp_path), word_vectors=None)
         assert "word_vectors" in self.errors_of(config)
 
-    def test_precomputed_needs_paths(self, tmp_path) -> None:
+    def test_precomputed_needs_paths(self, tmp_path, monkeypatch) -> None:
         # A level is read from files when both of its paths are given; one
         # path alone is an error.
         config = make_workspace(tmp_path)
+        self.placeholders(monkeypatch, tmp_path, "x.lhae", "a.lhae", "b.lhae")
         for key, unit in (("doc_embeddings_source", "doc"), ("sent_embeddings_target", "sent")):
             errors = self.errors_of(dataclasses.replace(config, **{key: "x.lhae"}))
             assert f"give both {unit}_embeddings_source and _target" in errors
@@ -212,7 +221,8 @@ class TestValidateConfig:
                                    doc_embeddings_target="b.lhae")
         assert self.errors_of(both) == ""
 
-    def test_precomputed_levels_need_no_vectors(self, tmp_path) -> None:
+    def test_precomputed_levels_need_no_vectors(self, tmp_path, monkeypatch) -> None:
+        self.placeholders(monkeypatch, tmp_path, "a.lhae", "b.lhae", "c.lhae", "d.lhae")
         config = dataclasses.replace(
             make_workspace(tmp_path), word_vectors=None, scorer="overlap", theta_s=0.5,
             doc_embeddings_source="a.lhae", doc_embeddings_target="b.lhae",
@@ -224,7 +234,8 @@ class TestValidateConfig:
             sent_embeddings_target="d.lhae",
         )) == ""
 
-    def test_sentence_paths_warn_for_other_scorers(self, tmp_path) -> None:
+    def test_sentence_paths_warn_for_other_scorers(self, tmp_path, monkeypatch) -> None:
+        self.placeholders(monkeypatch, tmp_path, "c.lhae", "d.lhae")
         config = dataclasses.replace(
             make_workspace(tmp_path), sent_embeddings_source="c.lhae",
             sent_embeddings_target="d.lhae",
@@ -245,6 +256,17 @@ class TestValidateConfig:
         assert level == "error"
         assert message.startswith(f"config key {key!r} expects ")
         assert message.endswith(f", got {value!r}")
+
+    @pytest.mark.parametrize("key", [
+        "source_corpus", "target_corpus", "word_vectors",
+        "doc_embeddings_source", "doc_embeddings_target",
+        "sent_embeddings_source", "sent_embeddings_target",
+        "exclusion_file", "stopwords_file", "abbreviations_file",
+    ])
+    def test_missing_input_file(self, tmp_path, key) -> None:
+        missing = str(tmp_path / "missing.txt")
+        config = dataclasses.replace(make_workspace(tmp_path), **{key: missing})
+        assert f"{key} {missing!r} is not an existing file" in self.errors_of(config)
 
     def test_out_dir_collision(self, tmp_path) -> None:
         config = make_workspace(tmp_path)

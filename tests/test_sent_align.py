@@ -13,12 +13,10 @@ import pytest
 
 from lha.corpus import Document, default_stopwords
 from lha.doc_align import DocPair
-from lha.embeddings import AvgEmbedder
-from lha.metrics import CosineScorer, OverlapScorer
+from lha.metrics import OverlapScorer, Scorer
 from lha.sent_align import (
     AlignedGroup,
     FilterPolicy,
-    SimMatrix,
     align_sentences,
     extract_nn_pairs,
     load_exclusion_set,
@@ -30,7 +28,7 @@ from lha.sent_align import (
     write_groups,
     write_groups_tsv,
 )
-from conftest import doc, filter_texts, pair_score
+from conftest import cosine_scorer, doc, filter_texts, pair_score
 from oracles import align_sentences_oracle, components_oracle
 
 
@@ -49,41 +47,45 @@ def group_of(source_text: str, target_text: str, score: float = 0.9) -> AlignedG
 class TestSentenceSimMatrix:
     def test_identical_docs_have_unit_diagonal(self, toy_table) -> None:
         d = doc("d1", ["The cat sat.", "An apple fell.", "Rain is coming."])
-        matrix = sentence_sim_matrix(d, d, CosineScorer(AvgEmbedder(toy_table)))
-        assert np.allclose(np.diag(matrix.values), 1.0, atol=1e-6)
+        matrix = sentence_sim_matrix(d, d, cosine_scorer(toy_table, [d]))
+        assert np.allclose(np.diag(matrix), 1.0, atol=1e-6)
 
     def test_shape(self, toy_table) -> None:
         src = doc("a", ["The cat.", "An apple.", "A storm."])
         tgt = doc("b", ["A dog.", "Some bread."])
-        matrix = sentence_sim_matrix(src, tgt, CosineScorer(AvgEmbedder(toy_table)))
-        assert matrix.values.shape == (3, 2)
-        assert matrix.source_sentence_ids == ("a#0", "a#1", "a#2")
-        assert matrix.target_sentence_ids == ("b#0", "b#1")
+        matrix = sentence_sim_matrix(src, tgt, cosine_scorer(toy_table, [src], [tgt]))
+        assert matrix.shape == (3, 2)
+        assert tuple(s.uid for s in src.sentences) == ("a#0", "a#1", "a#2")
+        assert tuple(s.uid for s in tgt.sentences) == ("b#0", "b#1")
 
     def test_entries_match_standalone_scorer(self, toy_table) -> None:
         src = doc("a", ["The cat sat.", "An apple fell.", "Rain is near.", "A puppy!"])
         tgt = doc("b", ["Kitten plays.", "Banana bread.", "Snow and storm."])
-        scorer = CosineScorer(AvgEmbedder(toy_table))
+        scorer = cosine_scorer(toy_table, [src], [tgt])
         matrix = sentence_sim_matrix(src, tgt, scorer)
         rng = np.random.default_rng(0)
         for _ in range(5):
             i = int(rng.integers(4))
             j = int(rng.integers(3))
             expected = pair_score(scorer, src.sentences[i], tgt.sentences[j])
-            assert matrix.values[i, j] == pytest.approx(expected, abs=1e-6)
+            assert matrix[i, j] == pytest.approx(expected, abs=1e-6)
 
     def test_empty_document_rejected(self, toy_table) -> None:
         src = doc("a", ["The cat."])
         empty = doc("b", [])
-        scorer = CosineScorer(AvgEmbedder(toy_table))
+        scorer = cosine_scorer(toy_table, [src])
         with pytest.raises(ValueError, match="empty document"):
             sentence_sim_matrix(src, empty, scorer)
         with pytest.raises(ValueError, match="empty document"):
             sentence_sim_matrix(empty, src, scorer)
 
     def test_shape_mismatch_rejected(self) -> None:
+        class WrongShape(Scorer):
+            def matrix(self, xs, ys):
+                return np.zeros((2, 2))
+
         with pytest.raises(ValueError, match="shape"):
-            SimMatrix(("a#0",), ("b#0", "b#1"), np.zeros((2, 2)))
+            sentence_sim_matrix(doc("a", ["A."]), doc("b", ["B.", "C."]), WrongShape())
 
 
 class TestExtractNnPairs:
@@ -128,9 +130,9 @@ class TestExtractNnPairs:
     def test_carries_matrix_values(self, toy_table) -> None:
         src = doc("a", ["The cat.", "An apple."])
         tgt = doc("b", ["A kitten.", "Some bread."])
-        matrix = sentence_sim_matrix(src, tgt, CosineScorer(AvgEmbedder(toy_table)))
+        matrix = sentence_sim_matrix(src, tgt, cosine_scorer(toy_table, [src], [tgt]))
         for i, j, sim in extract_nn_pairs(matrix, k=1, theta_s=0.0):
-            assert sim == matrix.values[i, j]
+            assert sim == matrix[i, j]
 
     def test_k_validated(self) -> None:
         with pytest.raises(ValueError, match="k"):
@@ -263,6 +265,12 @@ class TestFilters:
         with pytest.raises(ValueError, match="stage"):
             FilterPolicy(stage="later")
 
+    @pytest.mark.parametrize("field", ["min_overlap", "max_len_ratio"])
+    def test_policy_refuses_nan(self, field) -> None:
+        # A NaN ratio or overlap would compare false everywhere and drop nothing.
+        with pytest.raises(ValueError, match=field):
+            FilterPolicy(**{field: float("nan")})
+
     def test_normalize_pair_key(self) -> None:
         assert normalize_pair_key(" A  B ", "c\td") == ("a b", "c d")
 
@@ -289,7 +297,7 @@ def pet_food_corpora(toy_table):
         "t1": doc("t1", ["The kitten sat on a mat.", "A banana fell down."]),
         "t2": doc("t2", ["The snow storm is coming."]),
     }
-    scorer = CosineScorer(AvgEmbedder(toy_table))
+    scorer = cosine_scorer(toy_table, src_docs.values(), tgt_docs.values())
     return src_docs, tgt_docs, scorer
 
 
@@ -332,7 +340,7 @@ class TestAlignSentences:
         base = ["The cat sat on a mat."]
         src_docs = {"s1": doc("s1", base), "s2": doc("s2", base)}
         tgt_docs = {"t1": doc("t1", ["The kitten sat on a mat."])}
-        scorer = CosineScorer(AvgEmbedder(toy_table))
+        scorer = cosine_scorer(toy_table, src_docs.values(), tgt_docs.values())
         doc_pairs = [DocPair("s1", "t1", 0.9), DocPair("s2", "t1", 0.9)]
         counts: dict[str, int] = {}
         groups = list(
@@ -347,7 +355,7 @@ class TestAlignSentences:
     def test_drop_counts_track_filters(self, toy_table) -> None:
         src_docs = {"s1": doc("s1", ["The cat sat on a mat."])}
         tgt_docs = {"t1": doc("t1", ["The kitten sat on a mat."])}
-        scorer = CosineScorer(AvgEmbedder(toy_table))
+        scorer = cosine_scorer(toy_table, src_docs.values(), tgt_docs.values())
         counts: dict[str, int] = {}
         policy = FilterPolicy(
             exclusion_set=frozenset(
