@@ -21,10 +21,12 @@ from .embeddings import (
     save_embeddings,
 )
 from .evaluate import (
+    LABELS,
     eval_document_alignment,
     eval_joint,
     eval_sentence_alignment,
     load_eval_dataset,
+    noise_pools,
 )
 from .metrics import make_scorer
 from .pipeline import PipelineConfig, PipelineStageError, align_doc_files, run_pipeline
@@ -287,10 +289,32 @@ def _all_docs(dataset):
     return side(dataset.src_docs, dataset.noise_src), side(dataset.tgt_docs, dataset.noise_tgt)
 
 
+def _parse_labels(ctx, param, value: str) -> tuple[str, ...]:
+    labels = tuple(value.split(","))
+    unknown = [label for label in labels if label not in LABELS]
+    if unknown:
+        raise click.BadParameter(
+            f"unknown label(s) {', '.join(map(repr, unknown))}; "
+            f"choose from {', '.join(LABELS)}"
+        )
+    return labels
+
+
 _positive_labels_option = click.option(
-    "--positive-labels", default="good", show_default=True,
+    "--positive-labels", default="good", show_default=True, callback=_parse_labels,
     help="Comma-separated labels treated as positive.",
 )
+
+
+def _check_noise(dataset, n_noise: int) -> None:
+    """--n-noise must fit in both noise pools; checked before any scoring."""
+    for side, pool in zip(("source", "target"), noise_pools(dataset)):
+        if n_noise > len(pool):
+            raise click.BadParameter(
+                f"{n_noise} exceeds the {side} noise pool, which has "
+                f"{len(pool)} eligible documents",
+                param_hint="'--n-noise'",
+            )
 
 
 @eval_group.command("sent")
@@ -323,9 +347,7 @@ def eval_sent(data_dir, scorer, vectors, sent_embeddings, bm25_k1, bm25_b,
         b=bm25_b,
         **sentence_matrices,
     )
-    report = eval_sentence_alignment(
-        dataset, scorer_obj, positive_labels=tuple(positive_labels.split(","))
-    )
+    report = eval_sentence_alignment(dataset, scorer_obj, positive_labels=positive_labels)
     _echo_report(report, include_timing)
 
 
@@ -341,6 +363,7 @@ def eval_sent(data_dir, scorer, vectors, sent_embeddings, bm25_k1, bm25_b,
 def eval_doc(data_dir, vectors, doc_embeddings, n_noise, seed, include_timing) -> None:
     """Document identification among noise articles."""
     dataset = load_eval_dataset(data_dir)
+    _check_noise(dataset, n_noise)
     table = load_word_vectors(vectors) if vectors else None
     embedder = _doc_embedder(doc_embeddings, table, *_all_docs(dataset))
     if embedder is None:
@@ -371,6 +394,7 @@ def eval_joint_cmd(data_dir, mode, vectors, doc_embeddings, sent_embeddings,
     """Hierarchical retrieval vs flat dataset-wide retrieval."""
     _check_options("cosine", k_doc=("--k-doc", k_doc), theta_d=("--theta-d", theta_d))
     dataset = load_eval_dataset(data_dir)
+    _check_noise(dataset, n_noise)
     table = load_word_vectors(vectors) if vectors else None
     docs = _all_docs(dataset)
     sent_scorer = _scorer("cosine", **_sentence_matrices(sent_embeddings, table, *docs))
@@ -388,7 +412,7 @@ def eval_joint_cmd(data_dir, mode, vectors, doc_embeddings, sent_embeddings,
         rescorer=rescorer,
         rescore_top=rescore_top,
         global_top=global_top,
-        positive_labels=tuple(positive_labels.split(",")),
+        positive_labels=positive_labels,
     )
     _echo_report(report, include_timing)
 

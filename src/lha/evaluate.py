@@ -38,6 +38,7 @@ __all__ = [
     "f1max_sweep",
     "EvalDataset",
     "load_eval_dataset",
+    "noise_pools",
     "eval_sentence_alignment",
     "eval_document_alignment",
     "eval_joint",
@@ -381,6 +382,7 @@ def eval_sentence_alignment(
     positive_labels: Sequence[str] = ("good",),
 ) -> EvalReport:
     """Score all sentence pairs within the gold article pairs, then sweep."""
+    positives = gold_positive_set(dataset.gold_pairs, positive_labels)
     start = time.perf_counter()
     scored: dict[PairKey, float] = {}
     for src_id, tgt_id in dataset.gold_doc_pairs:
@@ -390,7 +392,7 @@ def eval_sentence_alignment(
             raise KeyError(f"gold doc pair ({src_id!r}, {tgt_id!r}) not in corpus")
         _score_doc_pair(src, tgt, scorer, scored)
     wall = time.perf_counter() - start
-    report = f1max_sweep(scored, gold_positive_set(dataset.gold_pairs, positive_labels))
+    report = f1max_sweep(scored, positives)
     details = {
         "protocol": "sentence",
         "scorer": scorer.kind,
@@ -409,13 +411,20 @@ def _with_timing(report: EvalReport, wall: float, details: dict) -> EvalReport:
     )
 
 
+def noise_pools(dataset: EvalDataset) -> tuple[list[Document], list[Document]]:
+    """The (source, target) noise documents the protocols sample from: those
+    whose id is not a gold article's id on their side."""
+    src_gold = {a for a, _ in dataset.gold_doc_pairs}
+    tgt_gold = {b for _, b in dataset.gold_doc_pairs}
+    return (
+        [d for d in dataset.noise_src if d.doc_id not in src_gold],
+        [d for d in dataset.noise_tgt if d.doc_id not in tgt_gold],
+    )
+
+
 def _sample_noise(
-    pool: Sequence[Document],
-    exclude_ids: set[str],
-    n_noise: int,
-    rng: np.random.Generator,
+    eligible: Sequence[Document], n_noise: int, rng: np.random.Generator
 ) -> list[Document]:
-    eligible = [d for d in pool if d.doc_id not in exclude_ids]
     if len(eligible) < n_noise:
         raise ValueError(
             f"noise pool has {len(eligible)} eligible documents, need {n_noise}"
@@ -464,8 +473,9 @@ def eval_document_alignment(
     gold_tgt_ids = [b for _, b in dataset.gold_doc_pairs]
     src_list = [dataset.src_docs[a] for a in dict.fromkeys(gold_src_ids)]
     tgt_list = [dataset.tgt_docs[b] for b in dict.fromkeys(gold_tgt_ids)]
-    src_list += _sample_noise(dataset.noise_src, {d.doc_id for d in src_list}, n_noise, rng)
-    tgt_list += _sample_noise(dataset.noise_tgt, {d.doc_id for d in tgt_list}, n_noise, rng)
+    src_noise, tgt_noise = noise_pools(dataset)
+    src_list += _sample_noise(src_noise, n_noise, rng)
+    tgt_list += _sample_noise(tgt_noise, n_noise, rng)
     sims = _doc_sim_matrix(src_list, tgt_list, embedder, scorer)
     scored = {
         (s.doc_id, t.doc_id): float(sims[i, j])
@@ -533,14 +543,16 @@ def eval_joint(
     """
     if mode not in ("lha", "global"):
         raise ValueError(f"mode must be 'lha' or 'global', got {mode!r}")
+    positives = gold_positive_set(dataset.gold_pairs, positive_labels)
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     src_gold = list(dict.fromkeys(a for a, _ in dataset.gold_doc_pairs))
     tgt_gold = list(dict.fromkeys(b for _, b in dataset.gold_doc_pairs))
     src_list = [dataset.src_docs[a] for a in src_gold]
     tgt_list = [dataset.tgt_docs[b] for b in tgt_gold]
-    src_list += _sample_noise(dataset.noise_src, set(src_gold), n_noise, rng)
-    tgt_list += _sample_noise(dataset.noise_tgt, set(tgt_gold), n_noise, rng)
+    src_noise, tgt_noise = noise_pools(dataset)
+    src_list += _sample_noise(src_noise, n_noise, rng)
+    tgt_list += _sample_noise(tgt_noise, n_noise, rng)
     src_sents = [s for doc in src_list for s in doc.sentences]
     tgt_sents = [s for doc in tgt_list for s in doc.sentences]
     details: dict = {
@@ -592,7 +604,5 @@ def eval_joint(
         details["rescore_top"] = rescore_top
         details["rescored"] = len(scored)
     wall = time.perf_counter() - start
-    report = f1max_sweep(
-        scored, gold_positive_set(dataset.gold_pairs, positive_labels)
-    )
+    report = f1max_sweep(scored, positives)
     return _with_timing(report, wall, details)

@@ -188,16 +188,25 @@ def _transport_cost(a: np.ndarray, b: np.ndarray, costs: np.ndarray) -> float:
     return max(float(res.fun), 0.0)
 
 
+def _relaxed_cost(a: np.ndarray, b: np.ndarray, costs: np.ndarray) -> float:
+    """Relaxed transport cost: the max of the two one-sided costs where all
+    of a word's mass moves to its nearest counterpart. A lower bound on
+    ``_transport_cost`` under the same cost matrix."""
+    moved_x = float(np.dot(a, costs.min(axis=1)))
+    moved_y = float(np.dot(b, costs.min(axis=0)))
+    return max(moved_x, moved_y)
+
+
+def _ground_costs(nx: _Nbow, ny: _Nbow) -> np.ndarray:
+    return cdist(nx.vectors, ny.vectors, metric="euclidean")
+
+
 def _wmd_nbow(nx: _Nbow, ny: _Nbow) -> float:
-    costs = cdist(nx.vectors, ny.vectors, metric="euclidean")
-    return _transport_cost(nx.weights, ny.weights, costs)
+    return _transport_cost(nx.weights, ny.weights, _ground_costs(nx, ny))
 
 
 def _rwmd_nbow(nx: _Nbow, ny: _Nbow) -> float:
-    costs = cdist(nx.vectors, ny.vectors, metric="euclidean")
-    moved_x = float(np.dot(nx.weights, costs.min(axis=1)))
-    moved_y = float(np.dot(ny.weights, costs.min(axis=0)))
-    return max(moved_x, moved_y)
+    return _relaxed_cost(nx.weights, ny.weights, _ground_costs(nx, ny))
 
 
 def wmd(
@@ -305,6 +314,12 @@ class Bm25Scorer(Scorer):
         return out
 
 
+# The LP meets its constraints only up to rounding, so its optimum may sit
+# a few ulps below the relaxed bound computed from the same costs. A cell is
+# pruned only when its bound is below the floor by more than that.
+_FLOOR_SLACK = 1e-9
+
+
 class _TransportScorer(Scorer):
     _distance: Callable[[_Nbow, _Nbow], float]
 
@@ -326,8 +341,33 @@ class _TransportScorer(Scorer):
 
 
 class WmdScorer(_TransportScorer):
+    """Word mover's similarity, one transport LP per cell.
+
+    With a ``floor``, a cell whose RWMD similarity bound is below it holds
+    that bound and its LP is skipped: RWMD <= WMD, so its exact value is
+    below the floor too. Cells at or above the floor hold their exact
+    value. The counters record the cells scored (both sentences
+    embeddable), those pruned by the bound and those solved (1 x n and
+    m x 1 cells are solved without an LP).
+    """
+
     kind = "wmd"
-    _distance = staticmethod(_wmd_nbow)
+
+    def __init__(self, table: WordVectorTable, floor: float | None = None):
+        super().__init__(table)
+        self.floor = floor
+        self.cells = self.pruned = self.solved = 0
+
+    def _distance(self, nx: _Nbow, ny: _Nbow) -> float:
+        self.cells += 1
+        costs = _ground_costs(nx, ny)
+        if self.floor is not None:
+            bound = _relaxed_cost(nx.weights, ny.weights, costs)
+            if to_similarity(bound) < self.floor - _FLOOR_SLACK:
+                self.pruned += 1
+                return bound
+        self.solved += 1
+        return _transport_cost(nx.weights, ny.weights, costs)
 
 
 class RwmdScorer(_TransportScorer):
@@ -344,11 +384,14 @@ def make_scorer(
     target_docs: Iterable[Document] | None = None,
     k1: float = 1.2,
     b: float = 0.75,
+    floor: float | None = None,
 ) -> Scorer:
     """Build a scorer by name; a missing input raises ValueError.
 
     cosine reads the ``source`` and ``target`` sentence embedding matrices.
-    bm25 without ``stats`` computes them over ``target_docs``.
+    bm25 without ``stats`` computes them over ``target_docs``. ``floor`` is
+    the wmd scorer's pruning floor (see ``WmdScorer``); it must only be set
+    where no value below it is read. Other kinds ignore it.
     """
     if kind == "cosine":
         if source is None or target is None:
@@ -369,5 +412,5 @@ def make_scorer(
     if kind in ("wmd", "rwmd"):
         if table is None:
             raise ValueError(f"{kind} scorer needs a word-vector table")
-        return WmdScorer(table) if kind == "wmd" else RwmdScorer(table)
+        return WmdScorer(table, floor) if kind == "wmd" else RwmdScorer(table)
     raise ValueError(f"unknown scorer kind {kind!r}")

@@ -42,7 +42,7 @@ from .embeddings import (
     load_word_vectors,
     save_embeddings,
 )
-from .metrics import make_scorer
+from .metrics import WmdScorer, make_scorer
 from .sent_align import (
     FilterPolicy,
     align_sentences,
@@ -485,6 +485,8 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
             target_docs=tgt_docs.values(),
             k1=config.bm25_k1,
             b=config.bm25_b,
+            # Only cells at or above theta_s are ever emitted.
+            floor=config.theta_s,
             **sentence_matrices,
         )
         exclusion = config.exclusion_file
@@ -500,6 +502,11 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
             doc_pairs, src_docs, tgt_docs, scorer, config.k_sent, config.theta_s,
             policy, drop_counts,
         ))
+        if isinstance(scorer, WmdScorer):
+            logger.info(
+                "wmd cells: %d scored, %d pruned by the RWMD bound, %d solved",
+                scorer.cells, scorer.pruned, scorer.solved,
+            )
         write_groups(groups, paths["groups"])
         if config.emit_tsv:
             write_groups_tsv(groups, paths["groups_tsv"])

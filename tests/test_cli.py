@@ -668,6 +668,59 @@ class TestEvalCommands:
         assert report["details"]["rescored"] <= report["details"]["candidates"]
 
 
+    def test_eval_sent_wmd_scores_every_cell(self, workspace, eval_dir, monkeypatch) -> None:
+        # The eval commands never gate the wmd scorer: F1max sweeps every
+        # threshold, so every cell holds its exact value. The reports are
+        # the ones the ungated scorer gave before the gate existed.
+        built = []
+
+        def recording_make_scorer(*args, **kwargs):
+            built.append(make_scorer(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr("lha.cli.make_scorer", recording_make_scorer)
+        expected = {
+            "good": (0.8761006569007046, 2),
+            "good,good_partial": (0.5672122459933009, 3),
+        }
+        for labels, (threshold, positives) in expected.items():
+            result = invoke("eval", "sent", "--data-dir", str(eval_dir), "--scorer", "wmd",
+                            "--vectors", str(workspace / "vectors.txt"),
+                            "--positive-labels", labels)
+            assert result.exit_code == 0, result.output
+            assert json.loads(result.stdout) == {
+                "best_threshold": threshold,
+                "details": {"doc_pairs": 2, "positive_labels": labels.split(","),
+                            "protocol": "sentence", "scorer": "wmd"},
+                "f1_max": 1.0, "positives_total": positives, "precision_at_max": 1.0,
+                "recall_at_max": 1.0, "retrieved_at_max": positives, "scored_pairs": 5,
+            }
+        result = invoke("eval", "joint", "--data-dir", str(eval_dir), "--mode", "lha",
+                        "--vectors", str(workspace / "vectors.txt"), "--k-doc", "2",
+                        "--theta-d", "0.6", "--n-noise", "1", "--rescore", "wmd")
+        assert result.exit_code == 0, result.output
+        wmd_scorers = [s for s in built if s.kind == "wmd"]
+        assert len(wmd_scorers) == 3
+        assert all(s.floor is None and s.pruned == 0 for s in wmd_scorers)
+        assert all(s.solved == s.cells > 0 for s in wmd_scorers)
+
+    @pytest.mark.parametrize("command", [
+        ["doc", "--vectors"], ["joint", "--mode", "lha", "--vectors"],
+    ], ids=["doc", "joint"])
+    def test_n_noise_beyond_the_pool(self, workspace, eval_dir, command, monkeypatch) -> None:
+        # One noise article per side: asking for more is a usage error,
+        # reported before any vectors are read or pair scored.
+        def never(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr("lha.cli.load_word_vectors", never)
+        result = invoke("eval", *command, str(workspace / "vectors.txt"),
+                        "--data-dir", str(eval_dir), "--n-noise", "5")
+        assert result.exit_code == 2, result.output
+        assert "--n-noise" in result.output
+        assert "source noise pool, which has 1 eligible documents" in result.output
+
+
 class TestEvalParameters:
     """Bad eval options are usage errors naming the option, found before the
     dataset is read (the directory here holds none of its files)."""
@@ -680,14 +733,24 @@ class TestEvalParameters:
         (["joint", "--mode", "global", "--global-top", "0"], "--global-top"),
         (["joint", "--mode", "lha", "--n-noise", "-1"], "--n-noise"),
         (["doc", "--n-noise", "-1"], "--n-noise"),
+        (["sent", "--positive-labels", "goood"], "--positive-labels"),
+        (["joint", "--mode", "lha", "--positive-labels", "good,goood"],
+         "--positive-labels"),
     ], ids=["k-doc", "theta-d-nan", "theta-d-range", "rescore-top", "global-top",
-            "joint-n-noise", "doc-n-noise"])
+            "joint-n-noise", "doc-n-noise", "sent-labels", "joint-labels"])
     def test_bad_value(self, tmp_path, options, name) -> None:
         command, *rest = options
         result = invoke("eval", command, "--data-dir", str(tmp_path), *rest)
         assert result.exit_code == 2, result.output
         assert name in result.output
         assert "evaluation dataset incomplete" not in result.output
+
+    def test_unknown_label_lists_the_labels(self, tmp_path) -> None:
+        result = invoke("eval", "sent", "--data-dir", str(tmp_path),
+                        "--positive-labels", "good,goood")
+        assert result.exit_code == 2, result.output
+        assert "'goood'" in result.output
+        assert "good, good_partial, partial, nonvalid" in result.output
 
 
 def test_eval_cosine_rows_are_the_run_rows(tmp_path) -> None:

@@ -8,15 +8,23 @@ and read, never installed.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import lha.pipeline
+from test_pipeline import make_workspace
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -50,3 +58,26 @@ def test_scorer_matrix_and_kind(spans) -> None:
     for cls in (spans.CosineScorer, spans.WmdScorer):
         assert callable(cls.matrix), cls.__name__
         assert isinstance(cls.kind, str), cls.__name__
+
+
+def test_traced_repetition_runs_the_wmd_stage(tmp_path) -> None:
+    """One traced benchmark repetition of a ``scorer=wmd`` run: the tracer
+    wraps ``WmdScorer.matrix`` as ``matrix(xs, ys)``, so the run must score
+    through that signature, and the gate leaves fewer LPs than cells."""
+    config = dataclasses.replace(make_workspace(tmp_path), scorer="wmd")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(dataclasses.asdict(config)), encoding="utf-8")
+    result_path = tmp_path / "result.json"
+    src = str(Path(lha.pipeline.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "rep.py"), str(config_path),
+         str(time.monotonic()), "1", str(result_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(result_path.read_text(encoding="utf-8"))
+    cells = result["counts"]["metrics.cells"]
+    assert result["calls"]["metrics.matrix.wmd"] > 0
+    assert result["calls"].get("metrics.linprog", 0) < cells
