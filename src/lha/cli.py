@@ -204,6 +204,8 @@ def align_sents(doc_pairs, source_corpus, target_corpus, scorer, vectors,
         target_docs=tgt_docs.values(),
         k1=bm25_k1,
         b=bm25_b,
+        # Only cells at or above theta_s are ever emitted.
+        floor=theta_s,
         **sentence_matrices,
     )
     policy = FilterPolicy(
@@ -280,13 +282,10 @@ def _sentence_matrices(path, table, src_docs, tgt_docs) -> dict:
 
 
 def _all_docs(dataset):
-    """(source, target) documents an eval dataset can score: the gold
-    articles, and the noise articles whose ids differ from theirs (the only
-    ones the noise is drawn from)."""
-    def side(gold, noise):
-        return [*gold.values(), *(d for d in noise if d.doc_id not in gold)]
-
-    return side(dataset.src_docs, dataset.noise_src), side(dataset.tgt_docs, dataset.noise_tgt)
+    """(source, target) documents an eval dataset can score: the annotated
+    articles and the noise pools the protocols sample from."""
+    src_noise, tgt_noise = noise_pools(dataset)
+    return [*dataset.src_docs.values(), *src_noise], [*dataset.tgt_docs.values(), *tgt_noise]
 
 
 def _parse_labels(ctx, param, value: str) -> tuple[str, ...]:

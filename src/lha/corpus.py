@@ -8,6 +8,7 @@ after construction so downstream stages can share them freely.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -163,6 +164,29 @@ def parse_uid(uid: str) -> tuple[str, int]:
     return doc_id, int(ordinal)
 
 
+def _token(surface: str, stopwords: frozenset[str]) -> Token:
+    normalized = surface.lower()
+    is_punct = not any(ch.isalnum() for ch in surface)
+    return Token(
+        surface=surface,
+        normalized=normalized,
+        is_punct=is_punct,
+        is_number=(not is_punct) and not any(ch.isalpha() for ch in surface),
+        is_stopword=normalized in stopwords,
+    )
+
+
+# A memo holds at most this many surface forms; past it, it starts afresh.
+_MEMO_SIZE = 1 << 17
+
+
+@functools.lru_cache(maxsize=8)
+def _memo(stopwords: frozenset[str]) -> dict[str, Token]:
+    """Surface form -> its Token under ``stopwords``. Tokens are immutable,
+    so one instance serves every occurrence of a form."""
+    return {}
+
+
 def tokenize(text: str, stopwords: frozenset[str] | None = None) -> tuple[Token, ...]:
     """Split text into word and punctuation tokens with filter flags.
 
@@ -172,20 +196,15 @@ def tokenize(text: str, stopwords: frozenset[str] | None = None) -> tuple[Token,
     """
     if stopwords is None:
         stopwords = default_stopwords()
+    memo = _memo(stopwords)
+    if len(memo) > _MEMO_SIZE:
+        memo.clear()
     out = []
     for surface in _TOKEN_RE.findall(text):
-        normalized = surface.lower()
-        is_punct = not any(ch.isalnum() for ch in surface)
-        is_number = (not is_punct) and not any(ch.isalpha() for ch in surface)
-        out.append(
-            Token(
-                surface=surface,
-                normalized=normalized,
-                is_punct=is_punct,
-                is_number=is_number,
-                is_stopword=normalized in stopwords,
-            )
-        )
+        token = memo.get(surface)
+        if token is None:
+            token = memo[surface] = _token(surface, stopwords)
+        out.append(token)
     return tuple(out)
 
 

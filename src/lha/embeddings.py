@@ -8,9 +8,10 @@ Rows are stored float32; all similarity math downstream casts to float64.
 from __future__ import annotations
 
 import struct
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -50,46 +51,55 @@ class EmbeddingLookupError(KeyError):
 
 
 class WordVectorTable:
-    """Lowercased token -> float64 vector, loaded from a textual vector file."""
+    """Lowercased token -> float64 vector: one row of one matrix per token."""
 
-    def __init__(self, dim: int, vectors: dict[str, np.ndarray]):
+    def __init__(self, dim: int, vectors: Mapping[str, Sequence[float]]):
         self.dim = dim
-        self._vectors = vectors
+        self._rows = np.array(list(vectors.values()), dtype=np.float64).reshape(-1, dim)
+        self._index = {token: i for i, token in enumerate(vectors)}
+
+    @classmethod
+    def from_rows(cls, tokens: Sequence[str], rows: np.ndarray) -> "WordVectorTable":
+        """``rows[i]`` is the vector of ``tokens[i]``; a token's first row wins."""
+        table = cls.__new__(cls)
+        table.dim = rows.shape[1]
+        table._rows = rows
+        table._index = {}
+        for i, token in enumerate(tokens):
+            table._index.setdefault(token, i)
+        return table
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self._index)
 
     def __contains__(self, token: str) -> bool:
-        return token in self._vectors
+        return token in self._index
 
     def get(self, token: str) -> np.ndarray | None:
-        return self._vectors.get(token)
+        i = self._index.get(token)
+        return None if i is None else self._rows[i]
 
 
-def load_word_vectors(path: Path | str) -> WordVectorTable:
-    """Parse a textual word-vector file: header ``count dim``, then one
-    ``token v1 .. vdim`` line per word.
+def _read_header(fh: TextIO) -> int:
+    """The dimension from the header line ``count dim``."""
+    header = fh.readline()
+    try:
+        _count, dim = map(int, header.split())
+    except ValueError as e:
+        raise EmbeddingFormatError(
+            f"line 1: expected header 'count dim', got {header.strip()!r}"
+        ) from e
+    if dim <= 0:
+        raise EmbeddingFormatError(f"line 1: dimension must be positive, got {dim}")
+    return dim
 
-    Tokens are lowercased; the first occurrence of a token wins. Lines whose
-    component count does not match the header dimension, or whose components
-    do not parse as floats, raise with the 1-based line number.
-    """
-    vectors: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        parts = header.split()
-        if len(parts) != 2:
-            raise EmbeddingFormatError(
-                f"line 1: expected header 'count dim', got {header.strip()!r}"
-            )
-        try:
-            _count, dim = int(parts[0]), int(parts[1])
-        except ValueError as e:
-            raise EmbeddingFormatError(
-                f"line 1: expected header 'count dim', got {header.strip()!r}"
-            ) from e
-        if dim <= 0:
-            raise EmbeddingFormatError(f"line 1: dimension must be positive, got {dim}")
+
+def _parse_lines(fh: TextIO, dim: int) -> tuple[list[str], np.ndarray]:
+    """The lowercased tokens and the rows of the vector lines after the
+    header, parsed one line at a time, in file order."""
+    tokens: list[str] = []
+
+    def vectors() -> Iterator[np.ndarray]:
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -98,7 +108,6 @@ def load_word_vectors(path: Path | str) -> WordVectorTable:
                 raise EmbeddingFormatError(
                     f"line {line_no}: expected {dim} components, got {len(fields) - 1}"
                 )
-            token = fields[0].lower()
             try:
                 vec = np.array([float(x) for x in fields[1:]], dtype=np.float64)
             except ValueError as e:
@@ -109,9 +118,46 @@ def load_word_vectors(path: Path | str) -> WordVectorTable:
                 raise EmbeddingFormatError(
                     f"line {line_no}: non-finite vector component"
                 )
-            if token not in vectors:
-                vectors[token] = vec
-    return WordVectorTable(dim=dim, vectors=vectors)
+            tokens.append(fields[0].lower())
+            yield vec
+
+    rows = np.fromiter(vectors(), dtype=np.dtype((np.float64, dim)))
+    return tokens, rows
+
+
+def load_word_vectors(path: Path | str) -> WordVectorTable:
+    """Parse a textual word-vector file: header ``count dim``, then one
+    ``token v1 .. vdim`` line per word.
+
+    Fields are separated by whitespace (``str.split``); blank lines are
+    skipped and ``#`` is an ordinary character. Tokens are lowercased; the
+    first occurrence of a token wins. A line whose component count does not
+    match the header dimension, or whose components do not parse as finite
+    floats, raises with its 1-based line number.
+    """
+    tokens: list[str] = []
+
+    def token(field: str) -> float:
+        tokens.append(field.lower())
+        return 0.0
+
+    with open(path, "r", encoding="utf-8") as fh:
+        dim = _read_header(fh)
+        # numpy's C reader parses a well-formed file in one pass, column 0
+        # through `token`. A file it refuses, or reads with another column
+        # count or a non-finite value, is parsed again line by line, so the
+        # per-line rules alone decide what is accepted and what is raised.
+        try:
+            with warnings.catch_warnings(action="ignore"):  # an empty body warns
+                rows = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2,
+                                  converters={0: token})
+        except ValueError:
+            rows = None
+        if rows is not None and rows.shape[1] == dim + 1 and np.isfinite(rows).all():
+            return WordVectorTable.from_rows(tokens, rows[:, 1:])
+        fh.seek(0)
+        fh.readline()
+        return WordVectorTable.from_rows(*_parse_lines(fh, dim))
 
 
 @dataclass

@@ -413,12 +413,11 @@ def _with_timing(report: EvalReport, wall: float, details: dict) -> EvalReport:
 
 def noise_pools(dataset: EvalDataset) -> tuple[list[Document], list[Document]]:
     """The (source, target) noise documents the protocols sample from: those
-    whose id is not a gold article's id on their side."""
-    src_gold = {a for a, _ in dataset.gold_doc_pairs}
-    tgt_gold = {b for _, b in dataset.gold_doc_pairs}
+    whose id is not the id of an annotated article on their side, so a unit
+    id always names one document."""
     return (
-        [d for d in dataset.noise_src if d.doc_id not in src_gold],
-        [d for d in dataset.noise_tgt if d.doc_id not in tgt_gold],
+        [d for d in dataset.noise_src if d.doc_id not in dataset.src_docs],
+        [d for d in dataset.noise_tgt if d.doc_id not in dataset.tgt_docs],
     )
 
 

@@ -13,6 +13,7 @@ hashed once per run; timestamps are never consulted.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
@@ -37,6 +38,7 @@ from .doc_align import align_documents, read_doc_pairs, write_doc_pairs
 from .embeddings import (
     AvgEmbedder,
     PrecomputedEmbedder,
+    WordVectorTable,
     embed_corpus,
     load_embeddings,
     load_word_vectors,
@@ -416,9 +418,10 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
         "abbreviations": _file_or_builtin(config.abbreviations_file),
     }
 
-    table = None
-    if config.word_vectors:
-        table = load_word_vectors(config.word_vectors)
+    @functools.cache
+    def table() -> WordVectorTable:
+        """The word-vector table, loaded on first use and kept for the run."""
+        return load_word_vectors(config.word_vectors)
 
     corpora: dict[str, dict[str, Document]] = {}
 
@@ -455,7 +458,7 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
         )
         if strategy == "avg":
             embedding_source = vectors
-            make_embedder = lambda: AvgEmbedder(table)
+            make_embedder = lambda: AvgEmbedder(table())
         else:
             embedding_source = Path(pre_path)
             make_embedder = lambda: PrecomputedEmbedder(load_embeddings(pre_path))
@@ -474,20 +477,21 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
     def compute_alignment() -> None:
         src_docs = docs("src")
         tgt_docs = docs("tgt")
-        sentence_matrices = {}
+        inputs = {}
         if use_sent_embeddings:
-            sentence_matrices = {
+            inputs = {
                 side: load_embeddings(paths[f"sents_{side}"]) for side in ("source", "target")
             }
+        elif config.scorer in ("wmd", "rwmd"):
+            inputs = {"table": table()}
         scorer = make_scorer(
             config.scorer,
-            table=table,
             target_docs=tgt_docs.values(),
             k1=config.bm25_k1,
             b=config.bm25_b,
             # Only cells at or above theta_s are ever emitted.
             floor=config.theta_s,
-            **sentence_matrices,
+            **inputs,
         )
         exclusion = config.exclusion_file
         policy = FilterPolicy(

@@ -4,7 +4,8 @@ Each oracle takes a different algorithmic route than the library code it
 checks: transport cost via successive shortest paths instead of an LP
 solver, threshold sweeps via exhaustive Fraction arithmetic, component
 merging via breadth-first search, nearest neighbors via a plain sort, the
-sentence filter and token counts via re-tokenising each group's text.
+sentence filter and token counts via re-tokenising each group's text, the
+word-vector file via ``float()`` on each field of each line.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from lha.corpus import tokenize
+from lha.embeddings import EmbeddingFormatError
 from lha.sent_align import AlignedGroup, FilterPolicy, extract_nn_pairs, normalize_pair_key
 
 
@@ -106,6 +108,45 @@ def transport_cost_oracle(
         remaining -= bottleneck
     total = sum(flow[i][j] * cost[i][j] for i in range(m) for j in range(n))
     return float(total / (total_a * total_b))
+
+
+def word_vectors_oracle(path) -> tuple[int, dict[str, np.ndarray]]:
+    """A word-vector file parsed line by line: its dimension and its
+    lowercased token -> float64 vector map, the first occurrence winning.
+
+    Raises EmbeddingFormatError with the 1-based line number and the message
+    ``load_word_vectors`` must give for the same file.
+    """
+    vectors: dict[str, np.ndarray] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline()
+        parts = header.split()
+        bad_header = f"line 1: expected header 'count dim', got {header.strip()!r}"
+        if len(parts) != 2:
+            raise EmbeddingFormatError(bad_header)
+        try:
+            int(parts[0])
+            dim = int(parts[1])
+        except ValueError:
+            raise EmbeddingFormatError(bad_header)
+        if dim <= 0:
+            raise EmbeddingFormatError(f"line 1: dimension must be positive, got {dim}")
+        for line_no, line in enumerate(fh, start=2):
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) != dim + 1:
+                raise EmbeddingFormatError(
+                    f"line {line_no}: expected {dim} components, got {len(fields) - 1}"
+                )
+            try:
+                values = [float(x) for x in fields[1:]]
+            except ValueError:
+                raise EmbeddingFormatError(f"line {line_no}: unparsable vector component")
+            if not all(math.isfinite(v) for v in values):
+                raise EmbeddingFormatError(f"line {line_no}: non-finite vector component")
+            vectors.setdefault(fields[0].lower(), np.array(values, dtype=np.float64))
+    return dim, vectors
 
 
 def knn_oracle(

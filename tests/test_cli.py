@@ -259,6 +259,35 @@ class TestStageCommands:
         chained = (tmp_path / "groups.jsonl").read_text("utf-8")
         assert "s#2" in chained
 
+    def test_align_sents_wmd_prunes_below_theta_s(self, workspace, monkeypatch) -> None:
+        # Like `lha run`, the chain solves no LP of a cell whose RWMD bound is
+        # below theta_s, and writes the same groups.
+        built = []
+
+        def recording_make_scorer(*args, **kwargs):
+            built.append(make_scorer(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr("lha.cli.make_scorer", recording_make_scorer)
+        pairs_path = self.run_stages(workspace)
+        result = invoke(
+            "align-sents", "--doc-pairs", str(pairs_path),
+            "--source-corpus", str(workspace / "source.jsonl"),
+            "--target-corpus", str(workspace / "target.jsonl"),
+            "--vectors", str(workspace / "vectors.txt"), "--scorer", "wmd",
+            "--k", "2", "--theta-s", "0.6", "--min-overlap", "0.2",
+            "--out", str(workspace / "groups.jsonl"),
+        )
+        assert result.exit_code == 0, result.output
+        (scorer,) = built
+        assert scorer.pruned > 0
+        assert scorer.solved + scorer.pruned == scorer.cells
+        result = invoke("run", "--config", str(workspace / "config.json"),
+                        "--set", "scorer=wmd")
+        assert result.exit_code == 0, result.output
+        assert (workspace / "groups.jsonl").read_bytes() == (
+            workspace / "out" / "groups.jsonl").read_bytes()
+
     def test_align_sents_cosine_needs_embeddings_or_vectors(self, workspace) -> None:
         pairs_path = self.run_stages(workspace)
         result = invoke(
@@ -642,8 +671,8 @@ class TestEvalCommands:
             assert report["details"]["mode"] == mode
 
     def test_eval_joint_noise_may_repeat_a_gold_id(self, workspace, eval_dir) -> None:
-        # Noise is never drawn from an article with a gold id, so such an
-        # article changes nothing, though one matrix cannot hold both.
+        # Noise is never drawn from an article with an annotated article's id,
+        # so such an article changes nothing, though one matrix cannot hold both.
         args = ["eval", "joint", "--data-dir", str(eval_dir), "--mode", "lha",
                 "--vectors", str(workspace / "vectors.txt"),
                 "--k-doc", "2", "--theta-d", "0.6", "--n-noise", "1"]
@@ -652,6 +681,27 @@ class TestEvalCommands:
         noise.write_text(noise.read_text(encoding="utf-8") + json.dumps(
             {"id": "s1", "sentences": ["A puppy ran."]}) + "\n", encoding="utf-8")
         after = invoke(*args)
+        assert after.exit_code == 0, after.output
+        assert after.stdout == before.stdout
+
+    def test_eval_joint_noise_never_repeats_an_annotated_id(self, workspace, eval_dir) -> None:
+        # "s3" is annotated but in no gold article pair. A noise article "s3"
+        # would be scored with the annotated article's sentence rows, so it
+        # is not in the noise pool: the pool has one article, not two.
+        def append(name, record):
+            path = eval_dir / name
+            path.write_text(path.read_text(encoding="utf-8") + json.dumps(record) + "\n",
+                            encoding="utf-8")
+
+        args = ["eval", "joint", "--data-dir", str(eval_dir), "--mode", "global",
+                "--vectors", str(workspace / "vectors.txt")]
+        before = invoke(*args, "--n-noise", "1")
+        append("source_docs.jsonl", {"id": "s3", "sentences": ["A kitten sat."]})
+        append("noise_source_docs.jsonl", {"id": "s3", "sentences": ["Banana bread fell."]})
+        result = CliRunner().invoke(main, [*args, "--n-noise", "2"])
+        assert result.exit_code == 2
+        assert "source noise pool, which has 1 eligible documents" in result.output
+        after = invoke(*args, "--n-noise", "1")
         assert after.exit_code == 0, after.output
         assert after.stdout == before.stdout
 

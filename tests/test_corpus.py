@@ -7,7 +7,9 @@ import random
 
 import pytest
 
+import lha.corpus
 from lha.corpus import (
+    Token,
     CorpusError,
     CorpusSchema,
     DuplicateDocumentError,
@@ -159,6 +161,45 @@ class TestJoinedTextTokens:
                     ), text
                     spans += 1
         assert spans > 500
+
+
+class _NoMemo(dict):
+    """A token memo that never keeps a token."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+class TestTokenMemo:
+    """Tokens are shared per stopword set, and still compare by value."""
+
+    def test_custom_stopwords_never_reuse_default_tokens(self) -> None:
+        default = tokenize("The cat")
+        custom = tokenize("The cat", frozenset({"cat"}))
+        assert [t.is_stopword for t in default] == [True, False]
+        assert [t.is_stopword for t in custom] == [False, True]
+        assert all(a is not b for a, b in zip(default, custom))
+        assert tokenize("The cat") == default
+
+    def test_tokens_compare_by_value(self) -> None:
+        (shared,) = tokenize("cat")
+        assert shared is tokenize("cat")[0]
+        assert shared == Token("cat", "cat", False, False, False)
+        assert tokenize("Cat")[0] != shared
+        assert tokenize("cat", frozenset({"dog"}))[0] == shared
+
+    def test_memo_changes_no_token(self, monkeypatch) -> None:
+        rng = random.Random(7)
+        words = ["The", "the", "THE", "cat", "Cat", "3", "3rd", "of", "Of", "éß", "中"]
+        stop_sets = [None, frozenset({"the", "cat"}), frozenset(), default_stopwords()]
+        texts = [
+            (" ".join(rng.choice(words) if rng.random() < 0.6 else _random_text(rng)
+                      for _ in range(rng.randint(0, 12))), rng.choice(stop_sets))
+            for _ in range(2000)
+        ]
+        memoized = [tokenize(text, stops) for text, stops in texts]
+        monkeypatch.setattr(lha.corpus, "_memo", lambda stopwords: _NoMemo())
+        assert [tokenize(text, stops) for text, stops in texts] == memoized
 
 
 class TestContentTokens:

@@ -19,6 +19,7 @@ from lha.embeddings import (
     save_embeddings,
 )
 from conftest import doc, write_vectors
+from oracles import word_vectors_oracle
 
 
 class TestLoadWordVectors:
@@ -60,6 +61,93 @@ class TestLoadWordVectors:
         path.write_text("hello\na 1 0\n", encoding="utf-8")
         with pytest.raises(EmbeddingFormatError, match="line 1"):
             load_word_vectors(path)
+
+    @pytest.mark.parametrize("body, message", [
+        ("b 3 4 5\n", "line 2: expected 2 components, got 3"),
+        ("a 1 2\n\nb 3 nan\n", "line 4: non-finite vector component"),
+        ("a 1 2\nb 1e400 0\n", "line 3: non-finite vector component"),
+    ])
+    def test_errors_name_the_line(self, tmp_path, body, message) -> None:
+        path = tmp_path / "v.txt"
+        path.write_text("2 2\n" + body, encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError) as info:
+            load_word_vectors(path)
+        assert str(info.value) == message
+
+    def test_hash_is_a_token_and_python_floats_parse(self, tmp_path) -> None:
+        path = tmp_path / "v.txt"
+        path.write_bytes("3 2\r\n# 1 2\r\n \t\r\n#a\t1_0 -0\r\nb \u0661 1e-320\r\n".encode())
+        table = load_word_vectors(path)
+        assert len(table) == 3
+        assert table.get("#").tolist() == [1.0, 2.0]
+        assert table.get("#a").tobytes() == np.array([10.0, -0.0]).tobytes()
+        assert table.get("b").tolist() == [1.0, 1e-320]
+
+
+# Pieces of the fuzzed word-vector files: every separator is whitespace to
+# str.split, and the components include what only float() parses.
+_SEPARATORS = (" ", " ", " ", "\t", "  ", "\u00a0", "\u2009", "\x1c", "\u3000", "\x85")
+_BLANKS = ("", " ", "\t", "\u00a0 ", "\x0b")
+_ENDINGS = ("\n", "\n", "\r\n", "\r")
+_TOKENS = ("a", "A", "b", "B", "the", "The", "#", "#x", "nan", "inf", "ä", "Ä", "x#")
+_ODD_COMPONENTS = ("nan", "inf", "-inf", "1e400", "1e-320", "-0", "1_0", "\u0661",
+                   "NaN", "0x1", "1d2", "+.5", "1e", "_1", "١٢")
+_BAD_HEADERS = ("", "5", "x 2", "5 0", "5 -1", "5 2 1", "5 2.5", "five two")
+
+
+def _fuzzed_vector_file(rng: np.random.Generator) -> str:
+    """A small word-vector file: clean, or with a few odd lines or fields."""
+    dim = int(rng.integers(1, 4))
+    odd = rng.random() < 0.5  # else only well-formed lines
+    pick = lambda seq: seq[int(rng.integers(len(seq)))]  # noqa: E731
+    header = f"{int(rng.integers(0, 9))} {dim}"
+    if odd and rng.random() < 0.1:
+        header = pick(_BAD_HEADERS)
+    text = header + pick(_ENDINGS)
+    for _ in range(int(rng.integers(0, 8))):
+        if rng.random() < 0.15:
+            text += pick(_BLANKS) + pick(_ENDINGS)
+            continue
+        n = dim
+        if odd and rng.random() < 0.1:
+            n += pick((-1, 1, 2))
+        fields = [pick(_TOKENS)]
+        for _ in range(max(n, 0)):
+            if odd and rng.random() < 0.08:
+                fields.append(pick(_ODD_COMPONENTS))
+            else:
+                fields.append(f"{rng.normal():.{int(rng.integers(1, 18))}g}")
+        line = fields[0]
+        for field in fields[1:]:
+            line += pick(_SEPARATORS) + field
+        if rng.random() < 0.2:
+            line = pick(_SEPARATORS) + line + pick(_SEPARATORS)
+        text += line + pick(_ENDINGS)
+    return text
+
+
+def test_load_word_vectors_matches_the_per_line_parser(tmp_path) -> None:
+    """On seeded random files, the table holds the per-line parser's vectors
+    bit for bit, or both raise the same message."""
+    rng = np.random.default_rng(2024)
+    path = tmp_path / "v.vec"
+    outcomes = {"table": 0, "error": 0}
+    for _ in range(600):
+        path.write_bytes(_fuzzed_vector_file(rng).encode("utf-8"))
+        try:
+            dim, expected = word_vectors_oracle(path)
+        except EmbeddingFormatError as e:
+            with pytest.raises(EmbeddingFormatError) as info:
+                load_word_vectors(path)
+            assert str(info.value) == str(e), path.read_bytes()
+            outcomes["error"] += 1
+            continue
+        table = load_word_vectors(path)
+        assert (table.dim, len(table)) == (dim, len(expected)), path.read_bytes()
+        for token, vec in expected.items():
+            assert table.get(token).tobytes() == vec.tobytes(), path.read_bytes()
+        outcomes["table"] += 1
+    assert min(outcomes.values()) > 100, outcomes
 
 
 class TestEmbedAvg:

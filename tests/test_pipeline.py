@@ -603,6 +603,55 @@ class TestParseOnce:
         assert parsed == []
 
 
+class TestLazyVectors:
+    """The word-vector file is read only by a stage that computes with it."""
+
+    @pytest.fixture
+    def refuse_vectors(self, monkeypatch):
+        def refuse(path):
+            raise AssertionError("word vectors loaded")
+
+        return lambda: monkeypatch.setattr(lha.pipeline, "load_word_vectors", refuse)
+
+    @pytest.mark.parametrize("scorer", ["cosine", "wmd"])
+    def test_cached_rerun(self, tmp_path, refuse_vectors, scorer) -> None:
+        config = dataclasses.replace(make_workspace(tmp_path), scorer=scorer)
+        run_pipeline(config)
+        before = out_bytes(Path(config.out_dir), ["groups.jsonl", "manifest.json"])
+        refuse_vectors()
+        assert len(run_pipeline(config).cached_stages) == (6 if scorer == "cosine" else 4)
+        assert out_bytes(Path(config.out_dir), ["groups.jsonl", "manifest.json"]) == before
+
+    def test_cosine_resweep(self, tmp_path, refuse_vectors) -> None:
+        config = make_workspace(tmp_path)
+        fresh = dataclasses.replace(config, theta_s=0.9, out_dir=str(tmp_path / "fresh"))
+        run_pipeline(fresh)
+        run_pipeline(config)
+        refuse_vectors()
+        resweep = run_pipeline(dataclasses.replace(config, theta_s=0.9))
+        assert resweep.cached_stages == ALL_STAGES[:-1]
+        assert out_bytes(Path(config.out_dir)) == out_bytes(tmp_path / "fresh")
+
+    def test_precomputed_embeddings(self, tmp_path, refuse_vectors) -> None:
+        config = make_workspace(tmp_path)
+        run_pipeline(config)
+        out_dir = Path(config.out_dir)
+        precomputed = {
+            f"{unit}_embeddings_{side}": str(out_dir / f"{name}_{side}.lhae")
+            for unit, name in (("doc", "docs"), ("sent", "sents"))
+            for side in ("source", "target")
+        }
+        without = dataclasses.replace(
+            config, out_dir=str(tmp_path / "without"), word_vectors=None, **precomputed
+        )
+        run_pipeline(without)
+        refuse_vectors()
+        run_pipeline(dataclasses.replace(config, out_dir=str(tmp_path / "pre"), **precomputed))
+        names = [*OUTPUT_FILES, "manifest.json"]
+        assert out_bytes(tmp_path / "pre", names) == out_bytes(tmp_path / "without", names)
+        assert out_bytes(tmp_path / "pre", ["groups.jsonl"]) == out_bytes(out_dir, ["groups.jsonl"])
+
+
 class TestTokeniseOnce:
     @pytest.mark.parametrize("filter_stage", ["group", "pair"])
     def test_run_never_tokenises_outside_parsing(
