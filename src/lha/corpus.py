@@ -8,7 +8,6 @@ after construction so downstream stages can share them freely.
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 from dataclasses import dataclass
@@ -176,17 +175,6 @@ def _token(surface: str, stopwords: frozenset[str]) -> Token:
     )
 
 
-# A memo holds at most this many surface forms; past it, it starts afresh.
-_MEMO_SIZE = 1 << 17
-
-
-@functools.lru_cache(maxsize=8)
-def _memo(stopwords: frozenset[str]) -> dict[str, Token]:
-    """Surface form -> its Token under ``stopwords``. Tokens are immutable,
-    so one instance serves every occurrence of a form."""
-    return {}
-
-
 def tokenize(text: str, stopwords: frozenset[str] | None = None) -> tuple[Token, ...]:
     """Split text into word and punctuation tokens with filter flags.
 
@@ -196,9 +184,15 @@ def tokenize(text: str, stopwords: frozenset[str] | None = None) -> tuple[Token,
     """
     if stopwords is None:
         stopwords = default_stopwords()
-    memo = _memo(stopwords)
-    if len(memo) > _MEMO_SIZE:
-        memo.clear()
+    return _tokenize(text, stopwords, {})
+
+
+def _tokenize(
+    text: str, stopwords: frozenset[str], memo: dict[str, Token]
+) -> tuple[Token, ...]:
+    """``tokenize``, sharing one Token per surface form through ``memo``.
+    Tokens are immutable, so one instance serves every occurrence of a form;
+    a memo must only ever be filled under one stopword set."""
     out = []
     for surface in _TOKEN_RE.findall(text):
         token = memo.get(surface)
@@ -270,6 +264,7 @@ def _record_sentences(
     schema: CorpusSchema,
     stopwords: frozenset[str],
     abbreviations: frozenset[str],
+    memo: dict[str, Token],
     line: int,
 ) -> tuple[Sentence, ...]:
     if schema.sentences_field in record:
@@ -298,7 +293,7 @@ def _record_sentences(
     if not texts:
         raise CorpusError(f"empty document {doc_id!r}", line)
     return tuple(
-        Sentence(doc_id=doc_id, ordinal=i, text=t, tokens=tokenize(t, stopwords))
+        Sentence(doc_id=doc_id, ordinal=i, text=t, tokens=_tokenize(t, stopwords, memo))
         for i, t in enumerate(texts)
     )
 
@@ -322,6 +317,8 @@ def load_corpus(
     if abbreviations is None:
         abbreviations = default_abbreviations()
     seen: set[str] = set()
+    # One Token per surface form for the whole file, under its one stopword set.
+    memo: dict[str, Token] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -352,7 +349,7 @@ def load_corpus(
             if title is not None and not isinstance(title, str):
                 raise CorpusError(f"document {doc_id!r}: title must be a string", line_no)
             sentences = _record_sentences(
-                record, doc_id, schema, stopwords, abbreviations, line_no
+                record, doc_id, schema, stopwords, abbreviations, memo, line_no
             )
             yield Document(
                 doc_id=doc_id, dataset_tag=dataset_tag, sentences=sentences, title=title

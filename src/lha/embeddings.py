@@ -148,9 +148,11 @@ def load_word_vectors(path: Path | str) -> WordVectorTable:
         # count or a non-finite value, is parsed again line by line, so the
         # per-line rules alone decide what is accepted and what is raised.
         try:
-            with warnings.catch_warnings(action="ignore"):  # an empty body warns
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty body warns
+                # encoding=None hands the converter str on numpy 1.x too.
                 rows = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2,
-                                  converters={0: token})
+                                  converters={0: token}, encoding=None)
         except ValueError:
             rows = None
         if rows is not None and rows.shape[1] == dim + 1 and np.isfinite(rows).all():

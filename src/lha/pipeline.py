@@ -68,6 +68,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _SCORERS = ("cosine", "overlap", "bm25", "wmd", "rwmd")
+# The scorers that read the word-vector table.
+_TABLE_SCORERS = ("wmd", "rwmd")
 
 
 class PipelineStageError(RuntimeError):
@@ -248,7 +250,7 @@ def validate_config(config: PipelineConfig) -> list[tuple[str, str]]:
     needs_vectors = (
         not _precomputed(config, "doc")
         or (config.scorer == "cosine" and not _precomputed(config, "sent"))
-        or config.scorer in ("wmd", "rwmd")
+        or config.scorer in _TABLE_SCORERS
     )
     if needs_vectors and not config.word_vectors:
         err("word_vectors is required by the chosen embeddings/scorer")
@@ -482,7 +484,7 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
             inputs = {
                 side: load_embeddings(paths[f"sents_{side}"]) for side in ("source", "target")
             }
-        elif config.scorer in ("wmd", "rwmd"):
+        elif config.scorer in _TABLE_SCORERS:
             inputs = {"table": table()}
         scorer = make_scorer(
             config.scorer,
@@ -558,7 +560,7 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
     if use_sent_embeddings:
         align_inputs["sents_source"] = paths["sents_source"]
         align_inputs["sents_target"] = paths["sents_target"]
-    elif config.scorer in ("wmd", "rwmd"):
+    elif config.scorer in _TABLE_SCORERS:
         align_inputs["vectors"] = vectors
 
     stages = [

@@ -163,43 +163,54 @@ class TestJoinedTextTokens:
         assert spans > 500
 
 
-class _NoMemo(dict):
-    """A token memo that never keeps a token."""
-
-    def __setitem__(self, key, value) -> None:
-        pass
-
-
 class TestTokenMemo:
-    """Tokens are shared per stopword set, and still compare by value."""
+    """A corpus file shares one Token per surface form under its own stopword
+    set; tokens still compare by value."""
 
-    def test_custom_stopwords_never_reuse_default_tokens(self) -> None:
-        default = tokenize("The cat")
-        custom = tokenize("The cat", frozenset({"cat"}))
-        assert [t.is_stopword for t in default] == [True, False]
-        assert [t.is_stopword for t in custom] == [False, True]
-        assert all(a is not b for a, b in zip(default, custom))
-        assert tokenize("The cat") == default
+    def test_one_token_per_form_within_a_file(self, tmp_path) -> None:
+        path = write_jsonl(tmp_path / "c.jsonl", [
+            {"id": "a", "sentences": ["The cat.", "A cat sat."]},
+            {"id": "b", "sentences": ["cat"]},
+        ])
+        cats = [
+            t for d in load_corpus(path) for s in d.sentences
+            for t in s.tokens if t.surface == "cat"
+        ]
+        assert len(cats) == 3 and all(t is cats[0] for t in cats)
+        assert cats[0] == Token("cat", "cat", False, False, False)
+
+    def test_custom_stopwords_never_reuse_default_tokens(self, tmp_path) -> None:
+        path = write_jsonl(tmp_path / "c.jsonl", [{"id": "a", "sentences": ["The cat"]}])
+        (default,) = load_corpus(path)
+        (custom,) = load_corpus(path, stopwords=frozenset({"cat"}))
+        assert [t.is_stopword for t in default.sentences[0].tokens] == [True, False]
+        assert [t.is_stopword for t in custom.sentences[0].tokens] == [False, True]
 
     def test_tokens_compare_by_value(self) -> None:
         (shared,) = tokenize("cat")
-        assert shared is tokenize("cat")[0]
-        assert shared == Token("cat", "cat", False, False, False)
+        assert shared == tokenize("cat")[0]
         assert tokenize("Cat")[0] != shared
         assert tokenize("cat", frozenset({"dog"}))[0] == shared
 
-    def test_memo_changes_no_token(self, monkeypatch) -> None:
+    def test_memo_changes_no_token(self, tmp_path) -> None:
         rng = random.Random(7)
         words = ["The", "the", "THE", "cat", "Cat", "3", "3rd", "of", "Of", "éß", "中"]
-        stop_sets = [None, frozenset({"the", "cat"}), frozenset(), default_stopwords()]
-        texts = [
-            (" ".join(rng.choice(words) if rng.random() < 0.6 else _random_text(rng)
-                      for _ in range(rng.randint(0, 12))), rng.choice(stop_sets))
-            for _ in range(2000)
+        records = [
+            {"id": f"d{n}", "sentences": [
+                " ".join(rng.choice(words) if rng.random() < 0.6 else _random_text(rng)
+                         for _ in range(rng.randint(0, 12))) + " x"
+                for _ in range(rng.randint(1, 4))
+            ]}
+            for n in range(500)
         ]
-        memoized = [tokenize(text, stops) for text, stops in texts]
-        monkeypatch.setattr(lha.corpus, "_memo", lambda stopwords: _NoMemo())
-        assert [tokenize(text, stops) for text, stops in texts] == memoized
+        path = write_jsonl(tmp_path / "c.jsonl", records)
+        for stops in (frozenset({"the", "cat"}), frozenset(), default_stopwords()):
+            for document in load_corpus(path, stopwords=stops):
+                for s in document.sentences:
+                    assert s.tokens == tuple(
+                        lha.corpus._token(surface, stops)
+                        for surface in lha.corpus._TOKEN_RE.findall(s.text)
+                    ), s.text
 
 
 class TestContentTokens:
