@@ -30,7 +30,7 @@ from .evaluate import (
 )
 from .metrics import make_scorer
 from .pipeline import PipelineConfig, PipelineStageError, align_doc_files, run_pipeline
-from .pipeline import validate_config, value_findings
+from .pipeline import _TABLE_SCORERS, validate_config, value_findings
 from .sent_align import (
     FilterPolicy,
     align_sentences,
@@ -125,6 +125,12 @@ def align_docs(source_embeddings, target_embeddings, k, theta_d, out) -> None:
     logger.info("wrote %d document pairs to %s", n, out)
 
 
+def _vector_table(vectors: str | None, read: bool):
+    """The --vectors table when the option is given and ``read``, that is
+    when the chosen scorer or embedder reads it; else None, unread."""
+    return load_word_vectors(vectors) if vectors and read else None
+
+
 def _scorer(kind: str, **inputs):
     """make_scorer, with missing inputs reported as a usage error."""
     try:
@@ -177,7 +183,8 @@ def align_sents(doc_pairs, source_corpus, target_corpus, scorer, vectors,
         load_corpus(target_corpus, "tgt", stopwords=stops, abbreviations=abbrevs)
     )
     pairs = read_doc_pairs(doc_pairs)
-    table = load_word_vectors(vectors) if vectors else None
+    table = _vector_table(vectors, scorer in _TABLE_SCORERS
+                          or (scorer == "cosine" and not source_sent_embeddings))
     sentence_matrices = {}
     for side, path, docs in (
         ("source", source_sent_embeddings, src_docs),
@@ -332,7 +339,8 @@ def eval_sent(data_dir, scorer, vectors, sent_embeddings, bm25_k1, bm25_b,
               positive_labels, include_timing) -> None:
     """Sentence retrieval inside the gold article pairs."""
     dataset = load_eval_dataset(data_dir)
-    table = load_word_vectors(vectors) if vectors else None
+    table = _vector_table(vectors, scorer in _TABLE_SCORERS
+                          or (scorer == "cosine" and not sent_embeddings))
     sentence_matrices = {}
     if scorer == "cosine":
         sentence_matrices = _sentence_matrices(
@@ -363,7 +371,7 @@ def eval_doc(data_dir, vectors, doc_embeddings, n_noise, seed, include_timing) -
     """Document identification among noise articles."""
     dataset = load_eval_dataset(data_dir)
     _check_noise(dataset, n_noise)
-    table = load_word_vectors(vectors) if vectors else None
+    table = _vector_table(vectors, not doc_embeddings)
     embedder = _doc_embedder(doc_embeddings, table, *_all_docs(dataset))
     if embedder is None:
         raise click.UsageError("needs --vectors or --doc-embeddings")
@@ -394,7 +402,8 @@ def eval_joint_cmd(data_dir, mode, vectors, doc_embeddings, sent_embeddings,
     _check_options("cosine", k_doc=("--k-doc", k_doc), theta_d=("--theta-d", theta_d))
     dataset = load_eval_dataset(data_dir)
     _check_noise(dataset, n_noise)
-    table = load_word_vectors(vectors) if vectors else None
+    table = _vector_table(vectors, not sent_embeddings or rescore != "none"
+                          or (mode == "lha" and not doc_embeddings))
     docs = _all_docs(dataset)
     sent_scorer = _scorer("cosine", **_sentence_matrices(sent_embeddings, table, *docs))
     doc_embedder = _doc_embedder(doc_embeddings, table, *docs)

@@ -44,6 +44,8 @@ _CLOSERS = "\"'”’)]"
 _OPENER_RE = re.compile(r"[\"'“‘(\[]*[A-Z0-9]")
 # The word immediately before a period, dots allowed inside (e.g. "U.S").
 _PRE_WORD_RE = re.compile(r"([\w.]+)$", re.UNICODE)
+# How many characters before a period _word_before searches first.
+_PRE_WORD_WINDOW = 32
 
 
 class CorpusError(ValueError):
@@ -216,6 +218,22 @@ def content_tokens(unit: Sentence | Iterable[Token]) -> list[str]:
     ]
 
 
+def _word_before(text: str, end: int) -> re.Match | None:
+    """``_PRE_WORD_RE.search(text, 0, end)``, found in a window before ``end``.
+
+    The window doubles while the match starts at its left edge, where the
+    word may go on to the left, so each search reads about the word's length
+    instead of the whole text before it.
+    """
+    width = _PRE_WORD_WINDOW
+    while True:
+        lo = max(0, end - width)
+        match = _PRE_WORD_RE.search(text, lo, end)
+        if match is None or match.start() > lo or lo == 0:
+            return match
+        width *= 2
+
+
 def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> list[str]:
     """Split raw text into sentences on terminal punctuation.
 
@@ -240,7 +258,7 @@ def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> l
         if not _OPENER_RE.match(text, k):
             continue
         if "." in m.group():
-            before = _PRE_WORD_RE.search(text, 0, m.start())
+            before = _word_before(text, m.start())
             if before is not None:
                 word = before.group(1).rstrip(".")
                 if word.lower() in abbreviations:

@@ -255,7 +255,8 @@ class CosineScorer(Scorer):
 
     Source sentences (the rows of ``matrix``) are read by uid from
     ``source`` and target sentences (its columns) from ``target``. Keeping
-    the sides apart lets both corpora use the same unit ids.
+    the sides apart lets both corpora use the same unit ids. Each side's
+    rows are L2-normalized in float64 once, here; all-zero rows stay zero.
     """
 
     kind = "cosine"
@@ -265,22 +266,22 @@ class CosineScorer(Scorer):
             raise ValueError(f"dimension mismatch: {source.dim} vs {target.dim}")
         self.source = source
         self.target = target
+        self._source_unit = unit_rows(source.rows.astype(np.float64))
+        self._target_unit = (
+            self._source_unit if target is source
+            else unit_rows(target.rows.astype(np.float64))
+        )
 
     def source_rows(self, xs: Sequence[Sentence]) -> np.ndarray:
-        return _unit_rows(self.source, xs)
+        """The unit rows of ``xs`` in order, read by uid from ``source``."""
+        return self._source_unit[[self.source.row_index(x.uid) for x in xs]]
 
     def target_rows(self, ys: Sequence[Sentence]) -> np.ndarray:
-        return _unit_rows(self.target, ys)
+        """The unit rows of ``ys`` in order, read by uid from ``target``."""
+        return self._target_unit[[self.target.row_index(y.uid) for y in ys]]
 
     def matrix(self, xs: Sequence[Sentence], ys: Sequence[Sentence]) -> np.ndarray:
         return self.source_rows(xs) @ self.target_rows(ys).T
-
-
-def _unit_rows(matrix: EmbeddingMatrix, sentences: Sequence[Sentence]) -> np.ndarray:
-    """The sentences' rows of ``matrix`` as L2-normalized float64 rows, in
-    order; all-zero rows stay zero."""
-    index = [matrix.row_index(s.uid) for s in sentences]
-    return unit_rows(matrix.rows[index].astype(np.float64))
 
 
 class OverlapScorer(Scorer):

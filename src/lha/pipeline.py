@@ -477,6 +477,8 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
     use_sent_embeddings = config.scorer == "cosine"
 
     def compute_alignment() -> None:
+        if config.scorer not in _TABLE_SCORERS:
+            table.cache_clear()  # the embed stages' table is not read again
         src_docs = docs("src")
         tgt_docs = docs("tgt")
         inputs = {}

@@ -1,10 +1,11 @@
 """Stage 2: align sentences inside each document pair.
 
 Within a DocPair we score every sentence combination, keep the union of
-row-wise and column-wise top-K pairs above theta_s, and merge overlapping
-pairs into groups (connected components of the bipartite pair graph). The
-post-filters then drop groups with weak lexical overlap, runaway target
-length, or test-set leakage.
+row-wise and column-wise top-K pairs at or above theta_s (selected
+threshold-first: only the entries at or above theta_s are ranked), and
+merge overlapping pairs into groups (connected components of the bipartite
+pair graph). The post-filters then drop groups with weak lexical overlap,
+runaway target length, or test-set leakage.
 """
 
 from __future__ import annotations
@@ -125,26 +126,33 @@ def extract_nn_pairs(
 ) -> list[tuple[int, int, float]]:
     """Union of row-wise and column-wise top-k entries with value >= theta_s.
 
-    Returns (i, j, similarity) triples sorted by (i, j). Ties inside a
-    row/column top-k break toward the lower index.
+    Returns (i, j, similarity) triples sorted by (i, j). An entry's rank in
+    its row is the number of entries strictly greater plus the equal ones at
+    a lower index, so ties break toward the lower index; its rank in its
+    column likewise. NaN entries are never kept and rank after every number.
+
+    Selection is threshold-first: every entry ranked ahead of one at or
+    above theta_s is itself at or above theta_s, so ranking the candidate
+    entries among themselves gives their ranks in the whole row or column.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    n_rows, n_cols = values.shape
-    chosen: set[tuple[int, int]] = set()
-    for i in range(n_rows):
-        row = values[i]
-        order = np.lexsort((np.arange(n_cols), -row))[:k]
-        for j in order:
-            if row[j] >= theta_s:
-                chosen.add((i, int(j)))
-    for j in range(n_cols):
-        col = values[:, j]
-        order = np.lexsort((np.arange(n_rows), -col))[:k]
-        for i in order:
-            if col[i] >= theta_s:
-                chosen.add((int(i), j))
-    return [(i, j, float(values[i, j])) for i, j in sorted(chosen)]
+    ii, jj = np.nonzero(values >= theta_s)
+    if not ii.size:
+        return []
+    sims = values[ii, jj]
+    keep = (_ranks(ii, jj, sims) < k) | (_ranks(jj, ii, sims) < k)
+    return list(zip(ii[keep].tolist(), jj[keep].tolist(), sims[keep].tolist()))
+
+
+def _ranks(lines: np.ndarray, within: np.ndarray, sims: np.ndarray) -> np.ndarray:
+    """Each entry's rank among the entries of its line (row or column):
+    by similarity descending, then by index ``within`` the line."""
+    order = np.lexsort((within, -sims, lines))
+    sorted_lines = lines[order]
+    ranks = np.empty_like(order)
+    ranks[order] = np.arange(order.size) - np.searchsorted(sorted_lines, sorted_lines)
+    return ranks
 
 
 def merge_components(

@@ -5,21 +5,25 @@ checks: transport cost via successive shortest paths instead of an LP
 solver, threshold sweeps via exhaustive Fraction arithmetic, component
 merging via breadth-first search, nearest neighbors via a plain sort, the
 sentence filter and token counts via re-tokenising each group's text, the
-word-vector file via ``float()`` on each field of each line.
+word-vector file via ``float()`` on each field of each line, top-k pair
+selection via a full sort of every row and column, sentence splitting via a
+look-behind search from the start of the text, and cosine rows via a
+normalisation of each gathered subset.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import re
 from collections import Counter, deque
 from fractions import Fraction
 
 import numpy as np
 
-from lha.corpus import tokenize
-from lha.embeddings import EmbeddingFormatError
-from lha.sent_align import AlignedGroup, FilterPolicy, extract_nn_pairs, normalize_pair_key
+from lha.corpus import default_abbreviations, tokenize
+from lha.embeddings import EmbeddingFormatError, EmbeddingMatrix, unit_rows
+from lha.sent_align import AlignedGroup, FilterPolicy, normalize_pair_key
 
 
 def transport_cost_oracle(
@@ -149,6 +153,86 @@ def word_vectors_oracle(path) -> tuple[int, dict[str, np.ndarray]]:
     return dim, vectors
 
 
+def extract_nn_pairs_oracle(
+    values: np.ndarray, k: int, theta_s: float
+) -> list[tuple[int, int, float]]:
+    """Union of row-wise and column-wise top-k entries with value >= theta_s,
+    each row and column fully sorted by value descending, then by index.
+
+    Returns (i, j, similarity) triples sorted by (i, j).
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    n_rows, n_cols = values.shape
+    chosen: set[tuple[int, int]] = set()
+    for i in range(n_rows):
+        row = values[i]
+        order = np.lexsort((np.arange(n_cols), -row))[:k]
+        for j in order:
+            if row[j] >= theta_s:
+                chosen.add((i, int(j)))
+    for j in range(n_cols):
+        col = values[:, j]
+        order = np.lexsort((np.arange(n_rows), -col))[:k]
+        for i in order:
+            if col[i] >= theta_s:
+                chosen.add((int(i), j))
+    return [(i, j, float(values[i, j])) for i, j in sorted(chosen)]
+
+
+# The splitter's patterns, copied so that the oracle does not follow edits
+# to lha.corpus.
+_TERMINAL_RE = re.compile(r"[.!?]+")
+_CLOSERS = "\"'”’)]"
+_OPENER_RE = re.compile(r"[\"'“‘(\[]*[A-Z0-9]")
+_PRE_WORD_RE = re.compile(r"([\w.]+)$", re.UNICODE)
+
+
+def split_sentences_oracle(
+    text: str, abbreviations: frozenset[str] | None = None
+) -> list[str]:
+    """The sentence splitter with the word before each period found by a
+    search over the whole text before it (quadratic in the text length)."""
+    if abbreviations is None:
+        abbreviations = default_abbreviations()
+    breaks: list[int] = []
+    for m in _TERMINAL_RE.finditer(text):
+        end = m.end()
+        while end < len(text) and text[end] in _CLOSERS:
+            end += 1
+        k = end
+        while k < len(text) and text[k].isspace():
+            k += 1
+        if k == end or k == len(text):
+            continue
+        if not _OPENER_RE.match(text, k):
+            continue
+        if "." in m.group():
+            before = _PRE_WORD_RE.search(text, 0, m.start())
+            if before is not None:
+                word = before.group(1).rstrip(".")
+                if word.lower() in abbreviations:
+                    continue
+                if len(word) == 1 and word.isalpha() and word.isupper():
+                    continue
+        breaks.append(end)
+    pieces = []
+    start = 0
+    for b in breaks + [len(text)]:
+        piece = text[start:b].strip()
+        if piece:
+            pieces.append(piece)
+        start = b
+    return pieces
+
+
+def cosine_rows_oracle(matrix: EmbeddingMatrix, sentences) -> np.ndarray:
+    """The sentences' rows of ``matrix``, gathered, cast to float64 and then
+    L2-normalized as one block; all-zero rows stay zero."""
+    index = [matrix.row_index(s.uid) for s in sentences]
+    return unit_rows(matrix.rows[index].astype(np.float64))
+
+
 def knn_oracle(
     ids: list[str], rows: np.ndarray, query: np.ndarray, k: int
 ) -> list[tuple[str, float]]:
@@ -272,8 +356,9 @@ def align_sentences_oracle(
     policy: FilterPolicy, stopwords: frozenset[str], boundary: Counter | None = None,
 ) -> tuple[list[AlignedGroup], dict[str, int]]:
     """The sentence stage with every filter decision and token total taken
-    from the group texts: scoring and top-k as the library does them,
-    components by breadth-first search, the filter by ``text_filter_oracle``.
+    from the group texts: scoring as the library does it, top-k by
+    ``extract_nn_pairs_oracle``, components by breadth-first search, the
+    filter by ``text_filter_oracle``.
 
     Returns the groups and the counts ``align_sentences`` fills in.
     """
@@ -289,7 +374,7 @@ def align_sentences_oracle(
             counts["missing_doc"] += 1
             continue
         values = scorer.matrix(src.sentences, tgt.sentences)
-        pairs = extract_nn_pairs(values, k, theta_s)
+        pairs = extract_nn_pairs_oracle(values, k, theta_s)
         counts["raw_pairs"] += len(pairs)
         if policy.stage == "pair":
             kept = []

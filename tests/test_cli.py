@@ -957,3 +957,88 @@ class TestSharedIds:
                         flag, str(matrix))
         assert result.exit_code == 2
         assert flag in result.output and shared in result.output
+
+
+class TestVectorsReadOnlyWhenUsed:
+    """--vectors is read only by a scorer or embedder that uses it; given to
+    any other, it is not opened and changes no output."""
+
+    @pytest.fixture
+    def loads(self, monkeypatch) -> list[str]:
+        calls: list[str] = []
+
+        def counting(path):
+            calls.append(path)
+            return load_word_vectors(path)
+
+        monkeypatch.setattr("lha.cli.load_word_vectors", counting)
+        return calls
+
+    @staticmethod
+    def align_sents(workspace: Path, *options: str) -> bytes:
+        out = workspace / "groups.jsonl"
+        out.unlink(missing_ok=True)
+        result = invoke(
+            "align-sents", "--doc-pairs", str(workspace / "doc_pairs.tsv"),
+            "--source-corpus", str(workspace / "source.jsonl"),
+            "--target-corpus", str(workspace / "target.jsonl"),
+            "--k", "2", "--min-overlap", "0.2", "--out", str(out), *options,
+        )
+        assert result.exit_code == 0, result.output
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("options, reads", [
+        (["--scorer", "overlap", "--theta-s", "0.3"], 0),
+        (["--scorer", "bm25", "--theta-s", "0.5"], 0),
+        (["--scorer", "cosine", "--theta-s", "0.6", "--source-sent-embeddings", "SRC",
+          "--target-sent-embeddings", "TGT"], 0),
+        (["--scorer", "cosine", "--theta-s", "0.6"], 1),
+        (["--scorer", "wmd", "--theta-s", "0.6"], 1),
+        (["--scorer", "rwmd", "--theta-s", "0.6"], 1),
+    ], ids=["overlap", "bm25", "cosine-embeddings", "cosine", "wmd", "rwmd"])
+    def test_align_sents(self, workspace, loads, options, reads) -> None:
+        vectors = str(workspace / "vectors.txt")
+        TestStageCommands().run_stages(workspace)
+        for side, corpus in (("SRC", "source.jsonl"), ("TGT", "target.jsonl")):
+            invoke("embed", "--corpus", str(workspace / corpus), "--level", "sent",
+                   "--vectors", vectors, "--out", str(workspace / f"{side}.lhae"))
+        options = [str(workspace / f"{o}.lhae") if o in ("SRC", "TGT") else o
+                   for o in options]
+        loads.clear()
+        with_vectors = self.align_sents(workspace, *options, "--vectors", vectors)
+        assert loads == [vectors] * reads
+        assert b'"score"' in with_vectors
+        if reads == 0:
+            assert self.align_sents(workspace, *options) == with_vectors
+
+    @pytest.mark.parametrize("command, reads", [
+        (["sent", "--scorer", "overlap"], 0),
+        (["sent", "--scorer", "bm25"], 0),
+        (["sent", "--sent-embeddings", "SENT"], 0),
+        (["sent", "--scorer", "wmd"], 1),
+        (["sent"], 1),
+        (["doc", "--doc-embeddings", "DOC", "--n-noise", "1"], 0),
+        (["doc", "--n-noise", "1"], 1),
+        (["joint", "--mode", "global", "--sent-embeddings", "SENT", "--n-noise", "1"], 0),
+        (["joint", "--mode", "lha", "--sent-embeddings", "SENT", "--doc-embeddings", "DOC",
+          "--k-doc", "2", "--theta-d", "0.6", "--n-noise", "1"], 0),
+        (["joint", "--mode", "lha", "--sent-embeddings", "SENT", "--k-doc", "2",
+          "--theta-d", "0.6", "--n-noise", "1"], 1),
+        (["joint", "--mode", "global", "--sent-embeddings", "SENT", "--n-noise", "1",
+          "--rescore", "rwmd"], 1),
+    ])
+    def test_eval(self, workspace, eval_dir, loads, command, reads) -> None:
+        vectors = workspace / "vectors.txt"
+        matrices = {
+            "SENT": str(TestSharedIds.one_matrix(eval_dir, vectors, "sent")),
+            "DOC": str(TestSharedIds.one_matrix(eval_dir, vectors, "doc")),
+        }
+        command = ["eval", *(matrices.get(o, o) for o in command),
+                   "--data-dir", str(eval_dir)]
+        loads.clear()
+        with_vectors = invoke(*command, "--vectors", str(vectors))
+        assert with_vectors.exit_code == 0, with_vectors.output
+        assert loads == [str(vectors)] * reads
+        assert "f1_max" in with_vectors.stdout
+        if reads == 0:
+            assert invoke(*command).stdout == with_vectors.stdout

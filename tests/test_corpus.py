@@ -25,6 +25,7 @@ from lha.corpus import (
     tokenize,
 )
 from conftest import doc, write_jsonl
+from oracles import split_sentences_oracle
 
 
 class TestSplitSentences:
@@ -80,6 +81,29 @@ class TestSplitSentences:
     def test_reconstruction_modulo_whitespace(self, text: str) -> None:
         pieces = split_sentences(text)
         assert "".join(" ".join(pieces).split()) == "".join(text.split())
+
+    def test_matches_whole_text_look_behind_oracle(self) -> None:
+        # The look-behind searches a window before each period and widens
+        # it while the word found starts at its edge; that must find the
+        # word a search over the whole text before the period finds.
+        atoms = ["Dr.", "st.", "U.S.", "J.", "A.B.C.", "e.g.", "Mr.", "No.", "the",
+                 "cat", "Sat", "ran.", "Ünter.", "é.", "3.5", "7.", "!", "?", "...",
+                 '"', "”", ")", "(", "'", "x" * 31, "y" * 33 + ".", "W." * 40, "_.",
+                 "a" * 40 + ".", "a" * 70 + ".", "A" * 90 + ".",
+                 "\n", "\n\n", "", " "]
+        rng = random.Random(7)
+        for _ in range(4000):
+            text = "".join(rng.choice(atoms) + rng.choice(["", " ", " ", "\n"])
+                           for _ in range(rng.randint(0, 30)))
+            for abbreviations in (None, frozenset({"u.s", "st", "e.g", "a" * 40})):
+                assert split_sentences(text, abbreviations) == \
+                    split_sentences_oracle(text, abbreviations), text
+
+    def test_long_text_with_an_abbreviation_run(self) -> None:
+        text = "Word. " * 5000 + "U.S. " * 500 + "End."
+        pieces = split_sentences(text)
+        assert len(pieces) == 5001
+        assert pieces[-1] == "U.S. " * 499 + "U.S. End."
 
 
 class TestTokenize:

@@ -32,7 +32,7 @@ from lha.metrics import (
     wmd,
 )
 from conftest import cosine_scorer, doc, pair_score, sent
-from oracles import transport_cost_oracle
+from oracles import cosine_rows_oracle, transport_cost_oracle
 
 # random-table sentences use this pool; a few words stay out of vocabulary
 _POOL = ["red", "green", "blue", "cyan", "teal", "plum", "gray", "pink"]
@@ -378,6 +378,33 @@ class TestCosineSides:
             for j, y in enumerate(ys):
                 expected[i, j] = cosine(matrix.row(x.uid), matrix.row(y.uid))
         assert np.allclose(scorer.matrix(xs, ys), expected, atol=1e-12)
+
+
+    def test_rows_equal_a_normalisation_of_each_gathered_subset(self) -> None:
+        # The scorer normalises each side once; every gathered block must be
+        # bit-equal to normalising just that block, in any order, for any
+        # subset, with zero rows, and when both sides hold the same uids.
+        rng = np.random.default_rng(5)
+        for trial in range(40):
+            n, dim = int(rng.integers(1, 30)), int(rng.integers(1, 120))
+            uids = [f"d{i // 3}#{i % 3}" for i in range(n)]
+            rows = [rng.normal(size=(n, dim)).astype(np.float32) * 10.0 ** rng.integers(-3, 4)
+                    for _ in range(2)]
+            for r in rows:
+                r[rng.random(n) < 0.2] = 0.0
+            source = EmbeddingMatrix(uids, rows[0])
+            target = source if trial % 2 else EmbeddingMatrix(uids[::-1], rows[1])
+            scorer = CosineScorer(source, target)
+            sentences = [sent("x", doc_id=u.split("#")[0], ordinal=int(u.split("#")[1]))
+                         for u in uids]
+            for _ in range(5):
+                pick = rng.choice(n, size=int(rng.integers(0, 2 * n)), replace=True)
+                subset = [sentences[i] for i in pick]
+                got = scorer.source_rows(subset)
+                assert got.dtype == np.float64
+                assert got.tobytes() == cosine_rows_oracle(source, subset).tobytes()
+                assert scorer.target_rows(subset).tobytes() == \
+                    cosine_rows_oracle(target, subset).tobytes()
 
 
 class TestMakeScorer:

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,8 @@ from lha.pipeline import (
     run_pipeline,
     validate_config,
 )
-from lha.sent_align import read_groups
+from lha.embeddings import load_word_vectors
+from lha.sent_align import align_sentences, read_groups
 from conftest import _TOY_VECTORS, write_jsonl, write_vectors
 
 ALL_STAGES = [
@@ -650,6 +652,30 @@ class TestLazyVectors:
         names = [*OUTPUT_FILES, "manifest.json"]
         assert out_bytes(tmp_path / "pre", names) == out_bytes(tmp_path / "without", names)
         assert out_bytes(tmp_path / "pre", ["groups.jsonl"]) == out_bytes(out_dir, ["groups.jsonl"])
+
+    @pytest.mark.parametrize("scorer", ["cosine", "overlap", "bm25", "wmd", "rwmd"])
+    def test_table_released_before_align_sents_unless_read(
+        self, tmp_path, monkeypatch, scorer
+    ) -> None:
+        # The embed stages' table is dropped before the sentence stage of a
+        # scorer that never reads it, so it is not held at peak memory.
+        loaded: list[weakref.ref] = []
+        alive: list[bool] = []
+
+        def loading(path):
+            table = load_word_vectors(path)
+            loaded.append(weakref.ref(table))
+            return table
+
+        def aligning(*args, **kwargs):
+            alive.append(any(ref() is not None for ref in loaded))
+            return align_sentences(*args, **kwargs)
+
+        monkeypatch.setattr(lha.pipeline, "load_word_vectors", loading)
+        monkeypatch.setattr(lha.pipeline, "align_sentences", aligning)
+        run_pipeline(dataclasses.replace(make_workspace(tmp_path), scorer=scorer))
+        assert len(loaded) == 1
+        assert alive == [scorer in ("wmd", "rwmd")]
 
 
 class TestTokeniseOnce:

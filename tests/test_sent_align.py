@@ -29,7 +29,7 @@ from lha.sent_align import (
     write_groups_tsv,
 )
 from conftest import cosine_scorer, doc, filter_texts, pair_score
-from oracles import align_sentences_oracle, components_oracle
+from oracles import align_sentences_oracle, components_oracle, extract_nn_pairs_oracle
 
 
 def group_of(source_text: str, target_text: str, score: float = 0.9) -> AlignedGroup:
@@ -137,6 +137,70 @@ class TestExtractNnPairs:
     def test_k_validated(self) -> None:
         with pytest.raises(ValueError, match="k"):
             extract_nn_pairs(np.zeros((2, 2)), k=0, theta_s=0.0)
+
+    @staticmethod
+    def tied_matrix(rng: np.random.Generator) -> tuple[np.ndarray, float]:
+        """A small matrix of few distinct values, with duplicated rows and
+        columns, some NaN cells, and a theta_s that one of its values equals."""
+        shape = (int(rng.integers(1, 8)), int(rng.integers(1, 8)))
+        levels = rng.choice([-1.0, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0], size=3, replace=False)
+        values = rng.choice(levels, size=shape)
+        if values.shape[0] > 1 and rng.random() < 0.3:
+            values[int(rng.integers(values.shape[0]))] = values[0]
+        if values.shape[1] > 1 and rng.random() < 0.3:
+            values[:, int(rng.integers(values.shape[1]))] = values[:, 0]
+        if rng.random() < 0.3:
+            values[rng.random(shape) < 0.25] = np.nan
+        if rng.random() < 0.2:
+            values[values == 0.0] = -0.0
+        return values, float(rng.choice(levels))
+
+    def test_matches_full_sort_oracle_on_tied_fixtures(self) -> None:
+        rng = np.random.default_rng(11)
+        for _ in range(3000):
+            values, theta_s = self.tied_matrix(rng)
+            k = int(rng.integers(1, 10))  # below and above both dimensions
+            got = extract_nn_pairs(values, k, theta_s)
+            assert got == extract_nn_pairs_oracle(values, k, theta_s)
+            assert all(type(i) is int and type(j) is int and type(sim) is float
+                       for i, j, sim in got)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (9, 2), (3, 40)])
+    def test_matches_oracle_on_thin_and_random_shapes(self, shape) -> None:
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        for _ in range(200):
+            values = rng.random(shape)
+            values[rng.random(shape) < 0.1] = np.nan
+            for k in (1, 2, 5, 50):
+                for theta_s in (-1.0, 0.0, 0.5, float(values[0, 0]), np.nan):
+                    assert extract_nn_pairs(values, k, theta_s) == \
+                        extract_nn_pairs_oracle(values, k, theta_s)
+
+    def test_value_at_theta_is_kept(self) -> None:
+        values = np.array([[0.5, 0.2], [0.1, 0.4]])
+        assert extract_nn_pairs(values, k=1, theta_s=0.5) == [(0, 0, 0.5)]
+        assert extract_nn_pairs(values, k=1, theta_s=0.4) == [(0, 0, 0.5), (1, 1, 0.4)]
+
+    def test_ties_break_toward_the_lower_index(self) -> None:
+        # Row 0 ties at both columns; transposed, column 0 ties at both rows.
+        values = np.array([[0.7, 0.7], [0.9, 0.9]])
+        assert extract_nn_pairs(values, k=1, theta_s=0.5) == [
+            (0, 0, 0.7), (1, 0, 0.9), (1, 1, 0.9),
+        ]
+        assert extract_nn_pairs(values.T, k=1, theta_s=0.5) == [
+            (0, 0, 0.7), (0, 1, 0.9), (1, 1, 0.9),
+        ]
+        # A tie across row 0's k-th place keeps exactly the lower index;
+        # rows 1 and 2 take every column's top 2.
+        values = np.array([[0.9, 0.8, 0.8, 0.8], [1.0] * 4, [1.0] * 4])
+        got = extract_nn_pairs(values, k=2, theta_s=0.5)
+        assert [(i, j) for i, j, _ in got if i == 0] == [(0, 0), (0, 1)]
+
+    def test_nan_cells_are_never_kept_nor_rank_ahead(self) -> None:
+        values = np.array([[np.nan, 0.6, 0.7], [np.nan, np.nan, 0.6]])
+        assert extract_nn_pairs(values, k=1, theta_s=0.5) == [
+            (0, 1, 0.6), (0, 2, 0.7), (1, 2, 0.6),
+        ]
 
 
 class TestMergeComponents:
