@@ -27,6 +27,7 @@ from .evaluate import (
     eval_sentence_alignment,
     load_eval_dataset,
     noise_pools,
+    sample_docs,
 )
 from .metrics import make_scorer
 from .pipeline import PipelineConfig, PipelineStageError, align_doc_files, run_pipeline
@@ -405,7 +406,9 @@ def eval_joint_cmd(data_dir, mode, vectors, doc_embeddings, sent_embeddings,
     table = _vector_table(vectors, not sent_embeddings or rescore != "none"
                           or (mode == "lha" and not doc_embeddings))
     docs = _all_docs(dataset)
-    sent_scorer = _scorer("cosine", **_sentence_matrices(sent_embeddings, table, *docs))
+    # Averaged rows are made only for the articles eval_joint draws.
+    sent_docs = docs if sent_embeddings else sample_docs(dataset, n_noise, seed)
+    sent_scorer = _scorer("cosine", **_sentence_matrices(sent_embeddings, table, *sent_docs))
     doc_embedder = _doc_embedder(doc_embeddings, table, *docs)
     rescorer = None if rescore == "none" else _scorer(rescore, table=table)
     report = eval_joint(

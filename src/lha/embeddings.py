@@ -10,12 +10,13 @@ from __future__ import annotations
 import struct
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .corpus import Document, Sentence, Token
+from .corpus import Document, Token
 
 __all__ = [
     "EmbeddingFormatError",
@@ -277,6 +278,47 @@ def load_embeddings(path: Path | str) -> EmbeddingMatrix:
     )
 
 
+# Units averaged per array pass.
+_CHUNK = 1024
+
+
+def _avg_rows(
+    units: Sequence[Sequence[Token] | Sequence[str]], table: WordVectorTable
+) -> np.ndarray:
+    """The float64 mean vector of each unit's in-vocabulary tokens, one row
+    per unit; a unit with none gets the zero row.
+
+    Rows are summed by position from +0.0: pass ``p`` adds the ``p``-th
+    in-vocabulary row of every unit that has one. That is the order
+    ``np.mean(rows, axis=0)`` sums a unit's rows in, so each row is bit-equal
+    to that per-unit mean (``np.add.reduceat`` sums in another order).
+    """
+    lookup = table._index.get
+    words = [
+        t.normalized if isinstance(t, Token) else str(t).lower()
+        for unit in units for t in unit
+    ]
+    flat = np.fromiter(map(lookup, words, repeat(-1)), dtype=np.intp, count=len(words))
+    owner = np.repeat(np.arange(len(units)), [len(unit) for unit in units])
+    found = flat >= 0
+    idx, owner = flat[found], owner[found]
+    counts = np.bincount(owner, minlength=len(units))
+    start = np.cumsum(counts) - counts
+    if table.dim == 1:  # numpy sums one column pairwise, not row by row
+        return np.array([np.mean(table._rows[idx[a : a + c]], axis=0) if c else [0.0]
+                         for a, c in zip(start.tolist(), counts.tolist())]).reshape(-1, 1)
+    # Longest units first, so the units still summing at pass p are a prefix.
+    order = np.argsort(-counts, kind="stable")
+    start = start[order]
+    live = np.searchsorted(-counts[order], -np.arange(counts.max(initial=0)))
+    acc = np.zeros((len(units), table.dim))
+    for p, n in enumerate(live.tolist()):
+        acc[:n] += table._rows[idx[start[:n] + p]]
+    out = np.empty_like(acc)
+    out[order] = acc / np.maximum(counts[order], 1)[:, None]
+    return out
+
+
 def embed_avg(
     tokens: Sequence[Token] | Sequence[str], table: WordVectorTable
 ) -> np.ndarray:
@@ -285,15 +327,7 @@ def embed_avg(
     Out-of-vocabulary tokens are skipped; if nothing is in vocabulary the
     zero vector is returned.
     """
-    found = []
-    for t in tokens:
-        word = t.normalized if isinstance(t, Token) else str(t).lower()
-        vec = table.get(word)
-        if vec is not None:
-            found.append(vec)
-    if not found:
-        return np.zeros(table.dim, dtype=np.float64)
-    return np.mean(found, axis=0)
+    return _avg_rows([tokens], table)[0]
 
 
 class AvgEmbedder:
@@ -306,12 +340,6 @@ class AvgEmbedder:
     def dim(self) -> int:
         return self.table.dim
 
-    def sentence_vector(self, sentence: Sentence) -> np.ndarray:
-        return embed_avg(sentence.tokens, self.table)
-
-    def document_vector(self, doc: Document) -> np.ndarray:
-        return embed_avg(doc.tokens(), self.table)
-
 
 class PrecomputedEmbedder:
     """Looks units up in an existing matrix keyed by unit id."""
@@ -322,12 +350,6 @@ class PrecomputedEmbedder:
     @property
     def dim(self) -> int:
         return self.matrix.dim
-
-    def sentence_vector(self, sentence: Sentence) -> np.ndarray:
-        return self.matrix.row(sentence.uid).astype(np.float64)
-
-    def document_vector(self, doc: Document) -> np.ndarray:
-        return self.matrix.row(doc.doc_id).astype(np.float64)
 
 
 def check_sentence_rows(
@@ -358,23 +380,23 @@ def embed_corpus(
     """
     if level not in ("document", "sentence"):
         raise ValueError(f"level must be 'document' or 'sentence', got {level!r}")
-    unit_ids: list[str] = []
-    doc_ids: list[str] = []
-
-    def vectors():
-        for doc in docs:
-            doc_ids.append(doc.doc_id)
-            if level == "document":
-                unit_ids.append(doc.doc_id)
-                yield embedder.document_vector(doc)
-            else:
-                for sentence in doc.sentences:
-                    unit_ids.append(sentence.uid)
-                    yield embedder.sentence_vector(sentence)
-
-    # Each vector is cast to float32 as it is made, so no float64 copy of
-    # the whole corpus is ever held.
-    rows = np.fromiter(vectors(), dtype=np.dtype((np.float32, embedder.dim)))
-    if level == "sentence" and isinstance(embedder, PrecomputedEmbedder):
-        check_sentence_rows(embedder.matrix, set(doc_ids), set(unit_ids))
+    docs = list(docs)
+    if level == "document":
+        unit_ids = [doc.doc_id for doc in docs]
+        units: Iterator = (doc.tokens() for doc in docs)
+    else:
+        unit_ids = [s.uid for doc in docs for s in doc.sentences]
+        units = (s.tokens for doc in docs for s in doc.sentences)
+    if isinstance(embedder, PrecomputedEmbedder):
+        matrix = embedder.matrix
+        rows = matrix.rows[[matrix.row_index(uid) for uid in unit_ids]]
+        if level == "sentence":
+            check_sentence_rows(matrix, {doc.doc_id for doc in docs}, set(unit_ids))
+    else:
+        # Averaged a chunk at a time into float32, so no float64 copy of the
+        # whole corpus is ever held.
+        rows = np.empty((len(unit_ids), embedder.dim), dtype=np.float32)
+        for lo in range(0, len(unit_ids), _CHUNK):
+            chunk = list(islice(units, _CHUNK))
+            rows[lo : lo + len(chunk)] = _avg_rows(chunk, embedder.table)
     return EmbeddingMatrix(unit_ids, rows).normalized()

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .ann_index import _top_by_similarity, build_index
+from .ann_index import build_index, id_ranks, top_k
 from .corpus import Document, Sentence, load_corpus
 from .doc_align import align_documents
 from .embeddings import AvgEmbedder, PrecomputedEmbedder, embed_corpus
@@ -39,6 +39,7 @@ __all__ = [
     "EvalDataset",
     "load_eval_dataset",
     "noise_pools",
+    "sample_docs",
     "eval_sentence_alignment",
     "eval_document_alignment",
     "eval_joint",
@@ -421,15 +422,23 @@ def noise_pools(dataset: EvalDataset) -> tuple[list[Document], list[Document]]:
     )
 
 
-def _sample_noise(
-    eligible: Sequence[Document], n_noise: int, rng: np.random.Generator
-) -> list[Document]:
-    if len(eligible) < n_noise:
-        raise ValueError(
-            f"noise pool has {len(eligible)} eligible documents, need {n_noise}"
-        )
-    picks = rng.choice(len(eligible), size=n_noise, replace=False)
-    return [eligible[int(i)] for i in picks]
+def sample_docs(
+    dataset: EvalDataset, n_noise: int, seed: int
+) -> tuple[list[Document], list[Document]]:
+    """The (source, target) documents the document and joint protocols
+    score: each side's articles of the gold article pairs, then ``n_noise``
+    noise articles per side drawn with ``seed``, the source side first."""
+    rng = np.random.default_rng(seed)
+    sides = []
+    for i, (annotated, pool) in enumerate(
+        zip((dataset.src_docs, dataset.tgt_docs), noise_pools(dataset))
+    ):
+        if len(pool) < n_noise:
+            raise ValueError(f"noise pool has {len(pool)} eligible documents, need {n_noise}")
+        gold = dict.fromkeys(pair[i] for pair in dataset.gold_doc_pairs)
+        picks = rng.choice(len(pool), size=n_noise, replace=False)
+        sides.append([annotated[d] for d in gold] + [pool[int(j)] for j in picks])
+    return sides[0], sides[1]
 
 
 def _doc_sim_matrix(
@@ -467,14 +476,7 @@ def eval_document_alignment(
     non-cosine scorer over whole documents.
     """
     start = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    gold_src_ids = [a for a, _ in dataset.gold_doc_pairs]
-    gold_tgt_ids = [b for _, b in dataset.gold_doc_pairs]
-    src_list = [dataset.src_docs[a] for a in dict.fromkeys(gold_src_ids)]
-    tgt_list = [dataset.tgt_docs[b] for b in dict.fromkeys(gold_tgt_ids)]
-    src_noise, tgt_noise = noise_pools(dataset)
-    src_list += _sample_noise(src_noise, n_noise, rng)
-    tgt_list += _sample_noise(tgt_noise, n_noise, rng)
+    src_list, tgt_list = sample_docs(dataset, n_noise, seed)
     sims = _doc_sim_matrix(src_list, tgt_list, embedder, scorer)
     scored = {
         (s.doc_id, t.doc_id): float(sims[i, j])
@@ -544,14 +546,7 @@ def eval_joint(
         raise ValueError(f"mode must be 'lha' or 'global', got {mode!r}")
     positives = gold_positive_set(dataset.gold_pairs, positive_labels)
     start = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    src_gold = list(dict.fromkeys(a for a, _ in dataset.gold_doc_pairs))
-    tgt_gold = list(dict.fromkeys(b for _, b in dataset.gold_doc_pairs))
-    src_list = [dataset.src_docs[a] for a in src_gold]
-    tgt_list = [dataset.tgt_docs[b] for b in tgt_gold]
-    src_noise, tgt_noise = noise_pools(dataset)
-    src_list += _sample_noise(src_noise, n_noise, rng)
-    tgt_list += _sample_noise(tgt_noise, n_noise, rng)
+    src_list, tgt_list = sample_docs(dataset, n_noise, seed)
     src_sents = [s for doc in src_list for s in doc.sentences]
     tgt_sents = [s for doc in tgt_list for s in doc.sentences]
     details: dict = {
@@ -581,15 +576,16 @@ def eval_joint(
         if not isinstance(sent_scorer, CosineScorer):
             raise ValueError("global mode needs a cosine (embedding) scorer")
         tgt_unit = sent_scorer.target_rows(tgt_sents)
-        tgt_uids = np.array([s.uid for s in tgt_sents], dtype=np.str_)
+        tgt_uids = [s.uid for s in tgt_sents]
+        tgt_rank = id_ranks(tgt_uids)
         top = min(global_top, len(tgt_sents))
-        block = 512
+        block = 256  # top_k holds a second copy of a block's scores
         for lo in range(0, len(src_sents), block):
             chunk = src_sents[lo : lo + block]
             src_unit = sent_scorer.source_rows(chunk)
-            for s, v, row in zip(chunk, src_unit, src_unit @ tgt_unit.T):
-                for j, sim in zip(*_top_by_similarity(tgt_uids, row, top, tgt_unit, v)):
-                    scored[(s.uid, str(tgt_uids[j]))] = float(sim)
+            sims = src_unit @ tgt_unit.T
+            for i, j, sim in zip(*top_k(sims, top, tgt_unit, src_unit, tgt_rank)):
+                scored[(chunk[i].uid, tgt_uids[j])] = sim
         details["global_top"] = top
     details["candidates"] = len(scored)
     if rescorer is not None:

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .ann_index import line_ranks
 from .corpus import Document, Sentence, content_tokens
 # perfbench/spans.py patches lha.sent_align.tokenize; this module never calls it.
 from .corpus import tokenize  # noqa: F401
@@ -141,18 +142,8 @@ def extract_nn_pairs(
     if not ii.size:
         return []
     sims = values[ii, jj]
-    keep = (_ranks(ii, jj, sims) < k) | (_ranks(jj, ii, sims) < k)
+    keep = (line_ranks(ii, jj, sims) < k) | (line_ranks(jj, ii, sims) < k)
     return list(zip(ii[keep].tolist(), jj[keep].tolist(), sims[keep].tolist()))
-
-
-def _ranks(lines: np.ndarray, within: np.ndarray, sims: np.ndarray) -> np.ndarray:
-    """Each entry's rank among the entries of its line (row or column):
-    by similarity descending, then by index ``within`` the line."""
-    order = np.lexsort((within, -sims, lines))
-    sorted_lines = lines[order]
-    ranks = np.empty_like(order)
-    ranks[order] = np.arange(order.size) - np.searchsorted(sorted_lines, sorted_lines)
-    return ranks
 
 
 def merge_components(

@@ -7,8 +7,9 @@ merging via breadth-first search, nearest neighbors via a plain sort, the
 sentence filter and token counts via re-tokenising each group's text, the
 word-vector file via ``float()`` on each field of each line, top-k pair
 selection via a full sort of every row and column, sentence splitting via a
-look-behind search from the start of the text, and cosine rows via a
-normalisation of each gathered subset.
+look-behind search from the start of the text, cosine rows via a
+normalisation of each gathered subset, unit averages via one ``np.mean``
+per unit, and an index's top-k via one ``argpartition`` per query.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from lha.corpus import default_abbreviations, tokenize
+from lha.corpus import Token, default_abbreviations, tokenize
 from lha.embeddings import EmbeddingFormatError, EmbeddingMatrix, unit_rows
 from lha.sent_align import AlignedGroup, FilterPolicy, normalize_pair_key
 
@@ -231,6 +232,64 @@ def cosine_rows_oracle(matrix: EmbeddingMatrix, sentences) -> np.ndarray:
     L2-normalized as one block; all-zero rows stay zero."""
     index = [matrix.row_index(s.uid) for s in sentences]
     return unit_rows(matrix.rows[index].astype(np.float64))
+
+
+def embed_avg_oracle(tokens, table) -> np.ndarray:
+    """Mean vector of one unit's in-vocabulary tokens (``str`` tokens are
+    lowercased): ``np.mean`` over the list of their rows, or the zero vector."""
+    found = []
+    for t in tokens:
+        word = t.normalized if isinstance(t, Token) else str(t).lower()
+        vec = table.get(word)
+        if vec is not None:
+            found.append(vec)
+    if not found:
+        return np.zeros(table.dim, dtype=np.float64)
+    return np.mean(found, axis=0)
+
+
+def top_by_similarity_oracle(
+    ids: np.ndarray, sims: np.ndarray, k: int, rows: np.ndarray, v: np.ndarray,
+    denominators: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and similarities of the k best rows for one query, similarity
+    descending then id (a ``np.str_`` array) ascending: the rows near the
+    k-th value by ``argpartition`` are rescored one query at a time."""
+    if k <= 0:
+        return np.arange(0), sims[:0]
+    cand = np.arange(sims.shape[0])
+    if k < cand.size:
+        kth = sims[np.argpartition(-sims, k - 1)[:k]].min()
+        cand = np.flatnonzero(sims >= kth - 1e-9)
+    exact = np.sum(rows[cand] * v, axis=1, initial=0.0)
+    if denominators is not None:
+        exact /= denominators[cand]
+    order = np.lexsort((ids[cand], -exact))[:k]
+    return cand[order], exact[order]
+
+
+def query_block_oracle(
+    unit_ids: list[str], rows: np.ndarray, vs: np.ndarray, k: int
+) -> list[list[tuple[str, float]]]:
+    """``AnnIndex(unit_ids, rows).query_block(vs, k)`` as (id, similarity)
+    lists, one query at a time through ``top_by_similarity_oracle``."""
+    rows64 = np.asarray(rows, dtype=np.float32).astype(np.float64)
+    norms = np.linalg.norm(rows64, axis=1)
+    keep = np.flatnonzero(norms > 0.0)
+    ids = np.array([unit_ids[i] for i in keep], dtype=np.str_)
+    rows64, norms = rows64[keep], norms[keep]
+    vs64 = np.asarray(vs, dtype=np.float64)
+    out = []
+    for v, dots in zip(vs64, vs64 @ rows64.T):
+        norm = float(np.linalg.norm(v))
+        if norm > 0.0:
+            denominators = norms * norm
+            sims = dots / denominators
+        else:
+            denominators, sims = None, np.zeros_like(dots)
+        top, top_sims = top_by_similarity_oracle(ids, sims, k, rows64, v, denominators)
+        out.append([(str(ids[i]), float(s)) for i, s in zip(top, top_sims)])
+    return out
 
 
 def knn_oracle(

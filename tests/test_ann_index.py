@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lha.ann_index import AnnIndex, build_index
+from lha import ann_index
+from lha.ann_index import AnnIndex, build_index, id_ranks, top_k
 from lha.doc_align import align_documents
 from lha.embeddings import EmbeddingFormatError, EmbeddingMatrix
-from oracles import knn_oracle
+from oracles import knn_oracle, query_block_oracle, top_by_similarity_oracle
 
 
 def unit_matrix(n: int, dim: int, seed: int, prefix: str = "u") -> EmbeddingMatrix:
@@ -211,6 +212,70 @@ class TestIdenticalRows:
                 assert [nb.unit_id for nb in one] == both[:1]
                 assert [nb.unit_id for nb in two] == both
                 assert two[0].similarity == two[1].similarity
+
+
+def copied_rows(rng, n: int, dim: int) -> tuple[list[str], np.ndarray]:
+    """float32 rows with float copies of one another, near ties (one
+    component one float32 ulp apart) and zero rows, under ids whose order
+    is not the row order."""
+    rows = rng.standard_normal((n, dim)).astype(np.float32)
+    for _ in range(n // 3):
+        a, b = rng.choice(n, size=2, replace=False)
+        rows[b] = rows[a]
+        if rng.random() < 0.3:
+            rows[b, 0] = np.nextafter(rows[b, 0], np.float32(np.inf))
+    rows[rng.random(n) < 0.1] = 0.0
+    ids = [f"x{v:04d}" for v in rng.permutation(n)]
+    return ids, rows
+
+
+def bits(result) -> list[list[tuple[str, str]]]:
+    return [[(uid, float(sim).hex()) for uid, sim in row] for row in result]
+
+
+class TestBlockKernel:
+    """``query_block`` and ``top_k`` against one query at a time, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_query_block_matches_per_row_path(self, seed, monkeypatch) -> None:
+        monkeypatch.setattr(ann_index, "_RESCORE", (1, 7, 4096)[seed % 3])
+        rng = np.random.default_rng(seed)
+        n, dim = int(rng.integers(1, 40)), int(rng.choice([3, 50]))
+        ids, rows = copied_rows(rng, n, dim)
+        index = AnnIndex(ids, rows)
+        queries = np.vstack([
+            rows[rng.integers(0, n, size=10)],
+            rows[rng.integers(0, n, size=10)] + 0.3 * rng.standard_normal((10, dim)),
+            np.zeros((2, dim)),
+            rng.standard_normal((40, dim)),
+        ])
+        for k in (0, 1, 2, 5, n - 1, n, n + 3):
+            expected = query_block_oracle(ids, rows, queries, k)
+            got = [as_pairs(r) for r in index.query_block(queries, k)]
+            assert bits(got) == bits(expected), k
+
+    def test_unit_rows_without_denominators(self) -> None:
+        # The form `eval joint --mode global` uses: unit float64 rows, no
+        # division, ties broken by the ids' ranks.
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            ids, rows = copied_rows(rng, 60, 20)
+            unit = rows.astype(np.float64)
+            unit /= np.maximum(np.linalg.norm(unit, axis=1), 1e-300)[:, None]
+            vs = np.vstack([unit[:8], rng.standard_normal((8, 20))])
+            sims = vs @ unit.T
+            for k in (1, 4, 60, 70):
+                qi, cj, got = top_k(sims, k, unit, vs, id_ranks(ids))
+                expected = []
+                for q in range(len(vs)):
+                    top, top_sims = top_by_similarity_oracle(
+                        np.array(ids, dtype=np.str_), sims[q], k, unit, vs[q])
+                    expected += [(q, int(j), float(s).hex()) for j, s in zip(top, top_sims)]
+                assert [(q, j, s.hex()) for q, j, s in zip(qi, cj, got)] == expected
+
+    def test_id_ranks_keep_equal_ids_in_order(self) -> None:
+        assert id_ranks(["b", "a", "b", "a"]).tolist() == [2, 0, 3, 1]
+        assert id_ranks([]).tolist() == []
 
 
 class TestExactKnn:

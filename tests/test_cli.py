@@ -15,12 +15,15 @@ from lha.cli import _sentence_matrices, main
 from lha.corpus import corpus_index, load_corpus
 from lha.doc_align import read_doc_pairs
 from lha.embeddings import (
+    AvgEmbedder,
     EmbeddingMatrix,
+    embed_corpus,
     load_embeddings,
     load_word_vectors,
     save_embeddings,
 )
-from lha.metrics import make_scorer
+from lha.evaluate import eval_joint, load_eval_dataset, sample_docs
+from lha.metrics import CosineScorer, make_scorer
 from lha.pipeline import PipelineConfig, PipelineStageError, run_pipeline
 from lha.sent_align import read_groups, sentence_sim_matrix
 from conftest import _TOY_VECTORS, write_jsonl, write_vectors
@@ -704,6 +707,44 @@ class TestEvalCommands:
         after = invoke(*args, "--n-noise", "1")
         assert after.exit_code == 0, after.output
         assert after.stdout == before.stdout
+
+    @pytest.mark.parametrize("mode", ["global", "lha"])
+    def test_eval_joint_embeds_only_the_sampled_noise(
+        self, workspace, eval_dir, monkeypatch, mode
+    ) -> None:
+        words = ["cat", "dog", "apple", "bread", "rain", "snow", "storm", "sun"]
+        for side in ("source", "target"):
+            write_jsonl(eval_dir / f"noise_{side}_docs.jsonl", [
+                {"id": f"n{side[0]}{i}", "sentences": [f"The {w} fell.", f"A {words[i - 1]} sat."]}
+                for i, w in enumerate(words)
+            ])
+        embedded = []
+
+        def recording_embed_corpus(docs, level, embedder):
+            docs = list(docs)
+            embedded.append((level, [d.doc_id for d in docs]))
+            return embed_corpus(docs, level, embedder)
+
+        monkeypatch.setattr("lha.cli.embed_corpus", recording_embed_corpus)
+        result = invoke("eval", "joint", "--data-dir", str(eval_dir), "--mode", mode,
+                        "--vectors", str(workspace / "vectors.txt"), "--k-doc", "3",
+                        "--theta-d", "0.3", "--n-noise", "3", "--seed", "7")
+        assert result.exit_code == 0, result.output
+        dataset = load_eval_dataset(eval_dir)
+        src, tgt = sample_docs(dataset, 3, 7)
+        assert embedded == [("sentence", [d.doc_id for d in src]),
+                            ("sentence", [d.doc_id for d in tgt])]
+        assert len(src) == len(tgt) == 5
+        # The report of embedding every article of both pools first.
+        table = load_word_vectors(workspace / "vectors.txt")
+        every_src, every_tgt = (
+            [*annotated.values(), *noise] for annotated, noise in
+            ((dataset.src_docs, dataset.noise_src), (dataset.tgt_docs, dataset.noise_tgt)))
+        scorer = CosineScorer(embed_corpus(every_src, "sentence", AvgEmbedder(table)),
+                              embed_corpus(every_tgt, "sentence", AvgEmbedder(table)))
+        expected = eval_joint(mode, dataset, scorer, doc_embedder=AvgEmbedder(table),
+                              k_doc=3, theta_d=0.3, n_noise=3, seed=7)
+        assert json.loads(result.stdout) == json.loads(expected.to_json(include_timing=False))
 
     def test_eval_joint_rescore(self, workspace, eval_dir) -> None:
         result = invoke(

@@ -5,13 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lha.corpus import tokenize
+from lha import embeddings
+from lha.corpus import Document, Sentence, Token, tokenize
 from lha.embeddings import (
     AvgEmbedder,
     EmbeddingFormatError,
     EmbeddingLookupError,
     EmbeddingMatrix,
     PrecomputedEmbedder,
+    WordVectorTable,
     embed_avg,
     embed_corpus,
     load_embeddings,
@@ -19,7 +21,7 @@ from lha.embeddings import (
     save_embeddings,
 )
 from conftest import doc, write_vectors
-from oracles import word_vectors_oracle
+from oracles import embed_avg_oracle, word_vectors_oracle
 
 
 class TestLoadWordVectors:
@@ -181,6 +183,91 @@ class TestEmbedAvg:
         for _ in range(10):
             shuffled = list(rng.permutation(words))
             assert np.allclose(embed_avg(shuffled, toy_table), base)
+
+
+def random_table(rng, dim: int) -> tuple[WordVectorTable, list[str]]:
+    """Rows of mixed magnitudes with about a fifth of their components
+    -0.0; read from a strided view, as the file loader's rows are."""
+    words = [f"w{i}" for i in range(int(rng.integers(1, 60)))]
+    rows = rng.standard_normal((len(words), dim + 1))
+    rows *= 10.0 ** rng.integers(-3, 4, size=(len(words), 1))
+    rows[rng.random(rows.shape) < 0.2] = -0.0
+    return WordVectorTable.from_rows(words, rows[:, 1:]), words
+
+
+def random_docs(rng, words: list[str], n_sentences: int, long_every: int = 0) -> list[Document]:
+    """Documents holding ``n_sentences`` sentences in all: empty, OOV-only,
+    one-token and longer ones, in mixed case; with ``long_every``, every
+    such sentence holds over 1,100 tokens."""
+    pool = [*words, *(w.upper() for w in words), "oov", "Zzz"]
+    docs, ordinal, sentences = [], 0, []
+    for i in range(n_sentences):
+        length = int(rng.choice([0, 1, 1, 2, 3, 8, 30]))
+        if long_every and i % long_every == 0:
+            length = 1_100 + int(rng.integers(0, 50))
+        if rng.random() < 0.1:
+            surfaces = ["oov"] * length
+        else:
+            surfaces = [str(w) for w in rng.choice(pool, size=length)]
+        tokens = tuple(Token(w, w.lower(), False, False, False) for w in surfaces)
+        doc_id = f"d{len(docs)}"
+        sentences.append(Sentence(doc_id, ordinal, " ".join(surfaces), tokens))
+        ordinal += 1
+        if rng.random() < 0.3 or i == n_sentences - 1:
+            docs.append(Document(doc_id, "source", tuple(sentences)))
+            ordinal, sentences = 0, []
+    return docs
+
+
+def expected_rows(docs: list[Document], level: str, table) -> np.ndarray:
+    """The rows ``embed_corpus`` wrote before the array pass: one per-unit
+    mean, cast to float32, then normalized."""
+    units = [d.tokens() for d in docs] if level == "document" else [
+        s.tokens for d in docs for s in d.sentences]
+    means = np.array([embed_avg_oracle(u, table) for u in units], dtype=np.float32)
+    ids = [str(i) for i in range(len(units))]
+    return EmbeddingMatrix(ids, means.reshape(len(units), table.dim)).normalized().rows
+
+
+class TestAverageKernel:
+    """The array pass against one ``np.mean`` per unit, compared bit for bit."""
+
+    def test_random_corpora_match_per_unit_mean(self, monkeypatch) -> None:
+        rng = np.random.default_rng(12)
+        for trial in range(300):
+            monkeypatch.setattr(embeddings, "_CHUNK", int(rng.choice([1, 2, 5, 1024])))
+            table, words = random_table(rng, dim=int(rng.choice([1, 2, 3, 8, 50])))
+            docs = random_docs(rng, words, int(rng.integers(0, 40)))
+            units = [s.tokens for d in docs for s in d.sentences]
+            means = np.array([embed_avg_oracle(u, table) for u in units])
+            got = embeddings._avg_rows(units, table)
+            assert got.tobytes() == means.reshape(got.shape).tobytes(), trial
+            for level in ("document", "sentence"):
+                matrix = embed_corpus(docs, level, AvgEmbedder(table))
+                assert matrix.rows.tobytes() == expected_rows(docs, level, table).tobytes()
+
+    @pytest.mark.parametrize("n", [1024, 1025])
+    def test_chunk_edges_and_units_longer_than_a_chunk(self, n) -> None:
+        assert embeddings._CHUNK == 1024
+        rng = np.random.default_rng(n)
+        table, words = random_table(rng, dim=20)
+        docs = random_docs(rng, words, n, long_every=300)
+        assert sum(len(d.sentences) for d in docs) == n
+        for level in ("document", "sentence"):
+            matrix = embed_corpus(docs, level, AvgEmbedder(table))
+            assert matrix.rows.tobytes() == expected_rows(docs, level, table).tobytes()
+
+    def test_embed_avg_is_the_one_unit_mean(self) -> None:
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            table, words = random_table(rng, dim=int(rng.choice([1, 4, 30])))
+            tokens = [str(w) for w in rng.choice([*words, "W0", "oov"], size=rng.integers(0, 12))]
+            assert embed_avg(tokens, table).tobytes() == embed_avg_oracle(tokens, table).tobytes()
+
+    def test_negative_zero_components_average_to_positive_zero(self) -> None:
+        table = WordVectorTable(2, {"a": [-0.0, 1.0], "b": [-0.0, -0.0]})
+        for tokens in (["a"], ["b"], ["a", "b"]):
+            assert np.signbit(embed_avg(tokens, table)).tolist() == [False, False]
 
 
 class TestEmbeddingMatrix:

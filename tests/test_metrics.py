@@ -13,6 +13,7 @@ from lha.embeddings import (
     EmbeddingLookupError,
     EmbeddingMatrix,
     WordVectorTable,
+    embed_avg,
     embed_corpus,
 )
 from lha.metrics import (
@@ -361,10 +362,9 @@ class TestCosineSides:
               for i, t in enumerate(["The cat sat.", "Rain fell.", "Zzz."])]
         ys = [sent(t, doc_id="e", ordinal=i)
               for i, t in enumerate(["A kitten.", "Snow and sun."])]
-        avg = AvgEmbedder(toy_table)
         matrix = EmbeddingMatrix(
             [s.uid for s in xs + ys],
-            np.vstack([avg.sentence_vector(s) for s in xs + ys]).astype(np.float32),
+            np.vstack([embed_avg(s.tokens, toy_table) for s in xs + ys]).astype(np.float32),
         )
         scorer = CosineScorer(matrix, matrix)
         for sentences in (xs, ys, []):
