@@ -19,8 +19,12 @@ from .embeddings import EmbeddingMatrix
 
 __all__ = ["DocPair", "align_documents", "write_doc_pairs", "read_doc_pairs"]
 
-# Source rows scored per matrix product.
-_BLOCK = 64
+# Source rows scored per matrix product: at least _MIN_ROWS, and about
+# _BLOCK_CELLS similarities. Above its threading threshold a multithreaded
+# BLAS product costs milliseconds whatever its size, so fewer, larger
+# products are faster; a larger budget only adds peak memory.
+_MIN_ROWS = 64
+_BLOCK_CELLS = 2**17
 
 
 @dataclass(frozen=True)
@@ -44,17 +48,21 @@ def align_documents(
     if src.dim != tgt_index.dim:
         raise ValueError(f"source dim {src.dim} != index dim {tgt_index.dim}")
     rows64 = src.rows.astype(np.float64)
-    live = np.flatnonzero(np.linalg.norm(rows64, axis=1) > 0.0)
+    norms = np.linalg.norm(rows64, axis=1)
+    # Sources in id order; query_block returns each one's neighbors by
+    # similarity descending, then target id, so the pairs come out sorted.
+    live = [i for i in sorted(range(src.count), key=src.unit_ids.__getitem__)
+            if norms[i] > 0.0]
+    step = max(_MIN_ROWS, _BLOCK_CELLS // max(tgt_index.size, 1))
     pairs: list[DocPair] = []
-    for lo in range(0, live.size, _BLOCK):
-        block = live[lo : lo + _BLOCK]
+    for lo in range(0, len(live), step):
+        block = live[lo : lo + step]
         for i, neighbors in zip(block, tgt_index.query_block(rows64[block], k)):
             pairs.extend(
                 DocPair(src.unit_ids[i], nb.unit_id, nb.similarity)
                 for nb in neighbors
                 if nb.similarity >= theta_d
             )
-    pairs.sort(key=lambda p: (p.source_id, -p.similarity, p.target_id))
     return pairs
 
 

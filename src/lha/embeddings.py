@@ -80,6 +80,15 @@ class WordVectorTable:
         i = self._index.get(token)
         return None if i is None else self._rows[i]
 
+    @property
+    def rows(self) -> np.ndarray:
+        """The vectors as one float64 matrix, indexed by ``row_indices``."""
+        return self._rows
+
+    def row_indices(self, tokens: Sequence[str]) -> np.ndarray:
+        """The row of each token in ``rows``; every token must be in the table."""
+        return np.array([self._index[t] for t in tokens], dtype=np.intp)
+
 
 def _read_header(fh: TextIO) -> int:
     """The dimension from the header line ``count dim``."""

@@ -10,11 +10,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
+from scipy.optimize import Bounds, LinearConstraint, milp
+# perfbench/spans.py patches lha.metrics.linprog; this module never calls it.
+from scipy.optimize import linprog  # noqa: F401
+from scipy.sparse import csc_array
 from scipy.spatial.distance import cdist
 
 from .corpus import Document, Sentence, content_tokens
@@ -124,12 +127,13 @@ def bm25(query: Sequence[str], doc: Sequence[str], stats: Bm25Stats) -> float:
 
 @dataclass(frozen=True)
 class _Nbow:
-    """Normalized bag-of-words: unique in-vocabulary content tokens with
-    relative frequencies and their stacked vectors."""
+    """Normalized bag-of-words: unique in-vocabulary content tokens in sorted
+    order, their relative frequencies and their rows in the word-vector
+    table."""
 
     tokens: tuple[str, ...]
     weights: np.ndarray
-    vectors: np.ndarray
+    rows: np.ndarray
 
 
 def _sentence_tokens(x: Sentence | Sequence[str]) -> list[str]:
@@ -145,8 +149,7 @@ def _nbow(x: Sentence | Sequence[str], table: WordVectorTable) -> _Nbow | None:
     tokens = tuple(sorted(counts))
     total = sum(counts.values())
     weights = np.array([counts[t] / total for t in tokens], dtype=np.float64)
-    vectors = np.vstack([table.get(t) for t in tokens])
-    return _Nbow(tokens=tokens, weights=weights, vectors=vectors)
+    return _Nbow(tokens=tokens, weights=weights, rows=table.row_indices(tokens))
 
 
 def _require_nbow(x: Sentence | Sequence[str], table: WordVectorTable) -> _Nbow:
@@ -159,54 +162,113 @@ def _require_nbow(x: Sentence | Sequence[str], table: WordVectorTable) -> _Nbow:
     return nb
 
 
+# Entries of one Euclidean distance block; a single cell may be larger.
+_BLOCK_CELLS = 2**16
+
+
+def _groups(sizes: Sequence[int], cap: int) -> Iterator[tuple[int, int]]:
+    """Runs ``[a, b)`` of consecutive items whose sizes sum to at most
+    ``cap``; an item larger than ``cap`` forms a run of its own."""
+    a = total = 0
+    for b, size in enumerate(sizes):
+        if b > a and total + size > cap:
+            yield a, b
+            a, total = b, 0
+        total += size
+    if sizes:
+        yield a, len(sizes)
+
+
+def _cells(
+    x_nb: Sequence[_Nbow | None], y_nb: Sequence[_Nbow | None], vectors: np.ndarray
+) -> Iterator[tuple[int, int, np.ndarray, float]]:
+    """``(i, j, costs, bound)`` for every cell whose two bags exist.
+
+    ``costs[p, q]`` is the Euclidean distance between row ``p`` of ``x_nb[i]``
+    and row ``q`` of ``y_nb[j]`` in ``vectors``. ``bound`` is the relaxed
+    transport cost: the max of the two one-sided costs where all of a
+    word's mass moves to its nearest counterpart, a lower bound on
+    ``_transport_cost(costs)``.
+
+    Distances are taken with ``cdist`` over the stacked rows of the bags, in
+    blocks of at most ``_BLOCK_CELLS`` entries unless one cell is larger.
+    ``cdist`` computes each entry on its own, so ``costs`` (a view into the
+    block) equals the cell's own ``cdist`` bit for bit. The nearest
+    distances come from whole-block minima, which are exact; each side's
+    weighted sum is one dot product over a contiguous run of them, as over
+    the cell's own minima.
+    """
+    xi = [i for i, nb in enumerate(x_nb) if nb is not None]
+    yj = [j for j, nb in enumerate(y_nb) if nb is not None]
+    if not xi or not yj:
+        return
+    x_sizes = [x_nb[i].rows.size for i in xi]
+    y_sizes = [y_nb[j].rows.size for j in yj]
+    x_rows = np.concatenate([x_nb[i].rows for i in xi])
+    y_rows = np.concatenate([y_nb[j].rows for j in yj])
+    x_off = np.concatenate([[0], np.cumsum(x_sizes)]).tolist()
+    y_off = np.concatenate([[0], np.cumsum(y_sizes)]).tolist()
+    for xa, xb in _groups(x_sizes, _BLOCK_CELLS // y_off[-1]):
+        r0, r1 = x_off[xa], x_off[xb]
+        for ya, yb in _groups(y_sizes, _BLOCK_CELLS // (r1 - r0)):
+            c0, c1 = y_off[ya], y_off[yb]
+            block = cdist(vectors[x_rows[r0:r1]], vectors[y_rows[c0:c1]])
+            # to_y[q, r]: row r's distance to its nearest word of y bag q;
+            # to_x[p, c]: column c's distance to its nearest word of x bag p.
+            to_y = np.minimum.reduceat(block, np.subtract(y_off[ya:yb], c0), axis=1).T.copy()
+            to_x = np.minimum.reduceat(block, np.subtract(x_off[xa:xb], r0), axis=0)
+            y_cells = [(yj[q], y_nb[yj[q]].weights, slice(y_off[q] - c0, y_off[q + 1] - c0))
+                       for q in range(ya, yb)]
+            for p in range(xa, xb):
+                i, a, near_x = xi[p], x_nb[xi[p]].weights, to_x[p - xa]
+                rs = slice(x_off[p] - r0, x_off[p + 1] - r0)
+                for (j, b, cs), near_y in zip(y_cells, to_y[:, rs]):
+                    bound = max(float(np.dot(a, near_y)), float(np.dot(b, near_x[cs])))
+                    yield i, j, block[rs, cs], bound
+
+
+_NONNEGATIVE = Bounds(0.0, np.inf)
+
+
+@lru_cache(maxsize=256)
+def _transport_constraints(m: int, n: int) -> csc_array:
+    """The equality rows of an m x n transport LP over the flows
+    ``x[i * n + j]``: m row sums, then n column sums. Flow ``i * n + j``
+    enters row ``i`` and row ``m + j``."""
+    rows = np.empty((m * n, 2), dtype=np.int32)
+    rows[:, 0] = np.repeat(np.arange(m), n)
+    rows[:, 1] = m + np.tile(np.arange(n), m)
+    indptr = np.arange(0, 2 * m * n + 1, 2, dtype=np.int32)
+    return csc_array((np.ones(2 * m * n), rows.ravel(), indptr), shape=(m + n, m * n))
+
+
 def _transport_cost(a: np.ndarray, b: np.ndarray, costs: np.ndarray) -> float:
     """Minimum-cost transport of distribution a onto b under a cost matrix,
-    solved as a linear program."""
+    solved as a linear program by HiGHS."""
     m, n = costs.shape
     if m == 1:
         return float(np.dot(b, costs[0]))
     if n == 1:
-        return float(np.dot(a, costs[:, 0]))
-    row_idx = np.repeat(np.arange(m), n)
-    col_idx = np.tile(np.arange(n), m)
-    var_idx = np.arange(m * n)
-    # Equality rows: m row sums, then n column sums.
-    a_eq = coo_matrix(
-        (
-            np.ones(2 * m * n),
-            (
-                np.concatenate([row_idx, m + col_idx]),
-                np.concatenate([var_idx, var_idx]),
-            ),
-        ),
-        shape=(m + n, m * n),
-    )
+        # A dot product over a strided column may take another BLAS kernel.
+        return float(np.dot(a, np.ascontiguousarray(costs[:, 0])))
     b_eq = np.concatenate([a, b])
-    res = linprog(costs.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    res = milp(
+        costs.ravel(),
+        constraints=LinearConstraint(_transport_constraints(m, n), b_eq, b_eq),
+        bounds=_NONNEGATIVE,
+    )
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
     return max(float(res.fun), 0.0)
 
 
-def _relaxed_cost(a: np.ndarray, b: np.ndarray, costs: np.ndarray) -> float:
-    """Relaxed transport cost: the max of the two one-sided costs where all
-    of a word's mass moves to its nearest counterpart. A lower bound on
-    ``_transport_cost`` under the same cost matrix."""
-    moved_x = float(np.dot(a, costs.min(axis=1)))
-    moved_y = float(np.dot(b, costs.min(axis=0)))
-    return max(moved_x, moved_y)
-
-
-def _ground_costs(nx: _Nbow, ny: _Nbow) -> np.ndarray:
-    return cdist(nx.vectors, ny.vectors, metric="euclidean")
-
-
-def _wmd_nbow(nx: _Nbow, ny: _Nbow) -> float:
-    return _transport_cost(nx.weights, ny.weights, _ground_costs(nx, ny))
-
-
-def _rwmd_nbow(nx: _Nbow, ny: _Nbow) -> float:
-    return _relaxed_cost(nx.weights, ny.weights, _ground_costs(nx, ny))
+def _cell(
+    x: Sentence | Sequence[str], y: Sentence | Sequence[str], table: WordVectorTable
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The weights, ground costs and relaxed bound of one pair."""
+    nx, ny = _require_nbow(x, table), _require_nbow(y, table)
+    ((_, _, costs, bound),) = _cells([nx], [ny], table.rows)
+    return nx.weights, ny.weights, costs, bound
 
 
 def wmd(
@@ -217,7 +279,8 @@ def wmd(
     distances between word vectors. Raises UnembeddableSentenceError when a
     side has no in-vocabulary content token.
     """
-    return _wmd_nbow(_require_nbow(x, table), _require_nbow(y, table))
+    a, b, costs, _ = _cell(x, y, table)
+    return _transport_cost(a, b, costs)
 
 
 def rwmd(
@@ -226,7 +289,7 @@ def rwmd(
     """Relaxed WMD: the max of the two one-sided bounds where every word's
     mass moves entirely to its nearest counterpart. Always <= wmd.
     """
-    return _rwmd_nbow(_require_nbow(x, table), _require_nbow(y, table))
+    return _cell(x, y, table)[3]
 
 
 def to_similarity(distance: float, scheme: str = "inverse") -> float:
@@ -322,22 +385,30 @@ _FLOOR_SLACK = 1e-9
 
 
 class _TransportScorer(Scorer):
-    _distance: Callable[[_Nbow, _Nbow], float]
+    """A transport metric over each sentence's bag of words, built once per
+    sentence object. Bags are keyed by identity, not by uid: two corpora,
+    and the whole-document sentences of ``lha eval``, share uids."""
+
+    _distance: Callable[[np.ndarray, np.ndarray, np.ndarray, float], float]
 
     def __init__(self, table: WordVectorTable):
         self.table = table
+        # id -> (sentence, bag); holding the sentence keeps its id unique.
+        self._bags: dict[int, tuple[Sentence, _Nbow | None]] = {}
+
+    def _bag(self, x: Sentence) -> _Nbow | None:
+        entry = self._bags.get(id(x))
+        if entry is None:
+            entry = self._bags[id(x)] = (x, _nbow(x, self.table))
+        return entry[1]
 
     def matrix(self, xs: Sequence[Sentence], ys: Sequence[Sentence]) -> np.ndarray:
-        x_nb = [_nbow(x, self.table) for x in xs]
-        y_nb = [_nbow(y, self.table) for y in ys]
+        x_nb = [self._bag(x) for x in xs]
+        y_nb = [self._bag(y) for y in ys]
         out = np.zeros((len(xs), len(ys)), dtype=np.float64)
-        for i, nx in enumerate(x_nb):
-            if nx is None:
-                continue
-            for j, ny in enumerate(y_nb):
-                if ny is None:
-                    continue
-                out[i, j] = to_similarity(self._distance(nx, ny))
+        for i, j, costs, bound in _cells(x_nb, y_nb, self.table.rows):
+            a, b = x_nb[i].weights, y_nb[j].weights
+            out[i, j] = to_similarity(self._distance(a, b, costs, bound))
         return out
 
 
@@ -359,21 +430,24 @@ class WmdScorer(_TransportScorer):
         self.floor = floor
         self.cells = self.pruned = self.solved = 0
 
-    def _distance(self, nx: _Nbow, ny: _Nbow) -> float:
+    def _distance(
+        self, a: np.ndarray, b: np.ndarray, costs: np.ndarray, bound: float
+    ) -> float:
         self.cells += 1
-        costs = _ground_costs(nx, ny)
-        if self.floor is not None:
-            bound = _relaxed_cost(nx.weights, ny.weights, costs)
-            if to_similarity(bound) < self.floor - _FLOOR_SLACK:
-                self.pruned += 1
-                return bound
+        if self.floor is not None and to_similarity(bound) < self.floor - _FLOOR_SLACK:
+            self.pruned += 1
+            return bound
         self.solved += 1
-        return _transport_cost(nx.weights, ny.weights, costs)
+        return _transport_cost(a, b, costs)
 
 
 class RwmdScorer(_TransportScorer):
     kind = "rwmd"
-    _distance = staticmethod(_rwmd_nbow)
+
+    def _distance(
+        self, a: np.ndarray, b: np.ndarray, costs: np.ndarray, bound: float
+    ) -> float:
+        return bound
 
 
 def make_scorer(

@@ -9,7 +9,9 @@ word-vector file via ``float()`` on each field of each line, top-k pair
 selection via a full sort of every row and column, sentence splitting via a
 look-behind search from the start of the text, cosine rows via a
 normalisation of each gathered subset, unit averages via one ``np.mean``
-per unit, and an index's top-k via one ``argpartition`` per query.
+per unit, an index's top-k via one ``argpartition`` per query, the
+transport LP via ``linprog`` on a freshly built sparse matrix, and a
+transport scorer's matrix via fresh bags and one ``cdist`` per cell.
 """
 
 from __future__ import annotations
@@ -22,8 +24,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from lha.corpus import Token, default_abbreviations, tokenize
+from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
+from scipy.spatial.distance import cdist
+
+from lha.corpus import Token, content_tokens, default_abbreviations, tokenize
 from lha.embeddings import EmbeddingFormatError, EmbeddingMatrix, unit_rows
+from lha.metrics import _FLOOR_SLACK
 from lha.sent_align import AlignedGroup, FilterPolicy, normalize_pair_key
 
 
@@ -113,6 +120,78 @@ def transport_cost_oracle(
         remaining -= bottleneck
     total = sum(flow[i][j] * cost[i][j] for i in range(m) for j in range(n))
     return float(total / (total_a * total_b))
+
+
+def transport_cost_linprog_oracle(a: np.ndarray, b: np.ndarray, costs: np.ndarray) -> float:
+    """Minimum-cost transport of a onto b: a ``1 x n`` or ``m x 1`` cell as a
+    dot product, any other as the same LP sent to HiGHS through ``linprog``,
+    with its equality rows built as a ``coo_matrix`` on every call."""
+    m, n = costs.shape
+    if m == 1:
+        return float(np.dot(b, costs[0]))
+    if n == 1:
+        return float(np.dot(a, costs[:, 0]))
+    row_idx = np.repeat(np.arange(m), n)
+    col_idx = np.tile(np.arange(n), m)
+    var_idx = np.arange(m * n)
+    a_eq = coo_matrix(
+        (
+            np.ones(2 * m * n),
+            (
+                np.concatenate([row_idx, m + col_idx]),
+                np.concatenate([var_idx, var_idx]),
+            ),
+        ),
+        shape=(m + n, m * n),
+    )
+    b_eq = np.concatenate([a, b])
+    res = linprog(costs.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    if not res.success:
+        raise RuntimeError(f"transport LP failed: {res.message}")
+    return max(float(res.fun), 0.0)
+
+
+def _nbow_oracle(x, table) -> tuple[np.ndarray, np.ndarray] | None:
+    """The weights and stacked vectors of a sentence's sorted unique
+    in-vocabulary content tokens, or None when it has none."""
+    counts = Counter(t for t in content_tokens(x) if t in table)
+    if not counts:
+        return None
+    tokens = sorted(counts)
+    total = sum(counts.values())
+    weights = np.array([counts[t] / total for t in tokens], dtype=np.float64)
+    return weights, np.vstack([table.get(t) for t in tokens])
+
+
+def transport_matrix_oracle(
+    kind: str, xs, ys, table, floor: float | None = None
+) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """A ``wmd`` or ``rwmd`` scorer's matrix, cell by cell: both bags built
+    afresh, the cell's own ``cdist``, then the relaxed cost or (for wmd
+    cells whose bound is not below ``floor``) ``transport_cost_linprog_oracle``.
+    Returns the matrix and wmd's (cells, pruned, solved) counts."""
+    out = np.zeros((len(xs), len(ys)), dtype=np.float64)
+    cells = pruned = solved = 0
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            nx, ny = _nbow_oracle(x, table), _nbow_oracle(y, table)
+            if nx is None or ny is None:
+                continue
+            (a, u), (b, v) = nx, ny
+            costs = cdist(u, v, metric="euclidean")
+            bound = max(float(np.dot(a, costs.min(axis=1))),
+                        float(np.dot(b, costs.min(axis=0))))
+            cells += 1
+            if kind == "rwmd" or (
+                floor is not None and 1.0 / (1.0 + bound) < floor - _FLOOR_SLACK
+            ):
+                pruned += kind == "wmd"
+                distance = bound
+            else:
+                solved += 1
+                distance = transport_cost_linprog_oracle(a, b, costs)
+            out[i, j] = 1.0 / (1.0 + distance)
+    return out, (cells, pruned, solved)
 
 
 def word_vectors_oracle(path) -> tuple[int, dict[str, np.ndarray]]:

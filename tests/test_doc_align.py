@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import lha.doc_align
 from lha.ann_index import build_index
 from lha.doc_align import DocPair, align_documents, read_doc_pairs, write_doc_pairs
 from lha.embeddings import EmbeddingMatrix
@@ -24,6 +25,24 @@ def matrices(seed: int = 0, n: int = 40, dim: int = 8):
         [f"t{i:03d}" for i in range(n)], unit_rows(n, dim, seed + 1), unit_normalized=True
     )
     return src, tgt
+
+
+def tied_matrices(seed: int, n: int = 30):
+    """Source and target ids that are the same strings in two shuffled
+    orders, rows drawn with repetition from five directions (so
+    similarities tie) and one all-zero source row."""
+    rng = np.random.default_rng(seed)
+    base = unit_rows(5, 6, seed)
+    ids = [f"d{i:02d}" for i in range(n)]
+    src_rows = base[rng.integers(0, 5, size=n)]
+    src_rows[int(rng.integers(0, n))] = 0.0
+    src = EmbeddingMatrix(list(rng.permutation(ids)), src_rows)
+    tgt = EmbeddingMatrix(list(rng.permutation(ids)), base[rng.integers(0, 5, size=n)])
+    return src, tgt
+
+
+def by_source_then_similarity(pairs: list[DocPair]) -> list[DocPair]:
+    return sorted(pairs, key=lambda p: (p.source_id, -p.similarity, p.target_id))
 
 
 class TestAlignDocuments:
@@ -53,6 +72,40 @@ class TestAlignDocuments:
         assert pairs == sorted(
             pairs, key=lambda p: (p.source_id, -p.similarity, p.target_id)
         )
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k,theta_d", [(1, -1.0), (3, 0.2), (7, -1.0), (40, -1.0)])
+    def test_tied_pairs_come_out_sorted(self, seed, k, theta_d) -> None:
+        src, tgt = tied_matrices(seed)
+        pairs = align_documents(src, build_index(tgt), k=k, theta_d=theta_d)
+        assert pairs == by_source_then_similarity(pairs)
+        assert len({p.source_id for p in pairs}) == src.count - 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_block_size_does_not_change_the_pairs(self, monkeypatch, seed) -> None:
+        src, tgt = tied_matrices(seed, n=50)
+        index = build_index(tgt)
+        default = align_documents(src, index, k=4, theta_d=-1.0)
+        monkeypatch.setattr(lha.doc_align, "_MIN_ROWS", 1)
+        for rows in (1, 2, 17, 10**6):  # 1-row, 2-row, middle, one block
+            monkeypatch.setattr(lha.doc_align, "_BLOCK_CELLS", rows * index.size)
+            assert align_documents(src, index, k=4, theta_d=-1.0) == default, rows
+
+    @pytest.mark.parametrize("n_targets,rows", [(50, 2**17 // 50), (3000, 64)])
+    def test_blocks_hold_about_the_cell_budget(self, monkeypatch, n_targets, rows) -> None:
+        src = EmbeddingMatrix([f"s{i}" for i in range(3000)], unit_rows(3000, 4, 0))
+        tgt = EmbeddingMatrix([f"t{i}" for i in range(n_targets)], unit_rows(n_targets, 4, 1))
+        index = build_index(tgt)
+        sizes: list[int] = []
+        real_query_block = type(index).query_block
+
+        def recording_query_block(self, vs, k):
+            sizes.append(len(vs))
+            return real_query_block(self, vs, k)
+
+        monkeypatch.setattr(type(index), "query_block", recording_query_block)
+        align_documents(src, index, k=2, theta_d=0.0)
+        assert sizes == [rows] * (3000 // rows) + [3000 % rows] * (3000 % rows > 0)
 
     def test_threshold_monotonicity(self) -> None:
         src, tgt = matrices(seed=3)

@@ -1,0 +1,262 @@
+"""The transport scorers at corpus scale are exact.
+
+``WmdScorer`` and ``RwmdScorer`` build one bag per sentence object, take
+their ground costs from bounded ``cdist`` blocks over the stacked bag rows,
+and send each LP to HiGHS through ``milp`` on a cached constraint matrix.
+These tests compare them bit for bit with the per-cell path of
+``tests/oracles.py``: fresh bags, one ``cdist`` per cell, and ``linprog`` on
+a ``coo_matrix`` built per LP.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import numpy as np
+import pytest
+from scipy.spatial.distance import cdist
+
+import lha.metrics
+from lha.corpus import Sentence
+from lha.embeddings import WordVectorTable
+from lha.metrics import (
+    _FLOOR_SLACK,
+    RwmdScorer,
+    WmdScorer,
+    _nbow,
+    _transport_cost,
+    make_scorer,
+    rwmd,
+    to_similarity,
+    wmd,
+)
+from conftest import doc, sent
+from oracles import transport_cost_linprog_oracle, transport_matrix_oracle
+
+_WORDS = [f"q{a}{b}" for a in "abcdef" for b in "xyz"]
+
+
+def _table(rng: np.random.Generator, dim: int) -> WordVectorTable:
+    vectors = {w: rng.normal(size=dim) for w in _WORDS}
+    # Three pairs of words share a vector: their ground cost is zero.
+    for word, twin in zip(_WORDS[:3], _WORDS[3:6]):
+        vectors[twin] = vectors[word].copy()
+    return WordVectorTable(dim, vectors)
+
+
+def _text(rng: np.random.Generator, max_len: int = 8) -> str:
+    vocab = _WORDS[: int(rng.integers(2, len(_WORDS) + 1))]
+    words = list(rng.choice(vocab, size=int(rng.integers(1, max_len + 1))))
+    if rng.random() < 0.3:
+        words.append("the")  # a stopword, never in a bag
+    if rng.random() < 0.3:
+        words.append("xyzzy")  # out of vocabulary
+    return " ".join(words) + "."
+
+
+def _sentences(rng: np.random.Generator, doc_id: str, n: int) -> list[Sentence]:
+    """n random sentences, one with no in-vocabulary word, and another
+    sentence that reuses the uid of the first."""
+    out = [sent(_text(rng), doc_id, i) for i in range(n)]
+    out.append(sent("Xyzzy the.", doc_id, n))
+    out.append(sent(_text(rng), doc_id, 0))
+    return out
+
+
+def _whole(rng: np.random.Generator, doc_ids: list[str]) -> list[Sentence]:
+    """Whole documents as one sentence each, built the way ``lha eval``
+    builds them: every one has ordinal 0."""
+    docs = [doc(d, [_text(rng) for _ in range(int(rng.integers(1, 4)))]) for d in doc_ids]
+    return [Sentence(d.doc_id, 0, "", tuple(d.tokens())) for d in docs]
+
+
+def _lp(rng: np.random.Generator, m: int, n: int):
+    """Weights with repeated values and costs between rows drawn with
+    repetition from a small vocabulary, so some costs are zero."""
+    vocab = rng.normal(size=(int(rng.integers(2, 16)), int(rng.integers(2, 8))))
+    a = rng.integers(1, 4, size=m).astype(np.float64)
+    b = rng.integers(1, 4, size=n).astype(np.float64)
+    costs = cdist(vocab[rng.integers(0, len(vocab), size=m)],
+                  vocab[rng.integers(0, len(vocab), size=n)])
+    return a / a.sum(), b / b.sum(), costs
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_milp_lp_is_bit_equal_to_linprog(chunk) -> None:
+    zero_costs = 0
+    for seed in range(300 * chunk, 300 * (chunk + 1)):
+        rng = np.random.default_rng(seed)
+        m, n = (int(v) for v in rng.integers(2, 13, size=2))
+        if seed % 10 == 0:
+            m = 1
+        elif seed % 10 == 1:
+            n = 1
+        a, b, costs = _lp(rng, m, n)
+        zero_costs += bool((costs == 0.0).any())
+        got = _transport_cost(a, b, costs)
+        assert got.hex() == transport_cost_linprog_oracle(a, b, costs).hex(), seed
+    assert zero_costs > 30
+
+
+@pytest.mark.parametrize("dim", [1, 3, 100, 300])
+def test_block_slices_equal_per_cell_cdist(dim) -> None:
+    rng = np.random.default_rng(dim)
+    for _ in range(40):
+        x = rng.normal(size=(int(rng.integers(1, 40)), dim))
+        y = rng.normal(size=(int(rng.integers(1, 40)), dim))
+        block = cdist(x, y)
+        x_cuts = [0, *sorted(rng.integers(0, len(x), size=3).tolist()), len(x)]
+        y_cuts = [0, *sorted(rng.integers(0, len(y), size=3).tolist()), len(y)]
+        for a, b in zip(x_cuts, x_cuts[1:]):
+            for c, d in zip(y_cuts, y_cuts[1:]):
+                cell = cdist(x[a:b], y[c:d])
+                assert block[a:b, c:d].tobytes() == cell.tobytes()
+
+
+def _exact_floor(table, xs, ys, quantile: float) -> float:
+    exact, _ = transport_matrix_oracle("wmd", xs, ys, table)
+    return float(np.quantile(exact[exact > 0.0], quantile))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind,quantile", [
+    ("rwmd", None), ("wmd", None), ("wmd", 0.5), ("wmd", 0.9),
+])
+def test_matrix_matches_the_per_cell_oracle(seed, kind, quantile) -> None:
+    rng = np.random.default_rng(seed)
+    table = _table(rng, int(rng.integers(2, 6)))
+    xs = _sentences(rng, "a", 5)
+    ys = _sentences(rng, "a", 4)  # the same uids as xs
+    docs_x = _whole(rng, ["a", "b", "c"])
+    docs_y = _whole(rng, ["a", "b"])
+    floor = None if quantile is None else _exact_floor(table, xs, ys, quantile)
+    scorer = make_scorer(kind, table=table, floor=floor)
+    counts = np.zeros(3, dtype=int)
+    # One scorer for every call, so later calls read cached bags.
+    for left, right in [(xs, ys), (ys, xs), (docs_x, docs_y), (xs, docs_y), (xs, ys)]:
+        expected, cell_counts = transport_matrix_oracle(kind, left, right, table, floor)
+        assert scorer.matrix(left, right).tobytes() == expected.tobytes()
+        counts += cell_counts
+    if kind == "wmd":
+        assert (scorer.cells, scorer.pruned, scorer.solved) == tuple(counts)
+        assert (scorer.pruned > 0) == (floor is not None)
+
+
+@pytest.mark.parametrize("budget", [1, 5, 40, 2**16])
+def test_any_block_budget_gives_the_oracle_matrix(monkeypatch, budget) -> None:
+    monkeypatch.setattr(lha.metrics, "_BLOCK_CELLS", budget)
+    rng = np.random.default_rng(budget)
+    table = _table(rng, 4)
+    xs = _sentences(rng, "a", 6) + _whole(rng, ["a"])
+    ys = _sentences(rng, "b", 7)
+    floor = _exact_floor(table, xs, ys, 0.5)
+    for kind, fl in [("rwmd", None), ("wmd", floor)]:
+        expected, _ = transport_matrix_oracle(kind, xs, ys, table, fl)
+        got = make_scorer(kind, table=table, floor=fl).matrix(xs, ys)
+        assert got.tobytes() == expected.tobytes(), kind
+
+
+@pytest.mark.parametrize("budget", [None, 64])
+def test_a_large_call_never_builds_a_block_above_the_budget(monkeypatch, budget) -> None:
+    blocks: list[tuple[int, int]] = []
+    real_cdist = lha.metrics.cdist
+
+    def recording_cdist(u, v):
+        blocks.append((len(u), len(v)))
+        return real_cdist(u, v)
+
+    monkeypatch.setattr(lha.metrics, "cdist", recording_cdist)
+    rng = np.random.default_rng(7)
+    table = _table(rng, 3)
+    if budget is None:
+        # Long whole documents under the default budget.
+        xs = _whole(rng, [f"s{i}" for i in range(120)])
+        ys = _whole(rng, [f"t{i}" for i in range(100)])
+    else:
+        # Sentences of at most 8 words: one row bag times all columns is
+        # already over the budget, so the columns split too.
+        monkeypatch.setattr(lha.metrics, "_BLOCK_CELLS", budget)
+        xs, ys = _sentences(rng, "a", 20), _sentences(rng, "b", 30)
+    got = RwmdScorer(table).matrix(xs, ys)
+    sizes_x = [nb.rows.size for nb in (_nbow(x, table) for x in xs) if nb]
+    sizes_y = [nb.rows.size for nb in (_nbow(y, table) for y in ys) if nb]
+    cap = lha.metrics._BLOCK_CELLS
+    assert max(sizes_x) * max(sizes_y) <= cap
+    assert sum(sizes_x) * sum(sizes_y) > 3 * cap
+    assert len(blocks) > 3
+    assert all(r * c <= cap for r, c in blocks)
+    # Every distance is computed once.
+    assert sum(r * c for r, c in blocks) == sum(sizes_x) * sum(sizes_y)
+    expected, _ = transport_matrix_oracle("rwmd", xs, ys, table)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_each_sentence_gets_one_bag(monkeypatch) -> None:
+    built: list[Sentence] = []
+    real_nbow = lha.metrics._nbow
+
+    def counting_nbow(x, table):
+        built.append(x)
+        return real_nbow(x, table)
+
+    monkeypatch.setattr(lha.metrics, "_nbow", counting_nbow)
+    rng = np.random.default_rng(3)
+    table = _table(rng, 3)
+    xs, ys = _sentences(rng, "a", 4), _sentences(rng, "a", 3)
+    scorer = RwmdScorer(table)
+    for left, right in [(xs, ys), (ys, xs), (xs, xs), (ys[:2], xs[1:])]:
+        scorer.matrix(left, right)
+    assert len(built) == len({id(s) for s in xs + ys}) == len(xs) + len(ys)
+
+
+@pytest.mark.parametrize("quantile", [None, 0.3, 0.8])
+def test_one_milp_call_per_solved_cell_with_two_words_a_side(monkeypatch, quantile) -> None:
+    calls = []
+    real_milp = lha.metrics.milp
+
+    def counting_milp(*args, **kwargs):
+        calls.append(1)
+        return real_milp(*args, **kwargs)
+
+    monkeypatch.setattr(lha.metrics, "milp", counting_milp)
+    rng = np.random.default_rng(11)
+    table = _table(rng, 4)
+    xs = _sentences(rng, "a", 6) + [sent("qax qax.", "a", 9)]
+    ys = _sentences(rng, "b", 5) + [sent("qby.", "b", 9)]
+    floor = None if quantile is None else _exact_floor(table, xs, ys, quantile)
+    scorer = WmdScorer(table, floor)
+    scorer.matrix(xs, ys)
+
+    def words(s: Sentence) -> int:
+        nb = _nbow(s, table)
+        return 0 if nb is None else nb.rows.size
+
+    wx = np.array([words(x) for x in xs])[:, None]
+    wy = np.array([words(y) for y in ys])[None, :]
+    solved = (wx > 0) & (wy > 0)
+    if floor is not None:
+        solved &= ~(RwmdScorer(table).matrix(xs, ys) < floor - _FLOOR_SLACK)
+    multi = (wx >= 2) & (wy >= 2)
+    assert scorer.solved == solved.sum()
+    assert len(calls) == (solved & multi).sum()
+    assert (solved & multi).any() and (solved & ~multi).any()
+
+
+def test_module_functions_score_through_the_scorer_path() -> None:
+    rng = np.random.default_rng(5)
+    table = _table(rng, 4)
+    for _ in range(60):
+        x = [str(w) for w in rng.choice(_WORDS, size=int(rng.integers(1, 7)))]
+        y = [str(w).upper() for w in rng.choice(_WORDS, size=int(rng.integers(1, 7)))]
+        cx, cy = Counter(x), Counter(t.lower() for t in y)
+        a = np.array([cx[t] / len(x) for t in sorted(cx)])
+        b = np.array([cy[t] / len(y) for t in sorted(cy)])
+        costs = cdist(np.vstack([table.get(t) for t in sorted(cx)]),
+                      np.vstack([table.get(t) for t in sorted(cy)]))
+        expected = transport_cost_linprog_oracle(a, b, costs)
+        assert wmd(x, y, table).hex() == expected.hex()
+        bound = max(float(np.dot(a, costs.min(axis=1))), float(np.dot(b, costs.min(axis=0))))
+        assert rwmd(x, y, table).hex() == bound.hex()
+        sx, sy = sent(" ".join(x)), sent(" ".join(y))
+        similarity = WmdScorer(table).matrix([sx], [sy])[0, 0]
+        assert to_similarity(wmd(sx, sy, table)) == similarity
