@@ -177,12 +177,11 @@ def align_sents(doc_pairs, source_corpus, target_corpus, scorer, vectors,
         raise click.UsageError("give both --source- and --target-sent-embeddings")
     stops = load_stopwords(stopwords)
     abbrevs = load_abbreviations(abbreviations)
-    src_docs = corpus_index(
-        load_corpus(source_corpus, "src", stopwords=stops, abbreviations=abbrevs)
-    )
-    tgt_docs = corpus_index(
-        load_corpus(target_corpus, "tgt", stopwords=stops, abbreviations=abbrevs)
-    )
+    tokens = {}  # one Token per surface form, shared by both corpora
+    src_docs = corpus_index(load_corpus(
+        source_corpus, "src", stopwords=stops, abbreviations=abbrevs, memo=tokens))
+    tgt_docs = corpus_index(load_corpus(
+        target_corpus, "tgt", stopwords=stops, abbreviations=abbrevs, memo=tokens))
     pairs = read_doc_pairs(doc_pairs)
     table = _vector_table(vectors, scorer in _TABLE_SCORERS
                           or (scorer == "cosine" and not source_sent_embeddings))

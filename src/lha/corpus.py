@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -120,10 +120,11 @@ class Sentence:
     ordinal: int
     text: str
     tokens: tuple[Token, ...]
+    # Built once per sentence; outside equality, hashing and repr.
+    uid: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def uid(self) -> str:
-        return sentence_uid(self.doc_id, self.ordinal)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "uid", sentence_uid(self.doc_id, self.ordinal))
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,12 +168,15 @@ def parse_uid(uid: str) -> tuple[str, int]:
 
 def _token(surface: str, stopwords: frozenset[str]) -> Token:
     normalized = surface.lower()
-    is_punct = not any(ch.isalnum() for ch in surface)
+    if surface.isalpha():
+        # Every character is a letter, so some is alphanumeric and some alphabetic.
+        return Token(surface, normalized, False, False, normalized in stopwords)
+    is_punct = not any(map(str.isalnum, surface))
     return Token(
         surface=surface,
         normalized=normalized,
         is_punct=is_punct,
-        is_number=(not is_punct) and not any(ch.isalpha() for ch in surface),
+        is_number=(not is_punct) and not any(map(str.isalpha, surface)),
         is_stopword=normalized in stopwords,
     )
 
@@ -193,15 +197,15 @@ def _tokenize(
     text: str, stopwords: frozenset[str], memo: dict[str, Token]
 ) -> tuple[Token, ...]:
     """``tokenize``, sharing one Token per surface form through ``memo``.
-    Tokens are immutable, so one instance serves every occurrence of a form;
-    a memo must only ever be filled under one stopword set."""
-    out = []
-    for surface in _TOKEN_RE.findall(text):
-        token = memo.get(surface)
-        if token is None:
-            token = memo[surface] = _token(surface, stopwords)
-        out.append(token)
-    return tuple(out)
+
+    Tokens are immutable, so one instance serves every occurrence of a form,
+    in every corpus parsed through the memo: a run passes one memo for both
+    of its corpora. A memo must only ever be filled under one stopword set.
+    """
+    surfaces = _TOKEN_RE.findall(text)
+    for surface in set(surfaces).difference(memo):
+        memo[surface] = _token(surface, stopwords)
+    return tuple(map(memo.__getitem__, surfaces))
 
 
 def content_tokens(unit: Sentence | Iterable[Token]) -> list[str]:
@@ -322,12 +326,19 @@ def load_corpus(
     schema: CorpusSchema | None = None,
     stopwords: frozenset[str] | None = None,
     abbreviations: frozenset[str] | None = None,
+    memo: dict[str, Token] | None = None,
 ) -> Iterator[Document]:
     """Stream documents from a JSONL file.
 
     Yields one ``Document`` per non-blank line; the file is never fully
     buffered. Malformed records and duplicate ids raise with the 1-based
     line number.
+
+    Every occurrence of a surface form gets one shared ``Token``, kept in
+    ``memo`` (surface -> Token; a fresh one per file when not given). Pass
+    one memo to the loads of a run's two corpora to share tokens between
+    them, always under the same stopword set: a memo's tokens carry the
+    stopword flags they were first built with.
     """
     schema = schema or DEFAULT_SCHEMA
     if stopwords is None:
@@ -335,8 +346,8 @@ def load_corpus(
     if abbreviations is None:
         abbreviations = default_abbreviations()
     seen: set[str] = set()
-    # One Token per surface form for the whole file, under its one stopword set.
-    memo: dict[str, Token] = {}
+    if memo is None:
+        memo = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():

@@ -329,8 +329,14 @@ def load_eval_dataset(root: Path | str) -> EvalDataset:
             "list the gold article pairs in doc_pairs.tsv, and place ~1000 "
             "distractor articles per side in the noise files."
         )
-    src_docs = {d.doc_id: d for d in load_corpus(root / "source_docs.jsonl", "src")}
-    tgt_docs = {d.doc_id: d for d in load_corpus(root / "target_docs.jsonl", "tgt")}
+    # All four corpora share one Token per surface form, under the default stopwords.
+    tokens = {}
+    src_docs = {
+        d.doc_id: d for d in load_corpus(root / "source_docs.jsonl", "src", memo=tokens)
+    }
+    tgt_docs = {
+        d.doc_id: d for d in load_corpus(root / "target_docs.jsonl", "tgt", memo=tokens)
+    }
     gold_doc_pairs = []
     with open(root / "doc_pairs.tsv", "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -344,8 +350,8 @@ def load_eval_dataset(root: Path | str) -> EvalDataset:
                 )
             gold_doc_pairs.append((fields[0], fields[1]))
     gold_pairs = load_gold_pairs(root / "gold_pairs.jsonl")
-    noise_src = list(load_corpus(root / "noise_source_docs.jsonl", "noise_src"))
-    noise_tgt = list(load_corpus(root / "noise_target_docs.jsonl", "noise_tgt"))
+    noise_src = list(load_corpus(root / "noise_source_docs.jsonl", "noise_src", memo=tokens))
+    noise_tgt = list(load_corpus(root / "noise_target_docs.jsonl", "noise_tgt", memo=tokens))
     return EvalDataset(
         src_docs=src_docs,
         tgt_docs=tgt_docs,

@@ -19,6 +19,7 @@ import json
 import logging
 import math
 import os
+import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
@@ -27,6 +28,7 @@ from . import __version__
 from .ann_index import build_index
 from .corpus import (
     Document,
+    Token,
     corpus_index,
     load_abbreviations,
     load_corpus,
@@ -368,6 +370,7 @@ class _Manifest:
             cached_stages.append(stage.name)
             return
         logger.info("stage %s: computing", stage.name)
+        start = time.perf_counter()
         try:
             stage.compute()
         except Exception as e:
@@ -381,6 +384,10 @@ class _Manifest:
             "outputs": {p.name: self.hashes[p] for p in stage.outputs},
         }
         self.save()
+        # The format does not start with "stage ": perfbench/spans.py takes each
+        # such record as the start of a stage and times stages between them.
+        logger.info("%s: computed in %.3f s", f"stage {stage.name}",
+                    time.perf_counter() - start)
 
 
 def _file_or_builtin(path: str | None) -> Path | str:
@@ -415,6 +422,8 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
 
     stopwords = load_stopwords(config.stopwords_file)
     abbreviations = load_abbreviations(config.abbreviations_file)
+    # One Token per surface form, shared by both corpora under the run's stopwords.
+    tokens: dict[str, Token] = {}
     text_params = {
         "stopwords": _file_or_builtin(config.stopwords_file),
         "abbreviations": _file_or_builtin(config.abbreviations_file),
@@ -432,7 +441,8 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
         if side not in corpora:
             path = config.source_corpus if side == "src" else config.target_corpus
             corpora[side] = corpus_index(
-                load_corpus(path, side, stopwords=stopwords, abbreviations=abbreviations)
+                load_corpus(path, side, stopwords=stopwords,
+                            abbreviations=abbreviations, memo=tokens)
             )
         return corpora[side]
 

@@ -10,8 +10,9 @@ selection via a full sort of every row and column, sentence splitting via a
 look-behind search from the start of the text, cosine rows via a
 normalisation of each gathered subset, unit averages via one ``np.mean``
 per unit, an index's top-k via one ``argpartition`` per query, the
-transport LP via ``linprog`` on a freshly built sparse matrix, and a
-transport scorer's matrix via fresh bags and one ``cdist`` per cell.
+transport LP via ``linprog`` on a freshly built sparse matrix, a
+transport scorer's matrix via fresh bags and one ``cdist`` per cell, and a
+token's flags via one scan of its characters per flag.
 """
 
 from __future__ import annotations
@@ -32,6 +33,21 @@ from lha.corpus import Token, content_tokens, default_abbreviations, tokenize
 from lha.embeddings import EmbeddingFormatError, EmbeddingMatrix, unit_rows
 from lha.metrics import _FLOOR_SLACK
 from lha.sent_align import AlignedGroup, FilterPolicy, normalize_pair_key
+
+
+def token_oracle(surface: str, stopwords: frozenset[str]) -> Token:
+    """A surface's token by the per-character rules: punctuation when no
+    character is alphanumeric, a number when some character is but none is
+    alphabetic; a stopword when its lowercase form is in ``stopwords``."""
+    normalized = surface.lower()
+    is_punct = not any(ch.isalnum() for ch in surface)
+    return Token(
+        surface=surface,
+        normalized=normalized,
+        is_punct=is_punct,
+        is_number=(not is_punct) and not any(ch.isalpha() for ch in surface),
+        is_stopword=normalized in stopwords,
+    )
 
 
 def transport_cost_oracle(

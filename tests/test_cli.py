@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import lha.corpus
 from lha.ann_index import build_index
 from lha.cli import _sentence_matrices, main
 from lha.corpus import corpus_index, load_corpus
@@ -202,6 +203,32 @@ class TestStageCommands:
         groups = read_groups(groups_path)
         assert len(groups) == 3
         assert tsv_path.read_text(encoding="utf-8").count("\n") == 3
+
+    def test_align_sents_builds_one_token_per_surface(self, workspace, monkeypatch) -> None:
+        pairs_path = self.run_stages(workspace)
+        surfaces = {
+            surface for name in ("source.jsonl", "target.jsonl")
+            for d in load_corpus(workspace / name) for s in d.sentences
+            for surface in lha.corpus._TOKEN_RE.findall(s.text)
+        }
+        built: list[str] = []
+        token = lha.corpus._token
+
+        def counting(surface, stopwords):
+            built.append(surface)
+            return token(surface, stopwords)
+
+        monkeypatch.setattr(lha.corpus, "_token", counting)
+        result = invoke(
+            "align-sents", "--doc-pairs", str(pairs_path),
+            "--source-corpus", str(workspace / "source.jsonl"),
+            "--target-corpus", str(workspace / "target.jsonl"),
+            "--scorer", "overlap", "--k", "2", "--theta-s", "0.1",
+            "--out", str(workspace / "groups.jsonl"),
+        )
+        assert result.exit_code == 0
+        assert sorted(built) == sorted(surfaces)
+        assert {"sat", "fell", "."} <= surfaces
 
     @pytest.mark.parametrize("scorer, sentence_input", [
         ("cosine", "vectors"), ("cosine", "embeddings"), ("overlap", "vectors"),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -10,6 +11,7 @@ import pytest
 import lha.corpus
 from lha.corpus import (
     Token,
+    Sentence,
     CorpusError,
     CorpusSchema,
     DuplicateDocumentError,
@@ -25,7 +27,7 @@ from lha.corpus import (
     tokenize,
 )
 from conftest import doc, write_jsonl
-from oracles import split_sentences_oracle
+from oracles import split_sentences_oracle, token_oracle
 
 
 class TestSplitSentences:
@@ -232,9 +234,103 @@ class TestTokenMemo:
             for document in load_corpus(path, stopwords=stops):
                 for s in document.sentences:
                     assert s.tokens == tuple(
-                        lha.corpus._token(surface, stops)
+                        token_oracle(surface, stops)
                         for surface in lha.corpus._TOKEN_RE.findall(s.text)
                     ), s.text
+
+    def test_token_matches_oracle_on_random_unicode(self) -> None:
+        # Titlecase, modifier letters, superscripts, vulgar fractions, Arabic
+        # digits, the underscore, a combining accent, CJK and emoji, beside
+        # plain letters and digits and code points drawn from the whole range.
+        special = ["ǅ", "ʰ", "²", "½", "٣", "_", "e\u0301", "中", "文", "😀", "👍🏽",
+                   "a", "Z", "ß", "İ", "7", "-", ".", "'", "Ⅻ", "ª", "\u00ad"]
+        rng = random.Random(13)
+        stops = frozenset({"a", "ǆ", "e\u0301", "i\u0307"})
+        surfaces = ["", *special]
+        for _ in range(20000):
+            parts = []
+            for _ in range(rng.randint(1, 6)):
+                roll = rng.random()
+                if roll < 0.5:
+                    parts.append(rng.choice(special))
+                elif roll < 0.8:
+                    parts.append(chr(rng.randrange(0x20, 0x3000)))
+                else:
+                    parts.append(chr(rng.randrange(0x3000, 0x110000)))
+            surfaces.append("".join(parts))
+        surfaces += ["abc123", "123abc", "a1", "1a", "½x", "x²", "٣٤", "ǅ1", "__", "_1"]
+        kinds = set()
+        for surface in surfaces:
+            got = lha.corpus._token(surface, stops)
+            want = token_oracle(surface, stops)
+            for name in ("surface", "normalized", "is_punct", "is_number", "is_stopword"):
+                assert getattr(got, name) == getattr(want, name), (surface, name)
+            kinds.add((want.is_punct, want.is_number, want.is_stopword, surface.isalpha()))
+        # Every flag combination the rules allow turned up, letters-only included.
+        assert kinds >= {
+            (True, False, False, False), (False, True, False, False),
+            (False, False, False, False), (False, False, False, True),
+            (False, False, True, True),
+        }
+
+    def test_two_files_share_one_memo(self, tmp_path) -> None:
+        source = write_jsonl(tmp_path / "s.jsonl", [
+            {"id": "a", "sentences": ["The cat sat.", "A cat ran 3 km!"]},
+            {"id": "b", "text": "Dogs bark. The cat sat on it."},
+        ])
+        target = write_jsonl(tmp_path / "t.jsonl", [
+            {"id": "a", "sentences": ["A kitten sat.", "The cat ran."]},
+            {"id": "c", "sentences": ["Dogs, 3 of them."]},
+        ])
+        stops = frozenset({"the", "cat"})
+        memo: dict[str, Token] = {}
+        shared = [list(load_corpus(p, tag, stopwords=stops, memo=memo))
+                  for p, tag in ((source, "src"), (target, "tgt"))]
+        separate = [list(load_corpus(p, tag, stopwords=stops))
+                    for p, tag in ((source, "src"), (target, "tgt"))]
+        assert shared == separate
+        by_surface: dict[str, list[Token]] = {}
+        for docs in shared:
+            for d in docs:
+                for t in d.tokens():
+                    by_surface.setdefault(t.surface, []).append(t)
+        assert set(memo) == set(by_surface)
+        for surface, tokens in by_surface.items():
+            assert all(t is memo[surface] for t in tokens), surface
+        source_forms = {t.surface for d in shared[0] for t in d.tokens()}
+        target_forms = {t.surface for d in shared[1] for t in d.tokens()}
+        assert {"The", "cat", "sat", ".", "3", "Dogs"} <= source_forms & target_forms
+        assert memo["cat"].is_stopword and not memo["Dogs"].is_stopword
+
+
+class TestSentenceUid:
+    """A sentence's uid is stored at construction and takes no part in
+    equality, hashing or repr."""
+
+    def make(self, doc_id: str = "d#1", ordinal: int = 2) -> Sentence:
+        return Sentence(doc_id, ordinal, "A cat.", tokenize("A cat."))
+
+    def test_equals_sentence_uid(self) -> None:
+        for doc_id, ordinal in (("d1", 0), ("d#1", 2), ("7", 12)):
+            assert self.make(doc_id, ordinal).uid == sentence_uid(doc_id, ordinal)
+
+    def test_not_compared_or_hashed(self) -> None:
+        a, b = self.make(), self.make()
+        object.__setattr__(b, "uid", "other#9")
+        assert b.uid == "other#9"
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_repr_unchanged(self) -> None:
+        s = self.make()
+        assert repr(s) == (
+            f"Sentence(doc_id='d#1', ordinal=2, text='A cat.', tokens={s.tokens!r})"
+        )
+
+    def test_replace_rebuilds_uid(self) -> None:
+        moved = dataclasses.replace(self.make(), ordinal=3)
+        assert moved.uid.endswith("#3")
+        assert moved.uid == sentence_uid("d#1", 3)
 
 
 class TestContentTokens:

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from lha.corpus import content_tokens
+from lha.corpus import content_tokens, load_corpus
 from lha.embeddings import AvgEmbedder, EmbeddingMatrix, embed_corpus
 from lha.evaluate import (
     LABELS,
@@ -462,6 +462,27 @@ class TestLoadEvalDataset:
         assert len(dataset.noise_src) == 1 and len(dataset.noise_tgt) == 1
         report = eval_sentence_alignment(dataset, dataset_scorer(toy_table, dataset))
         assert report.f1_max == 1.0
+
+    def test_four_corpora_share_tokens(self, tmp_path) -> None:
+        self.write_dataset(tmp_path)
+        dataset = load_eval_dataset(tmp_path)
+        parts = {
+            "src": list(dataset.src_docs.values()),
+            "tgt": list(dataset.tgt_docs.values()),
+            "noise_src": dataset.noise_src,
+            "noise_tgt": dataset.noise_tgt,
+        }
+        files = {"src": "source_docs", "tgt": "target_docs",
+                 "noise_src": "noise_source_docs", "noise_tgt": "noise_target_docs"}
+        for tag, docs in parts.items():
+            assert docs == list(load_corpus(tmp_path / f"{files[tag]}.jsonl", tag)), tag
+        periods = {
+            tag: [t for d in docs for t in d.tokens() if t.surface == "."]
+            for tag, docs in parts.items()
+        }
+        first = periods["src"][0]
+        assert all(periods.values())
+        assert all(t is first for ts in periods.values() for t in ts)
 
     def test_missing_files_named(self, tmp_path) -> None:
         self.write_dataset(tmp_path)

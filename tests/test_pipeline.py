@@ -6,7 +6,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import logging
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import lha.corpus
 import lha.pipeline
 import lha.sent_align
 from lha import __version__
@@ -603,6 +606,89 @@ class TestParseOnce:
             s for s in ALL_STAGES if scorer == "cosine" or not s.startswith("embed_sents")
         )
         assert parsed == []
+
+
+class TestRunWideTokens:
+    """Both corpora of a run share one Token per surface form, under the
+    run's stopword set."""
+
+    def parsed(self, monkeypatch) -> list:
+        docs: list = []
+        load_corpus = lha.pipeline.load_corpus
+
+        def keeping(*args, **kwargs):
+            for d in load_corpus(*args, **kwargs):
+                docs.append(d)
+                yield d
+
+        monkeypatch.setattr(lha.pipeline, "load_corpus", keeping)
+        return docs
+
+    def test_custom_stopwords_file_flags_both_corpora(self, tmp_path, monkeypatch) -> None:
+        stops = tmp_path / "stops.txt"
+        stops.write_text("cat\nrain\nkitten\n", encoding="utf-8")
+        config = dataclasses.replace(make_workspace(tmp_path), stopwords_file=str(stops))
+        docs = self.parsed(monkeypatch)
+        run_pipeline(config)
+        tokens = [t for d in docs for t in d.tokens()]
+        assert {d.dataset_tag for d in docs} == {"src", "tgt"}
+        assert {t.normalized for t in tokens if t.is_stopword} == {"cat", "rain", "kitten"}
+        assert all(t.is_stopword == (t.normalized in {"cat", "rain", "kitten"})
+                   for t in tokens)
+
+    def test_one_token_per_distinct_surface(self, tmp_path, monkeypatch) -> None:
+        config = make_workspace(tmp_path)
+        built: list[str] = []
+        token = lha.corpus._token
+
+        def counting(surface, stopwords):
+            built.append(surface)
+            return token(surface, stopwords)
+
+        monkeypatch.setattr(lha.corpus, "_token", counting)
+        docs = self.parsed(monkeypatch)
+        run_pipeline(config)
+        surfaces = [
+            surface for d in docs for s in d.sentences
+            for surface in lha.corpus._TOKEN_RE.findall(s.text)
+        ]
+        assert sorted(built) == sorted(set(surfaces))
+        # The target repeats these source forms, so each was built once for both.
+        assert {"sat", "fell", ".", "A"} <= {
+            t.surface for d in docs if d.dataset_tag == "tgt" for t in d.tokens()
+        }
+        by_surface = {}
+        for d in docs:
+            for t in d.tokens():
+                assert by_surface.setdefault(t.surface, t) is t
+
+
+_COMPUTED = re.compile(r"^stage (\w+): computed in \d+\.\d{3} s$")
+
+
+class TestStageLog:
+    def test_computed_stages_log_their_duration(self, tmp_path, caplog) -> None:
+        config = make_workspace(tmp_path)
+        with caplog.at_level(logging.INFO, logger="lha.pipeline"):
+            run_pipeline(config)
+        computed = [m.group(1) for m in map(_COMPUTED.match, caplog.messages) if m]
+        assert computed == ALL_STAGES
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="lha.pipeline"):
+            run_pipeline(config)
+        assert not any(map(_COMPUTED.match, caplog.messages))
+        assert sum(m.endswith(": cached") for m in caplog.messages) == len(ALL_STAGES)
+
+    def test_one_stage_start_record_per_stage(self, tmp_path, caplog) -> None:
+        # perfbench/spans.py times a stage from its record whose format starts
+        # with "stage " to the next such record: one per stage, first argument
+        # the stage's name.
+        config = make_workspace(tmp_path)
+        with caplog.at_level(logging.INFO, logger="lha.pipeline"):
+            run_pipeline(config)
+        starts = [r for r in caplog.records if r.msg.startswith("stage ") and r.args]
+        assert [r.args[0] for r in starts] == ALL_STAGES
+        assert all(r.getMessage().endswith(": computing") for r in starts)
 
 
 class TestLazyVectors:
