@@ -57,16 +57,18 @@ def main(quiet: bool) -> None:
 
 
 def _parse_strategy(strategy: str, vectors: str | None):
-    """Resolve --strategy avg|precomputed:<path> into an embedder."""
+    """Resolve --strategy avg|precomputed:<path> into a function from the
+    parsed documents to their embedder."""
     if strategy == "avg":
         if not vectors:
             raise click.UsageError("--strategy avg requires --vectors")
-        return AvgEmbedder(load_word_vectors(vectors))
+        return lambda docs: AvgEmbedder(_vector_table(vectors, True, docs))
     if strategy.startswith("precomputed:"):
         path = strategy.split(":", 1)[1]
         if not path:
             raise click.UsageError("--strategy precomputed:<path> needs a path")
-        return PrecomputedEmbedder(load_embeddings(path))
+        embedder = PrecomputedEmbedder(load_embeddings(path))
+        return lambda docs: embedder
     raise click.UsageError(f"unknown strategy {strategy!r}; use avg or precomputed:<path>")
 
 
@@ -84,13 +86,17 @@ def _parse_strategy(strategy: str, vectors: str | None):
 def embed(corpus, level, strategy, vectors, out, dataset_tag, stopwords,
           abbreviations) -> None:
     """Embed a corpus at document or sentence level into a binary file."""
-    embedder = _parse_strategy(strategy, vectors)
-    docs = load_corpus(
-        corpus,
-        dataset_tag,
-        stopwords=load_stopwords(stopwords),
-        abbreviations=load_abbreviations(abbreviations),
-    )
+    embedder_for = _parse_strategy(strategy, vectors)
+    try:
+        docs = list(load_corpus(
+            corpus,
+            dataset_tag,
+            stopwords=load_stopwords(stopwords),
+            abbreviations=load_abbreviations(abbreviations),
+        ))
+    except ValueError as e:
+        raise click.UsageError(str(e)) from e
+    embedder = embedder_for(docs)
     try:
         matrix = embed_corpus(docs, "document" if level == "doc" else "sentence", embedder)
     except (ValueError, EmbeddingLookupError) as e:
@@ -126,10 +132,14 @@ def align_docs(source_embeddings, target_embeddings, k, theta_d, out) -> None:
     logger.info("wrote %d document pairs to %s", n, out)
 
 
-def _vector_table(vectors: str | None, read: bool):
+def _vector_table(vectors: str | None, read: bool, *corpora):
     """The --vectors table when the option is given and ``read``, that is
-    when the chosen scorer or embedder reads it; else None, unread."""
-    return load_word_vectors(vectors) if vectors and read else None
+    when the chosen scorer or embedder reads it; else None, unread. It holds
+    the words of the documents of ``corpora``, the only ones looked up."""
+    if not (vectors and read):
+        return None
+    words = {t.normalized for docs in corpora for doc in docs for t in doc.tokens()}
+    return load_word_vectors(vectors, words)
 
 
 def _scorer(kind: str, **inputs):
@@ -184,7 +194,8 @@ def align_sents(doc_pairs, source_corpus, target_corpus, scorer, vectors,
         target_corpus, "tgt", stopwords=stops, abbreviations=abbrevs, memo=tokens))
     pairs = read_doc_pairs(doc_pairs)
     table = _vector_table(vectors, scorer in _TABLE_SCORERS
-                          or (scorer == "cosine" and not source_sent_embeddings))
+                          or (scorer == "cosine" and not source_sent_embeddings),
+                          src_docs.values(), tgt_docs.values())
     sentence_matrices = {}
     for side, path, docs in (
         ("source", source_sent_embeddings, src_docs),
@@ -340,7 +351,7 @@ def eval_sent(data_dir, scorer, vectors, sent_embeddings, bm25_k1, bm25_b,
     """Sentence retrieval inside the gold article pairs."""
     dataset = load_eval_dataset(data_dir)
     table = _vector_table(vectors, scorer in _TABLE_SCORERS
-                          or (scorer == "cosine" and not sent_embeddings))
+                          or (scorer == "cosine" and not sent_embeddings), *_all_docs(dataset))
     sentence_matrices = {}
     if scorer == "cosine":
         sentence_matrices = _sentence_matrices(
@@ -371,8 +382,9 @@ def eval_doc(data_dir, vectors, doc_embeddings, n_noise, seed, include_timing) -
     """Document identification among noise articles."""
     dataset = load_eval_dataset(data_dir)
     _check_noise(dataset, n_noise)
-    table = _vector_table(vectors, not doc_embeddings)
-    embedder = _doc_embedder(doc_embeddings, table, *_all_docs(dataset))
+    docs = _all_docs(dataset)
+    table = _vector_table(vectors, not doc_embeddings, *docs)
+    embedder = _doc_embedder(doc_embeddings, table, *docs)
     if embedder is None:
         raise click.UsageError("needs --vectors or --doc-embeddings")
     report = eval_document_alignment(dataset, embedder=embedder, n_noise=n_noise, seed=seed)
@@ -402,9 +414,9 @@ def eval_joint_cmd(data_dir, mode, vectors, doc_embeddings, sent_embeddings,
     _check_options("cosine", k_doc=("--k-doc", k_doc), theta_d=("--theta-d", theta_d))
     dataset = load_eval_dataset(data_dir)
     _check_noise(dataset, n_noise)
-    table = _vector_table(vectors, not sent_embeddings or rescore != "none"
-                          or (mode == "lha" and not doc_embeddings))
     docs = _all_docs(dataset)
+    table = _vector_table(vectors, not sent_embeddings or rescore != "none"
+                          or (mode == "lha" and not doc_embeddings), *docs)
     # Averaged rows are made only for the articles eval_joint draws.
     sent_docs = docs if sent_embeddings else sample_docs(dataset, n_noise, seed)
     sent_scorer = _scorer("cosine", **_sentence_matrices(sent_embeddings, table, *sent_docs))

@@ -331,8 +331,8 @@ def load_corpus(
     """Stream documents from a JSONL file.
 
     Yields one ``Document`` per non-blank line; the file is never fully
-    buffered. Malformed records and duplicate ids raise with the 1-based
-    line number.
+    buffered. Malformed records and duplicate ids raise a ``CorpusError``
+    naming the file and the 1-based line number.
 
     Every occurrence of a surface form gets one shared ``Token``, kept in
     ``memo`` (surface -> Token; a fresh one per file when not given). Pass
@@ -348,41 +348,45 @@ def load_corpus(
     seen: set[str] = set()
     if memo is None:
         memo = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusError(f"invalid JSON: {e.msg}", line_no) from e
-            if not isinstance(record, dict):
-                raise CorpusError("record is not an object", line_no)
-            if schema.id_field not in record:
-                raise CorpusError(f"record has no {schema.id_field!r}", line_no)
-            raw_id = record[schema.id_field]
-            if not isinstance(raw_id, (str, int)) or isinstance(raw_id, bool):
-                raise CorpusError(f"document id must be a string or integer", line_no)
-            doc_id = str(raw_id)
-            if not doc_id:
-                raise CorpusError("document id is empty", line_no)
-            if any(ch in doc_id for ch in "\t\n\r"):
-                # Ids are written as fields of tab-separated, line-based files.
-                raise CorpusError(
-                    f"document id {doc_id!r} contains a tab or line break", line_no
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise CorpusError(f"invalid JSON: {e.msg}", line_no) from e
+                if not isinstance(record, dict):
+                    raise CorpusError("record is not an object", line_no)
+                if schema.id_field not in record:
+                    raise CorpusError(f"record has no {schema.id_field!r}", line_no)
+                raw_id = record[schema.id_field]
+                if not isinstance(raw_id, (str, int)) or isinstance(raw_id, bool):
+                    raise CorpusError(f"document id must be a string or integer", line_no)
+                doc_id = str(raw_id)
+                if not doc_id:
+                    raise CorpusError("document id is empty", line_no)
+                if any(ch in doc_id for ch in "\t\n\r"):
+                    # Ids are written as fields of tab-separated, line-based files.
+                    raise CorpusError(
+                        f"document id {doc_id!r} contains a tab or line break", line_no
+                    )
+                if doc_id in seen:
+                    raise DuplicateDocumentError(f"duplicate document id {doc_id!r}", line_no)
+                seen.add(doc_id)
+                title = record.get(schema.title_field)
+                if title is not None and not isinstance(title, str):
+                    raise CorpusError(f"document {doc_id!r}: title must be a string", line_no)
+                sentences = _record_sentences(
+                    record, doc_id, schema, stopwords, abbreviations, memo, line_no
                 )
-            if doc_id in seen:
-                raise DuplicateDocumentError(f"duplicate document id {doc_id!r}", line_no)
-            seen.add(doc_id)
-            title = record.get(schema.title_field)
-            if title is not None and not isinstance(title, str):
-                raise CorpusError(f"document {doc_id!r}: title must be a string", line_no)
-            sentences = _record_sentences(
-                record, doc_id, schema, stopwords, abbreviations, memo, line_no
-            )
-            yield Document(
-                doc_id=doc_id, dataset_tag=dataset_tag, sentences=sentences, title=title
-            )
+                yield Document(
+                    doc_id=doc_id, dataset_tag=dataset_tag, sentences=sentences, title=title
+                )
+    except CorpusError as e:
+        e.args = (f"{path}: {e}",)  # the type, line and traceback stay
+        raise
 
 
 def save_corpus(docs: Iterable[Document], path: Path | str) -> int:

@@ -7,6 +7,7 @@ Rows are stored float32; all similarity math downstream casts to float64.
 
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -62,12 +63,17 @@ class WordVectorTable:
     @classmethod
     def from_rows(cls, tokens: Sequence[str], rows: np.ndarray) -> "WordVectorTable":
         """``rows[i]`` is the vector of ``tokens[i]``; a token's first row wins."""
+        index: dict[str, int] = {}
+        for i, token in enumerate(tokens):
+            index.setdefault(token, i)
+        return cls._of(index, rows)
+
+    @classmethod
+    def _of(cls, index: dict[str, int], rows: np.ndarray) -> "WordVectorTable":
         table = cls.__new__(cls)
         table.dim = rows.shape[1]
         table._rows = rows
-        table._index = {}
-        for i, token in enumerate(tokens):
-            table._index.setdefault(token, i)
+        table._index = index
         return table
 
     def __len__(self) -> int:
@@ -90,27 +96,28 @@ class WordVectorTable:
         return np.array([self._index[t] for t in tokens], dtype=np.intp)
 
 
-def _read_header(fh: TextIO) -> int:
-    """The dimension from the header line ``count dim``."""
+def _read_header(fh: TextIO) -> tuple[int, int]:
+    """The count and the dimension from the header line ``count dim``."""
     header = fh.readline()
     try:
-        _count, dim = map(int, header.split())
+        count, dim = map(int, header.split())
     except ValueError as e:
         raise EmbeddingFormatError(
             f"line 1: expected header 'count dim', got {header.strip()!r}"
         ) from e
     if dim <= 0:
         raise EmbeddingFormatError(f"line 1: dimension must be positive, got {dim}")
-    return dim
+    return count, dim
 
 
-def _parse_lines(fh: TextIO, dim: int) -> tuple[list[str], np.ndarray]:
-    """The lowercased tokens and the rows of the vector lines after the
-    header, parsed one line at a time, in file order."""
+def _parse_lines(lines: Sequence[str], first: int, dim: int) -> tuple[list[str], np.ndarray]:
+    """The lowercased tokens and the rows of the vector lines ``lines``, the
+    first of which is line ``first`` of the file, parsed one line at a time,
+    in file order."""
     tokens: list[str] = []
 
     def vectors() -> Iterator[np.ndarray]:
-        for line_no, line in enumerate(fh, start=2):
+        for line_no, line in enumerate(lines, start=first):
             if not line.strip():
                 continue
             fields = line.split()
@@ -135,7 +142,40 @@ def _parse_lines(fh: TextIO, dim: int) -> tuple[list[str], np.ndarray]:
     return tokens, rows
 
 
-def load_word_vectors(path: Path | str) -> WordVectorTable:
+def _parse_chunk(lines: Sequence[str], first: int, dim: int) -> tuple[list[str], np.ndarray]:
+    """``_parse_lines``, by numpy's C reader where it accepts the lines.
+
+    The reader parses well-formed lines in one pass, column 0 through
+    ``token``. Lines it refuses, or reads with another column count or a
+    non-finite value, are parsed again one at a time, so the per-line rules
+    alone decide what is accepted and what is raised.
+    """
+    tokens: list[str] = []
+
+    def token(field: str) -> float:
+        tokens.append(field.lower())
+        return 0.0
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # blank lines alone warn
+            # encoding=None hands the converter str on numpy 1.x too.
+            rows = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2,
+                              converters={0: token}, encoding=None)
+    except ValueError:
+        rows = None
+    if rows is not None and rows.shape[1] == dim + 1 and np.isfinite(rows).all():
+        return tokens, rows[:, 1:]
+    return _parse_lines(lines, first, dim)
+
+
+# Vector lines parsed per call of numpy's reader.
+_LINES = 512
+
+
+def load_word_vectors(
+    path: Path | str, vocabulary: Collection[str] | None = None
+) -> WordVectorTable:
     """Parse a textual word-vector file: header ``count dim``, then one
     ``token v1 .. vdim`` line per word.
 
@@ -144,32 +184,36 @@ def load_word_vectors(path: Path | str) -> WordVectorTable:
     first occurrence of a token wins. A line whose component count does not
     match the header dimension, or whose components do not parse as finite
     floats, raises with its 1-based line number.
+
+    With ``vocabulary``, the table holds only the rows of its words, in file
+    order; every line is still parsed and checked. Lines are read
+    ``_LINES`` at a time, so no more than one such chunk is held beside the
+    rows kept.
     """
-    tokens: list[str] = []
-
-    def token(field: str) -> float:
-        tokens.append(field.lower())
-        return 0.0
-
+    wanted = None if vocabulary is None else set(vocabulary)
+    index: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        dim = _read_header(fh)
-        # numpy's C reader parses a well-formed file in one pass, column 0
-        # through `token`. A file it refuses, or reads with another column
-        # count or a non-finite value, is parsed again line by line, so the
-        # per-line rules alone decide what is accepted and what is raised.
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # an empty body warns
-                # encoding=None hands the converter str on numpy 1.x too.
-                rows = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2,
-                                  converters={0: token}, encoding=None)
-        except ValueError:
-            rows = None
-        if rows is not None and rows.shape[1] == dim + 1 and np.isfinite(rows).all():
-            return WordVectorTable.from_rows(tokens, rows[:, 1:])
-        fh.seek(0)
-        fh.readline()
-        return WordVectorTable.from_rows(*_parse_lines(fh, dim))
+        count, dim = _read_header(fh)
+        # Sized by the vocabulary, else by the header's count, which is not
+        # checked: a vector line holds at least 2 * dim + 1 characters, so the
+        # file's size bounds the rows too. Rows past those kept are never
+        # written, so their pages are never touched.
+        most = os.fstat(fh.fileno()).st_size // (2 * dim + 1)
+        rows = np.empty((min(most, max(count, 0) if wanted is None else len(wanted)), dim))
+        first = 2
+        while lines := list(islice(fh, _LINES)):
+            tokens, vectors = _parse_chunk(lines, first, dim)
+            first += len(lines)
+            n = len(index)
+            keep = []
+            for i, token in enumerate(tokens):
+                if token not in index and (wanted is None or token in wanted):
+                    index[token] = n + len(keep)
+                    keep.append(i)
+            if n + len(keep) > len(rows):  # a low header count, or a pipe
+                rows = np.concatenate([rows[:n], np.empty((len(rows) + len(keep), dim))])
+            rows[n : len(index)] = vectors[keep]
+    return WordVectorTable._of(index, rows[: len(index)])
 
 
 @dataclass

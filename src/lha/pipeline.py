@@ -431,8 +431,14 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
 
     @functools.cache
     def table() -> WordVectorTable:
-        """The word-vector table, loaded on first use and kept for the run."""
-        return load_word_vectors(config.word_vectors)
+        """The word-vector table, loaded on first use and kept for the run.
+
+        Both corpora are parsed first, outside the load, and the table keeps
+        only the rows of their words: no lookup of the run reads another.
+        """
+        docs("src")
+        docs("tgt")
+        return load_word_vectors(config.word_vectors, {t.normalized for t in tokens.values()})
 
     corpora: dict[str, dict[str, Document]] = {}
 

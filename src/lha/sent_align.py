@@ -227,10 +227,10 @@ def filter_reason(
         return "overlap"
     if len(tgt_tokens) > policy.max_len_ratio * len(src_tokens):
         return "length_ratio"
-    key = normalize_pair_key(
+    # The key costs two regex passes per group; with no set nothing is excluded.
+    if policy.exclusion_set and normalize_pair_key(
         " ".join(s.text for s in sources), " ".join(s.text for s in targets)
-    )
-    if key in policy.exclusion_set:
+    ) in policy.exclusion_set:
         return "excluded"
     return None
 

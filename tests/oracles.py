@@ -20,6 +20,7 @@ from __future__ import annotations
 import heapq
 import math
 import re
+import warnings
 from collections import Counter, deque
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from scipy.sparse import coo_matrix
 from scipy.spatial.distance import cdist
 
 from lha.corpus import Token, content_tokens, default_abbreviations, tokenize
-from lha.embeddings import EmbeddingFormatError, EmbeddingMatrix, unit_rows
+from lha.embeddings import EmbeddingFormatError, EmbeddingMatrix, WordVectorTable, unit_rows
 from lha.metrics import _FLOOR_SLACK
 from lha.sent_align import AlignedGroup, FilterPolicy, normalize_pair_key
 
@@ -247,6 +248,62 @@ def word_vectors_oracle(path) -> tuple[int, dict[str, np.ndarray]]:
                 raise EmbeddingFormatError(f"line {line_no}: non-finite vector component")
             vectors.setdefault(fields[0].lower(), np.array(values, dtype=np.float64))
     return dim, vectors
+
+
+def whole_file_loader_oracle(path) -> WordVectorTable:
+    """A word-vector file read whole, every row kept: numpy's C reader over
+    the entire body, or, when it refuses any line, the per-line rules over
+    the entire body. The loader before it read a chunk at a time and kept
+    only a vocabulary's rows; each table row is the file's row of its line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline()
+        try:
+            _count, dim = map(int, header.split())
+        except ValueError as e:
+            raise EmbeddingFormatError(
+                f"line 1: expected header 'count dim', got {header.strip()!r}"
+            ) from e
+        if dim <= 0:
+            raise EmbeddingFormatError(f"line 1: dimension must be positive, got {dim}")
+        tokens: list[str] = []
+
+        def token(field: str) -> float:
+            tokens.append(field.lower())
+            return 0.0
+
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rows = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2,
+                                  converters={0: token}, encoding=None)
+        except ValueError:
+            rows = None
+        if rows is not None and rows.shape[1] == dim + 1 and np.isfinite(rows).all():
+            return WordVectorTable.from_rows(tokens, rows[:, 1:])
+        fh.seek(0)
+        fh.readline()
+        tokens = []
+        vectors = []
+        for line_no, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            fields = line.split()
+            if len(fields) != dim + 1:
+                raise EmbeddingFormatError(
+                    f"line {line_no}: expected {dim} components, got {len(fields) - 1}"
+                )
+            try:
+                vec = np.array([float(x) for x in fields[1:]], dtype=np.float64)
+            except ValueError as e:
+                raise EmbeddingFormatError(
+                    f"line {line_no}: unparsable vector component"
+                ) from e
+            if not np.all(np.isfinite(vec)):
+                raise EmbeddingFormatError(f"line {line_no}: non-finite vector component")
+            tokens.append(fields[0].lower())
+            vectors.append(vec)
+    return WordVectorTable.from_rows(tokens, np.array(vectors).reshape(-1, dim))
 
 
 def extract_nn_pairs_oracle(

@@ -1035,9 +1035,9 @@ class TestVectorsReadOnlyWhenUsed:
     def loads(self, monkeypatch) -> list[str]:
         calls: list[str] = []
 
-        def counting(path):
+        def counting(path, vocabulary=None):
             calls.append(path)
-            return load_word_vectors(path)
+            return load_word_vectors(path, vocabulary)
 
         monkeypatch.setattr("lha.cli.load_word_vectors", counting)
         return calls
@@ -1110,3 +1110,102 @@ class TestVectorsReadOnlyWhenUsed:
         assert "f1_max" in with_vectors.stdout
         if reads == 0:
             assert invoke(*command).stdout == with_vectors.stdout
+
+
+class TestCorporaVocabulary:
+    """A command reads from --vectors only the words of the corpora it
+    parsed, and writes what a table of every word gives."""
+
+    @pytest.fixture
+    def vocabularies(self, monkeypatch) -> list:
+        seen: list = []
+
+        def loading(path, vocabulary=None):
+            seen.append(vocabulary)
+            return load_word_vectors(path, vocabulary)
+
+        monkeypatch.setattr("lha.cli.load_word_vectors", loading)
+        return seen
+
+    @staticmethod
+    def words(*paths: Path) -> set[str]:
+        return {t.normalized for p in paths for d in load_corpus(p) for t in d.tokens()}
+
+    @staticmethod
+    def every_word(monkeypatch) -> None:
+        monkeypatch.setattr("lha.cli.load_word_vectors",
+                            lambda path, vocabulary: load_word_vectors(path))
+
+    @pytest.mark.parametrize("scorer", ["cosine", "wmd"])
+    def test_align_sents(self, workspace, vocabularies, monkeypatch, scorer) -> None:
+        pairs = TestStageCommands().run_stages(workspace)
+        vocabularies.clear()
+
+        def align(out: Path) -> bytes:
+            result = invoke(
+                "align-sents", "--doc-pairs", str(pairs),
+                "--source-corpus", str(workspace / "source.jsonl"),
+                "--target-corpus", str(workspace / "target.jsonl"),
+                "--vectors", str(workspace / "vectors.txt"), "--scorer", scorer,
+                "--k", "2", "--theta-s", "0.6", "--min-overlap", "0.2", "--out", str(out),
+            )
+            assert result.exit_code == 0, result.output
+            return out.read_bytes()
+
+        kept = align(workspace / "kept.jsonl")
+        assert vocabularies == [self.words(workspace / "source.jsonl",
+                                           workspace / "target.jsonl")]
+        assert len(vocabularies[0] & set(_TOY_VECTORS)) < len(_TOY_VECTORS)
+        self.every_word(monkeypatch)
+        assert align(workspace / "all.jsonl") == kept and b'"score"' in kept
+
+    @pytest.mark.parametrize("level", ["doc", "sent"])
+    def test_embed(self, workspace, vocabularies, monkeypatch, level) -> None:
+        def embed(out: Path) -> bytes:
+            result = invoke("embed", "--corpus", str(workspace / "target.jsonl"),
+                            "--level", level, "--vectors", str(workspace / "vectors.txt"),
+                            "--out", str(out))
+            assert result.exit_code == 0, result.output
+            return out.read_bytes()
+
+        kept = embed(workspace / "kept.lhae")
+        assert vocabularies == [self.words(workspace / "target.jsonl")]
+        self.every_word(monkeypatch)
+        assert embed(workspace / "all.lhae") == kept
+
+    @pytest.mark.parametrize("command", [
+        ["sent"], ["sent", "--scorer", "rwmd"], ["doc", "--n-noise", "1"],
+        ["joint", "--mode", "lha", "--k-doc", "2", "--theta-d", "0.3", "--n-noise", "1",
+         "--rescore", "wmd"],
+    ], ids=["sent", "sent-rwmd", "doc", "joint"])
+    def test_eval(self, workspace, eval_dir, vocabularies, monkeypatch, command) -> None:
+        args = ["eval", *command, "--data-dir", str(eval_dir),
+                "--vectors", str(workspace / "vectors.txt")]
+        kept = invoke(*args)
+        assert kept.exit_code == 0, kept.output
+        assert vocabularies == [self.words(*(eval_dir / f"{name}.jsonl" for name in (
+            "source_docs", "target_docs", "noise_source_docs", "noise_target_docs")))]
+        self.every_word(monkeypatch)
+        assert invoke(*args).stdout == kept.stdout
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_corpus_error_names_the_file(self, workspace, side) -> None:
+        bad = workspace / f"bad_{side}.jsonl"
+        write_jsonl(bad, [{"id": "ok", "text": "Fine."}, {"id": "x", "text": 5}])
+        message = f"{bad}: line 2: document 'x': 'text' must be a string"
+        result = invoke("run", "--config", str(workspace / "config.json"),
+                        "--set", f"{side}_corpus={bad}")
+        assert result.exit_code == 1 and message in result.output
+        pairs = TestStageCommands().run_stages(workspace)
+        corpora = {"source": workspace / "source.jsonl", "target": workspace / "target.jsonl"}
+        corpora[side] = bad
+        with pytest.raises(lha.corpus.CorpusError) as info:
+            invoke("align-sents", "--doc-pairs", str(pairs),
+                   "--source-corpus", str(corpora["source"]),
+                   "--target-corpus", str(corpora["target"]), "--scorer", "overlap",
+                   "--theta-s", "0.1", "--out", str(workspace / "groups.jsonl"))
+        assert str(info.value) == message
+        result = invoke("embed", "--corpus", str(bad), "--level", "doc",
+                        "--vectors", str(workspace / "vectors.txt"),
+                        "--out", str(workspace / "bad.lhae"))
+        assert result.exit_code == 2 and message in result.output

@@ -391,6 +391,17 @@ class TestLoadCorpus:
             list(load_corpus(path))
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("record, error", [
+        ({"id": "d1", "text": 5}, CorpusError),
+        ({"id": "d0", "text": "B."}, DuplicateDocumentError),
+    ])
+    def test_errors_name_the_file(self, tmp_path, record, error) -> None:
+        path = write_jsonl(tmp_path / "c.jsonl", [{"id": "d0", "text": "A."}, record])
+        with pytest.raises(error) as exc:
+            list(load_corpus(path))
+        assert str(exc.value).startswith(f"{path}: line 2: ")
+        assert type(exc.value) is error and exc.value.line == 2
+
     def test_invalid_json_reports_line(self, tmp_path) -> None:
         path = tmp_path / "c.jsonl"
         path.write_text('{"id": "d1", "text": "A."}\n{nope\n', encoding="utf-8")

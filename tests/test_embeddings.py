@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,7 @@ from lha.embeddings import (
     save_embeddings,
 )
 from conftest import doc, write_vectors
-from oracles import embed_avg_oracle, word_vectors_oracle
+from oracles import embed_avg_oracle, whole_file_loader_oracle, word_vectors_oracle
 
 
 class TestLoadWordVectors:
@@ -150,6 +153,165 @@ def test_load_word_vectors_matches_the_per_line_parser(tmp_path) -> None:
             assert table.get(token).tobytes() == vec.tobytes(), path.read_bytes()
         outcomes["table"] += 1
     assert min(outcomes.values()) > 100, outcomes
+
+
+def assert_restricted(table: WordVectorTable, whole: WordVectorTable, vocabulary) -> None:
+    """``table`` is ``whole`` cut to the words of ``vocabulary`` (None: every
+    word): those words in file order, each with its first line's row."""
+    words = [w for w in whole._index if vocabulary is None or w in vocabulary]
+    expected = whole.rows[np.array([whole._index[w] for w in words], dtype=np.intp)]
+    assert table.dim == whole.dim
+    assert list(table._index.items()) == [(w, i) for i, w in enumerate(words)]
+    assert (table.rows.dtype, table.rows.shape) == (np.float64, expected.shape)
+    assert table.rows.tobytes() == expected.tobytes()
+
+
+# Case variants of a few words, so one word often comes again in another case.
+_WORDS = ("the", "The", "THE", "cat", "Cat", "sat", "ä", "Ä", "#", "x#", "nan", "inf")
+_BLANK_LINES = ("\n", " \n", "\t\n", "\u00a0\n")
+
+
+def _vector_body(rng: np.random.Generator, n: int, dim: int) -> list[str]:
+    """About ``n`` vector lines, with runs of blank lines among them."""
+    lines: list[str] = []
+    while len(lines) < n:
+        if rng.random() < 0.1:
+            lines += [_BLANK_LINES[int(rng.integers(4))]] * int(rng.integers(1, 6))
+            continue
+        word = _WORDS[int(rng.integers(len(_WORDS)))]
+        if rng.random() < 0.5:
+            word = f"{word}{int(rng.integers(40))}"
+        values = rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4)
+        values[rng.random(dim) < 0.1] = -0.0
+        lines.append(" ".join([word, *(repr(float(v)) for v in values)]) + "\n")
+    return lines
+
+
+def _vocabularies(rng: np.random.Generator, path) -> list:
+    """None, and vocabularies that are empty, absent from the file, all of
+    its words, some of them, and all of them in upper case."""
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        words = {line.split()[0].lower() for line in fh if line.split()}
+    some = {w for w in sorted(words) if rng.random() < 0.4}
+    return [None, set(), {"zzz", "qqq0"}, set(words), some | {"absent"},
+            {w.upper() for w in words}]
+
+
+# Lines per chunk: one, two, and the default (None).
+_CHUNKS = (1, 2, None)
+
+
+class TestVocabularyLoad:
+    """The loader read a chunk at a time, with or without a vocabulary,
+    against the whole-file read that keeps every row."""
+
+    @pytest.fixture(params=_CHUNKS, ids=["1", "2", "default"])
+    def chunk(self, request, monkeypatch) -> int:
+        if request.param is not None:
+            monkeypatch.setattr(embeddings, "_LINES", request.param)
+        return embeddings._LINES
+
+    def check(self, path, vocabularies) -> bool:
+        """Each vocabulary's table is the whole read cut to it, or each load
+        raises the whole read's message; whether the file loads."""
+        try:
+            whole = whole_file_loader_oracle(path)
+        except EmbeddingFormatError as e:
+            for vocabulary in vocabularies:
+                with pytest.raises(EmbeddingFormatError) as info:
+                    load_word_vectors(path, vocabulary)
+                assert str(info.value) == str(e), path.read_bytes()
+            return False
+        for vocabulary in vocabularies:
+            assert_restricted(load_word_vectors(path, vocabulary), whole, vocabulary)
+        return True
+
+    def test_seeded_files(self, tmp_path, chunk) -> None:
+        rng = np.random.default_rng(15)
+        path = tmp_path / "v.vec"
+        for _ in range(40):
+            dim = int(rng.integers(1, 5))
+            n = int(rng.integers(0, 5 * chunk + 3))
+            path.write_text(f"{n} {dim}\n" + "".join(_vector_body(rng, n, dim)), "utf-8")
+            assert self.check(path, _vocabularies(rng, path))
+
+    def test_fuzzed_files(self, tmp_path, chunk) -> None:
+        # Odd separators and components that only the per-line rules take,
+        # or that fail them, in some chunks of a file and not in others.
+        rng = np.random.default_rng(16)
+        path = tmp_path / "v.vec"
+        tables = 0
+        for _ in range(150):
+            path.write_bytes(_fuzzed_vector_file(rng).encode("utf-8"))
+            tables += self.check(path, _vocabularies(rng, path))
+        assert min(tables, 150 - tables) > 20, tables
+
+    @pytest.mark.parametrize("first, second", [("Word", "word"), ("word", "WORD")])
+    def test_first_case_variant_wins_across_a_boundary(
+        self, tmp_path, chunk, first, second
+    ) -> None:
+        # Lines 2 .. chunk + 1 are the first chunk: its last line and the
+        # next chunk's first line are variants of one word.
+        body = [f"w{i} {i} 0\n" for i in range(chunk - 1)]
+        body += [f"{first} 1 2\n", f"{second} 3 4\n", "x 5 6\n"]
+        path = tmp_path / "v.vec"
+        path.write_text("3 2\n" + "".join(body), encoding="utf-8")
+        table = load_word_vectors(path, {"word", "x"})
+        assert table.get("word").tolist() == [1.0, 2.0]
+        assert list(table._index) == ["word", "x"]
+        self.check(path, [None, {"word"}, {"word", "x"}, {"x"}])
+
+    def test_blank_only_chunks(self, tmp_path, chunk) -> None:
+        blanks = [" \n"] * (2 * chunk + 1)
+        body = ["a 1\n", *blanks, "B 2\n", *blanks, *blanks, "b 3\n", *blanks]
+        path = tmp_path / "v.vec"
+        path.write_text("3 1\n" + "".join(body), encoding="utf-8")
+        assert load_word_vectors(path, {"b"}).get("b").tolist() == [2.0]
+        self.check(path, [None, set(), {"a"}, {"b"}, {"a", "b"}])
+
+    @pytest.mark.parametrize("count", [0, 2, 10**15, -3])
+    def test_header_count_only_sizes_the_rows(self, tmp_path, chunk, count) -> None:
+        lines = "".join(f"w{i} {i} -{i}\n" for i in range(2 * chunk + 3))
+        path = tmp_path / "v.vec"
+        path.write_text(f"{count} 2\n{lines}", encoding="utf-8")
+        self.check(path, [None, {"w0", "w1"}])
+        assert len(load_word_vectors(path)) == 2 * chunk + 3
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe(self, tmp_path, chunk) -> None:
+        # A pipe's size reads 0, so its rows are sized as they come.
+        text = "2 2\n" + "".join(f"W{i} {i} 0.5\n" for i in range(3 * chunk + 1))
+        (tmp_path / "v.vec").write_text(text, encoding="utf-8")
+        whole = whole_file_loader_oracle(tmp_path / "v.vec")
+        os.mkfifo(tmp_path / "v.pipe")
+        for vocabulary in (None, {"w1", "w3"}):
+            writer = threading.Thread(target=(tmp_path / "v.pipe").write_text, args=(text,))
+            writer.start()
+            assert_restricted(load_word_vectors(tmp_path / "v.pipe", vocabulary), whole, vocabulary)
+            writer.join()
+
+    @pytest.mark.parametrize("bad, message", [
+        ("bad 1 2 3", "expected 2 components, got 3"),
+        ("bad 1 x", "unparsable vector component"),
+        ("bad nan 1", "non-finite vector component"),
+        ("bad 1 1e400", "non-finite vector component"),
+    ])
+    @pytest.mark.parametrize("where", ["kept", "dropped", "last"])
+    def test_bad_line_raises_the_old_message(
+        self, tmp_path, chunk, bad, message, where
+    ) -> None:
+        good = [f"w{i} {i} 1\n" for i in range(3 * chunk + 2)]
+        at = len(good) if where == "last" else chunk + 1
+        lines = good[:at] + [bad + "\n"] + good[at:]
+        path = tmp_path / "v.vec"
+        path.write_text(f"{len(lines)} 2\n" + "".join(lines), encoding="utf-8")
+        vocabulary = {"w0", "bad"} if where != "dropped" else {"w0"}
+        for vocab in (vocabulary, None, set()):
+            with pytest.raises(EmbeddingFormatError) as info:
+                load_word_vectors(path, vocab)
+            assert str(info.value) == f"line {at + 2}: {message}"
+        self.check(path, [vocabulary])
 
 
 class TestEmbedAvg:

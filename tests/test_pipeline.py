@@ -696,7 +696,7 @@ class TestLazyVectors:
 
     @pytest.fixture
     def refuse_vectors(self, monkeypatch):
-        def refuse(path):
+        def refuse(path, vocabulary=None):
             raise AssertionError("word vectors loaded")
 
         return lambda: monkeypatch.setattr(lha.pipeline, "load_word_vectors", refuse)
@@ -748,8 +748,8 @@ class TestLazyVectors:
         loaded: list[weakref.ref] = []
         alive: list[bool] = []
 
-        def loading(path):
-            table = load_word_vectors(path)
+        def loading(path, vocabulary=None):
+            table = load_word_vectors(path, vocabulary)
             loaded.append(weakref.ref(table))
             return table
 
@@ -762,6 +762,52 @@ class TestLazyVectors:
         run_pipeline(dataclasses.replace(make_workspace(tmp_path), scorer=scorer))
         assert len(loaded) == 1
         assert alive == [scorer in ("wmd", "rwmd")]
+
+
+class TestVocabulary:
+    """The run loads the word vectors once, for the words of both corpora."""
+
+    @pytest.mark.parametrize("scorer", ["cosine", "wmd"])
+    def test_one_load_of_both_corpora_words_parsed_before_it(
+        self, tmp_path, monkeypatch, scorer
+    ) -> None:
+        # The load is timed as set-up by perfbench, so no corpus parse may
+        # run inside it.
+        config = dataclasses.replace(make_workspace(tmp_path), scorer=scorer)
+        vocabularies: list = []
+        loading_now: list[bool] = []
+        inside: list[str] = []
+        load_corpus = lha.pipeline.load_corpus
+
+        def parsing(*args, **kwargs):
+            for d in load_corpus(*args, **kwargs):
+                if loading_now:
+                    inside.append(d.doc_id)
+                yield d
+
+        def loading(path, vocabulary=None):
+            vocabularies.append(vocabulary)
+            loading_now.append(True)
+            try:
+                return load_word_vectors(path, vocabulary)
+            finally:
+                loading_now.pop()
+
+        monkeypatch.setattr(lha.pipeline, "load_corpus", parsing)
+        monkeypatch.setattr(lha.pipeline, "load_word_vectors", loading)
+        run_pipeline(config)
+        words = {
+            t.normalized for path in (config.source_corpus, config.target_corpus)
+            for d in lha.corpus.load_corpus(path) for t in d.tokens()
+        }
+        assert vocabularies == [words] and inside == []
+        assert {"kitten", "storm", "cat", "."} <= words
+        # A table of every word of the file gives the same bytes.
+        monkeypatch.setattr(lha.pipeline, "load_word_vectors",
+                            lambda path, vocabulary: load_word_vectors(path))
+        run_pipeline(dataclasses.replace(config, out_dir=str(tmp_path / "all")))
+        names = sorted(p.name for p in Path(config.out_dir).iterdir())
+        assert out_bytes(tmp_path / "all", names) == out_bytes(Path(config.out_dir), names)
 
 
 class TestTokeniseOnce:

@@ -11,6 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import lha.sent_align
 from lha.corpus import Document, default_stopwords
 from lha.doc_align import DocPair
 from lha.metrics import OverlapScorer, Scorer
@@ -540,6 +541,32 @@ class TestTextOracle:
         assert all(reasons[k] > 0 for k in (
             "overlap", "length_ratio", "excluded", "duplicate"
         )), reasons
+
+    @pytest.mark.parametrize("stage", ["group", "pair"])
+    def test_key_built_only_with_an_exclusion_set(self, monkeypatch, stage) -> None:
+        # Counts and groups stay the oracle's, which builds every key.
+        built: list[tuple[str, str]] = []
+
+        def counting(source_text: str, target_text: str) -> tuple[str, str]:
+            built.append((source_text, target_text))
+            return normalize_pair_key(source_text, target_text)
+
+        monkeypatch.setattr(lha.sent_align, "normalize_pair_key", counting)
+        src_docs, tgt_docs, doc_pairs = self.corpora(3)
+        exclusion = self.exclusion_for(src_docs, tgt_docs, doc_pairs)
+        assert exclusion and built == []
+        for exclusion_set in (frozenset(), exclusion):
+            policy = FilterPolicy(exclusion_set=exclusion_set, stage=stage)
+            args = (doc_pairs, src_docs, tgt_docs, OverlapScorer(), 2, 0.0)
+            counts: dict[str, int] = {}
+            groups = list(align_sentences(*args, policy=policy, drop_counts=counts))
+            expected, expected_counts = align_sentences_oracle(
+                *args, policy, default_stopwords(), Counter()
+            )
+            assert (groups, counts) == (expected, expected_counts)
+            assert bool(built) == bool(exclusion_set)
+        # The set holds group texts, which single pairs rarely match.
+        assert counts["excluded"] > 0 or stage == "pair"
 
 
 class TestGroupIo:
