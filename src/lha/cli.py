@@ -8,10 +8,11 @@ import sys
 import click
 
 from . import __version__
-from .corpus import corpus_index, load_abbreviations, load_corpus, load_stopwords
+from .corpus import CorpusError, corpus_index, load_abbreviations, load_corpus, load_stopwords
 from .doc_align import read_doc_pairs
 from .embeddings import (
     AvgEmbedder,
+    EmbeddingFormatError,
     EmbeddingLookupError,
     PrecomputedEmbedder,
     check_sentence_rows,
@@ -135,11 +136,15 @@ def align_docs(source_embeddings, target_embeddings, k, theta_d, out) -> None:
 def _vector_table(vectors: str | None, read: bool, *corpora):
     """The --vectors table when the option is given and ``read``, that is
     when the chosen scorer or embedder reads it; else None, unread. It holds
-    the words of the documents of ``corpora``, the only ones looked up."""
+    the words of the documents of ``corpora``, the only ones looked up. A
+    malformed file is a usage error naming the file and the line."""
     if not (vectors and read):
         return None
     words = {t.normalized for docs in corpora for doc in docs for t in doc.tokens()}
-    return load_word_vectors(vectors, words)
+    try:
+        return load_word_vectors(vectors, words)
+    except EmbeddingFormatError as e:
+        raise click.UsageError(str(e)) from e
 
 
 def _scorer(kind: str, **inputs):
@@ -188,10 +193,13 @@ def align_sents(doc_pairs, source_corpus, target_corpus, scorer, vectors,
     stops = load_stopwords(stopwords)
     abbrevs = load_abbreviations(abbreviations)
     tokens = {}  # one Token per surface form, shared by both corpora
-    src_docs = corpus_index(load_corpus(
-        source_corpus, "src", stopwords=stops, abbreviations=abbrevs, memo=tokens))
-    tgt_docs = corpus_index(load_corpus(
-        target_corpus, "tgt", stopwords=stops, abbreviations=abbrevs, memo=tokens))
+    try:
+        src_docs = corpus_index(load_corpus(
+            source_corpus, "src", stopwords=stops, abbreviations=abbrevs, memo=tokens))
+        tgt_docs = corpus_index(load_corpus(
+            target_corpus, "tgt", stopwords=stops, abbreviations=abbrevs, memo=tokens))
+    except CorpusError as e:
+        raise click.UsageError(str(e)) from e
     pairs = read_doc_pairs(doc_pairs)
     table = _vector_table(vectors, scorer in _TABLE_SCORERS
                           or (scorer == "cosine" and not source_sent_embeddings),

@@ -7,13 +7,18 @@ Rows are stored float32; all similarity math downstream casts to float64.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
+import pickle
+import signal
+import stat
 import struct
 import warnings
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import BinaryIO, Collection, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -43,7 +48,13 @@ _ID_LEN = struct.Struct("<I")
 
 
 class EmbeddingFormatError(ValueError):
-    """Malformed word-vector or embedding file."""
+    """Malformed word-vector or embedding file. Carries a 1-based line number
+    when known, and the message without it in ``reason``."""
+
+    def __init__(self, reason: str, line: int | None = None):
+        super().__init__(reason if line is None else f"line {line}: {reason}")
+        self.reason = reason
+        self.line = line
 
 
 class EmbeddingLookupError(KeyError):
@@ -103,10 +114,10 @@ def _read_header(fh: TextIO) -> tuple[int, int]:
         count, dim = map(int, header.split())
     except ValueError as e:
         raise EmbeddingFormatError(
-            f"line 1: expected header 'count dim', got {header.strip()!r}"
+            f"expected header 'count dim', got {header.strip()!r}", 1
         ) from e
     if dim <= 0:
-        raise EmbeddingFormatError(f"line 1: dimension must be positive, got {dim}")
+        raise EmbeddingFormatError(f"dimension must be positive, got {dim}", 1)
     return count, dim
 
 
@@ -123,18 +134,14 @@ def _parse_lines(lines: Sequence[str], first: int, dim: int) -> tuple[list[str],
             fields = line.split()
             if len(fields) != dim + 1:
                 raise EmbeddingFormatError(
-                    f"line {line_no}: expected {dim} components, got {len(fields) - 1}"
+                    f"expected {dim} components, got {len(fields) - 1}", line_no
                 )
             try:
                 vec = np.array([float(x) for x in fields[1:]], dtype=np.float64)
             except ValueError as e:
-                raise EmbeddingFormatError(
-                    f"line {line_no}: unparsable vector component"
-                ) from e
+                raise EmbeddingFormatError("unparsable vector component", line_no) from e
             if not np.all(np.isfinite(vec)):
-                raise EmbeddingFormatError(
-                    f"line {line_no}: non-finite vector component"
-                )
+                raise EmbeddingFormatError("non-finite vector component", line_no)
             tokens.append(fields[0].lower())
             yield vec
 
@@ -169,8 +176,165 @@ def _parse_chunk(lines: Sequence[str], first: int, dim: int) -> tuple[list[str],
     return _parse_lines(lines, first, dim)
 
 
-# Vector lines parsed per call of numpy's reader.
+# Vector lines parsed per call of numpy's reader, and rows per read of a
+# worker's result.
 _LINES = 512
+# The fewest bytes a range holds, so that a small file is parsed by this
+# process alone: a worker costs a fork, a pipe and a reap (about 5 ms on a
+# tiny file) however little it parses.
+_MIN_RANGE = 1 << 22
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes ``start`` to ``end`` of the open file ``fd``, by ``os.pread``,
+    which neither reads nor moves the file offset forked readers share."""
+
+    def __init__(self, fd: int, start: int, end: int):
+        self._fd, self._pos, self._end = fd, start, end
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = os.pread(self._fd, min(len(buffer), self._end - self._pos), self._pos)
+        buffer[: len(data)] = data
+        self._pos += len(data)
+        return len(data)
+
+
+def _text(fd: int, start: int, end: int | None) -> TextIO:
+    """Bytes ``start`` to ``end`` of the open file ``fd`` read as
+    ``open(path, encoding="utf-8")`` reads them: UTF-8, universal newlines.
+    With ``end`` None, ``fd`` itself from where it stands (a pipe, say)."""
+    if end is None:
+        return open(fd, encoding="utf-8", closefd=False)
+    return io.TextIOWrapper(io.BufferedReader(_ByteRange(fd, start, end)), encoding="utf-8")
+
+
+def _cpus() -> list[int]:
+    """The CPUs this process may run on, one per byte range of the file;
+    none where it cannot fork a worker."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return []
+    return sorted(os.sched_getaffinity(0))
+
+
+def _pin(cpu: int) -> None:
+    """Run this process on ``cpu`` alone. Unpinned, the kernel may keep a
+    forked worker on its parent's CPU, where the two take turns instead of
+    running side by side. Pinning only speeds the load up, so a CPU that
+    cannot be had (gone offline, say) is no error."""
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, {cpu})
+
+
+def _ends(fd: int, size: int, n: int) -> list[int]:
+    """The end offsets of at most ``n`` byte ranges of about equal size that
+    cover the file's ``size`` bytes. Each but the last falls just after a
+    ``b"\\n"``, so no line ending, UTF-8 character or line, the header
+    included, straddles two ranges."""
+
+    def line_end(pos: int) -> int:
+        while pos < size and (block := os.pread(fd, min(1 << 16, size - pos), pos)):
+            i = block.find(b"\n")
+            if i >= 0:
+                return pos + i + 1
+            pos += len(block)
+        return size
+
+    return sorted({size, *(line_end(k * size // n) for k in range(1, n))})
+
+
+def _keep(index: dict[str, int], rows: np.ndarray, tokens: Sequence[str],
+          vectors: np.ndarray, wanted: set[str] | None) -> np.ndarray:
+    """Index the tokens new to ``index`` and in ``wanted`` (None: every
+    token), in order, and put their ``vectors`` in ``rows``: the rows, grown
+    when they are full."""
+    n = len(index)
+    keep = []
+    for i, token in enumerate(tokens):
+        if token not in index and (wanted is None or token in wanted):
+            index[token] = n + len(keep)
+            keep.append(i)
+    if n + len(keep) > len(rows):  # a low header count, or a pipe
+        rows = np.concatenate([rows[:n], np.empty((len(rows) + len(keep), rows.shape[1]))])
+    rows[n : len(index)] = vectors[keep]
+    return rows
+
+
+def _parse_range(fh: TextIO, first: int, dim: int, wanted: set[str] | None,
+                 index: dict[str, int], rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """Parse the vector lines of ``fh``, the first of which is line
+    ``first``, ``_LINES`` at a time into ``index`` and ``rows``: the rows
+    and the number of the last line read."""
+    while lines := list(islice(fh, _LINES)):
+        tokens, vectors = _parse_chunk(lines, first, dim)
+        first += len(lines)
+        rows = _keep(index, rows, tokens, vectors, wanted)
+    return rows, first - 1
+
+
+def _fork(fd: int, start: int, end: int, dim: int, wanted: set[str] | None,
+          cpu: int) -> tuple[int, BinaryIO]:
+    """Fork a worker that parses bytes ``start`` to ``end`` of ``fd`` on
+    ``cpu``, numbering its lines from 1: its pid, and the pipe it sends back
+    either an exception, or its tokens in order of first occurrence and its
+    line count, then their rows."""
+    r, w = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns that forking a threaded process (numpy's BLAS
+            # pool) may deadlock the child. This child only parses text, which
+            # calls no BLAS and takes no lock another thread may hold, and it
+            # leaves by os._exit.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, open(r, "rb")
+    status = 1
+    try:
+        os.close(r)
+        _pin(cpu)
+        most = (end - start) // (2 * dim + 1)
+        rows = np.empty((most if wanted is None else min(most, len(wanted)), dim))
+        index: dict[str, int] = {}
+        with open(w, "wb") as out:
+            try:
+                rows, lines = _parse_range(_text(fd, start, end), 1, dim, wanted, index, rows)
+            except Exception as e:
+                pickle.dump(e, out)
+            else:
+                pickle.dump((list(index), lines), out)
+                out.write(rows[: len(index)].data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _merge(inp: BinaryIO, index: dict[str, int], rows: np.ndarray,
+           offset: int) -> tuple[np.ndarray, int]:
+    """Read a worker's result from ``inp`` into ``index`` and ``rows``,
+    ``_LINES`` rows at a time; its lines follow line ``offset``. The rows
+    and the number of its last line in the file, or the worker's error,
+    renumbered by ``offset``."""
+    result = pickle.load(inp)
+    if isinstance(result, EmbeddingFormatError):
+        raise EmbeddingFormatError(result.reason, result.line + offset)
+    if isinstance(result, BaseException):
+        raise result
+    tokens, lines = result
+    buffer = np.empty((_LINES, rows.shape[1]))
+    for lo in range(0, len(tokens), _LINES):
+        chunk = buffer[: len(tokens) - lo]
+        if inp.readinto(memoryview(chunk).cast("B")) != chunk.nbytes:
+            raise EOFError("a worker's rows ended early")
+        rows = _keep(index, rows, tokens[lo : lo + _LINES], chunk, None)
+    return rows, offset + lines
 
 
 def load_word_vectors(
@@ -183,36 +347,69 @@ def load_word_vectors(
     skipped and ``#`` is an ordinary character. Tokens are lowercased; the
     first occurrence of a token wins. A line whose component count does not
     match the header dimension, or whose components do not parse as finite
-    floats, raises with its 1-based line number.
+    floats, raises ``path: line N: ...``, the first such line of the file.
 
     With ``vocabulary``, the table holds only the rows of its words, in file
     order; every line is still parsed and checked. Lines are read
     ``_LINES`` at a time, so no more than one such chunk is held beside the
     rows kept.
+
+    A regular file is cut into byte ranges, one per allowed CPU and each at
+    least ``_MIN_RANGE`` bytes. This process parses the first, header
+    included; a forked worker pinned to a CPU of its own parses each of the
+    others, and their rows are read back in file order, the first occurrence
+    of a token winning across ranges. No worker outlives the call.
     """
     wanted = None if vocabulary is None else set(vocabulary)
+    try:
+        with open(path, "rb", buffering=0) as raw:
+            return _load(path, raw.fileno(), wanted)
+    except EmbeddingFormatError as e:
+        e.args = (f"{path}: {e}",)  # the type, line and traceback stay
+        raise
+
+
+def _load(path: Path | str, fd: int, wanted: set[str] | None) -> WordVectorTable:
+    st = os.fstat(fd)
+    cpus = _cpus()
+    ends: list[int | None] = [None]  # a pipe is read as it comes, by this process alone
+    if stat.S_ISREG(st.st_mode):
+        ends = _ends(fd, st.st_size, min(len(cpus), st.st_size // _MIN_RANGE))
+    fh = _text(fd, 0, ends[0])
+    count, dim = _read_header(fh)
+    # Sized by the vocabulary, else by the header's count, which is not
+    # checked: a vector line holds at least 2 * dim + 1 characters, so the
+    # file's size bounds the rows too. Rows past those kept are never
+    # written, so their pages are never touched.
+    most = st.st_size // (2 * dim + 1)
+    rows = np.empty((min(most, max(count, 0) if wanted is None else len(wanted)), dim))
     index: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        count, dim = _read_header(fh)
-        # Sized by the vocabulary, else by the header's count, which is not
-        # checked: a vector line holds at least 2 * dim + 1 characters, so the
-        # file's size bounds the rows too. Rows past those kept are never
-        # written, so their pages are never touched.
-        most = os.fstat(fh.fileno()).st_size // (2 * dim + 1)
-        rows = np.empty((min(most, max(count, 0) if wanted is None else len(wanted)), dim))
-        first = 2
-        while lines := list(islice(fh, _LINES)):
-            tokens, vectors = _parse_chunk(lines, first, dim)
-            first += len(lines)
-            n = len(index)
-            keep = []
-            for i, token in enumerate(tokens):
-                if token not in index and (wanted is None or token in wanted):
-                    index[token] = n + len(keep)
-                    keep.append(i)
-            if n + len(keep) > len(rows):  # a low header count, or a pipe
-                rows = np.concatenate([rows[:n], np.empty((len(rows) + len(keep), dim))])
-            rows[n : len(index)] = vectors[keep]
+    mask = os.sched_getaffinity(0) if len(ends) > 1 else None
+    workers: list[tuple[int, BinaryIO, int, int]] = []
+    try:
+        for cpu, start, end in zip(cpus[1:], ends, ends[1:]):
+            workers.append((*_fork(fd, start, end, dim, wanted, cpu), start, end))
+        if workers:
+            _pin(cpus[0])
+        rows, lines = _parse_range(fh, 2, dim, wanted, index, rows)
+        for _, inp, start, end in workers:
+            try:
+                rows, lines = _merge(inp, index, rows, lines)
+            except (EOFError, pickle.UnpicklingError) as e:
+                raise RuntimeError(
+                    f"{path}: the worker parsing bytes {start} to {end} "
+                    "ended without a result"
+                ) from e
+    except BaseException:
+        for pid, *_ in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, inp, *_ in workers:
+            inp.close()
+            os.waitpid(pid, 0)
+        if mask is not None:
+            os.sched_setaffinity(0, mask)
     return WordVectorTable._of(index, rows[: len(index)])
 
 

@@ -1199,13 +1199,56 @@ class TestCorporaVocabulary:
         pairs = TestStageCommands().run_stages(workspace)
         corpora = {"source": workspace / "source.jsonl", "target": workspace / "target.jsonl"}
         corpora[side] = bad
-        with pytest.raises(lha.corpus.CorpusError) as info:
-            invoke("align-sents", "--doc-pairs", str(pairs),
-                   "--source-corpus", str(corpora["source"]),
-                   "--target-corpus", str(corpora["target"]), "--scorer", "overlap",
-                   "--theta-s", "0.1", "--out", str(workspace / "groups.jsonl"))
-        assert str(info.value) == message
+        result = invoke("align-sents", "--doc-pairs", str(pairs),
+                        "--source-corpus", str(corpora["source"]),
+                        "--target-corpus", str(corpora["target"]), "--scorer", "overlap",
+                        "--theta-s", "0.1", "--out", str(workspace / "groups.jsonl"))
+        assert result.exit_code == 2 and message in result.output
         result = invoke("embed", "--corpus", str(bad), "--level", "doc",
                         "--vectors", str(workspace / "vectors.txt"),
                         "--out", str(workspace / "bad.lhae"))
         assert result.exit_code == 2 and message in result.output
+
+
+class TestVectorFileErrors:
+    """A malformed --vectors file is a usage error (exit 2) that names the
+    file and the line, in every command that reads it."""
+
+    @pytest.fixture
+    def bad(self, workspace) -> Path:
+        path = workspace / "bad.vec"
+        path.write_text("3 3\ncat 1 0 0\ndog nan 0 0\nsun 0 0 1\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("command", [
+        ["embed", "--corpus", "SOURCE", "--level", "doc", "--out", "OUT"],
+        ["embed", "--corpus", "SOURCE", "--level", "sent", "--out", "OUT"],
+        ["align-sents", "--doc-pairs", "PAIRS", "--source-corpus", "SOURCE",
+         "--target-corpus", "TARGET", "--theta-s", "0.6", "--out", "OUT"],
+        ["align-sents", "--doc-pairs", "PAIRS", "--source-corpus", "SOURCE",
+         "--target-corpus", "TARGET", "--scorer", "wmd", "--theta-s", "0.6", "--out", "OUT"],
+        ["eval", "sent", "--data-dir", "EVAL"],
+        ["eval", "doc", "--data-dir", "EVAL", "--n-noise", "1"],
+        ["eval", "joint", "--mode", "lha", "--data-dir", "EVAL", "--k-doc", "2",
+         "--theta-d", "0.3", "--n-noise", "1"],
+    ], ids=["embed-doc", "embed-sent", "align-sents", "align-sents-wmd", "eval-sent",
+            "eval-doc", "eval-joint"])
+    def test_usage_error_names_the_file(self, workspace, eval_dir, bad, command) -> None:
+        places = {
+            "SOURCE": workspace / "source.jsonl", "TARGET": workspace / "target.jsonl",
+            "OUT": workspace / "out.bin", "EVAL": eval_dir,
+            "PAIRS": workspace / "doc_pairs.tsv",
+        }
+        if "PAIRS" in command:
+            TestStageCommands().run_stages(workspace)
+        result = invoke(*(str(places.get(a, a)) for a in command), "--vectors", str(bad))
+        assert result.exit_code == 2, result.output
+        assert f"{bad}: line 3: non-finite vector component" in result.output
+        assert not places["OUT"].exists()
+
+    def test_run_names_the_file(self, workspace, bad) -> None:
+        result = invoke("run", "--config", str(workspace / "config.json"),
+                        "--set", f"word_vectors={bad}")
+        assert result.exit_code == 1
+        assert (f"stage 'embed_docs_src' failed: {bad}: line 3: non-finite vector component"
+                in result.output)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 import os
+import signal
 import threading
 
 import numpy as np
@@ -25,6 +28,39 @@ from lha.embeddings import (
 )
 from conftest import doc, write_vectors
 from oracles import embed_avg_oracle, whole_file_loader_oracle, word_vectors_oracle
+
+
+_ALLOWED_CPUS = embeddings._cpus
+_MASK = os.sched_getaffinity(0)
+
+
+def _cut_into(monkeypatch, n: int) -> list[int]:
+    """Make ``load_word_vectors`` cut any file into ``n`` byte ranges (fewer
+    when it has too few lines), as with ``n`` allowed CPUs, and return
+    those CPUs: the runner's own, reused when it has fewer."""
+    real = sorted(os.sched_getaffinity(0))
+    cpus = [real[i % len(real)] for i in range(n)]
+    monkeypatch.setattr(embeddings, "_cpus", lambda: cpus)
+    monkeypatch.setattr(embeddings, "_MIN_RANGE", 1)
+    return cpus
+
+
+@pytest.fixture(autouse=True)
+def ranges(monkeypatch) -> int:
+    """Vector files are read as one range by this process, as on a runner
+    with one CPU; the ``*Split`` classes override this to fork workers."""
+    _cut_into(monkeypatch, 1)
+    return 1
+
+
+class _Split:
+    """Runs a class's tests on files cut into 2 and into 3 byte ranges: this
+    process parses the first, forked workers the others."""
+
+    @pytest.fixture(params=[2, 3], ids=["2cpus", "3cpus"])
+    def ranges(self, request, monkeypatch) -> int:
+        _cut_into(monkeypatch, request.param)
+        return request.param
 
 
 class TestLoadWordVectors:
@@ -77,7 +113,7 @@ class TestLoadWordVectors:
         path.write_text("2 2\n" + body, encoding="utf-8")
         with pytest.raises(EmbeddingFormatError) as info:
             load_word_vectors(path)
-        assert str(info.value) == message
+        assert str(info.value) == f"{path}: {message}"
 
     def test_hash_is_a_token_and_python_floats_parse(self, tmp_path) -> None:
         path = tmp_path / "v.txt"
@@ -144,7 +180,7 @@ def test_load_word_vectors_matches_the_per_line_parser(tmp_path) -> None:
         except EmbeddingFormatError as e:
             with pytest.raises(EmbeddingFormatError) as info:
                 load_word_vectors(path)
-            assert str(info.value) == str(e), path.read_bytes()
+            assert str(info.value) == f"{path}: {e}", path.read_bytes()
             outcomes["error"] += 1
             continue
         table = load_word_vectors(path)
@@ -206,6 +242,9 @@ class TestVocabularyLoad:
     """The loader read a chunk at a time, with or without a vocabulary,
     against the whole-file read that keeps every row."""
 
+    # Seeded and fuzzed files checked.
+    seeded, fuzzed = 40, 150
+
     @pytest.fixture(params=_CHUNKS, ids=["1", "2", "default"])
     def chunk(self, request, monkeypatch) -> int:
         if request.param is not None:
@@ -221,7 +260,7 @@ class TestVocabularyLoad:
             for vocabulary in vocabularies:
                 with pytest.raises(EmbeddingFormatError) as info:
                     load_word_vectors(path, vocabulary)
-                assert str(info.value) == str(e), path.read_bytes()
+                assert str(info.value) == f"{path}: {e}", path.read_bytes()
             return False
         for vocabulary in vocabularies:
             assert_restricted(load_word_vectors(path, vocabulary), whole, vocabulary)
@@ -230,7 +269,7 @@ class TestVocabularyLoad:
     def test_seeded_files(self, tmp_path, chunk) -> None:
         rng = np.random.default_rng(15)
         path = tmp_path / "v.vec"
-        for _ in range(40):
+        for _ in range(self.seeded):
             dim = int(rng.integers(1, 5))
             n = int(rng.integers(0, 5 * chunk + 3))
             path.write_text(f"{n} {dim}\n" + "".join(_vector_body(rng, n, dim)), "utf-8")
@@ -242,10 +281,10 @@ class TestVocabularyLoad:
         rng = np.random.default_rng(16)
         path = tmp_path / "v.vec"
         tables = 0
-        for _ in range(150):
+        for _ in range(self.fuzzed):
             path.write_bytes(_fuzzed_vector_file(rng).encode("utf-8"))
             tables += self.check(path, _vocabularies(rng, path))
-        assert min(tables, 150 - tables) > 20, tables
+        assert min(tables, self.fuzzed - tables) > self.fuzzed * 2 // 15, tables
 
     @pytest.mark.parametrize("first, second", [("Word", "word"), ("word", "WORD")])
     def test_first_case_variant_wins_across_a_boundary(
@@ -310,8 +349,175 @@ class TestVocabularyLoad:
         for vocab in (vocabulary, None, set()):
             with pytest.raises(EmbeddingFormatError) as info:
                 load_word_vectors(path, vocab)
-            assert str(info.value) == f"line {at + 2}: {message}"
+            assert str(info.value) == f"{path}: line {at + 2}: {message}"
         self.check(path, [vocabulary])
+
+
+class TestLoadWordVectorsSplit(_Split, TestLoadWordVectors):
+    pass
+
+
+def _numbered_lines(n: int) -> list[str]:
+    """``n`` vector lines of one length, so that putting another line of that
+    length in place of one moves no cut of the file."""
+    return [f"w{i:03d} {i % 10}.5 0\n" for i in range(n)]
+
+
+def _line_ranges(path, n: int) -> list[int]:
+    """The byte range of each line of ``path`` (``\\n`` endings only), the
+    header first, when the file is cut into ``n`` ranges."""
+    data = path.read_bytes()
+    with open(path, "rb") as fh:
+        ends = embeddings._ends(fh.fileno(), len(data), n)
+    starts = [0, *(i + 1 for i in range(len(data) - 1) if data[i] == ord("\n"))]
+    return [bisect.bisect_right(ends, start) for start in starts]
+
+
+class TestVocabularyLoadSplit(_Split, TestVocabularyLoad):
+    """``TestVocabularyLoad`` on files cut into byte ranges, and what only a
+    cut can show. Every worker forks, so fewer files are checked, and two
+    lines a chunk, so that the rows of a worker are read back in pieces."""
+
+    seeded, fuzzed = 20, 60
+
+    @pytest.fixture
+    def chunk(self, monkeypatch) -> int:
+        monkeypatch.setattr(embeddings, "_LINES", 2)
+        return 2
+
+    def write_with(self, path, ranges: int, lines: dict[int, str]) -> list[int]:
+        """Write 60 numbered lines with ``lines[r]`` put in the middle of
+        range ``r`` (-1: the last); the line numbers of the lines put in."""
+        body = _numbered_lines(60)
+        path.write_text(f"{len(body)} 2\n" + "".join(body), encoding="utf-8")
+        of = _line_ranges(path, ranges)
+        assert sorted(set(of)) == list(range(ranges))
+        put = []
+        for r, line in lines.items():
+            at = [i for i, o in enumerate(of) if o == r % ranges]
+            put.append(at[len(at) // 2])
+            body[put[-1] - 1] = line
+        path.write_text(f"{len(body)} 2\n" + "".join(body), encoding="utf-8")
+        assert _line_ranges(path, ranges) == of
+        return [i + 1 for i in put]
+
+    @pytest.mark.parametrize("variants", [("Word", "word", "WORD"), ("WORD", "Word", "word")])
+    def test_first_case_variant_wins_across_ranges(
+        self, tmp_path, chunk, ranges, variants
+    ) -> None:
+        path = tmp_path / "v.vec"
+        lines = {r: f"{variants[r]} {r + 1}.0 0\n" for r in range(ranges)}
+        self.write_with(path, ranges, lines)
+        table = load_word_vectors(path, {"word", "w000"})
+        assert table.get("word").tolist() == [1.0, 0.0]
+        self.check(path, [None, set(), {"word"}, {"word", "w059"}, {"WORD"}])
+
+    @pytest.mark.parametrize("bad, message", [
+        ("nan 0", "non-finite vector component"),
+        ("x.5 0", "unparsable vector component"),
+        ("1 2 3", "expected 2 components, got 3"),
+    ])
+    @pytest.mark.parametrize("where", [(0,), (-1,), (0, -1), (1, -1)],
+                             ids=["first", "last", "first+last", "second+last"])
+    def test_earliest_bad_line_wins(self, tmp_path, chunk, ranges, bad, message, where) -> None:
+        path = tmp_path / "v.vec"
+        at = self.write_with(path, ranges, {r: f"bad0 {bad}\n" for r in where})
+        for vocabulary in (None, set(), {"w001", "bad0"}):
+            with pytest.raises(EmbeddingFormatError) as info:
+                load_word_vectors(path, vocabulary)
+            assert str(info.value) == f"{path}: line {min(at)}: {message}"
+        self.check(path, [{"w001"}])
+
+
+class TestWorkers:
+    """No worker outlives a load and this process's CPU mask is restored,
+    whether the load succeeds, fails, is interrupted or loses a worker."""
+
+    @pytest.fixture(autouse=True)
+    def ranges(self, monkeypatch) -> list[int]:
+        return _cut_into(monkeypatch, 3)
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        body = _numbered_lines(60)
+        path = tmp_path / "v.vec"
+        path.write_text(f"{len(body)} 2\n" + "".join(body), encoding="utf-8")
+        return path
+
+    @contextlib.contextmanager
+    def leaves_no_trace(self):
+        """Fail a load that takes more than 30 s; then check that no child
+        is left and the CPU mask is what it was before any test loaded."""
+        def hung(signum, frame):
+            raise TimeoutError("the load hung")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert os.sched_getaffinity(0) == _MASK
+
+    def test_good_load(self, path, ranges, monkeypatch) -> None:
+        pinned = []
+        merge = embeddings._merge
+
+        def merging(*args):
+            pinned.append(os.sched_getaffinity(0))
+            return merge(*args)
+
+        monkeypatch.setattr(embeddings, "_merge", merging)
+        with self.leaves_no_trace():
+            table = load_word_vectors(path)
+        assert list(table._index) == [f"w{i:03d}" for i in range(60)]
+        assert pinned == [{ranges[0]}] * 2
+
+    @pytest.mark.parametrize("line", [3, 60])  # in the first range, in the last
+    def test_failing_load(self, path, line) -> None:
+        body = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        body[line - 1] = "bad0 nan 0\n"
+        path.write_text("".join(body), encoding="utf-8")
+        with self.leaves_no_trace(), pytest.raises(EmbeddingFormatError) as info:
+            load_word_vectors(path)
+        assert str(info.value) == f"{path}: line {line}: non-finite vector component"
+
+    def test_interrupted_load(self, path, monkeypatch) -> None:
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(embeddings, "_merge", interrupted)
+        with self.leaves_no_trace(), pytest.raises(KeyboardInterrupt):
+            load_word_vectors(path)
+
+    def test_killed_worker(self, path, monkeypatch) -> None:
+        parent, parse = os.getpid(), embeddings._parse_range
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return parse(*args)
+
+        monkeypatch.setattr(embeddings, "_parse_range", dying)
+        with self.leaves_no_trace(), pytest.raises(RuntimeError) as info:
+            load_word_vectors(path)
+        assert str(info.value).startswith(f"{path}: the worker parsing bytes ")
+
+    @pytest.mark.parametrize("case", ["one cpu", "small file", "no fork"])
+    def test_one_range_forks_nothing(self, path, monkeypatch, case) -> None:
+        monkeypatch.setattr(embeddings, "_fork", None)  # calling it would raise
+        if case == "one cpu":
+            _cut_into(monkeypatch, 1)
+        elif case == "small file":
+            monkeypatch.setattr(embeddings, "_MIN_RANGE", path.stat().st_size // 2 + 1)
+        else:
+            monkeypatch.setattr(embeddings, "_cpus", _ALLOWED_CPUS)
+            monkeypatch.delattr(os, "fork")
+        with self.leaves_no_trace():
+            assert len(load_word_vectors(path)) == 60
 
 
 class TestEmbedAvg:
