@@ -11,10 +11,8 @@ from . import __version__
 from .corpus import CorpusError, corpus_index, load_abbreviations, load_corpus, load_stopwords
 from .doc_align import read_doc_pairs
 from .embeddings import (
-    AvgEmbedder,
     EmbeddingFormatError,
     EmbeddingLookupError,
-    PrecomputedEmbedder,
     check_sentence_rows,
     embed_corpus,
     load_embeddings,
@@ -30,9 +28,9 @@ from .evaluate import (
     noise_pools,
     sample_docs,
 )
-from .metrics import make_scorer
+from .metrics import SCORERS, TABLE_SCORERS, make_scorer
 from .pipeline import PipelineConfig, PipelineStageError, align_doc_files, run_pipeline
-from .pipeline import _TABLE_SCORERS, validate_config, value_findings
+from .pipeline import validate_config, value_findings
 from .sent_align import (
     FilterPolicy,
     align_sentences,
@@ -57,19 +55,29 @@ def main(quiet: bool) -> None:
     )
 
 
+def _load_matrix(path: str):
+    """The embedding file ``path``; a malformed file is a usage error naming
+    the file."""
+    try:
+        return load_embeddings(path)
+    except EmbeddingFormatError as e:
+        raise click.UsageError(str(e)) from e
+
+
 def _parse_strategy(strategy: str, vectors: str | None):
     """Resolve --strategy avg|precomputed:<path> into a function from the
-    parsed documents to their embedder."""
+    parsed documents to the word-vector table or the matrix they are
+    embedded from."""
     if strategy == "avg":
         if not vectors:
             raise click.UsageError("--strategy avg requires --vectors")
-        return lambda docs: AvgEmbedder(_vector_table(vectors, True, docs))
+        return lambda docs: _vector_table(vectors, True, docs)
     if strategy.startswith("precomputed:"):
         path = strategy.split(":", 1)[1]
         if not path:
             raise click.UsageError("--strategy precomputed:<path> needs a path")
-        embedder = PrecomputedEmbedder(load_embeddings(path))
-        return lambda docs: embedder
+        matrix = _load_matrix(path)
+        return lambda docs: matrix
     raise click.UsageError(f"unknown strategy {strategy!r}; use avg or precomputed:<path>")
 
 
@@ -81,25 +89,22 @@ def _parse_strategy(strategy: str, vectors: str | None):
 @click.option("--vectors", type=click.Path(exists=True, dir_okay=False),
               help="Word-vector file for the avg strategy.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--dataset-tag", default="", help="Tag stored on loaded documents.")
 @click.option("--stopwords", type=click.Path(exists=True, dir_okay=False))
 @click.option("--abbreviations", type=click.Path(exists=True, dir_okay=False))
-def embed(corpus, level, strategy, vectors, out, dataset_tag, stopwords,
-          abbreviations) -> None:
+def embed(corpus, level, strategy, vectors, out, stopwords, abbreviations) -> None:
     """Embed a corpus at document or sentence level into a binary file."""
-    embedder_for = _parse_strategy(strategy, vectors)
+    source_for = _parse_strategy(strategy, vectors)
     try:
         docs = list(load_corpus(
             corpus,
-            dataset_tag,
             stopwords=load_stopwords(stopwords),
             abbreviations=load_abbreviations(abbreviations),
         ))
     except ValueError as e:
         raise click.UsageError(str(e)) from e
-    embedder = embedder_for(docs)
+    source = source_for(docs)
     try:
-        matrix = embed_corpus(docs, "document" if level == "doc" else "sentence", embedder)
+        matrix = embed_corpus(docs, "document" if level == "doc" else "sentence", source)
     except (ValueError, EmbeddingLookupError) as e:
         raise click.UsageError(str(e)) from e
     save_embeddings(matrix, out)
@@ -160,7 +165,7 @@ def _scorer(kind: str, **inputs):
 @click.option("--source-corpus", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--target-corpus", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--scorer", default="cosine", show_default=True,
-              type=click.Choice(["cosine", "overlap", "bm25", "wmd", "rwmd"]))
+              type=click.Choice(SCORERS))
 @click.option("--vectors", type=click.Path(exists=True, dir_okay=False))
 @click.option("--source-sent-embeddings", type=click.Path(exists=True, dir_okay=False))
 @click.option("--target-sent-embeddings", type=click.Path(exists=True, dir_okay=False))
@@ -200,8 +205,11 @@ def align_sents(doc_pairs, source_corpus, target_corpus, scorer, vectors,
             target_corpus, "tgt", stopwords=stops, abbreviations=abbrevs, memo=tokens))
     except CorpusError as e:
         raise click.UsageError(str(e)) from e
-    pairs = read_doc_pairs(doc_pairs)
-    table = _vector_table(vectors, scorer in _TABLE_SCORERS
+    try:
+        pairs = read_doc_pairs(doc_pairs)
+    except ValueError as e:
+        raise click.UsageError(str(e)) from e
+    table = _vector_table(vectors, scorer in TABLE_SCORERS
                           or (scorer == "cosine" and not source_sent_embeddings),
                           src_docs.values(), tgt_docs.values())
     sentence_matrices = {}
@@ -210,7 +218,7 @@ def align_sents(doc_pairs, source_corpus, target_corpus, scorer, vectors,
         ("target", target_sent_embeddings, tgt_docs),
     ):
         if path:
-            matrix = load_embeddings(path)
+            matrix = _load_matrix(path)
             uids = [s.uid for d in docs.values() for s in d.sentences]
             try:
                 check_sentence_rows(matrix, docs, set(uids))
@@ -220,7 +228,7 @@ def align_sents(doc_pairs, source_corpus, target_corpus, scorer, vectors,
                 raise click.UsageError(f"{path}: {e}") from e
         elif scorer == "cosine" and table is not None:
             # The unit rows `lha embed --level sent` writes and `lha run` scores.
-            matrix = embed_corpus(docs.values(), "sentence", AvgEmbedder(table))
+            matrix = embed_corpus(docs.values(), "sentence", table)
         else:
             continue
         sentence_matrices[side] = matrix
@@ -279,16 +287,14 @@ def _shared_matrix(flag, path, src_docs, tgt_docs, level):
             f"{flag} holds one matrix for both sides, but a source and a target "
             f"{level} share the unit id {shared!r}"
         )
-    return load_embeddings(path)
+    return _load_matrix(path)
 
 
 def _doc_embedder(path, table, src_docs, tgt_docs):
-    """The --doc-embeddings matrix, or else the --vectors table, as a document
-    embedder; None when neither is given."""
+    """The --doc-embeddings matrix, or else the --vectors table, to embed
+    documents from; None when neither is given."""
     matrix = _shared_matrix("--doc-embeddings", path, src_docs, tgt_docs, "document")
-    if matrix is not None:
-        return PrecomputedEmbedder(matrix)
-    return AvgEmbedder(table) if table is not None else None
+    return table if matrix is None else matrix
 
 
 def _sentence_matrices(path, table, src_docs, tgt_docs) -> dict:
@@ -302,7 +308,7 @@ def _sentence_matrices(path, table, src_docs, tgt_docs) -> dict:
     if table is None:
         return {}
     return {
-        side: embed_corpus(docs, "sentence", AvgEmbedder(table))
+        side: embed_corpus(docs, "sentence", table)
         for side, docs in (("source", src_docs), ("target", tgt_docs))
     }
 
@@ -345,7 +351,7 @@ def _check_noise(dataset, n_noise: int) -> None:
 @eval_group.command("sent")
 @click.option("--data-dir", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--scorer", default="cosine", show_default=True,
-              type=click.Choice(["cosine", "overlap", "bm25", "wmd", "rwmd"]))
+              type=click.Choice(SCORERS))
 @click.option("--vectors", type=click.Path(exists=True, dir_okay=False))
 @click.option("--sent-embeddings", type=click.Path(exists=True, dir_okay=False),
               help="Precomputed sentence embeddings covering both sides; "
@@ -358,7 +364,7 @@ def eval_sent(data_dir, scorer, vectors, sent_embeddings, bm25_k1, bm25_b,
               positive_labels, include_timing) -> None:
     """Sentence retrieval inside the gold article pairs."""
     dataset = load_eval_dataset(data_dir)
-    table = _vector_table(vectors, scorer in _TABLE_SCORERS
+    table = _vector_table(vectors, scorer in TABLE_SCORERS
                           or (scorer == "cosine" and not sent_embeddings), *_all_docs(dataset))
     sentence_matrices = {}
     if scorer == "cosine":

@@ -34,8 +34,6 @@ __all__ = [
     "save_embeddings",
     "load_embeddings",
     "embed_avg",
-    "AvgEmbedder",
-    "PrecomputedEmbedder",
     "check_sentence_rows",
     "embed_corpus",
 ]
@@ -70,14 +68,6 @@ class WordVectorTable:
         self.dim = dim
         self._rows = np.array(list(vectors.values()), dtype=np.float64).reshape(-1, dim)
         self._index = {token: i for i, token in enumerate(vectors)}
-
-    @classmethod
-    def from_rows(cls, tokens: Sequence[str], rows: np.ndarray) -> "WordVectorTable":
-        """``rows[i]`` is the vector of ``tokens[i]``; a token's first row wins."""
-        index: dict[str, int] = {}
-        for i, token in enumerate(tokens):
-            index.setdefault(token, i)
-        return cls._of(index, rows)
 
     @classmethod
     def _of(cls, index: dict[str, int], rows: np.ndarray) -> "WordVectorTable":
@@ -498,31 +488,38 @@ def load_embeddings(path: Path | str) -> EmbeddingMatrix:
     Layout, all little-endian: magic ``LHAE``, u16 version, u8 flags (bit 0 =
     unit-normalized), u64 count, u32 dim, then ``count`` ids (u32 byte length
     + UTF-8 bytes), then ``count * dim`` float32 row values. A row holding a
-    NaN or an infinity is rejected.
+    NaN or an infinity is rejected. A malformed file raises ``path: ...``.
     """
-    with open(path, "rb") as fh:
-        header = _read_exact(fh, _HEADER.size, "header")
-        magic, version, flags, count, dim = _HEADER.unpack(header)
-        if magic != _MAGIC:
+    try:
+        with open(path, "rb") as fh:
+            header = _read_exact(fh, _HEADER.size, "header")
+            magic, version, flags, count, dim = _HEADER.unpack(header)
+            if magic != _MAGIC:
+                raise EmbeddingFormatError(
+                    f"bad magic {magic!r}, expected {_MAGIC!r}"
+                )
+            if version != _VERSION:
+                raise EmbeddingFormatError(f"unsupported version {version}")
+            unit_ids = []
+            for i in range(count):
+                (id_len,) = _ID_LEN.unpack(_read_exact(fh, _ID_LEN.size, f"id {i} length"))
+                try:
+                    unit_ids.append(_read_exact(fh, id_len, f"id {i}").decode("utf-8"))
+                except UnicodeDecodeError as e:
+                    raise EmbeddingFormatError(f"id {i} is not UTF-8") from e
+            row_bytes = _read_exact(fh, count * dim * 4, "rows")
+            trailing = fh.read(1)
+            if trailing:
+                raise EmbeddingFormatError("trailing bytes after rows")
+        rows = np.frombuffer(row_bytes, dtype="<f4").reshape(count, dim)
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if bad.size:
             raise EmbeddingFormatError(
-                f"bad magic {magic!r}, expected {_MAGIC!r}"
+                f"non-finite value in the row of unit id {unit_ids[bad[0]]!r}"
             )
-        if version != _VERSION:
-            raise EmbeddingFormatError(f"unsupported version {version}")
-        unit_ids = []
-        for i in range(count):
-            (id_len,) = _ID_LEN.unpack(_read_exact(fh, _ID_LEN.size, f"id {i} length"))
-            unit_ids.append(_read_exact(fh, id_len, f"id {i}").decode("utf-8"))
-        row_bytes = _read_exact(fh, count * dim * 4, "rows")
-        trailing = fh.read(1)
-        if trailing:
-            raise EmbeddingFormatError("trailing bytes after rows")
-    rows = np.frombuffer(row_bytes, dtype="<f4").reshape(count, dim)
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-    if bad.size:
-        raise EmbeddingFormatError(
-            f"non-finite value in the row of unit id {unit_ids[bad[0]]!r}"
-        )
+    except EmbeddingFormatError as e:
+        e.args = (f"{path}: {e}",)  # the type and traceback stay
+        raise
     return EmbeddingMatrix(
         unit_ids, rows.copy(), unit_normalized=bool(flags & _FLAG_UNIT_NORMALIZED)
     )
@@ -580,28 +577,6 @@ def embed_avg(
     return _avg_rows([tokens], table)[0]
 
 
-class AvgEmbedder:
-    """Embeds a unit as the average of its word vectors."""
-
-    def __init__(self, table: WordVectorTable):
-        self.table = table
-
-    @property
-    def dim(self) -> int:
-        return self.table.dim
-
-
-class PrecomputedEmbedder:
-    """Looks units up in an existing matrix keyed by unit id."""
-
-    def __init__(self, matrix: EmbeddingMatrix):
-        self.matrix = matrix
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.dim
-
-
 def check_sentence_rows(
     matrix: EmbeddingMatrix, doc_ids: Collection[str], sentence_ids: Collection[str]
 ) -> None:
@@ -620,12 +595,14 @@ def check_sentence_rows(
 def embed_corpus(
     docs: Iterable[Document],
     level: str,
-    embedder: AvgEmbedder | PrecomputedEmbedder,
+    source: WordVectorTable | EmbeddingMatrix,
 ) -> EmbeddingMatrix:
     """Embed every unit of a corpus into one L2-normalized matrix (zero rows
     stay zero), in corpus order.
 
-    ``level`` is ``"document"`` or ``"sentence"``. Precomputed sentence
+    ``level`` is ``"document"`` or ``"sentence"``. With a word-vector table
+    as ``source``, a unit's row is the average of its word vectors; with a
+    precomputed matrix, the matrix's row of its unit id. Precomputed sentence
     embeddings must match the corpus split (see ``check_sentence_rows``).
     """
     if level not in ("document", "sentence"):
@@ -637,16 +614,15 @@ def embed_corpus(
     else:
         unit_ids = [s.uid for doc in docs for s in doc.sentences]
         units = (s.tokens for doc in docs for s in doc.sentences)
-    if isinstance(embedder, PrecomputedEmbedder):
-        matrix = embedder.matrix
-        rows = matrix.rows[[matrix.row_index(uid) for uid in unit_ids]]
+    if isinstance(source, EmbeddingMatrix):
+        rows = source.rows[[source.row_index(uid) for uid in unit_ids]]
         if level == "sentence":
-            check_sentence_rows(matrix, {doc.doc_id for doc in docs}, set(unit_ids))
+            check_sentence_rows(source, {doc.doc_id for doc in docs}, set(unit_ids))
     else:
         # Averaged a chunk at a time into float32, so no float64 copy of the
         # whole corpus is ever held.
-        rows = np.empty((len(unit_ids), embedder.dim), dtype=np.float32)
+        rows = np.empty((len(unit_ids), source.dim), dtype=np.float32)
         for lo in range(0, len(unit_ids), _CHUNK):
             chunk = list(islice(units, _CHUNK))
-            rows[lo : lo + len(chunk)] = _avg_rows(chunk, embedder.table)
+            rows[lo : lo + len(chunk)] = _avg_rows(chunk, source)
     return EmbeddingMatrix(unit_ids, rows).normalized()

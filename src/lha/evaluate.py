@@ -23,7 +23,7 @@ import numpy as np
 from .ann_index import build_index, id_ranks, top_k
 from .corpus import Document, Sentence, load_corpus
 from .doc_align import align_documents
-from .embeddings import AvgEmbedder, PrecomputedEmbedder, embed_corpus
+from .embeddings import EmbeddingMatrix, WordVectorTable, embed_corpus
 from .metrics import CosineScorer, Scorer
 from .sent_align import sentence_sim_matrix
 
@@ -450,7 +450,7 @@ def sample_docs(
 def _doc_sim_matrix(
     src_list: Sequence[Document],
     tgt_list: Sequence[Document],
-    embedder: AvgEmbedder | PrecomputedEmbedder | None,
+    embedder: WordVectorTable | EmbeddingMatrix | None,
     scorer: Scorer | None,
 ) -> np.ndarray:
     if (embedder is None) == (scorer is None):
@@ -471,15 +471,16 @@ def _doc_sim_matrix(
 
 def eval_document_alignment(
     dataset: EvalDataset,
-    embedder: AvgEmbedder | PrecomputedEmbedder | None = None,
+    embedder: WordVectorTable | EmbeddingMatrix | None = None,
     scorer: Scorer | None = None,
     n_noise: int = 1000,
     seed: int = 0,
 ) -> EvalReport:
     """The document-identification protocol: mix the gold articles with noise
     articles on both sides, score every cross pair, sweep against the gold
-    article pairs. Scoring uses either document embeddings (cosine) or a
-    non-cosine scorer over whole documents.
+    article pairs. Scoring uses either the cosine of document embeddings,
+    from ``embedder`` (a word-vector table to average, or a precomputed
+    matrix), or a non-cosine scorer over whole documents.
     """
     start = time.perf_counter()
     src_list, tgt_list = sample_docs(dataset, n_noise, seed)
@@ -529,7 +530,7 @@ def eval_joint(
     mode: str,
     dataset: EvalDataset,
     sent_scorer: Scorer,
-    doc_embedder: AvgEmbedder | PrecomputedEmbedder | None = None,
+    doc_embedder: WordVectorTable | EmbeddingMatrix | None = None,
     k_doc: int = 5,
     theta_d: float = 0.5,
     n_noise: int = 1000,
@@ -541,8 +542,10 @@ def eval_joint(
 ) -> EvalReport:
     """Compare hierarchical retrieval against flat dataset-wide retrieval.
 
-    mode "lha": document alignment narrows the corpus to surviving DocPairs,
-    all sentence pairs inside them are scored. mode "global": every source
+    mode "lha": document alignment, on documents embedded from
+    ``doc_embedder`` (a word-vector table or a precomputed matrix), narrows
+    the corpus to surviving DocPairs, all sentence pairs inside them are
+    scored. mode "global": every source
     sentence retrieves its nearest target sentences across the entire
     dataset, ignoring documents. Optionally the top candidates per source
     sentence are re-scored with ``rescorer`` (the exact-transport

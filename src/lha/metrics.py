@@ -38,6 +38,8 @@ __all__ = [
     "Bm25Scorer",
     "WmdScorer",
     "RwmdScorer",
+    "SCORERS",
+    "TABLE_SCORERS",
     "make_scorer",
 ]
 
@@ -292,10 +294,8 @@ def rwmd(
     return _cell(x, y, table)[3]
 
 
-def to_similarity(distance: float, scheme: str = "inverse") -> float:
-    """Map a non-negative distance to a similarity in (0, 1]."""
-    if scheme != "inverse":
-        raise ValueError(f"unknown similarity scheme {scheme!r}")
+def to_similarity(distance: float) -> float:
+    """Map a non-negative distance to a similarity in (0, 1]: 1 / (1 + d)."""
     if distance < 0:
         raise ValueError(f"negative distance {distance}")
     return 1.0 / (1.0 + distance)
@@ -450,6 +450,12 @@ class RwmdScorer(_TransportScorer):
         return bound
 
 
+# The kinds ``make_scorer`` builds, and those of them that read the
+# word-vector table.
+SCORERS = ("cosine", "overlap", "bm25", "wmd", "rwmd")
+TABLE_SCORERS = ("wmd", "rwmd")
+
+
 def make_scorer(
     kind: str,
     source: EmbeddingMatrix | None = None,
@@ -484,7 +490,7 @@ def make_scorer(
         if stats is None:
             raise ValueError("bm25 scorer needs collection statistics")
         return Bm25Scorer(stats)
-    if kind in ("wmd", "rwmd"):
+    if kind in TABLE_SCORERS:
         if table is None:
             raise ValueError(f"{kind} scorer needs a word-vector table")
         return WmdScorer(table, floor) if kind == "wmd" else RwmdScorer(table)

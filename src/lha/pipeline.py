@@ -38,15 +38,13 @@ from .corpus import (
 from .corpus import tokenize  # noqa: F401
 from .doc_align import align_documents, read_doc_pairs, write_doc_pairs
 from .embeddings import (
-    AvgEmbedder,
-    PrecomputedEmbedder,
     WordVectorTable,
     embed_corpus,
     load_embeddings,
     load_word_vectors,
     save_embeddings,
 )
-from .metrics import WmdScorer, make_scorer
+from .metrics import SCORERS, TABLE_SCORERS, WmdScorer, make_scorer
 from .sent_align import (
     FilterPolicy,
     align_sentences,
@@ -68,10 +66,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-_SCORERS = ("cosine", "overlap", "bm25", "wmd", "rwmd")
-# The scorers that read the word-vector table.
-_TABLE_SCORERS = ("wmd", "rwmd")
 
 
 class PipelineStageError(RuntimeError):
@@ -236,10 +230,10 @@ def validate_config(config: PipelineConfig) -> list[tuple[str, str]]:
     warn = lambda m: findings.append(("warning", m))
 
     keys = ["k_doc", "k_sent", "theta_d", "min_overlap", "max_len_ratio"]
-    if config.scorer in _SCORERS:
+    if config.scorer in SCORERS:
         keys.append("theta_s")
     else:
-        err(f"scorer must be one of {_SCORERS}, got {config.scorer!r}")
+        err(f"scorer must be one of {SCORERS}, got {config.scorer!r}")
     findings += value_findings({k: (k, getattr(config, k)) for k in keys}, config.scorer)
     if config.filter_stage not in ("group", "pair"):
         err(f"filter_stage must be 'group' or 'pair', got {config.filter_stage!r}")
@@ -252,7 +246,7 @@ def validate_config(config: PipelineConfig) -> list[tuple[str, str]]:
     needs_vectors = (
         not _precomputed(config, "doc")
         or (config.scorer == "cosine" and not _precomputed(config, "sent"))
-        or config.scorer in _TABLE_SCORERS
+        or config.scorer in TABLE_SCORERS
     )
     if needs_vectors and not config.word_vectors:
         err("word_vectors is required by the chosen embeddings/scorer")
@@ -476,24 +470,24 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
         )
         if strategy == "avg":
             embedding_source = vectors
-            make_embedder = lambda: AvgEmbedder(table())
+            source = table
         else:
             embedding_source = Path(pre_path)
-            make_embedder = lambda: PrecomputedEmbedder(load_embeddings(pre_path))
+            source = lambda: load_embeddings(pre_path)
         return _Stage(
             f"embed_{unit}s_{side}",
             inputs={"corpus": corpus, "embedding_source": embedding_source, **text_params},
             params={"level": level, "strategy": strategy},
             outputs=[out_path],
             compute=lambda: save_embeddings(
-                embed_corpus(docs(side).values(), level, make_embedder()), out_path
+                embed_corpus(docs(side).values(), level, source()), out_path
             ),
         )
 
     use_sent_embeddings = config.scorer == "cosine"
 
     def compute_alignment() -> None:
-        if config.scorer not in _TABLE_SCORERS:
+        if config.scorer not in TABLE_SCORERS:
             table.cache_clear()  # the embed stages' table is not read again
         src_docs = docs("src")
         tgt_docs = docs("tgt")
@@ -502,7 +496,7 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
             inputs = {
                 side: load_embeddings(paths[f"sents_{side}"]) for side in ("source", "target")
             }
-        elif config.scorer in _TABLE_SCORERS:
+        elif config.scorer in TABLE_SCORERS:
             inputs = {"table": table()}
         scorer = make_scorer(
             config.scorer,
@@ -578,7 +572,7 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
     if use_sent_embeddings:
         align_inputs["sents_source"] = paths["sents_source"]
         align_inputs["sents_target"] = paths["sents_target"]
-    elif config.scorer in _TABLE_SCORERS:
+    elif config.scorer in TABLE_SCORERS:
         align_inputs["vectors"] = vectors
 
     stages = [

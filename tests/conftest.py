@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from lha.corpus import Document, Sentence, content_tokens, tokenize
-from lha.embeddings import AvgEmbedder, WordVectorTable, embed_corpus
+from lha.embeddings import WordVectorTable, embed_corpus
 from lha.metrics import (
     Bm25Scorer,
     CosineScorer,
@@ -62,7 +62,7 @@ def cosine_scorer(
     def rows(units: Iterable[Document | Sentence]):
         docs = [u if isinstance(u, Document) else Document(u.doc_id, "", (u,))
                 for u in units]
-        return embed_corpus(docs, "sentence", AvgEmbedder(table))
+        return embed_corpus(docs, "sentence", table)
 
     source_rows = rows(source)
     return CosineScorer(source_rows, source_rows if target is None else rows(target))

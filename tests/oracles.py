@@ -250,11 +250,20 @@ def word_vectors_oracle(path) -> tuple[int, dict[str, np.ndarray]]:
     return dim, vectors
 
 
+def _first_row_wins(dim: int, tokens, rows: np.ndarray) -> WordVectorTable:
+    """The table holding ``rows[i]`` for ``tokens[i]``; a token's first row wins."""
+    vectors: dict[str, np.ndarray] = {}
+    for token, row in zip(tokens, rows):
+        vectors.setdefault(token, row)
+    return WordVectorTable(dim, vectors)
+
+
 def whole_file_loader_oracle(path) -> WordVectorTable:
-    """A word-vector file read whole, every row kept: numpy's C reader over
+    """A word-vector file read whole, every token kept: numpy's C reader over
     the entire body, or, when it refuses any line, the per-line rules over
     the entire body. The loader before it read a chunk at a time and kept
-    only a vocabulary's rows; each table row is the file's row of its line.
+    only a vocabulary's rows; each table row is the file's row of its
+    token's first line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -280,7 +289,7 @@ def whole_file_loader_oracle(path) -> WordVectorTable:
         except ValueError:
             rows = None
         if rows is not None and rows.shape[1] == dim + 1 and np.isfinite(rows).all():
-            return WordVectorTable.from_rows(tokens, rows[:, 1:])
+            return _first_row_wins(dim, tokens, rows[:, 1:])
         fh.seek(0)
         fh.readline()
         tokens = []
@@ -303,7 +312,7 @@ def whole_file_loader_oracle(path) -> WordVectorTable:
                 raise EmbeddingFormatError(f"line {line_no}: non-finite vector component")
             tokens.append(fields[0].lower())
             vectors.append(vec)
-    return WordVectorTable.from_rows(tokens, np.array(vectors).reshape(-1, dim))
+    return _first_row_wins(dim, tokens, vectors)
 
 
 def extract_nn_pairs_oracle(

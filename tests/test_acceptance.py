@@ -20,7 +20,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from lha.ann_index import build_index
-from lha.embeddings import AvgEmbedder, EmbeddingMatrix, WordVectorTable, load_word_vectors
+from lha.embeddings import EmbeddingMatrix, WordVectorTable, load_word_vectors
 from lha.evaluate import eval_document_alignment, eval_joint, eval_sentence_alignment, f1max_sweep, load_eval_dataset
 from lha.cli import _all_docs, _sentence_matrices
 from lha.metrics import make_scorer, rwmd, wmd
@@ -225,7 +225,7 @@ def test_05_reference_scores_on_annotated_data() -> None:
     )
 
     docs = eval_document_alignment(
-        dataset, embedder=AvgEmbedder(table), n_noise=1000, seed=0
+        dataset, embedder=table, n_noise=1000, seed=0
     )
     assert docs.f1_max == pytest.approx(0.66, abs=0.04), (
         f"document F1max {docs.f1_max:.4f} outside 0.66 +/- 0.04 (noise seed 0)"
@@ -243,11 +243,10 @@ def test_06_hierarchical_beats_flat_retrieval() -> None:
     dataset = load_eval_dataset(os.environ["LHA_EVAL_DATA"])
     table = load_word_vectors(os.environ["LHA_WORD_VECTORS"])
     # The scorers `lha eval joint --vectors` builds.
-    embedder = AvgEmbedder(table)
     sent_scorer = make_scorer("cosine", **_sentence_matrices(None, table, *_all_docs(dataset)))
     rescorer = make_scorer("wmd", table=table)
     hierarchical = eval_joint(
-        "lha", dataset, sent_scorer, doc_embedder=embedder,
+        "lha", dataset, sent_scorer, doc_embedder=table,
         n_noise=1000, seed=0, rescorer=rescorer,
     )
     flat = eval_joint(

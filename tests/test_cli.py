@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 from pathlib import Path
@@ -16,18 +17,18 @@ from lha.cli import _sentence_matrices, main
 from lha.corpus import corpus_index, load_corpus
 from lha.doc_align import read_doc_pairs
 from lha.embeddings import (
-    AvgEmbedder,
     EmbeddingMatrix,
+    WordVectorTable,
     embed_corpus,
     load_embeddings,
     load_word_vectors,
     save_embeddings,
 )
 from lha.evaluate import eval_joint, load_eval_dataset, sample_docs
-from lha.metrics import CosineScorer, make_scorer
-from lha.pipeline import PipelineConfig, PipelineStageError, run_pipeline
+from lha.metrics import SCORERS, CosineScorer, make_scorer
+from lha.pipeline import PipelineConfig, PipelineStageError, run_pipeline, validate_config
 from lha.sent_align import read_groups, sentence_sim_matrix
-from conftest import _TOY_VECTORS, write_jsonl, write_vectors
+from conftest import _TOY_VECTORS, doc, write_jsonl, write_vectors
 
 
 @pytest.fixture(autouse=True)
@@ -767,9 +768,9 @@ class TestEvalCommands:
         every_src, every_tgt = (
             [*annotated.values(), *noise] for annotated, noise in
             ((dataset.src_docs, dataset.noise_src), (dataset.tgt_docs, dataset.noise_tgt)))
-        scorer = CosineScorer(embed_corpus(every_src, "sentence", AvgEmbedder(table)),
-                              embed_corpus(every_tgt, "sentence", AvgEmbedder(table)))
-        expected = eval_joint(mode, dataset, scorer, doc_embedder=AvgEmbedder(table),
+        scorer = CosineScorer(embed_corpus(every_src, "sentence", table),
+                              embed_corpus(every_tgt, "sentence", table))
+        expected = eval_joint(mode, dataset, scorer, doc_embedder=table,
                               k_doc=3, theta_d=0.3, n_noise=3, seed=7)
         assert json.loads(result.stdout) == json.loads(expected.to_json(include_timing=False))
 
@@ -1252,3 +1253,106 @@ class TestVectorFileErrors:
         assert result.exit_code == 1
         assert (f"stage 'embed_docs_src' failed: {bad}: line 3: non-finite vector component"
                 in result.output)
+
+
+class TestEmbeddingFileErrors:
+    """A malformed .lhae file is a usage error (exit 2) that names the file,
+    in every command that reads one."""
+
+    @pytest.fixture
+    def files(self, workspace) -> dict:
+        (workspace / "bad.lhae").write_bytes(b"LHAE\x01")
+        vectors = str(workspace / "vectors.txt")
+        for side in ("source", "target"):
+            for level in ("doc", "sent"):
+                invoke("embed", "--corpus", str(workspace / f"{side}.jsonl"),
+                       "--level", level, "--vectors", vectors,
+                       "--out", str(workspace / f"{level}_{side}.lhae"))
+        (workspace / "pairs.tsv").write_text("s1\tt1\t1.0\n", encoding="utf-8")
+        return {
+            "BAD": workspace / "bad.lhae", "OUT": workspace / "out.bin",
+            "SOURCE": workspace / "source.jsonl", "TARGET": workspace / "target.jsonl",
+            "PAIRS": workspace / "pairs.tsv", "VECTORS": workspace / "vectors.txt",
+            **{f"{level.upper()}_{side.upper()}": workspace / f"{level}_{side}.lhae"
+               for side in ("source", "target") for level in ("doc", "sent")},
+        }
+
+    @pytest.mark.parametrize("command", [
+        ["embed", "--corpus", "SOURCE", "--level", "doc", "--out", "OUT"],
+        ["align-docs", "--source-embeddings", "BAD", "--target-embeddings", "DOC_TARGET",
+         "--out", "OUT"],
+        ["align-docs", "--source-embeddings", "DOC_SOURCE", "--target-embeddings", "BAD",
+         "--out", "OUT"],
+        ["align-sents", "--doc-pairs", "PAIRS", "--source-corpus", "SOURCE",
+         "--target-corpus", "TARGET", "--source-sent-embeddings", "BAD",
+         "--target-sent-embeddings", "SENT_TARGET", "--theta-s", "0.6", "--out", "OUT"],
+        ["align-sents", "--doc-pairs", "PAIRS", "--source-corpus", "SOURCE",
+         "--target-corpus", "TARGET", "--source-sent-embeddings", "SENT_SOURCE",
+         "--target-sent-embeddings", "BAD", "--theta-s", "0.6", "--out", "OUT"],
+        ["eval", "sent", "--data-dir", "EVAL", "--sent-embeddings", "BAD"],
+        ["eval", "doc", "--data-dir", "EVAL", "--n-noise", "1", "--doc-embeddings", "BAD"],
+        ["eval", "joint", "--mode", "lha", "--data-dir", "EVAL", "--n-noise", "1",
+         "--vectors", "VECTORS", "--doc-embeddings", "BAD"],
+        ["eval", "joint", "--mode", "global", "--data-dir", "EVAL", "--n-noise", "1",
+         "--sent-embeddings", "BAD"],
+    ], ids=["embed", "align-docs-source", "align-docs-target", "align-sents-source",
+            "align-sents-target", "eval-sent", "eval-doc", "eval-joint-doc",
+            "eval-joint-sent"])
+    def test_usage_error_names_the_file(self, files, eval_dir, command) -> None:
+        places = {**files, "EVAL": eval_dir}
+        args = [str(places.get(a, a)) for a in command]
+        if command[0] == "embed":
+            args += ["--strategy", f"precomputed:{files['BAD']}"]
+        result = invoke(*args)
+        assert result.exit_code == 2, result.output
+        assert (f"{files['BAD']}: truncated file: expected 19 bytes for header, got 5"
+                in result.output)
+        assert not files["OUT"].exists()
+
+    def test_run_names_the_file(self, workspace, files) -> None:
+        result = invoke("run", "--config", str(workspace / "config.json"),
+                        "--set", f"doc_embeddings_source={files['BAD']}",
+                        "--set", f"doc_embeddings_target={files['DOC_TARGET']}")
+        assert result.exit_code == 1
+        assert (f"stage 'embed_docs_src' failed: {files['BAD']}: truncated file: "
+                "expected 19 bytes for header, got 5" in result.output)
+
+
+def test_malformed_doc_pairs_is_a_usage_error(workspace) -> None:
+    pairs = workspace / "p.tsv"
+    pairs.write_text("a\tt\n", encoding="utf-8")
+    result = invoke("align-sents", "--doc-pairs", str(pairs),
+                    "--source-corpus", str(workspace / "source.jsonl"),
+                    "--target-corpus", str(workspace / "target.jsonl"),
+                    "--scorer", "overlap", "--theta-s", "0.1",
+                    "--out", str(workspace / "groups.jsonl"))
+    assert result.exit_code == 2
+    assert f"{pairs}: line 1: expected 3 tab-separated fields, got 2" in result.output
+    assert not (workspace / "groups.jsonl").exists()
+
+
+def test_one_list_of_scorers() -> None:
+    """The CLI's scorer choices, the names validate_config accepts and the
+    kinds make_scorer builds are one set."""
+    for command in (main.commands["align-sents"], main.commands["eval"].commands["sent"]):
+        option = next(p for p in command.params if p.name == "scorer")
+        assert set(option.type.choices) == set(SCORERS), command.name
+    config = PipelineConfig("s.jsonl", "t.jsonl", "out", word_vectors="v.vec")
+    accepted = {
+        kind for kind in (*SCORERS, "nope")
+        if not any("scorer must be" in m for _, m in
+                   validate_config(dataclasses.replace(config, scorer=kind)))
+    }
+    assert accepted == set(SCORERS)
+    table = WordVectorTable(1, {"a": [1.0]})
+    matrix = EmbeddingMatrix(["d#0"], np.ones((1, 1)))
+    built = set()
+    for kind in (*SCORERS, "nope"):
+        try:
+            make_scorer(kind, source=matrix, target=matrix, table=table,
+                        target_docs=[doc("d", ["A cat."])])
+        except ValueError as e:
+            assert "unknown scorer kind" in str(e)
+        else:
+            built.add(kind)
+    assert built == set(SCORERS)

@@ -14,11 +14,9 @@ import pytest
 from lha import embeddings
 from lha.corpus import Document, Sentence, Token, tokenize
 from lha.embeddings import (
-    AvgEmbedder,
     EmbeddingFormatError,
     EmbeddingLookupError,
     EmbeddingMatrix,
-    PrecomputedEmbedder,
     WordVectorTable,
     embed_avg,
     embed_corpus,
@@ -555,12 +553,12 @@ class TestEmbedAvg:
 
 def random_table(rng, dim: int) -> tuple[WordVectorTable, list[str]]:
     """Rows of mixed magnitudes with about a fifth of their components
-    -0.0; read from a strided view, as the file loader's rows are."""
+    -0.0."""
     words = [f"w{i}" for i in range(int(rng.integers(1, 60)))]
     rows = rng.standard_normal((len(words), dim + 1))
     rows *= 10.0 ** rng.integers(-3, 4, size=(len(words), 1))
     rows[rng.random(rows.shape) < 0.2] = -0.0
-    return WordVectorTable.from_rows(words, rows[:, 1:]), words
+    return WordVectorTable(dim, dict(zip(words, rows[:, 1:]))), words
 
 
 def random_docs(rng, words: list[str], n_sentences: int, long_every: int = 0) -> list[Document]:
@@ -611,7 +609,7 @@ class TestAverageKernel:
             got = embeddings._avg_rows(units, table)
             assert got.tobytes() == means.reshape(got.shape).tobytes(), trial
             for level in ("document", "sentence"):
-                matrix = embed_corpus(docs, level, AvgEmbedder(table))
+                matrix = embed_corpus(docs, level, table)
                 assert matrix.rows.tobytes() == expected_rows(docs, level, table).tobytes()
 
     @pytest.mark.parametrize("n", [1024, 1025])
@@ -622,7 +620,7 @@ class TestAverageKernel:
         docs = random_docs(rng, words, n, long_every=300)
         assert sum(len(d.sentences) for d in docs) == n
         for level in ("document", "sentence"):
-            matrix = embed_corpus(docs, level, AvgEmbedder(table))
+            matrix = embed_corpus(docs, level, table)
             assert matrix.rows.tobytes() == expected_rows(docs, level, table).tobytes()
 
     def test_embed_avg_is_the_one_unit_mean(self) -> None:
@@ -732,6 +730,19 @@ class TestBinaryFormat:
         with pytest.raises(EmbeddingFormatError, match="version 99"):
             load_embeddings(path)
 
+    def test_errors_name_the_file(self, tmp_path) -> None:
+        path = tmp_path / "m.lhae"
+        save_embeddings(EmbeddingMatrix(["a", "b"], np.zeros((2, 2), dtype=np.float32)), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:5])
+        with pytest.raises(EmbeddingFormatError) as info:
+            load_embeddings(path)
+        assert str(info.value) == f"{path}: truncated file: expected 19 bytes for header, got 5"
+        path.write_bytes(blob[:28] + b"\xff" + blob[29:])  # the first byte of id 1, "b"
+        with pytest.raises(EmbeddingFormatError) as info:
+            load_embeddings(path)
+        assert str(info.value) == f"{path}: id 1 is not UTF-8"
+
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_rejected(self, tmp_path, bad) -> None:
@@ -749,15 +760,14 @@ class TestEmbedCorpus:
             doc("d1", ["A cat.", "A dog.", "Rain came."]),
             doc("d2", ["Apple pie.", "Snow fell."]),
         ]
-        matrix = embed_corpus(docs, level="sentence", embedder=AvgEmbedder(toy_table))
+        matrix = embed_corpus(docs, level="sentence", source=toy_table)
         assert matrix.unit_ids == ["d1#0", "d1#1", "d1#2", "d2#0", "d2#1"]
         assert matrix.count == 5
 
     def test_single_sentence_doc_row_equals_sentence_row(self, toy_table) -> None:
         docs = [doc("d1", ["The cat sat."])]
-        embedder = AvgEmbedder(toy_table)
-        doc_matrix = embed_corpus(docs, level="document", embedder=embedder)
-        sent_matrix = embed_corpus(docs, level="sentence", embedder=embedder)
+        doc_matrix = embed_corpus(docs, level="document", source=toy_table)
+        sent_matrix = embed_corpus(docs, level="sentence", source=toy_table)
         assert np.array_equal(doc_matrix.rows[0], sent_matrix.rows[0])
 
     def test_avg_rows_match_scripted_mean(self, toy_vectors_file, tmp_path) -> None:
@@ -774,7 +784,7 @@ class TestEmbedCorpus:
         from lha.embeddings import load_word_vectors
 
         table = load_word_vectors(toy_vectors_file)
-        matrix = embed_corpus(docs, level="sentence", embedder=AvgEmbedder(table))
+        matrix = embed_corpus(docs, level="sentence", source=table)
 
         import re
 
@@ -787,32 +797,32 @@ class TestEmbedCorpus:
 
     def test_document_level_uses_concatenated_tokens(self, toy_table) -> None:
         docs = [doc("d1", ["The cat.", "A dog!"])]
-        matrix = embed_corpus(docs, level="document", embedder=AvgEmbedder(toy_table))
+        matrix = embed_corpus(docs, level="document", source=toy_table)
         expected = embed_avg(["cat", "dog"], toy_table)
         expected /= np.linalg.norm(expected)
         assert np.allclose(matrix.rows[0], expected, atol=1e-6)
 
     def test_normalize_flag(self, toy_table) -> None:
         docs = [doc("d1", ["The cat sat."]), doc("d2", ["Apple bread."])]
-        matrix = embed_corpus(docs, level="document", embedder=AvgEmbedder(toy_table))
+        matrix = embed_corpus(docs, level="document", source=toy_table)
         norms = np.linalg.norm(matrix.rows.astype(np.float64), axis=1)
         assert np.all(np.abs(norms - 1.0) < 1e-6)
         assert matrix.unit_normalized
 
     def test_unknown_level_rejected(self, toy_table) -> None:
         with pytest.raises(ValueError, match="level"):
-            embed_corpus([doc("d1", ["A."])], level="paragraph", embedder=AvgEmbedder(toy_table))
+            embed_corpus([doc("d1", ["A."])], level="paragraph", source=toy_table)
 
     def test_precomputed_missing_id_names_it(self, toy_table) -> None:
         source = EmbeddingMatrix(["d1#0"], np.ones((1, 3), dtype=np.float32))
         docs = [doc("d1", ["A cat.", "A dog."])]
         with pytest.raises(EmbeddingLookupError, match="d1#1"):
-            embed_corpus(docs, level="sentence", embedder=PrecomputedEmbedder(source))
+            embed_corpus(docs, level="sentence", source=source)
 
     def test_precomputed_passthrough(self) -> None:
         rows = np.array([[1, 2], [3, 4]], dtype=np.float32)
         source = EmbeddingMatrix(["d1#0", "d1#1"], rows)
         docs = [doc("d1", ["A.", "B."])]
-        matrix = embed_corpus(docs, level="sentence", embedder=PrecomputedEmbedder(source))
+        matrix = embed_corpus(docs, level="sentence", source=source)
         expected = rows / np.linalg.norm(rows.astype(np.float64), axis=1)[:, None]
         assert np.array_equal(matrix.rows, expected.astype(np.float32))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lha.corpus import content_tokens, load_corpus
-from lha.embeddings import AvgEmbedder, EmbeddingMatrix, embed_corpus
+from lha.embeddings import EmbeddingMatrix, embed_corpus
 from lha.evaluate import (
     LABELS,
     EvalDataset,
@@ -295,7 +295,7 @@ class TestDocumentProtocol:
     def test_embedding_route(self, toy_table) -> None:
         dataset = topical_dataset()
         report = eval_document_alignment(
-            dataset, embedder=AvgEmbedder(toy_table), n_noise=1, seed=0
+            dataset, embedder=toy_table, n_noise=1, seed=0
         )
         assert report.f1_max == 1.0
         assert report.retrieved_at_max == 2
@@ -318,7 +318,7 @@ class TestDocumentProtocol:
         dataset = topical_dataset()
         with pytest.raises(ValueError, match="exactly one"):
             eval_document_alignment(
-                dataset, embedder=AvgEmbedder(toy_table), scorer=OverlapScorer(),
+                dataset, embedder=toy_table, scorer=OverlapScorer(),
                 n_noise=1,
             )
         with pytest.raises(ValueError, match="exactly one"):
@@ -354,7 +354,7 @@ class TestDocumentProtocol:
         dataset = topical_dataset()
         with pytest.raises(ValueError, match="noise pool"):
             eval_document_alignment(
-                dataset, embedder=AvgEmbedder(toy_table), n_noise=5
+                dataset, embedder=toy_table, n_noise=5
             )
 
 
@@ -363,7 +363,7 @@ class TestJointProtocol:
         dataset = topical_dataset()
         report = eval_joint(
             "lha", dataset, dataset_scorer(toy_table, dataset),
-            doc_embedder=AvgEmbedder(toy_table), k_doc=2, theta_d=0.6, n_noise=1, seed=0,
+            doc_embedder=toy_table, k_doc=2, theta_d=0.6, n_noise=1, seed=0,
         )
         assert report.f1_max == 1.0
         assert report.details["mode"] == "lha"
@@ -385,7 +385,7 @@ class TestJointProtocol:
         dataset = topical_dataset()
         scorer = dataset_scorer(toy_table, dataset)
         report = eval_joint(
-            "lha", dataset, scorer, doc_embedder=AvgEmbedder(toy_table),
+            "lha", dataset, scorer, doc_embedder=toy_table,
             k_doc=2, theta_d=0.6, n_noise=1, seed=0,
             rescorer=scorer, rescore_top=1,
         )
@@ -524,7 +524,7 @@ class TestJointSharedIds:
             dataset = shared_id_dataset(target_id)
             reports.append(eval_joint(
                 "lha", dataset, dataset_scorer(toy_table, dataset),
-                doc_embedder=AvgEmbedder(toy_table), k_doc=1, theta_d=0.5, n_noise=1,
+                doc_embedder=toy_table, k_doc=1, theta_d=0.5, n_noise=1,
                 rescorer=WmdScorer(toy_table), rescore_top=1,
             ).to_dict())
         assert reports[0] == reports[1]
@@ -533,11 +533,11 @@ class TestJointSharedIds:
 
     def test_global_mode_embeds_targets_with_target_embedder(self, toy_table) -> None:
         dataset = shared_id_dataset("A")
-        avg = AvgEmbedder(toy_table)
         src_docs = [*dataset.src_docs.values(), *dataset.noise_src]
         tgt_docs = [*dataset.tgt_docs.values(), *dataset.noise_tgt]
         scorer = CosineScorer(
-            embed_corpus(src_docs, "sentence", avg), embed_corpus(tgt_docs, "sentence", avg)
+            embed_corpus(src_docs, "sentence", toy_table),
+            embed_corpus(tgt_docs, "sentence", toy_table),
         )
         shared = eval_joint("global", dataset, scorer, n_noise=1, global_top=1)
         # with distinct ids one matrix can hold both sides
@@ -545,7 +545,7 @@ class TestJointSharedIds:
         both = embed_corpus(
             [*renamed_dataset.src_docs.values(), *renamed_dataset.noise_src,
              *renamed_dataset.tgt_docs.values(), *renamed_dataset.noise_tgt],
-            "sentence", avg,
+            "sentence", toy_table,
         )
         renamed = eval_joint(
             "global", renamed_dataset, CosineScorer(both, both), n_noise=1, global_top=1

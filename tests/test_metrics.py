@@ -9,7 +9,6 @@ import pytest
 
 from lha.corpus import content_tokens
 from lha.embeddings import (
-    AvgEmbedder,
     EmbeddingLookupError,
     EmbeddingMatrix,
     WordVectorTable,
@@ -249,10 +248,6 @@ class TestToSimilarity:
         with pytest.raises(ValueError, match="negative"):
             to_similarity(-0.1)
 
-    def test_unknown_scheme_rejected(self) -> None:
-        with pytest.raises(ValueError, match="scheme"):
-            to_similarity(1.0, scheme="exp")
-
     def test_reverses_distance_order(self) -> None:
         rng = np.random.default_rng(7)
         distances = list(rng.random(30) * 5)
@@ -306,7 +301,7 @@ class TestScorers:
 
     def test_factory_kinds(self, toy_table) -> None:
         stats = Bm25Stats.from_documents([["x"]])
-        rows = embed_corpus([doc("d", ["A cat."])], "sentence", AvgEmbedder(toy_table))
+        rows = embed_corpus([doc("d", ["A cat."])], "sentence", toy_table)
         for kind in ("cosine", "overlap", "bm25", "wmd", "rwmd"):
             scorer = make_scorer(kind, source=rows, target=rows, table=toy_table,
                                  stats=stats)
