@@ -17,6 +17,7 @@ from .embeddings import (
     embed_corpus,
     load_embeddings,
     load_word_vectors,
+    one_blas_thread,
     save_embeddings,
 )
 from .evaluate import (
@@ -45,7 +46,8 @@ logger = logging.getLogger("lha")
 @click.group()
 @click.version_option(version=__version__, prog_name="lha")
 @click.option("--quiet", is_flag=True, help="Only warnings and errors on stderr.")
-def main(quiet: bool) -> None:
+@click.pass_context
+def main(ctx: click.Context, quiet: bool) -> None:
     """Extract pseudo-parallel sentence pairs from comparable corpora."""
     logging.basicConfig(
         stream=sys.stderr,
@@ -53,6 +55,8 @@ def main(quiet: bool) -> None:
         format="%(levelname)s %(name)s: %(message)s",
         force=True,
     )
+    # Every command runs on one BLAS thread, restored when it ends.
+    ctx.with_resource(one_blas_thread())
 
 
 def _load_matrix(path: str):

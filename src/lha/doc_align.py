@@ -20,9 +20,10 @@ from .embeddings import EmbeddingMatrix
 __all__ = ["DocPair", "align_documents", "write_doc_pairs", "read_doc_pairs"]
 
 # Source rows scored per matrix product: at least _MIN_ROWS, and about
-# _BLOCK_CELLS similarities. Above its threading threshold a multithreaded
-# BLAS product costs milliseconds whatever its size, so fewer, larger
-# products are faster; a larger budget only adds peak memory.
+# _BLOCK_CELLS similarities. On the one BLAS thread a run holds, a product
+# costs about its size, and each block adds a fixed cost of array calls
+# around it, so fewer, larger blocks are faster; a larger budget only adds
+# peak memory.
 _MIN_ROWS = 64
 _BLOCK_CELLS = 2**17
 

@@ -8,6 +8,8 @@ Rows are stored float32; all similarity math downstream casts to float64.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import io
 import os
 import pickle
@@ -16,9 +18,9 @@ import stat
 import struct
 import warnings
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import islice, product, repeat
 from pathlib import Path
-from typing import BinaryIO, Collection, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -36,6 +38,7 @@ __all__ = [
     "embed_avg",
     "check_sentence_rows",
     "embed_corpus",
+    "one_blas_thread",
 ]
 
 _MAGIC = b"LHAE"
@@ -216,6 +219,57 @@ def _pin(cpu: int) -> None:
     cannot be had (gone offline, say) is no error."""
     with contextlib.suppress(OSError):
         os.sched_setaffinity(0, {cpu})
+
+
+_MAPS = "/proc/self/maps"
+
+
+@functools.cache
+def _openblas() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """The thread-count getter and setter of each OpenBLAS library mapped into
+    this process when first called: none where the maps file cannot be read
+    (not Linux) or no mapped library exports them (MKL, Accelerate)."""
+    try:
+        with open(_MAPS, "rb") as fh:
+            lines = [line.split(maxsplit=5) for line in fh if b"openblas" in line]
+    except OSError:
+        return ()
+    paths = {fields[5].rstrip(b"\n") for fields in lines
+             if len(fields) == 6 and b"openblas" in os.path.basename(fields[5])}
+    found = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(os.fsdecode(path))
+        except OSError:
+            continue
+        for prefix, suffix in product(("scipy_", ""), ("64_", "")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((get, set_))
+                break
+    return tuple(found)
+
+
+@contextlib.contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Hold every OpenBLAS library of the process at one thread, and give each
+    its previous count back on exit (nested entries restore in LIFO order).
+    An idle OpenBLAS worker busy-waits after a threaded product, on a CPU the
+    work after it needs; one thread changes no result, as OpenBLAS never
+    splits a product's inner sum. The count is process-wide. Libraries are
+    found on first entry; without OpenBLAS this does nothing."""
+    libs = _openblas()
+    counts = [get() for get, _ in libs]
+    for _, set_ in libs:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(libs, counts):
+            set_(count)
 
 
 def _ends(fd: int, size: int, n: int) -> list[int]:

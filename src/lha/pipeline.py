@@ -42,6 +42,7 @@ from .embeddings import (
     embed_corpus,
     load_embeddings,
     load_word_vectors,
+    one_blas_thread,
     save_embeddings,
 )
 from .metrics import SCORERS, TABLE_SCORERS, WmdScorer, make_scorer
@@ -401,7 +402,19 @@ def align_doc_files(source: Path | str, target: Path | str, k: int, theta_d: flo
 
 
 def run_pipeline(config: PipelineConfig) -> RunSummary:
-    """Execute all stages, reusing cached results where hashes match."""
+    """Execute all stages, reusing cached results where hashes match.
+
+    The run holds every OpenBLAS library of the process at one thread and
+    restores each one's count when it returns or raises (``one_blas_thread``):
+    an idle OpenBLAS worker busy-waits after a threaded product and slows the
+    single-threaded work that follows. The count is process-wide, so runs in
+    concurrent threads share it. Without OpenBLAS nothing changes.
+    """
+    with one_blas_thread():
+        return _run(config)
+
+
+def _run(config: PipelineConfig) -> RunSummary:
     findings = validate_config(config)
     for level, message in findings:
         (logger.error if level == "error" else logger.warning)("%s", message)
