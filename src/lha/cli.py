@@ -17,7 +17,6 @@ from .embeddings import (
     embed_corpus,
     load_embeddings,
     load_word_vectors,
-    one_blas_thread,
     save_embeddings,
 )
 from .evaluate import (
@@ -46,8 +45,7 @@ logger = logging.getLogger("lha")
 @click.group()
 @click.version_option(version=__version__, prog_name="lha")
 @click.option("--quiet", is_flag=True, help="Only warnings and errors on stderr.")
-@click.pass_context
-def main(ctx: click.Context, quiet: bool) -> None:
+def main(quiet: bool) -> None:
     """Extract pseudo-parallel sentence pairs from comparable corpora."""
     logging.basicConfig(
         stream=sys.stderr,
@@ -55,8 +53,6 @@ def main(ctx: click.Context, quiet: bool) -> None:
         format="%(levelname)s %(name)s: %(message)s",
         force=True,
     )
-    # Every command runs on one BLAS thread, restored when it ends.
-    ctx.with_resource(one_blas_thread())
 
 
 def _load_matrix(path: str):

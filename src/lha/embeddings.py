@@ -259,7 +259,8 @@ def one_blas_thread() -> Iterator[None]:
     its previous count back on exit (nested entries restore in LIFO order).
     An idle OpenBLAS worker busy-waits after a threaded product, on a CPU the
     work after it needs; one thread changes no result, as OpenBLAS never
-    splits a product's inner sum. The count is process-wide. Libraries are
+    splits a product's inner sum. The count is process-wide, so entries
+    that do not nest (overlapping threads) are not supported. Libraries are
     found on first entry; without OpenBLAS this does nothing."""
     libs = _openblas()
     counts = [get() for get, _ in libs]

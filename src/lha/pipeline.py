@@ -401,20 +401,18 @@ def align_doc_files(source: Path | str, target: Path | str, k: int, theta_d: flo
     return write_doc_pairs(align_documents(load_embeddings(source), index, k, theta_d), out)
 
 
+@one_blas_thread()
 def run_pipeline(config: PipelineConfig) -> RunSummary:
     """Execute all stages, reusing cached results where hashes match.
 
     The run holds every OpenBLAS library of the process at one thread and
     restores each one's count when it returns or raises (``one_blas_thread``):
     an idle OpenBLAS worker busy-waits after a threaded product and slows the
-    single-threaded work that follows. The count is process-wide, so runs in
-    concurrent threads share it. Without OpenBLAS nothing changes.
+    single-threaded work that follows. The count is process-wide and each run
+    restores the count it found, so runs that overlap in threads are not
+    supported: they can run threaded products or leave the count at 1.
+    Without OpenBLAS nothing changes.
     """
-    with one_blas_thread():
-        return _run(config)
-
-
-def _run(config: PipelineConfig) -> RunSummary:
     findings = validate_config(config)
     for level, message in findings:
         (logger.error if level == "error" else logger.warning)("%s", message)

@@ -1,4 +1,4 @@
-"""A run and every command hold OpenBLAS at one thread (``one_blas_thread``).
+"""A run holds OpenBLAS at one thread (``one_blas_thread``).
 
 The thread count must change no output bit, must be restored after the run
 however it ends, and must do nothing where no OpenBLAS library is found.
@@ -6,7 +6,6 @@ however it ends, and must do nothing where no OpenBLAS library is found.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import os
@@ -16,7 +15,6 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-import lha.cli
 import lha.embeddings
 import lha.pipeline
 from lha.cli import main
@@ -83,8 +81,24 @@ def rediscover():
     lha.embeddings._openblas.cache_clear()
 
 
+@pytest.fixture
+def two_threads():
+    """Every OpenBLAS library at two threads for the test, then its own
+    count again, so that holding one thread shows on any machine."""
+    libs = lha.embeddings._openblas()
+    if not libs:
+        pytest.skip("no OpenBLAS library in this process")
+    before = _counts()
+    for _, set_ in libs:
+        set_(2)
+    yield
+    for (_, set_), count in zip(libs, before):
+        set_(count)
+
+
+@pytest.mark.usefixtures("two_threads")
 class TestOutputsDoNotDependOnThreads:
-    """Every output is byte-identical whether the BLAS count is held or not."""
+    """Every output is byte-identical on one BLAS thread and on two."""
 
     @pytest.mark.parametrize("scorer", ["cosine", "wmd"])
     def test_run_pipeline(self, tmp_path, monkeypatch, scorer) -> None:
@@ -94,12 +108,12 @@ class TestOutputsDoNotDependOnThreads:
         assert {"groups.jsonl", "doc_pairs.tsv", "manifest.json", "docs_source.lhae"} <= set(held)
         assert held["groups.jsonl"]
 
-        monkeypatch.setattr(lha.pipeline, "one_blas_thread", contextlib.nullcontext)
+        monkeypatch.setattr(lha.embeddings, "_openblas", lambda: ())
         free = dataclasses.replace(config, out_dir=str(tmp_path / "free"))
         run_pipeline(free)
         assert _outputs(free.out_dir) == held
 
-    def test_align_docs_command(self, tmp_path, monkeypatch) -> None:
+    def test_align_docs_command(self, tmp_path) -> None:
         config = _seeded_workspace(tmp_path, 8, "cosine")
         run_pipeline(config)
         out = Path(config.out_dir)
@@ -114,25 +128,10 @@ class TestOutputsDoNotDependOnThreads:
             assert result.exit_code == 0, result.output
             return (tmp_path / name).read_bytes()
 
-        held = align_docs("held.tsv")
-        monkeypatch.setattr(lha.cli, "one_blas_thread", contextlib.nullcontext)
+        with one_blas_thread():
+            held = align_docs("held.tsv")
         assert align_docs("free.tsv") == held
         assert held.count(b"\n") == 3 * 160
-
-
-@pytest.fixture
-def two_threads():
-    """Every OpenBLAS library at two threads for the test, then its own
-    count again, so that holding one thread shows on any machine."""
-    libs = lha.embeddings._openblas()
-    if not libs:
-        pytest.skip("no OpenBLAS library in this process")
-    before = _counts()
-    for _, set_ in libs:
-        set_(2)
-    yield
-    for (_, set_), count in zip(libs, before):
-        set_(count)
 
 
 @pytest.mark.usefixtures("two_threads")
@@ -171,20 +170,6 @@ class TestCountIsHeldAndRestored:
         path.write_text(json.dumps(dataclasses.asdict(config)), encoding="utf-8")
         result = CliRunner().invoke(main, ["--quiet", "run", "--config", str(path)],
                                     catch_exceptions=False)
-        assert result.exit_code == 0, result.output
-        assert seen == [[1] * len(_counts())]
-        assert _counts() == [2] * len(seen[0])
-
-    def test_align_docs_command(self, tmp_path, seen) -> None:
-        config = make_workspace(tmp_path)
-        run_pipeline(config)
-        out = Path(config.out_dir)
-        seen.clear()
-        result = CliRunner().invoke(main, [
-            "--quiet", "align-docs", "--source-embeddings", str(out / "docs_source.lhae"),
-            "--target-embeddings", str(out / "docs_target.lhae"),
-            "--out", str(tmp_path / "pairs.tsv"),
-        ], catch_exceptions=False)
         assert result.exit_code == 0, result.output
         assert seen == [[1] * len(_counts())]
         assert _counts() == [2] * len(seen[0])
