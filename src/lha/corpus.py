@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -166,19 +166,27 @@ def parse_uid(uid: str) -> tuple[str, int]:
     return doc_id, int(ordinal)
 
 
+# Setting a field through its slot skips the five object.__setattr__ calls
+# of the frozen dataclass's __init__; _token builds each new Token this way.
+_SET_TOKEN_FIELDS = tuple(getattr(Token, f.name).__set__ for f in fields(Token))
+
+
 def _token(surface: str, stopwords: frozenset[str]) -> Token:
     normalized = surface.lower()
     if surface.isalpha():
         # Every character is a letter, so some is alphanumeric and some alphabetic.
-        return Token(surface, normalized, False, False, normalized in stopwords)
-    is_punct = not any(map(str.isalnum, surface))
-    return Token(
-        surface=surface,
-        normalized=normalized,
-        is_punct=is_punct,
-        is_number=(not is_punct) and not any(map(str.isalpha, surface)),
-        is_stopword=normalized in stopwords,
-    )
+        is_punct = is_number = False
+    else:
+        is_punct = not any(map(str.isalnum, surface))
+        is_number = (not is_punct) and not any(map(str.isalpha, surface))
+    token = object.__new__(Token)
+    set_surface, set_normalized, set_punct, set_number, set_stopword = _SET_TOKEN_FIELDS
+    set_surface(token, surface)
+    set_normalized(token, normalized)
+    set_punct(token, is_punct)
+    set_number(token, is_number)
+    set_stopword(token, normalized in stopwords)
+    return token
 
 
 def tokenize(text: str, stopwords: frozenset[str] | None = None) -> tuple[Token, ...]:
@@ -202,9 +210,20 @@ def _tokenize(
     in every corpus parsed through the memo: a run passes one memo for both
     of its corpora. A memo must only ever be filled under one stopword set.
     """
-    surfaces = _TOKEN_RE.findall(text)
-    for surface in set(surfaces).difference(memo):
-        memo[surface] = _token(surface, stopwords)
+    # \w is str.isalnum() or "_" and \s is str.isspace(), where str.split()
+    # splits: an alphanumeric chunk is one token, the others need the regex.
+    surfaces: list[str] = []
+    for chunk in text.split():
+        if chunk.isalnum():
+            surfaces.append(chunk)
+        else:
+            surfaces += _TOKEN_RE.findall(chunk)
+    tokens = tuple(map(memo.get, surfaces))
+    if all(tokens):  # a Token is always true, a miss None
+        return tokens
+    for surface in surfaces:
+        if surface not in memo:
+            memo[surface] = _token(surface, stopwords)
     return tuple(map(memo.__getitem__, surfaces))
 
 

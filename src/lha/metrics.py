@@ -312,6 +312,13 @@ class Scorer:
     def matrix(self, xs: Sequence[Sentence], ys: Sequence[Sentence]) -> np.ndarray:
         raise NotImplementedError
 
+    def best_cells(
+        self, xs: Sequence[Sentence], targets: Sequence[Sequence[Sentence]]
+    ) -> list[float] | None:
+        """Per non-empty ``ys`` of ``targets``, the largest value of
+        ``matrix(xs, ys)`` within ``_FLOOR_SLACK``; None if only it can tell."""
+        return None
+
 
 class CosineScorer(Scorer):
     """Cosine of sentence embeddings.
@@ -345,6 +352,16 @@ class CosineScorer(Scorer):
 
     def matrix(self, xs: Sequence[Sentence], ys: Sequence[Sentence]) -> np.ndarray:
         return self.source_rows(xs) @ self.target_rows(ys).T
+
+    def best_cells(
+        self, xs: Sequence[Sentence], targets: Sequence[Sequence[Sentence]]
+    ) -> list[float]:
+        # One product against every target's rows at once; its entries
+        # differ from matrix()'s by a few ulps of summation order.
+        columns = self.target_rows([y for ys in targets for y in ys])
+        values = (self.source_rows(xs) @ columns.T).max(axis=0)
+        starts = np.cumsum([0] + [len(ys) for ys in targets[:-1]])
+        return np.maximum.reduceat(values, starts).tolist()
 
 
 class OverlapScorer(Scorer):

@@ -531,6 +531,11 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
             doc_pairs, src_docs, tgt_docs, scorer, config.k_sent, config.theta_s,
             policy, drop_counts,
         ))
+        # What is left in drop_counts are the drop reasons.
+        scored, raw_pairs, merged, source_tokens, target_tokens = map(drop_counts.pop, (
+            "scored_pairs", "raw_pairs", "merged_groups", "source_tokens", "target_tokens"
+        ))
+        logger.info("doc pairs: %d scored of %d retrieved", scored, len(doc_pairs))
         if isinstance(scorer, WmdScorer):
             logger.info(
                 "wmd cells: %d scored, %d pruned by the RWMD bound, %d solved",
@@ -539,10 +544,6 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
         write_groups(groups, paths["groups"])
         if config.emit_tsv:
             write_groups_tsv(groups, paths["groups_tsv"])
-        raw_pairs = drop_counts.pop("raw_pairs")
-        merged = drop_counts.pop("merged_groups")
-        source_tokens = drop_counts.pop("source_tokens")
-        target_tokens = drop_counts.pop("target_tokens")
         n = len(groups)
         stats = {
             "documents": {"source": len(src_docs), "target": len(tgt_docs)},

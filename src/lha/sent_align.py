@@ -24,7 +24,7 @@ from .corpus import Document, Sentence, content_tokens
 # perfbench/spans.py patches lha.sent_align.tokenize; this module never calls it.
 from .corpus import tokenize  # noqa: F401
 from .doc_align import DocPair
-from .metrics import Scorer, unigram_overlap
+from .metrics import _FLOOR_SLACK, Scorer, unigram_overlap
 
 __all__ = [
     "AlignedGroup",
@@ -235,6 +235,31 @@ def filter_reason(
     return None
 
 
+def _best_cells(
+    doc_pairs: Sequence[DocPair],
+    src_docs: Mapping[str, Document],
+    tgt_docs: Mapping[str, Document],
+    scorer: Scorer,
+) -> dict[tuple[str, str], float]:
+    """The scorer's bound on the best cell of each pair of non-empty
+    documents, asked once per source document; empty when it gives none.
+    A pair with an empty document gets no bound, so it is scored and raises."""
+    targets: dict[str, dict[str, Document]] = {}
+    for dp in doc_pairs:
+        src, tgt = src_docs.get(dp.source_id), tgt_docs.get(dp.target_id)
+        if src is not None and src.sentences and tgt is not None and tgt.sentences:
+            targets.setdefault(dp.source_id, {})[dp.target_id] = tgt
+    bounds: dict[tuple[str, str], float] = {}
+    for source_id, tgts in targets.items():
+        best = scorer.best_cells(
+            src_docs[source_id].sentences, [t.sentences for t in tgts.values()]
+        )
+        if best is None:
+            return {}
+        bounds.update(zip(((source_id, t) for t in tgts), best))
+    return bounds
+
+
 def align_sentences(
     doc_pairs: Sequence[DocPair],
     src_docs: Mapping[str, Document],
@@ -249,17 +274,24 @@ def align_sentences(
 
     Yields filtered groups in doc-pair order, deduplicated globally on the
     exact (source_text, target_text) pair. A doc pair referencing an unknown
-    document id is logged and skipped. ``drop_counts``, when given, is
-    filled with per-reason drop tallies, the ``raw_pairs`` and
+    document id is logged and skipped. A pair whose best cell the scorer
+    bounds below theta_s (see ``Scorer.best_cells``) holds no cell to keep
+    and is skipped unscored. ``drop_counts``, when given, is filled with
+    per-reason drop tallies, the ``scored_pairs``, ``raw_pairs`` and
     ``merged_groups`` counts, and the token totals of the yielded groups'
     sides (``source_tokens``, ``target_tokens``).
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     policy = policy or FilterPolicy()
     counts = drop_counts if drop_counts is not None else {}
     for key in ("missing_doc", "overlap", "length_ratio", "excluded", "duplicate",
-                "raw_pairs", "merged_groups", "source_tokens", "target_tokens"):
+                "scored_pairs", "raw_pairs", "merged_groups", "source_tokens",
+                "target_tokens"):
         counts.setdefault(key, 0)
     seen: set[tuple[str, str]] = set()
+    best = _best_cells(doc_pairs, src_docs, tgt_docs, scorer)
+    floor = theta_s - _FLOOR_SLACK
     for dp in doc_pairs:
         src = src_docs.get(dp.source_id)
         tgt = tgt_docs.get(dp.target_id)
@@ -269,6 +301,9 @@ def align_sentences(
                            dp.source_id, dp.target_id, missing)
             counts["missing_doc"] += 1
             continue
+        if best.get((dp.source_id, dp.target_id), floor) < floor:
+            continue
+        counts["scored_pairs"] += 1
         pairs = extract_nn_pairs(sentence_sim_matrix(src, tgt, scorer), k, theta_s)
         counts["raw_pairs"] += len(pairs)
         if policy.stage == "pair":
@@ -333,6 +368,13 @@ def read_groups(path: Path | str) -> list[AlignedGroup]:
     return groups
 
 
+def _one_line(text: str) -> str:
+    # translate() looks up every character; most texts need no change.
+    if "\t" in text or "\r" in text or "\n" in text:
+        return text.translate(_TSV_SPACES)
+    return text
+
+
 def write_groups_tsv(groups: Iterable[AlignedGroup], path: Path | str) -> int:
     """Write ``source_text<TAB>target_text`` lines for translation tooling.
 
@@ -342,8 +384,6 @@ def write_groups_tsv(groups: Iterable[AlignedGroup], path: Path | str) -> int:
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
         for g in groups:
-            source = g.source_text.translate(_TSV_SPACES)
-            target = g.target_text.translate(_TSV_SPACES)
-            fh.write(f"{source}\t{target}\n")
+            fh.write(f"{_one_line(g.source_text)}\t{_one_line(g.target_text)}\n")
             n += 1
     return n

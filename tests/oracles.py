@@ -584,7 +584,7 @@ def align_sentences_oracle(
     """
     counts = dict.fromkeys((
         "missing_doc", "overlap", "length_ratio", "excluded", "duplicate",
-        "raw_pairs", "merged_groups", "source_tokens", "target_tokens",
+        "scored_pairs", "raw_pairs", "merged_groups", "source_tokens", "target_tokens",
     ), 0)
     groups: list[AlignedGroup] = []
     seen: set[tuple[str, str]] = set()
@@ -593,6 +593,7 @@ def align_sentences_oracle(
         if src is None or tgt is None:
             counts["missing_doc"] += 1
             continue
+        counts["scored_pairs"] += 1
         values = scorer.matrix(src.sentences, tgt.sentences)
         pairs = extract_nn_pairs_oracle(values, k, theta_s)
         counts["raw_pairs"] += len(pairs)

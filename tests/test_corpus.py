@@ -303,6 +303,89 @@ class TestTokenMemo:
         assert memo["cat"].is_stopword and not memo["Dogs"].is_stopword
 
 
+
+# Every character str.isspace() accepts, the ones str.split() splits on.
+_SPACES = "".join(ch for ch in map(chr, range(0x110000)) if ch.isspace())
+
+
+class TestMemoFirstTokenize:
+    """``_tokenize`` splits on whitespace first, runs the regex only on chunks
+    that are not all alphanumeric, looks tokens up in the memo before building
+    any, and builds new ones field by field; none of that may change a token."""
+
+    # Letters, digits of several scripts, the underscore, combining marks,
+    # punctuation and symbols.
+    PIECES = [
+        "a", "Z", "é", "ß", "Ж", "中", "ǅ", "_", "__", "a_b", "7", "٣", "७", "²",
+        "½", "Ⅻ", "\u0301", "\u0308", "e\u0301", "\u093f", ".", ",", "!?", "...", "—", "'",
+        "“", "€", "😀", "-", "\u00ad", "(", ")",
+    ]
+
+    def random_text(self, rng: random.Random) -> str:
+        parts = []
+        for _ in range(rng.randint(0, 12)):
+            roll = rng.random()
+            if roll < 0.35:
+                parts.append(rng.choice(_SPACES) * rng.randint(1, 2))
+            elif roll < 0.5:
+                parts.append(rng.choice(".,;:!?-'\"()") * rng.randint(1, 4))
+            elif roll < 0.9:
+                parts.append(rng.choice(self.PIECES))
+            else:
+                parts.append(chr(rng.randrange(0x20, 0x3000)))
+        return "".join(parts)
+
+    def test_matches_findall_on_random_text(self) -> None:
+        rng = random.Random(19)
+        stops = frozenset({"a", "é", "_"})
+        memo: dict[str, Token] = {}
+        hits = 0
+        for _ in range(20000):
+            text = self.random_text(rng)
+            surfaces = lha.corpus._TOKEN_RE.findall(text)
+            hits += bool(surfaces) and all(s in memo for s in surfaces)
+            expected = tuple(token_oracle(s, stops) for s in surfaces)
+            assert lha.corpus._tokenize(text, stops, memo) == expected, repr(text)
+            assert tokenize(text, stops) == expected, repr(text)
+        # Both the all-hit and the building path were taken.
+        assert 1000 < hits < 19000, hits
+        assert len(_SPACES) > 20
+
+    def test_every_space_separates(self) -> None:
+        for space in _SPACES:
+            text = f"a{space}b_c{space}{space}3.{space}"
+            surfaces = [t.surface for t in tokenize(text)]
+            assert surfaces == ["a", "b_c", "3", "."], repr(space)
+
+    def test_built_tokens_equal_constructed_ones(self) -> None:
+        stops = frozenset({"the"})
+        for surface in ["The", "cat", "3", "3rd", ".", "½", "e\u0301", "_", "中"]:
+            built = lha.corpus._token(surface, stops)
+            made = token_oracle(surface, stops)
+            assert type(built) is Token
+            assert built == made and hash(built) == hash(made)
+            assert repr(built) == repr(made)
+            assert dataclasses.astuple(built) == dataclasses.astuple(made)
+            assert {built: 1}[made] == 1
+
+    def test_built_tokens_refuse_assignment(self) -> None:
+        built = lha.corpus._token("cat", frozenset())
+        made = Token("cat", "cat", False, False, False)
+        for change in (
+            lambda t: setattr(t, "surface", "dog"),
+            lambda t: setattr(t, "extra", 1),
+            lambda t: delattr(t, "normalized"),
+        ):
+            errors = []
+            for token in (built, made):
+                with pytest.raises(Exception) as info:
+                    change(token)
+                errors.append((type(info.value), str(info.value)))
+            assert errors[0] == errors[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.surface = "dog"
+        assert built == made
+
 class TestSentenceUid:
     """A sentence's uid is stored at construction and takes no part in
     equality, hashing or repr."""

@@ -16,11 +16,13 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import lha.pipeline
+import lha.sent_align
 from test_pipeline import make_workspace
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -58,6 +60,26 @@ def test_scorer_matrix_and_kind(spans) -> None:
     for cls in (spans.CosineScorer, spans.WmdScorer):
         assert callable(cls.matrix), cls.__name__
         assert isinstance(cls.kind, str), cls.__name__
+
+
+def test_cosine_run_calls_the_traced_sentence_layers(spans, tmp_path, monkeypatch) -> None:
+    """The tracer times the sentence stage's layers by patching their names
+    in ``lha.sent_align``; a cosine run must call each through those names,
+    or traced runs stop showing it."""
+    names = {attr for module, attr, _ in spans._FUNCTIONS
+             if module is lha.sent_align and attr != "tokenize"}
+    assert names == {"sentence_sim_matrix", "extract_nn_pairs", "merge_groups",
+                     "filter_reason"}
+    calls: Counter = Counter()
+    for name in names:
+        def counted(*args, _fn=getattr(lha.sent_align, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(lha.sent_align, name, counted)
+    config = make_workspace(tmp_path)
+    assert config.scorer == "cosine"
+    lha.pipeline.run_pipeline(config)
+    assert set(calls) == names and all(calls.values()), calls
 
 
 def test_traced_repetition_runs_the_wmd_stage(tmp_path) -> None:

@@ -26,6 +26,7 @@ from lha.pipeline import (
     run_pipeline,
     validate_config,
 )
+from lha.doc_align import read_doc_pairs
 from lha.embeddings import load_word_vectors
 from lha.sent_align import align_sentences, read_groups
 from conftest import _TOY_VECTORS, write_jsonl, write_vectors
@@ -689,6 +690,26 @@ class TestStageLog:
         starts = [r for r in caplog.records if r.msg.startswith("stage ") and r.args]
         assert [r.args[0] for r in starts] == ALL_STAGES
         assert all(r.getMessage().endswith(": computing") for r in starts)
+
+    def test_logs_doc_pairs_scored_and_retrieved(
+        self, tmp_path, caplog, monkeypatch
+    ) -> None:
+        scored = []
+        score = lha.sent_align.sentence_sim_matrix
+
+        def spy(src, tgt, scorer):
+            scored.append((src.doc_id, tgt.doc_id))
+            return score(src, tgt, scorer)
+
+        monkeypatch.setattr(lha.sent_align, "sentence_sim_matrix", spy)
+        # Every document pair is retrieved, some with no cell at theta_s.
+        config = dataclasses.replace(make_workspace(tmp_path), theta_d=0.0)
+        with caplog.at_level(logging.INFO, logger="lha.pipeline"):
+            run_pipeline(config)
+        retrieved = len(read_doc_pairs(Path(config.out_dir) / "doc_pairs.tsv"))
+        lines = [m for m in caplog.messages if m.startswith("doc pairs:")]
+        assert lines == [f"doc pairs: {len(scored)} scored of {retrieved} retrieved"]
+        assert 0 < len(scored) < retrieved
 
 
 class TestLazyVectors:

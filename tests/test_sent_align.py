@@ -14,7 +14,8 @@ import pytest
 import lha.sent_align
 from lha.corpus import Document, default_stopwords
 from lha.doc_align import DocPair
-from lha.metrics import OverlapScorer, Scorer
+from lha.embeddings import EmbeddingMatrix
+from lha.metrics import CosineScorer, OverlapScorer, Scorer, make_scorer
 from lha.sent_align import (
     AlignedGroup,
     FilterPolicy,
@@ -438,6 +439,28 @@ class TestAlignSentences:
         assert counts["raw_pairs"] >= 1
         assert counts["merged_groups"] >= 1
 
+    def test_k_checked_when_every_pair_is_skipped(self, toy_table) -> None:
+        src_docs, tgt_docs, scorer = pet_food_corpora(toy_table)
+        doc_pairs = [DocPair("s1", "t1", 0.9), DocPair("s2", "t2", 0.8)]
+        # No cell reaches 2.0, so the gate skips both pairs.
+        assert list(align_sentences(doc_pairs, src_docs, tgt_docs, scorer, 1, 2.0)) == []
+        for pairs in (doc_pairs, []):
+            with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+                list(align_sentences(pairs, src_docs, tgt_docs, scorer, k=0, theta_s=2.0))
+
+    def test_empty_document_rejected_when_other_pairs_are_skipped(self, toy_table) -> None:
+        src_docs, tgt_docs, scorer = pet_food_corpora(toy_table)
+        empty = Document("e", "", ())
+        cases = [
+            ({**src_docs, "e": empty}, tgt_docs, DocPair("e", "t1", 0.5)),
+            (src_docs, {**tgt_docs, "e": empty}, DocPair("s1", "e", 0.5)),
+        ]
+        for sources, targets, bad in cases:
+            doc_pairs = [DocPair("s1", "t1", 0.9), bad, DocPair("s2", "t2", 0.8)]
+            with pytest.raises(ValueError, match=r"empty document in pair \('"
+                               + bad.source_id + "', '" + bad.target_id + r"'\)"):
+                list(align_sentences(doc_pairs, sources, targets, scorer, 1, 2.0))
+
     def test_pair_stage_filters_before_merge(self, toy_table) -> None:
         # Under "pair" staging each pair is vetted alone, so a weak pair is
         # dropped before it can merge two strong pairs into one group.
@@ -471,6 +494,107 @@ def _random_doc(rng: random.Random, doc_id: str) -> Document:
         glue = rng.choice([" "] * 6 + ["\n", "\t", "  "])
         texts.append(glue.join(words).capitalize())
     return doc(doc_id, texts)
+
+
+class _Ungated(CosineScorer):
+    """The cosine scorer without a bound: every pair goes through matrix()."""
+
+    def best_cells(self, xs, targets):
+        return None
+
+
+class TestBestCellGate:
+    """Skipping the pairs whose bound is below theta_s must leave the groups
+    and counts of scoring every pair, bit for bit."""
+
+    def fixture(self, seed: int):
+        rng = random.Random(seed)
+        nrng = np.random.default_rng(seed)
+        src_docs = {f"s{n}": _random_doc(rng, f"s{n}") for n in range(6)}
+        tgt_docs = {f"t{n}": _random_doc(rng, f"t{n}") for n in range(8)}
+        tgt_docs["t8"] = doc("t8", ["A cat."])
+
+        def side(docs: dict[str, Document]) -> EmbeddingMatrix:
+            uids = [s.uid for d in docs.values() for s in d.sentences]
+            rows = nrng.standard_normal((len(uids), 4))
+            rows[nrng.random(len(uids)) < 0.2] = 0.0  # scores 0 against all
+            return EmbeddingMatrix(uids, rows)
+
+        source, target = side(src_docs), side(tgt_docs)
+        # Pairs out of source order, repeated, and naming missing documents.
+        doc_pairs = [DocPair(rng.choice(list(src_docs)), rng.choice(list(tgt_docs)), 0.5)
+                     for _ in range(30)]
+        doc_pairs += doc_pairs[:4]
+        doc_pairs += [DocPair("s0", "gone", 0.5), DocPair("gone", "t0", 0.5)]
+        rng.shuffle(doc_pairs)
+        gated, ungated = CosineScorer(source, target), _Ungated(source, target)
+        return src_docs, tgt_docs, doc_pairs, gated, ungated
+
+    def test_groups_and_counts_match_scoring_every_pair(self) -> None:
+        skipped = kept = rounded_below = 0
+        for seed in range(6):
+            src_docs, tgt_docs, doc_pairs, gated, ungated = self.fixture(seed)
+            present = [dp for dp in doc_pairs
+                       if dp.source_id in src_docs and dp.target_id in tgt_docs]
+            # theta_s equal to a pair's best cell, preferably one whose bound
+            # rounded below it: only the slack keeps that pair.
+            bounds = lha.sent_align._best_cells(doc_pairs, src_docs, tgt_docs, gated)
+            cells = {(dp.source_id, dp.target_id): float(gated.matrix(
+                src_docs[dp.source_id].sentences, tgt_docs[dp.target_id].sentences
+            ).max()) for dp in present}
+            exact = max(cells, key=lambda pair: (bounds[pair] < cells[pair], pair))
+            rounded_below += bounds[exact] < cells[exact]
+            for theta_s in (0.3, 0.8, 0.97, cells[exact]):
+                for stage in ("group", "pair"):
+                    policy = FilterPolicy(min_overlap=0.0, stage=stage)
+                    runs = []
+                    for scorer in (gated, ungated):
+                        counts: dict[str, int] = {}
+                        groups = list(align_sentences(
+                            doc_pairs, src_docs, tgt_docs, scorer, 2, theta_s,
+                            policy, counts,
+                        ))
+                        runs.append((groups, counts.pop("scored_pairs"), counts))
+                    (groups, scored, counts), (all_groups, all_scored, all_counts) = runs
+                    assert groups == all_groups, (seed, theta_s, stage)
+                    assert counts == all_counts, (seed, theta_s, stage)
+                    assert all_scored == len(present) and scored <= all_scored
+                    skipped += all_scored - scored
+                    kept += scored
+        assert skipped > 100 and kept > 100, (skipped, kept)
+        assert rounded_below >= 2, rounded_below
+
+    def test_bound_is_each_pairs_best_cell(self) -> None:
+        for seed in range(4):
+            src_docs, tgt_docs, _, gated, _ = self.fixture(seed)
+            targets = [d.sentences for d in tgt_docs.values()]
+            for src in src_docs.values():
+                best = gated.best_cells(src.sentences, targets)
+                exact = [gated.matrix(src.sentences, ys).max() for ys in targets]
+                assert len(best) == len(targets)
+                assert np.allclose(best, exact, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["overlap", "bm25", "wmd", "rwmd"])
+    def test_other_scorers_score_every_pair(self, toy_table, monkeypatch, kind) -> None:
+        src_docs, tgt_docs, _ = pet_food_corpora(toy_table)
+        scorer = make_scorer(kind, table=toy_table, target_docs=tgt_docs.values())
+        xs, ys = src_docs["s1"].sentences, tgt_docs["t1"].sentences
+        assert scorer.best_cells(xs, [ys]) is None
+        scored = []
+
+        def spy(src, tgt, scorer):
+            scored.append((src.doc_id, tgt.doc_id))
+            return sentence_sim_matrix(src, tgt, scorer)
+
+        monkeypatch.setattr(lha.sent_align, "sentence_sim_matrix", spy)
+        doc_pairs = [DocPair(s, t, 0.5) for s in src_docs for t in tgt_docs]
+        counts: dict[str, int] = {}
+        # No cell reaches 2.0, yet every pair is scored.
+        assert list(align_sentences(
+            doc_pairs, src_docs, tgt_docs, scorer, 1, 2.0, drop_counts=counts
+        )) == []
+        assert scored == [(dp.source_id, dp.target_id) for dp in doc_pairs]
+        assert counts["scored_pairs"] == len(doc_pairs)
 
 
 class TestTextOracle:
@@ -608,6 +732,22 @@ class TestGroupIo:
         path = tmp_path / "groups.tsv"
         write_groups_tsv(groups, path)
         assert path.read_bytes() == b"The dog ran home.\tA puppy ran  home.\n"
+
+    def test_tsv_matches_translating_every_text(self, tmp_path) -> None:
+        # The writer skips translate() on texts without a tab, CR or LF; the
+        # bytes must be those of translating every text. Other line breaks
+        # (vertical tab, U+2028) were never replaced and stay.
+        spaces = str.maketrans("\t\r\n", "   ")
+        texts = ["plain text", "tab\there", "cr\rhere", "lf\nhere", "all\t\r\n",
+                 "\t", "", "naïve — 中文", "\r\n\t\t mixed", "vt\x0bls\u2028"]
+        groups = [group_of(a, b) for a in texts for b in texts]
+        path = tmp_path / "groups.tsv"
+        assert write_groups_tsv(groups, path) == len(groups)
+        expected = "".join(
+            f"{g.source_text.translate(spaces)}\t{g.target_text.translate(spaces)}\n"
+            for g in groups
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
 
     def test_filter_soundness_recheckable_from_file(self, tmp_path, toy_table) -> None:
         src_docs, tgt_docs, scorer = pet_food_corpora(toy_table)
