@@ -10,14 +10,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-# perfbench/spans.py patches lha.metrics.linprog; this module never calls it.
-from scipy.optimize import linprog  # noqa: F401
-from scipy.sparse import csc_array
 from scipy.spatial.distance import cdist
 
 from .corpus import Document, Sentence, content_tokens
@@ -42,6 +37,16 @@ __all__ = [
     "TABLE_SCORERS",
     "make_scorer",
 ]
+
+
+def __getattr__(name: str):
+    # perfbench/spans.py patches lha.metrics.linprog in traced runs; this
+    # module never calls it, so scipy.optimize is imported only on request.
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UnembeddableSentenceError(ValueError):
@@ -229,39 +234,185 @@ def _cells(
                     yield i, j, block[rs, cs], bound
 
 
-_NONNEGATIVE = Bounds(0.0, np.inf)
+# A reduced cost counts as negative only below -_TOLERANCE times the LP's
+# largest ground cost: potentials are sums of costs along tree paths and
+# carry a few ulps of rounding at that scale.
+_TOLERANCE = 1e-12
+# Pivots an m x n transport LP may take per row and column before it fails.
+_PIVOTS_PER_LINE = 50
 
 
-@lru_cache(maxsize=256)
-def _transport_constraints(m: int, n: int) -> csc_array:
-    """The equality rows of an m x n transport LP over the flows
-    ``x[i * n + j]``: m row sums, then n column sums. Flow ``i * n + j``
-    enters row ``i`` and row ``m + j``."""
-    rows = np.empty((m * n, 2), dtype=np.int32)
-    rows[:, 0] = np.repeat(np.arange(m), n)
-    rows[:, 1] = m + np.tile(np.arange(n), m)
-    indptr = np.arange(0, 2 * m * n + 1, 2, dtype=np.int32)
-    return csc_array((np.ones(2 * m * n), rows.ravel(), indptr), shape=(m + n, m * n))
+def _hang(
+    top: int, adj: list[list[int]], parent: list[int], depth: list[int],
+    potential: list[float], c: list[list[float]], m: int,
+) -> list[int]:
+    """Give every node below ``top`` (whose own entries are set) its parent,
+    depth and potential from the tree's adjacency; returns ``top`` and them.
+    Nodes ``0..m-1`` are rows and ``m + j`` is column ``j``; the cell of a
+    row and its parent column costs the row's potential less the column's."""
+    below = [top]
+    for w in below:
+        for y in adj[w]:
+            if y != parent[w]:
+                parent[y] = w
+                depth[y] = depth[w] + 1
+                potential[y] = (potential[w] + c[y][w - m] if y < m
+                                else potential[w] - c[w][y - m])
+                below.append(y)
+    return below
+
+
+def _start(
+    a: np.ndarray, b: np.ndarray, costs: np.ndarray, c: list[list[float]]
+) -> tuple[list[list[int]], list[int], list[int], list[float], list[float]]:
+    """A strongly feasible first tree of the m x n transport LP: its
+    adjacency, and per node its parent (-1 at the root, column 0), depth,
+    potential and the flow on the cell joining it to its parent.
+
+    The least-cost rule visits cells by cost, ties in row-major order, and
+    gives each the mass its row and column both have left. Those positive
+    cells form a forest. Every other tree of it is hung from the root's by
+    a zero-flow cell from its first row to the cheapest column hung so far,
+    so each zero-flow cell joins a row to its parent column.
+    """
+    m, n = costs.shape
+    supply, demand = a.tolist(), b.tolist()
+    adj: list[list[int]] = [[] for _ in range(m + n)]
+    flows: dict[tuple[int, int], float] = {}
+    rows_left, cols_left = m, n
+    ii, jj = np.divmod(np.argsort(costs, axis=None, kind="stable"), n)
+    for i, j in zip(ii.tolist(), jj.tolist()):
+        s, d = supply[i], demand[j]
+        if s > 0.0 and d > 0.0:
+            x = min(s, d)
+            supply[i], demand[j] = s - x, d - x
+            flows[i, j] = x
+            adj[i].append(m + j)
+            adj[m + j].append(i)
+            rows_left -= supply[i] == 0.0
+            cols_left -= demand[j] == 0.0
+            if not rows_left or not cols_left:
+                break
+    parent, depth, potential = [-1] * (m + n), [0] * (m + n), [0.0] * (m + n)
+    hung = _hang(m, adj, parent, depth, potential, c, m)
+    for r in range(m):
+        if parent[r] < 0:
+            j = min((v - m for v in hung if v >= m), key=c[r].__getitem__)
+            parent[r], depth[r] = m + j, depth[m + j] + 1
+            potential[r] = potential[m + j] + c[r][j]
+            adj[r].append(m + j)
+            adj[m + j].append(r)
+            hung += _hang(r, adj, parent, depth, potential, c, m)
+    flow = [flows.get((v, parent[v] - m) if v < m else (parent[v], v - m), 0.0)
+            for v in range(m + n)]
+    return adj, parent, depth, potential, flow
+
+
+def _entering(reduced: np.ndarray, tol: float) -> int | None:
+    """The flat index of the most negative reduced cost, the first in
+    row-major order among ties; None when none is below ``-tol``."""
+    k = int(reduced.argmin())
+    return k if reduced.flat[k] < -tol else None
+
+
+def _transport_plan(
+    a: np.ndarray, b: np.ndarray, costs: np.ndarray
+) -> tuple[list[int], list[float], list[float]]:
+    """An optimal tree of the transport LP of a onto b, by the
+    transportation simplex: per node (see ``_hang``) its parent, the flow on
+    the cell joining them and its potential. A cell's reduced cost is its
+    cost less its row's potential plus its column's.
+
+    Each pivot brings in the cell ``_entering`` picks and moves flow round
+    the cycle it closes in the tree. The cell that leaves is the last
+    blocking one met going round from the cycle's apex (the lowest common
+    ancestor of its two ends) in the entering cell's direction. That keeps
+    the tree strongly feasible, every zero-flow cell joining a row to its
+    parent column, which rules out cycling under degeneracy (Cunningham,
+    1976). Only the subtree cut off and hung again by the entering cell gets
+    new parents, depths and potentials. Raises RuntimeError after
+    ``_PIVOTS_PER_LINE`` pivots per row and column.
+    """
+    m, n = costs.shape
+    c = costs.tolist()
+    adj, parent, depth, potential, flow = _start(a, b, costs, c)
+    tol = _TOLERANCE * float(costs.max())
+    values = np.array(potential)
+    reduced = np.empty((m, n))
+    for _ in range(_PIVOTS_PER_LINE * (m + n) + 1):
+        np.subtract(costs, values[:m, None], out=reduced)
+        reduced += values[m:]
+        k = _entering(reduced, tol)
+        if k is None:
+            return parent, flow, potential
+        i, j = divmod(k, n)
+        # The tree paths from the row and from the column up to the apex,
+        # each cell named by its lower node. Going round the cycle, flow
+        # falls on the cells at even places of both paths and rises on the
+        # others.
+        x, y = i, m + j
+        up_i: list[int] = []
+        up_j: list[int] = []
+        while depth[x] > depth[y]:
+            up_i.append(x)
+            x = parent[x]
+        while depth[y] > depth[x]:
+            up_j.append(y)
+            y = parent[y]
+        while x != y:
+            up_i.append(x)
+            x = parent[x]
+            up_j.append(y)
+            y = parent[y]
+        # Blocking cells in order round the cycle from the apex: down the
+        # row's path, then up the column's. The last of least flow leaves.
+        delta, side, at = math.inf, up_i, -1
+        for path, ts in ((up_i, reversed(range(0, len(up_i), 2))),
+                         (up_j, range(0, len(up_j), 2))):
+            for t in ts:
+                if flow[path[t]] <= delta:
+                    delta, side, at = flow[path[t]], path, t
+        if delta > 0.0:
+            for path in (up_i, up_j):
+                for t in range(len(path)):
+                    flow[path[t]] += delta if t % 2 else -delta
+        leaving = side[at]
+        adj[leaving].remove(parent[leaving])
+        adj[parent[leaving]].remove(leaving)
+        # The path from the entering cell to the leaving one turns over.
+        for t in range(at, 0, -1):
+            flow[side[t]] = flow[side[t - 1]]
+        top, other = (i, m + j) if side is up_i else (m + j, i)
+        adj[top].append(other)
+        adj[other].append(top)
+        parent[top], depth[top], flow[top] = other, depth[other] + 1, delta
+        if top == i:
+            potential[i] = potential[m + j] + c[i][j]
+        else:
+            potential[m + j] = potential[i] - c[i][j]
+        below = _hang(top, adj, parent, depth, potential, c, m)
+        values[below] = [potential[v] for v in below]
+    raise RuntimeError(
+        f"transport LP not solved in {_PIVOTS_PER_LINE * (m + n)} pivots"
+    )
 
 
 def _transport_cost(a: np.ndarray, b: np.ndarray, costs: np.ndarray) -> float:
-    """Minimum-cost transport of distribution a onto b under a cost matrix,
-    solved as a linear program by HiGHS."""
+    """Minimum-cost transport of distribution a onto b under a cost matrix:
+    a dot product when a side has one word, else the LP solved by
+    ``_transport_plan``, its cost summed exactly over the tree's cells."""
     m, n = costs.shape
     if m == 1:
         return float(np.dot(b, costs[0]))
     if n == 1:
         # A dot product over a strided column may take another BLAS kernel.
         return float(np.dot(a, np.ascontiguousarray(costs[:, 0])))
-    b_eq = np.concatenate([a, b])
-    res = milp(
-        costs.ravel(),
-        constraints=LinearConstraint(_transport_constraints(m, n), b_eq, b_eq),
-        bounds=_NONNEGATIVE,
+    parent, flow, _ = _transport_plan(a, b, costs)
+    total = math.fsum(
+        x * (costs[v, p - m] if v < m else costs[p, v - m])
+        for v, (p, x) in enumerate(zip(parent, flow)) if p >= 0
     )
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    return max(float(res.fun), 0.0)
+    return max(float(total), 0.0)
 
 
 def _cell(
@@ -327,6 +478,10 @@ class CosineScorer(Scorer):
     ``source`` and target sentences (its columns) from ``target``. Keeping
     the sides apart lets both corpora use the same unit ids. Each side's
     rows are L2-normalized in float64 once, here; all-zero rows stay zero.
+    A tuple of sentences (a document's) has its row indices looked up once
+    per side, keyed by identity with the tuple held in the entry, as
+    ``_TransportScorer`` keys its bags; other sequences are looked up on
+    every call.
     """
 
     kind = "cosine"
@@ -341,14 +496,26 @@ class CosineScorer(Scorer):
             self._source_unit if target is source
             else unit_rows(target.rows.astype(np.float64))
         )
+        # Per side: id -> (tuple, its row indices).
+        self._indices: tuple[dict, dict] = ({}, {})
+
+    def _rows(self, side: int, xs: Sequence[Sentence]) -> np.ndarray:
+        """The row indices of ``xs`` in ``source`` (side 0) or ``target``."""
+        entry = self._indices[side].get(id(xs))
+        if entry is None:
+            matrix = self.target if side else self.source
+            entry = (xs, np.array([matrix.row_index(x.uid) for x in xs], dtype=np.intp))
+            if isinstance(xs, tuple):
+                self._indices[side][id(xs)] = entry
+        return entry[1]
 
     def source_rows(self, xs: Sequence[Sentence]) -> np.ndarray:
         """The unit rows of ``xs`` in order, read by uid from ``source``."""
-        return self._source_unit[[self.source.row_index(x.uid) for x in xs]]
+        return self._source_unit[self._rows(0, xs)]
 
     def target_rows(self, ys: Sequence[Sentence]) -> np.ndarray:
         """The unit rows of ``ys`` in order, read by uid from ``target``."""
-        return self._target_unit[[self.target.row_index(y.uid) for y in ys]]
+        return self._target_unit[self._rows(1, ys)]
 
     def matrix(self, xs: Sequence[Sentence], ys: Sequence[Sentence]) -> np.ndarray:
         return self.source_rows(xs) @ self.target_rows(ys).T
@@ -358,7 +525,7 @@ class CosineScorer(Scorer):
     ) -> list[float]:
         # One product against every target's rows at once; its entries
         # differ from matrix()'s by a few ulps of summation order.
-        columns = self.target_rows([y for ys in targets for y in ys])
+        columns = self._target_unit[np.concatenate([self._rows(1, ys) for ys in targets])]
         values = (self.source_rows(xs) @ columns.T).max(axis=0)
         starts = np.cumsum([0] + [len(ys) for ys in targets[:-1]])
         return np.maximum.reduceat(values, starts).tolist()

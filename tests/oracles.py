@@ -10,9 +10,11 @@ selection via a full sort of every row and column, sentence splitting via a
 look-behind search from the start of the text, cosine rows via a
 normalisation of each gathered subset, unit averages via one ``np.mean``
 per unit, an index's top-k via one ``argpartition`` per query, the
-transport LP via ``linprog`` on a freshly built sparse matrix, a
-transport scorer's matrix via fresh bags and one ``cdist`` per cell, and a
-token's flags via one scan of its characters per flag.
+transport LP via HiGHS through ``linprog`` on a freshly built sparse matrix,
+a transport scorer's matrix via fresh bags and one ``cdist`` per cell (its
+LPs through the library's own solver, so that blocks, gate and bags are
+checked bit for bit), and a token's flags via one scan of its characters
+per flag.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from scipy.spatial.distance import cdist
 
 from lha.corpus import Token, content_tokens, default_abbreviations, tokenize
 from lha.embeddings import EmbeddingFormatError, EmbeddingMatrix, WordVectorTable, unit_rows
-from lha.metrics import _FLOOR_SLACK
+from lha.metrics import _FLOOR_SLACK, _transport_cost
 from lha.sent_align import AlignedGroup, FilterPolicy, normalize_pair_key
 
 
@@ -185,7 +187,7 @@ def transport_matrix_oracle(
 ) -> tuple[np.ndarray, tuple[int, int, int]]:
     """A ``wmd`` or ``rwmd`` scorer's matrix, cell by cell: both bags built
     afresh, the cell's own ``cdist``, then the relaxed cost or (for wmd
-    cells whose bound is not below ``floor``) ``transport_cost_linprog_oracle``.
+    cells whose bound is not below ``floor``) the library's ``_transport_cost``.
     Returns the matrix and wmd's (cells, pruned, solved) counts."""
     out = np.zeros((len(xs), len(ys)), dtype=np.float64)
     cells = pruned = solved = 0
@@ -206,7 +208,7 @@ def transport_matrix_oracle(
                 distance = bound
             else:
                 solved += 1
-                distance = transport_cost_linprog_oracle(a, b, costs)
+                distance = _transport_cost(a, b, costs)
             out[i, j] = 1.0 / (1.0 + distance)
     return out, (cells, pruned, solved)
 

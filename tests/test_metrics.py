@@ -401,6 +401,51 @@ class TestCosineSides:
                 assert scorer.target_rows(subset).tobytes() == \
                     cosine_rows_oracle(target, subset).tobytes()
 
+    @staticmethod
+    def _shared_id_sides(rng: np.random.Generator):
+        """Two corpora with the same document ids and their matrices, the
+        target's rows in reverse uid order."""
+        texts = [["A cat.", "A dog.", "Rain."], ["Snow.", "Sun."], ["Bread."]]
+        src = [doc(f"d{i}", t) for i, t in enumerate(texts)]
+        tgt = [doc(f"d{i}", t[::-1]) for i, t in enumerate(texts)]
+        uids = [s.uid for d in src for s in d.sentences]
+        source = EmbeddingMatrix(uids, rng.normal(size=(len(uids), 5)).astype(np.float32))
+        target = EmbeddingMatrix(uids[::-1], rng.normal(size=(len(uids), 5)).astype(np.float32))
+        return src, tgt, CosineScorer(source, target)
+
+    def test_a_sentence_tuple_looks_its_rows_up_once(self, monkeypatch) -> None:
+        calls: list[str] = []
+        real = EmbeddingMatrix.row_index
+        monkeypatch.setattr(EmbeddingMatrix, "row_index",
+                            lambda self, uid: calls.append(uid) or real(self, uid))
+        src, tgt, scorer = self._shared_id_sides(np.random.default_rng(0))
+        for _ in range(3):
+            for d in src:
+                scorer.best_cells(d.sentences, [t.sentences for t in tgt])
+                for t in tgt:
+                    scorer.matrix(d.sentences, t.sentences)
+        # One lookup per sentence and side, though both sides share uids.
+        assert len(calls) == 2 * sum(len(d.sentences) for d in src)
+        calls.clear()
+        scorer.matrix(list(src[0].sentences), list(tgt[0].sentences))
+        scorer.matrix(list(src[0].sentences), list(tgt[0].sentences))
+        assert len(calls) == 4 * len(src[0].sentences)
+
+    def test_cached_rows_equal_per_uid_rows_on_shared_ids(self) -> None:
+        src, tgt, scorer = self._shared_id_sides(np.random.default_rng(1))
+        fresh = self._shared_id_sides(np.random.default_rng(1))[2]
+        for _ in range(2):
+            for d in src:
+                xs = d.sentences
+                for t in [*tgt, d]:
+                    got = scorer.matrix(xs, t.sentences)
+                    expected = fresh.matrix(list(xs), list(t.sentences))
+                    assert got.tobytes() == expected.tobytes()
+                    assert scorer.target_rows(t.sentences).tobytes() == \
+                        cosine_rows_oracle(fresh.target, list(t.sentences)).tobytes()
+                best = scorer.best_cells(xs, [t.sentences for t in tgt])
+                assert best == fresh.best_cells(list(xs), [list(t.sentences) for t in tgt])
+
 
 class TestMakeScorer:
     def test_bm25_stats_from_target_docs(self) -> None:

@@ -1,15 +1,17 @@
-"""The transport scorers at corpus scale are exact.
+"""The transport scorers at corpus scale are exact, and so is their LP.
 
 ``WmdScorer`` and ``RwmdScorer`` build one bag per sentence object, take
 their ground costs from bounded ``cdist`` blocks over the stacked bag rows,
-and send each LP to HiGHS through ``milp`` on a cached constraint matrix.
-These tests compare them bit for bit with the per-cell path of
-``tests/oracles.py``: fresh bags, one ``cdist`` per cell, and ``linprog`` on
-a ``coo_matrix`` built per LP.
+and solve each LP with the transportation simplex of ``lha.metrics``. The
+solver's tree is checked as an optimality certificate and against HiGHS
+(``linprog``) on seeded and degenerate LPs. The scorers are compared bit
+for bit with the per-cell path of ``tests/oracles.py``: fresh bags, one
+``cdist`` per cell, and the same solver.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -23,8 +25,10 @@ from lha.metrics import (
     _FLOOR_SLACK,
     RwmdScorer,
     WmdScorer,
+    _entering,
     _nbow,
     _transport_cost,
+    _transport_plan,
     make_scorer,
     rwmd,
     to_similarity,
@@ -81,21 +85,126 @@ def _lp(rng: np.random.Generator, m: int, n: int):
     return a / a.sum(), b / b.sum(), costs
 
 
-@pytest.mark.parametrize("chunk", range(4))
-def test_milp_lp_is_bit_equal_to_linprog(chunk) -> None:
+def _degenerate_lp(rng: np.random.Generator, seed: int):
+    """Ties everywhere: all-equal weights (square or not), costs from
+    {0, 1, 2} or all equal, and weights whose sums differ by 1 ulp."""
+    m, n = (int(v) for v in rng.integers(2, 13, size=2))
+    kind = seed % 4
+    if kind == 0:
+        n = m if seed % 8 == 0 else n
+        a, b = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+    else:
+        a = rng.integers(1, 4, size=m).astype(np.float64)
+        b = rng.integers(1, 4, size=n).astype(np.float64)
+        a, b = a / a.sum(), b / b.sum()
+    costs = rng.integers(0, 3, size=(m, n)).astype(np.float64)
+    if kind == 2:
+        costs[:] = float(seed % 3)
+    if kind == 3:
+        a[-1] = np.nextafter(a[-1], 2.0 if seed % 8 == 3 else 0.0)
+    return a, b, costs
+
+
+def _certify(a: np.ndarray, b: np.ndarray, costs: np.ndarray) -> None:
+    """The solver's tree is an optimal basis: a spanning tree of rows and
+    columns, its flows non-negative with the weights as row and column
+    sums, no reduced cost below -tol, and flow only on cells whose reduced
+    cost is zero within tol. It is also strongly feasible: a zero-flow cell
+    joins a row to its parent column."""
+    m, n = costs.shape
+    parent, flow, potential = _transport_plan(a, b, costs)
+    assert [v for v, p in enumerate(parent) if p < 0] == [m]
+    x = np.zeros((m, n))
+    for v, p in enumerate(parent):
+        if p < 0:
+            continue
+        assert (v < m) != (p < m)
+        i, j = (v, p - m) if v < m else (p, v - m)
+        x[i, j] = flow[v]
+        assert flow[v] > 0.0 or v < m
+        u, steps = v, 0
+        while parent[u] >= 0:
+            u, steps = parent[u], steps + 1
+            assert steps < m + n
+    assert (x >= 0.0).all()
+    np.testing.assert_allclose(x.sum(axis=1), a, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(x.sum(axis=0), b, rtol=0, atol=1e-15)
+    pot = np.array(potential)
+    reduced = costs - pot[:m, None] + pot[m:]
+    tol = lha.metrics._TOLERANCE * costs.max()
+    assert reduced.min() >= -tol
+    assert (np.abs(reduced[x > 0.0]) <= tol).all()
+
+
+@pytest.mark.parametrize("chunk", range(6))
+def test_lp_is_optimal_and_agrees_with_linprog(chunk) -> None:
+    """Chunks 0-3 hold the 1,200 seeded LPs, 4-5 600 degenerate ones."""
     zero_costs = 0
     for seed in range(300 * chunk, 300 * (chunk + 1)):
         rng = np.random.default_rng(seed)
-        m, n = (int(v) for v in rng.integers(2, 13, size=2))
-        if seed % 10 == 0:
-            m = 1
-        elif seed % 10 == 1:
-            n = 1
-        a, b, costs = _lp(rng, m, n)
+        if chunk >= 4:
+            a, b, costs = _degenerate_lp(rng, seed)
+        else:
+            m, n = (int(v) for v in rng.integers(2, 13, size=2))
+            if seed % 10 == 0:
+                m = 1
+            elif seed % 10 == 1:
+                n = 1
+            a, b, costs = _lp(rng, m, n)
         zero_costs += bool((costs == 0.0).any())
+        _certify(a, b, costs)
         got = _transport_cost(a, b, costs)
-        assert got.hex() == transport_cost_linprog_oracle(a, b, costs).hex(), seed
+        expected = transport_cost_linprog_oracle(a, b, costs)
+        if 1 in costs.shape:
+            assert got.hex() == expected.hex(), seed
+        else:
+            assert math.isclose(got, expected, rel_tol=1e-12, abs_tol=1e-15), seed
     assert zero_costs > 30
+
+
+def test_entering_cell_is_the_first_most_negative() -> None:
+    reduced = np.array([[0.0, -2.0, 1.0], [-2.0, -1.0, -2.0]])
+    assert _entering(reduced, 1e-12) == 1
+    assert _entering(np.array([[0.0, -1.0, 1.0], [-2.0, 0.0, -2.0]]), 1e-12) == 3
+    assert _entering(np.array([[0.0, -1e-12], [3.0, -1e-12]]), 1e-12) is None
+    assert _entering(np.array([[0.0, -2e-12], [3.0, -2e-12]]), 1e-12) == 1
+
+
+def test_every_pivot_enters_by_the_fixed_rule(monkeypatch) -> None:
+    """A spy on the pricing step: each entering cell is the first most
+    negative reduced cost in row-major order, ties included."""
+    seen = []
+
+    def recording(reduced, tol):
+        k = _entering(reduced, tol)
+        low = np.flatnonzero(reduced == reduced.min())
+        seen.append(len(low))
+        assert k == (low[0] if reduced.flat[low[0]] < -tol else None)
+        return k
+
+    monkeypatch.setattr(lha.metrics, "_entering", recording)
+    for seed in range(200):
+        _certify(*_degenerate_lp(np.random.default_rng(seed), seed))
+    assert max(seen) > 1 and len(seen) > 400
+
+
+def test_the_pivot_cap_raises(monkeypatch) -> None:
+    calls = []
+    real = lha.metrics._entering
+    monkeypatch.setattr(lha.metrics, "_entering",
+                        lambda reduced, tol: calls.append(1) or real(reduced, tol))
+    rng = np.random.default_rng(4)
+    a, b, costs = _lp(rng, 9, 11)
+    _transport_cost(a, b, costs)
+    assert len(calls) > 1  # this LP needs a pivot
+    monkeypatch.setattr(lha.metrics, "_PIVOTS_PER_LINE", 0)
+    with pytest.raises(RuntimeError, match="not solved in 0 pivots"):
+        _transport_cost(a, b, costs)
+    with pytest.raises(RuntimeError, match="not solved"):
+        WmdScorer(_table(rng, 3)).matrix(
+            [sent("qax qay qaz qbx.")], [sent("qby qbz qcx qcy.")])
+    # A first tree that is optimal needs no pivot.
+    assert _transport_cost(np.full(3, 1 / 3), np.full(4, 0.25), np.ones((3, 4))) == 1.0
 
 
 @pytest.mark.parametrize("dim", [1, 3, 100, 300])
@@ -210,20 +319,20 @@ def test_each_sentence_gets_one_bag(monkeypatch) -> None:
 
 
 @pytest.mark.parametrize("quantile", [None, 0.3, 0.8])
-def test_one_milp_call_per_solved_cell_with_two_words_a_side(monkeypatch, quantile) -> None:
+def test_one_lp_per_solved_cell_with_two_words_a_side(monkeypatch, quantile) -> None:
     calls = []
-    real_milp = lha.metrics.milp
+    real_plan = lha.metrics._transport_plan
 
-    def counting_milp(*args, **kwargs):
+    def counting_plan(*args, **kwargs):
         calls.append(1)
-        return real_milp(*args, **kwargs)
+        return real_plan(*args, **kwargs)
 
-    monkeypatch.setattr(lha.metrics, "milp", counting_milp)
     rng = np.random.default_rng(11)
     table = _table(rng, 4)
     xs = _sentences(rng, "a", 6) + [sent("qax qax.", "a", 9)]
     ys = _sentences(rng, "b", 5) + [sent("qby.", "b", 9)]
     floor = None if quantile is None else _exact_floor(table, xs, ys, quantile)
+    monkeypatch.setattr(lha.metrics, "_transport_plan", counting_plan)
     scorer = WmdScorer(table, floor)
     scorer.matrix(xs, ys)
 
@@ -253,8 +362,10 @@ def test_module_functions_score_through_the_scorer_path() -> None:
         b = np.array([cy[t] / len(y) for t in sorted(cy)])
         costs = cdist(np.vstack([table.get(t) for t in sorted(cx)]),
                       np.vstack([table.get(t) for t in sorted(cy)]))
-        expected = transport_cost_linprog_oracle(a, b, costs)
+        expected = _transport_cost(a, b, costs)
         assert wmd(x, y, table).hex() == expected.hex()
+        assert math.isclose(expected, transport_cost_linprog_oracle(a, b, costs),
+                            rel_tol=1e-12, abs_tol=1e-15)
         bound = max(float(np.dot(a, costs.min(axis=1))), float(np.dot(b, costs.min(axis=0))))
         assert rwmd(x, y, table).hex() == bound.hex()
         sx, sy = sent(" ".join(x)), sent(" ".join(y))
