@@ -10,10 +10,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .corpus import Document, Sentence, content_tokens
 from .embeddings import EmbeddingMatrix, WordVectorTable, unit_rows
@@ -72,11 +71,11 @@ def unigram_overlap(x: Iterable[str], y: Iterable[str]) -> float:
     Asymmetric on purpose: o(x, y) = |set(y) & set(x)| / |set(y)|, and 0.0
     when y has no tokens.
     """
-    xs = set(x)
-    ys = set(y)
-    if not ys:
-        return 0.0
-    return len(ys & xs) / len(ys)
+    return _share(set(x), set(y))
+
+
+def _share(xset: AbstractSet[str], yset: AbstractSet[str]) -> float:
+    return len(yset & xset) / len(yset) if yset else 0.0
 
 
 @dataclass(frozen=True)
@@ -171,6 +170,25 @@ def _require_nbow(x: Sentence | Sequence[str], table: WordVectorTable) -> _Nbow:
 
 # Entries of one Euclidean distance block; a single cell may be larger.
 _BLOCK_CELLS = 2**16
+# A squared distance below this share of its two rows' squared norms is
+# taken again from the rows' difference (see ``_distances``).
+_RECOMPUTE = 1.0 / 8.0
+
+
+def _distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``u`` and those of ``v``, in
+    Gram form with close pairs summed again (see ``_cells``)."""
+    uu = np.einsum("ij,ij->i", u, u)
+    vv = np.einsum("ij,ij->i", v, v)
+    scale = uu[:, None] + vv
+    d2 = np.einsum("ik,jk->ij", u, v, optimize=False)
+    d2 *= -2.0
+    d2 += scale
+    p, q = np.nonzero(d2 < _RECOMPUTE * scale)
+    if p.size:
+        diff = u[p] - v[q]
+        d2[p, q] = np.einsum("ij,ij->i", diff, diff)
+    return np.sqrt(d2, out=d2)
 
 
 def _groups(sizes: Sequence[int], cap: int) -> Iterator[tuple[int, int]]:
@@ -197,13 +215,21 @@ def _cells(
     word's mass moves to its nearest counterpart, a lower bound on
     ``_transport_cost(costs)``.
 
-    Distances are taken with ``cdist`` over the stacked rows of the bags, in
-    blocks of at most ``_BLOCK_CELLS`` entries unless one cell is larger.
-    ``cdist`` computes each entry on its own, so ``costs`` (a view into the
-    block) equals the cell's own ``cdist`` bit for bit. The nearest
-    distances come from whole-block minima, which are exact; each side's
-    weighted sum is one dot product over a contiguous run of them, as over
-    the cell's own minima.
+    Distances are taken by ``_distances`` over the stacked rows of the bags,
+    in blocks of at most ``_BLOCK_CELLS`` entries unless one cell is larger.
+    It computes ``d² = |u|² + |v|² − 2·u·v`` and then ``sqrt``. Where
+    ``d²`` is below ``_RECOMPUTE`` (1/8) times ``|u|² + |v|²``, the Gram
+    form has lost digits to cancellation, so ``d²`` is summed again from the
+    difference of the two rows: the relative error stays under about
+    1e-14, and identical rows come out exactly 0. Every sum is numpy's own
+    ``einsum`` loop, not a BLAS product, whose entries depend on the shape
+    of the block around them; so each entry depends only on its two rows,
+    and ``costs`` (a view into the block) equals ``_distances`` on the
+    cell's own rows bit for bit. A sentence pair's costs thus do not depend
+    on which other sentences share its block. The nearest distances come
+    from whole-block minima, which are exact; each side's weighted sum is
+    one dot product over a contiguous run of them, as over the cell's own
+    minima.
     """
     xi = [i for i, nb in enumerate(x_nb) if nb is not None]
     yj = [j for j, nb in enumerate(y_nb) if nb is not None]
@@ -219,7 +245,7 @@ def _cells(
         r0, r1 = x_off[xa], x_off[xb]
         for ya, yb in _groups(y_sizes, _BLOCK_CELLS // (r1 - r0)):
             c0, c1 = y_off[ya], y_off[yb]
-            block = cdist(vectors[x_rows[r0:r1]], vectors[y_rows[c0:c1]])
+            block = _distances(vectors[x_rows[r0:r1]], vectors[y_rows[c0:c1]])
             # to_y[q, r]: row r's distance to its nearest word of y bag q;
             # to_x[p, c]: column c's distance to its nearest word of x bag p.
             to_y = np.minimum.reduceat(block, np.subtract(y_off[ya:yb], c0), axis=1).T.copy()
@@ -466,8 +492,9 @@ class Scorer:
     def best_cells(
         self, xs: Sequence[Sentence], targets: Sequence[Sequence[Sentence]]
     ) -> list[float] | None:
-        """Per non-empty ``ys`` of ``targets``, the largest value of
-        ``matrix(xs, ys)`` within ``_FLOOR_SLACK``; None if only it can tell."""
+        """Per non-empty ``ys`` of ``targets``, a bound that is at most
+        ``_FLOOR_SLACK`` below the largest value of ``matrix(xs, ys)``; None
+        if only ``matrix`` can tell."""
         return None
 
 
@@ -540,8 +567,17 @@ class OverlapScorer(Scorer):
         out = np.zeros((len(xs), len(ys)), dtype=np.float64)
         for i, xset in enumerate(x_sets):
             for j, yset in enumerate(y_sets):
-                out[i, j] = len(yset & xset) / len(yset) if yset else 0.0
+                out[i, j] = _share(xset, yset)
         return out
+
+    def best_cells(
+        self, xs: Sequence[Sentence], targets: Sequence[Sequence[Sentence]]
+    ) -> list[float]:
+        # Every source sentence's words are in their union, so a target
+        # sentence's share of words in the union is at or above each cell of
+        # its column: a larger count over the same size, divided alike.
+        union = set().union(*map(content_tokens, xs))
+        return [max(_share(union, set(content_tokens(y))) for y in ys) for ys in targets]
 
 
 class Bm25Scorer(Scorer):

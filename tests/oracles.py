@@ -11,9 +11,9 @@ look-behind search from the start of the text, cosine rows via a
 normalisation of each gathered subset, unit averages via one ``np.mean``
 per unit, an index's top-k via one ``argpartition`` per query, the
 transport LP via HiGHS through ``linprog`` on a freshly built sparse matrix,
-a transport scorer's matrix via fresh bags and one ``cdist`` per cell (its
-LPs through the library's own solver, so that blocks, gate and bags are
-checked bit for bit), and a token's flags via one scan of its characters
+a transport scorer's matrix via fresh bags and one ``_distances`` call per
+cell on that cell's own rows (its LPs through the library's own solver, so
+that blocks, gate and bags are checked bit for bit), and a token's flags via one scan of its characters
 per flag.
 """
 
@@ -30,11 +30,10 @@ import numpy as np
 
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
-from scipy.spatial.distance import cdist
 
 from lha.corpus import Token, content_tokens, default_abbreviations, tokenize
 from lha.embeddings import EmbeddingFormatError, EmbeddingMatrix, WordVectorTable, unit_rows
-from lha.metrics import _FLOOR_SLACK, _transport_cost
+from lha.metrics import _FLOOR_SLACK, _distances, _transport_cost
 from lha.sent_align import AlignedGroup, FilterPolicy, normalize_pair_key
 
 
@@ -186,8 +185,9 @@ def transport_matrix_oracle(
     kind: str, xs, ys, table, floor: float | None = None
 ) -> tuple[np.ndarray, tuple[int, int, int]]:
     """A ``wmd`` or ``rwmd`` scorer's matrix, cell by cell: both bags built
-    afresh, the cell's own ``cdist``, then the relaxed cost or (for wmd
-    cells whose bound is not below ``floor``) the library's ``_transport_cost``.
+    afresh, ``_distances`` on the cell's own rows, then the relaxed cost or
+    (for wmd cells whose bound is not below ``floor``) the library's
+    ``_transport_cost``.
     Returns the matrix and wmd's (cells, pruned, solved) counts."""
     out = np.zeros((len(xs), len(ys)), dtype=np.float64)
     cells = pruned = solved = 0
@@ -197,7 +197,7 @@ def transport_matrix_oracle(
             if nx is None or ny is None:
                 continue
             (a, u), (b, v) = nx, ny
-            costs = cdist(u, v, metric="euclidean")
+            costs = _distances(u, v)
             bound = max(float(np.dot(a, costs.min(axis=1))),
                         float(np.dot(b, costs.min(axis=0))))
             cells += 1

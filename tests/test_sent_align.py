@@ -503,11 +503,18 @@ class _Ungated(CosineScorer):
         return None
 
 
+class _UngatedOverlap(OverlapScorer):
+    """The overlap scorer without a bound."""
+
+    def best_cells(self, xs, targets):
+        return None
+
+
 class TestBestCellGate:
     """Skipping the pairs whose bound is below theta_s must leave the groups
     and counts of scoring every pair, bit for bit."""
 
-    def fixture(self, seed: int):
+    def fixture(self, seed: int, kind: str = "cosine"):
         rng = random.Random(seed)
         nrng = np.random.default_rng(seed)
         src_docs = {f"s{n}": _random_doc(rng, f"s{n}") for n in range(6)}
@@ -527,23 +534,30 @@ class TestBestCellGate:
         doc_pairs += doc_pairs[:4]
         doc_pairs += [DocPair("s0", "gone", 0.5), DocPair("gone", "t0", 0.5)]
         rng.shuffle(doc_pairs)
-        gated, ungated = CosineScorer(source, target), _Ungated(source, target)
+        if kind == "overlap":
+            gated, ungated = OverlapScorer(), _UngatedOverlap()
+        else:
+            gated, ungated = CosineScorer(source, target), _Ungated(source, target)
         return src_docs, tgt_docs, doc_pairs, gated, ungated
 
-    def test_groups_and_counts_match_scoring_every_pair(self) -> None:
-        skipped = kept = rounded_below = 0
+    @pytest.mark.parametrize("kind", ["cosine", "overlap"])
+    def test_groups_and_counts_match_scoring_every_pair(self, kind) -> None:
+        skipped = kept = rounded_below = tight = 0
         for seed in range(6):
-            src_docs, tgt_docs, doc_pairs, gated, ungated = self.fixture(seed)
+            src_docs, tgt_docs, doc_pairs, gated, ungated = self.fixture(seed, kind)
             present = [dp for dp in doc_pairs
                        if dp.source_id in src_docs and dp.target_id in tgt_docs]
             # theta_s equal to a pair's best cell, preferably one whose bound
-            # rounded below it: only the slack keeps that pair.
+            # rounded below it (only the slack keeps that pair), else one
+            # whose bound equals it.
             bounds = lha.sent_align._best_cells(doc_pairs, src_docs, tgt_docs, gated)
             cells = {(dp.source_id, dp.target_id): float(gated.matrix(
                 src_docs[dp.source_id].sentences, tgt_docs[dp.target_id].sentences
             ).max()) for dp in present}
-            exact = max(cells, key=lambda pair: (bounds[pair] < cells[pair], pair))
+            exact = max(cells, key=lambda pair: (
+                bounds[pair] < cells[pair], bounds[pair] == cells[pair], pair))
             rounded_below += bounds[exact] < cells[exact]
+            tight += bounds[exact] == cells[exact]
             for theta_s in (0.3, 0.8, 0.97, cells[exact]):
                 for stage in ("group", "pair"):
                     policy = FilterPolicy(min_overlap=0.0, stage=stage)
@@ -562,7 +576,11 @@ class TestBestCellGate:
                     skipped += all_scored - scored
                     kept += scored
         assert skipped > 100 and kept > 100, (skipped, kept)
-        assert rounded_below >= 2, rounded_below
+        if kind == "cosine":
+            assert rounded_below >= 2, rounded_below
+        else:
+            # The overlap bound is never below a pair's best cell.
+            assert rounded_below == 0 and tight >= 2, tight
 
     def test_bound_is_each_pairs_best_cell(self) -> None:
         for seed in range(4):
@@ -574,7 +592,20 @@ class TestBestCellGate:
                 assert len(best) == len(targets)
                 assert np.allclose(best, exact, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("kind", ["overlap", "bm25", "wmd", "rwmd"])
+    def test_overlap_bound_is_at_or_above_each_pairs_best_cell(self) -> None:
+        above = 0
+        for seed in range(6):
+            src_docs, tgt_docs, _, gated, _ = self.fixture(seed, "overlap")
+            targets = [d.sentences for d in tgt_docs.values()]
+            for src in src_docs.values():
+                best = gated.best_cells(src.sentences, targets)
+                exact = [OverlapScorer().matrix(src.sentences, ys).max() for ys in targets]
+                assert len(best) == len(targets)
+                assert all(b >= e for b, e in zip(best, exact))
+                above += sum(b > e for b, e in zip(best, exact))
+        assert above > 20, above
+
+    @pytest.mark.parametrize("kind", ["bm25", "wmd", "rwmd"])
     def test_other_scorers_score_every_pair(self, toy_table, monkeypatch, kind) -> None:
         src_docs, tgt_docs, _ = pet_food_corpora(toy_table)
         scorer = make_scorer(kind, table=toy_table, target_docs=tgt_docs.values())
@@ -656,6 +687,10 @@ class TestTextOracle:
                             *args, policy, stopwords, boundary
                         )
                         assert groups == expected, (seed, spec, stage, theta_s)
+                        # The oracle scores every pair; the scorer's bound
+                        # lets the stage skip some at theta_s 0.3.
+                        scored = counts.pop("scored_pairs")
+                        assert scored <= expected_counts.pop("scored_pairs")
                         assert counts == expected_counts, (seed, spec, stage, theta_s)
                         reasons.update({k: counts[k] for k in (
                             "overlap", "length_ratio", "excluded", "duplicate"

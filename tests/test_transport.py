@@ -1,12 +1,13 @@
 """The transport scorers at corpus scale are exact, and so is their LP.
 
 ``WmdScorer`` and ``RwmdScorer`` build one bag per sentence object, take
-their ground costs from bounded ``cdist`` blocks over the stacked bag rows,
-and solve each LP with the transportation simplex of ``lha.metrics``. The
-solver's tree is checked as an optimality certificate and against HiGHS
-(``linprog``) on seeded and degenerate LPs. The scorers are compared bit
-for bit with the per-cell path of ``tests/oracles.py``: fresh bags, one
-``cdist`` per cell, and the same solver.
+their ground costs from bounded ``_distances`` blocks over the stacked bag
+rows, and solve each LP with the transportation simplex of ``lha.metrics``.
+The solver's tree is checked as an optimality certificate and against HiGHS
+(``linprog``) on seeded and degenerate LPs, and the distance kernel against
+scipy's ``cdist``. The scorers are compared bit for bit with the per-cell
+path of ``tests/oracles.py``: fresh bags, one ``_distances`` call per cell,
+and the same solver.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from lha.metrics import (
     _FLOOR_SLACK,
     RwmdScorer,
     WmdScorer,
+    _distances,
     _entering,
     _nbow,
     _transport_cost,
@@ -208,18 +210,58 @@ def test_the_pivot_cap_raises(monkeypatch) -> None:
 
 
 @pytest.mark.parametrize("dim", [1, 3, 100, 300])
-def test_block_slices_equal_per_cell_cdist(dim) -> None:
+def test_block_slices_equal_per_cell_distances(dim) -> None:
+    """Each entry of a block depends only on its own two rows: every cell's
+    slice, single rows and columns included, is the kernel on the cell."""
     rng = np.random.default_rng(dim)
-    for _ in range(40):
-        x = rng.normal(size=(int(rng.integers(1, 40)), dim))
-        y = rng.normal(size=(int(rng.integers(1, 40)), dim))
-        block = cdist(x, y)
+    for n in range(41):
+        shape = (256, 256) if n == 0 else tuple(rng.integers(1, 40, size=2).tolist())
+        x, y = rng.normal(size=(shape[0], dim)), rng.normal(size=(shape[1], dim))
+        block = _distances(x, y)
         x_cuts = [0, *sorted(rng.integers(0, len(x), size=3).tolist()), len(x)]
         y_cuts = [0, *sorted(rng.integers(0, len(y), size=3).tolist()), len(y)]
-        for a, b in zip(x_cuts, x_cuts[1:]):
-            for c, d in zip(y_cuts, y_cuts[1:]):
-                cell = cdist(x[a:b], y[c:d])
-                assert block[a:b, c:d].tobytes() == cell.tobytes()
+        cells = [((a, b), (c, d)) for a, b in zip(x_cuts, x_cuts[1:])
+                 for c, d in zip(y_cuts, y_cuts[1:])]
+        p, q = int(rng.integers(0, len(x))), int(rng.integers(0, len(y)))
+        cells += [((p, p + 1), (0, len(y))), ((0, len(x)), (q, q + 1)),
+                  ((p, p + 1), (q, q + 1))]
+        for (a, b), (c, d) in cells:
+            cell = _distances(x[a:b], y[c:d])
+            assert block[a:b, c:d].tobytes() == cell.tobytes()
+
+
+# The kernel's distances are within this relative difference of cdist's.
+_REL_TOL = 1e-14
+
+
+@pytest.mark.parametrize("dim", [1, 3, 100, 300])
+def test_distances_agree_with_cdist(dim) -> None:
+    """Gram-form distances against scipy's direct ones, with rows of very
+    different norms, rows planted at ``d² / (|u|² + |v|²)`` from 1 down to
+    1e-12 and close around the recompute threshold, and identical rows,
+    which must come out exactly 0."""
+    rng = np.random.default_rng(dim)
+    ratios = []
+    for _ in range(50):
+        n = int(rng.integers(2, 40))
+        u = rng.normal(size=(n, dim)) * rng.choice([1e-3, 1.0, 1e3])
+        u += rng.normal(size=dim) * rng.choice([0.0, 5.0])  # a shared offset
+        # Half of them spread over 12 decades, half around the threshold.
+        ratio = np.where(rng.random(n) < 0.5, 10.0 ** -rng.uniform(0.0, 12.0, size=n),
+                         rng.uniform(1 / 16, 1 / 4, size=n))
+        step = rng.normal(size=(n, dim))
+        step *= np.sqrt(2.0 * ratio * (u * u).sum(axis=1))[:, None] / np.linalg.norm(
+            step, axis=1)[:, None]
+        v = np.vstack([u + step, u[: n // 4], rng.normal(size=(3, dim))])
+        got, expected = _distances(u, v), cdist(u, v)
+        assert (got[np.arange(n // 4), n + np.arange(n // 4)] == 0.0).all()
+        assert (np.abs(got - expected) <= _REL_TOL * expected).all(), dim
+        planted = got[np.arange(n), np.arange(n)] ** 2
+        ratios += (planted / ((u * u).sum(axis=1) + (v[:n] * v[:n]).sum(axis=1))).tolist()
+    # The planted pairs span the whole range, on both sides of the threshold.
+    assert min(ratios) < 1e-11 and max(ratios) > 0.1
+    assert sum(r < lha.metrics._RECOMPUTE for r in ratios) > 100
+    assert sum(r >= lha.metrics._RECOMPUTE for r in ratios) > 100
 
 
 def _exact_floor(table, xs, ys, quantile: float) -> float:
@@ -268,13 +310,13 @@ def test_any_block_budget_gives_the_oracle_matrix(monkeypatch, budget) -> None:
 @pytest.mark.parametrize("budget", [None, 64])
 def test_a_large_call_never_builds_a_block_above_the_budget(monkeypatch, budget) -> None:
     blocks: list[tuple[int, int]] = []
-    real_cdist = lha.metrics.cdist
+    real_distances = lha.metrics._distances
 
-    def recording_cdist(u, v):
+    def recording_distances(u, v):
         blocks.append((len(u), len(v)))
-        return real_cdist(u, v)
+        return real_distances(u, v)
 
-    monkeypatch.setattr(lha.metrics, "cdist", recording_cdist)
+    monkeypatch.setattr(lha.metrics, "_distances", recording_distances)
     rng = np.random.default_rng(7)
     table = _table(rng, 3)
     if budget is None:
@@ -360,8 +402,8 @@ def test_module_functions_score_through_the_scorer_path() -> None:
         cx, cy = Counter(x), Counter(t.lower() for t in y)
         a = np.array([cx[t] / len(x) for t in sorted(cx)])
         b = np.array([cy[t] / len(y) for t in sorted(cy)])
-        costs = cdist(np.vstack([table.get(t) for t in sorted(cx)]),
-                      np.vstack([table.get(t) for t in sorted(cy)]))
+        costs = _distances(np.vstack([table.get(t) for t in sorted(cx)]),
+                           np.vstack([table.get(t) for t in sorted(cy)]))
         expected = _transport_cost(a, b, costs)
         assert wmd(x, y, table).hex() == expected.hex()
         assert math.isclose(expected, transport_cost_linprog_oracle(a, b, costs),
