@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import InputError
 from .embeddings import EmbeddingMatrix, load_embeddings, save_embeddings
 
 __all__ = [
@@ -145,5 +146,5 @@ def top_k(
 def build_index(matrix: EmbeddingMatrix) -> AnnIndex:
     """Build an AnnIndex over a matrix, skipping all-zero rows."""
     if matrix.count == 0 or matrix.dim == 0:
-        raise ValueError("cannot index an empty embedding matrix")
+        raise InputError("cannot index an empty embedding matrix")
     return AnnIndex(matrix.unit_ids, matrix.rows)

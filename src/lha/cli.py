@@ -8,11 +8,10 @@ import sys
 import click
 
 from . import __version__
-from .corpus import CorpusError, corpus_index, load_abbreviations, load_corpus, load_stopwords
+from .corpus import InputError, corpus_index, load_abbreviations, load_corpus
+from .corpus import load_stopwords, naming
 from .doc_align import read_doc_pairs
 from .embeddings import (
-    EmbeddingFormatError,
-    EmbeddingLookupError,
     check_sentence_rows,
     embed_corpus,
     load_embeddings,
@@ -42,7 +41,23 @@ from .sent_align import (
 logger = logging.getLogger("lha")
 
 
-@click.group()
+class _Command(click.Command):
+    """A command whose malformed input, an ``InputError`` raised by any call
+    it makes, is a usage error (exit 2) with the error's message."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except InputError as e:
+            raise click.UsageError(str(e), ctx) from e
+
+
+class _Group(click.Group):
+    command_class = _Command
+    group_class = type  # subgroups, and so their commands, are made alike
+
+
+@click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="lha")
 @click.option("--quiet", is_flag=True, help="Only warnings and errors on stderr.")
 def main(quiet: bool) -> None:
@@ -53,15 +68,6 @@ def main(quiet: bool) -> None:
         format="%(levelname)s %(name)s: %(message)s",
         force=True,
     )
-
-
-def _load_matrix(path: str):
-    """The embedding file ``path``; a malformed file is a usage error naming
-    the file."""
-    try:
-        return load_embeddings(path)
-    except EmbeddingFormatError as e:
-        raise click.UsageError(str(e)) from e
 
 
 def _parse_strategy(strategy: str, vectors: str | None):
@@ -76,7 +82,7 @@ def _parse_strategy(strategy: str, vectors: str | None):
         path = strategy.split(":", 1)[1]
         if not path:
             raise click.UsageError("--strategy precomputed:<path> needs a path")
-        matrix = _load_matrix(path)
+        matrix = load_embeddings(path)
         return lambda docs: matrix
     raise click.UsageError(f"unknown strategy {strategy!r}; use avg or precomputed:<path>")
 
@@ -94,19 +100,12 @@ def _parse_strategy(strategy: str, vectors: str | None):
 def embed(corpus, level, strategy, vectors, out, stopwords, abbreviations) -> None:
     """Embed a corpus at document or sentence level into a binary file."""
     source_for = _parse_strategy(strategy, vectors)
-    try:
-        docs = list(load_corpus(
-            corpus,
-            stopwords=load_stopwords(stopwords),
-            abbreviations=load_abbreviations(abbreviations),
-        ))
-    except ValueError as e:
-        raise click.UsageError(str(e)) from e
-    source = source_for(docs)
-    try:
-        matrix = embed_corpus(docs, "document" if level == "doc" else "sentence", source)
-    except (ValueError, EmbeddingLookupError) as e:
-        raise click.UsageError(str(e)) from e
+    docs = list(load_corpus(
+        corpus,
+        stopwords=load_stopwords(stopwords),
+        abbreviations=load_abbreviations(abbreviations),
+    ))
+    matrix = embed_corpus(docs, "document" if level == "doc" else "sentence", source_for(docs))
     save_embeddings(matrix, out)
     logger.info("wrote %d x %d embeddings to %s", matrix.count, matrix.dim, out)
 
@@ -131,33 +130,18 @@ def _check_options(scorer: str, **options) -> None:
 def align_docs(source_embeddings, target_embeddings, k, theta_d, out) -> None:
     """Stage 1: pair source documents with nearest target documents."""
     _check_options("cosine", k_doc=("--k", k), theta_d=("--theta-d", theta_d))
-    try:
-        n = align_doc_files(source_embeddings, target_embeddings, k, theta_d, out)
-    except ValueError as e:
-        raise click.UsageError(str(e)) from e
+    n = align_doc_files(source_embeddings, target_embeddings, k, theta_d, out)
     logger.info("wrote %d document pairs to %s", n, out)
 
 
 def _vector_table(vectors: str | None, read: bool, *corpora):
     """The --vectors table when the option is given and ``read``, that is
     when the chosen scorer or embedder reads it; else None, unread. It holds
-    the words of the documents of ``corpora``, the only ones looked up. A
-    malformed file is a usage error naming the file and the line."""
+    the words of the documents of ``corpora``, the only ones looked up."""
     if not (vectors and read):
         return None
     words = {t.normalized for docs in corpora for doc in docs for t in doc.tokens()}
-    try:
-        return load_word_vectors(vectors, words)
-    except EmbeddingFormatError as e:
-        raise click.UsageError(str(e)) from e
-
-
-def _scorer(kind: str, **inputs):
-    """make_scorer, with missing inputs reported as a usage error."""
-    try:
-        return make_scorer(kind, **inputs)
-    except ValueError as e:
-        raise click.UsageError(str(e)) from e
+    return load_word_vectors(vectors, words)
 
 
 @main.command("align-sents")
@@ -195,20 +179,16 @@ def align_sents(doc_pairs, source_corpus, target_corpus, scorer, vectors,
                    max_len_ratio=("--max-len-ratio", max_len_ratio))
     if bool(source_sent_embeddings) != bool(target_sent_embeddings):
         raise click.UsageError("give both --source- and --target-sent-embeddings")
+    # The small files first, so that a malformed one fails before the vectors load.
+    pairs = read_doc_pairs(doc_pairs)
+    exclusion_set = load_exclusion_set(exclude) if exclude else frozenset()
     stops = load_stopwords(stopwords)
     abbrevs = load_abbreviations(abbreviations)
     tokens = {}  # one Token per surface form, shared by both corpora
-    try:
-        src_docs = corpus_index(load_corpus(
-            source_corpus, "src", stopwords=stops, abbreviations=abbrevs, memo=tokens))
-        tgt_docs = corpus_index(load_corpus(
-            target_corpus, "tgt", stopwords=stops, abbreviations=abbrevs, memo=tokens))
-    except CorpusError as e:
-        raise click.UsageError(str(e)) from e
-    try:
-        pairs = read_doc_pairs(doc_pairs)
-    except ValueError as e:
-        raise click.UsageError(str(e)) from e
+    src_docs = corpus_index(load_corpus(
+        source_corpus, "src", stopwords=stops, abbreviations=abbrevs, memo=tokens))
+    tgt_docs = corpus_index(load_corpus(
+        target_corpus, "tgt", stopwords=stops, abbreviations=abbrevs, memo=tokens))
     table = _vector_table(vectors, scorer in TABLE_SCORERS
                           or (scorer == "cosine" and not source_sent_embeddings),
                           src_docs.values(), tgt_docs.values())
@@ -218,21 +198,19 @@ def align_sents(doc_pairs, source_corpus, target_corpus, scorer, vectors,
         ("target", target_sent_embeddings, tgt_docs),
     ):
         if path:
-            matrix = _load_matrix(path)
+            matrix = load_embeddings(path)
             uids = [s.uid for d in docs.values() for s in d.sentences]
-            try:
+            with naming(path):
                 check_sentence_rows(matrix, docs, set(uids))
                 for uid in uids:
                     matrix.row_index(uid)
-            except (ValueError, EmbeddingLookupError) as e:
-                raise click.UsageError(f"{path}: {e}") from e
         elif scorer == "cosine" and table is not None:
             # The unit rows `lha embed --level sent` writes and `lha run` scores.
             matrix = embed_corpus(docs.values(), "sentence", table)
         else:
             continue
         sentence_matrices[side] = matrix
-    scorer_obj = _scorer(
+    scorer_obj = make_scorer(
         scorer,
         table=table,
         target_docs=tgt_docs.values(),
@@ -245,7 +223,7 @@ def align_sents(doc_pairs, source_corpus, target_corpus, scorer, vectors,
     policy = FilterPolicy(
         min_overlap=min_overlap,
         max_len_ratio=max_len_ratio,
-        exclusion_set=load_exclusion_set(exclude) if exclude else frozenset(),
+        exclusion_set=exclusion_set,
         stage=filter_stage,
     )
     groups = list(align_sentences(pairs, src_docs, tgt_docs, scorer_obj, k, theta_s, policy))
@@ -287,7 +265,7 @@ def _shared_matrix(flag, path, src_docs, tgt_docs, level):
             f"{flag} holds one matrix for both sides, but a source and a target "
             f"{level} share the unit id {shared!r}"
         )
-    return _load_matrix(path)
+    return load_embeddings(path)
 
 
 def _doc_embedder(path, table, src_docs, tgt_docs):
@@ -371,7 +349,7 @@ def eval_sent(data_dir, scorer, vectors, sent_embeddings, bm25_k1, bm25_b,
         sentence_matrices = _sentence_matrices(
             sent_embeddings, table, dataset.src_docs.values(), dataset.tgt_docs.values()
         )
-    scorer_obj = _scorer(
+    scorer_obj = make_scorer(
         scorer,
         table=table,
         target_docs=dataset.tgt_docs.values(),
@@ -433,9 +411,9 @@ def eval_joint_cmd(data_dir, mode, vectors, doc_embeddings, sent_embeddings,
                           or (mode == "lha" and not doc_embeddings), *docs)
     # Averaged rows are made only for the articles eval_joint draws.
     sent_docs = docs if sent_embeddings else sample_docs(dataset, n_noise, seed)
-    sent_scorer = _scorer("cosine", **_sentence_matrices(sent_embeddings, table, *sent_docs))
+    sent_scorer = make_scorer("cosine", **_sentence_matrices(sent_embeddings, table, *sent_docs))
     doc_embedder = _doc_embedder(doc_embeddings, table, *docs)
-    rescorer = None if rescore == "none" else _scorer(rescore, table=table)
+    rescorer = None if rescore == "none" else make_scorer(rescore, table=table)
     report = eval_joint(
         mode,
         dataset,
@@ -453,13 +431,6 @@ def eval_joint_cmd(data_dir, mode, vectors, doc_embeddings, sent_embeddings,
     _echo_report(report, include_timing)
 
 
-def _load_config(config_path: str, overrides) -> PipelineConfig:
-    try:
-        return PipelineConfig.from_file(config_path).with_overrides(list(overrides))
-    except ValueError as e:
-        raise click.UsageError(str(e)) from e
-
-
 @main.command()
 @click.option("--config", "config_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
@@ -467,7 +438,7 @@ def _load_config(config_path: str, overrides) -> PipelineConfig:
               help="Override a config key.")
 def run(config_path, overrides) -> None:
     """Run the full pipeline from a JSON config file."""
-    config = _load_config(config_path, overrides)
+    config = PipelineConfig.from_file(config_path).with_overrides(overrides)
     try:
         summary = run_pipeline(config)
     except (ValueError, PipelineStageError) as e:
@@ -481,7 +452,7 @@ def run(config_path, overrides) -> None:
 @click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE")
 def validate(config_path, overrides) -> None:
     """Validate a pipeline config; exit non-zero on errors."""
-    config = _load_config(config_path, overrides)
+    config = PipelineConfig.from_file(config_path).with_overrides(overrides)
     findings = validate_config(config)
     for level, message in findings:
         click.echo(f"{level}: {message}")

@@ -8,6 +8,8 @@ after construction so downstream stages can share them freely.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import re
 from dataclasses import dataclass, field, fields
@@ -16,6 +18,8 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
+    "InputError",
+    "naming",
     "CorpusError",
     "DuplicateDocumentError",
     "Token",
@@ -48,14 +52,33 @@ _PRE_WORD_RE = re.compile(r"([\w.]+)$", re.UNICODE)
 _PRE_WORD_WINDOW = 32
 
 
-class CorpusError(ValueError):
-    """Malformed corpus input. Carries a 1-based line number when known."""
+class InputError(ValueError):
+    """Malformed user input: a file, or a value read from one. Carries a
+    1-based line number when known, and the message without it in
+    ``reason``. The command line reports it as a usage error."""
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    def __init__(self, reason: str, line: int | None = None):
+        super().__init__(reason if line is None else f"line {line}: {reason}")
+        self.reason = reason
         self.line = line
+
+
+@contextlib.contextmanager
+def naming(path: Path | str) -> Iterator[None]:
+    """Prefix ``path: `` to the message of an ``InputError`` raised inside,
+    keeping its type, line and traceback; text that is not UTF-8 raises one
+    too."""
+    try:
+        yield
+    except InputError as e:
+        e.args = (f"{path}: {e}",)
+        raise
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 ({e.reason})") from e
+
+
+class CorpusError(InputError):
+    """Malformed corpus input."""
 
 
 class DuplicateDocumentError(CorpusError):
@@ -66,7 +89,8 @@ def _read_word_list(path: Path | None, default_resource: str) -> frozenset[str]:
     if path is None:
         text = resources.files("lha.data").joinpath(default_resource).read_text("utf-8")
     else:
-        text = Path(path).read_text("utf-8")
+        with naming(path):
+            text = Path(path).read_text("utf-8")
     words = set()
     for line in text.splitlines():
         line = line.strip()
@@ -85,22 +109,14 @@ def load_abbreviations(path: Path | str | None = None) -> frozenset[str]:
     return _read_word_list(Path(path) if path else None, "abbreviations_en.txt")
 
 
-_DEFAULT_STOPWORDS: frozenset[str] | None = None
-_DEFAULT_ABBREVIATIONS: frozenset[str] | None = None
-
-
+@functools.cache
 def default_stopwords() -> frozenset[str]:
-    global _DEFAULT_STOPWORDS
-    if _DEFAULT_STOPWORDS is None:
-        _DEFAULT_STOPWORDS = load_stopwords()
-    return _DEFAULT_STOPWORDS
+    return load_stopwords()
 
 
+@functools.cache
 def default_abbreviations() -> frozenset[str]:
-    global _DEFAULT_ABBREVIATIONS
-    if _DEFAULT_ABBREVIATIONS is None:
-        _DEFAULT_ABBREVIATIONS = load_abbreviations()
-    return _DEFAULT_ABBREVIATIONS
+    return load_abbreviations()
 
 
 @dataclass(frozen=True, slots=True)
@@ -351,7 +367,8 @@ def load_corpus(
 
     Yields one ``Document`` per non-blank line; the file is never fully
     buffered. Malformed records and duplicate ids raise a ``CorpusError``
-    naming the file and the 1-based line number.
+    naming the file and the 1-based line number; text that is not UTF-8 an
+    ``InputError`` naming the file.
 
     Every occurrence of a surface form gets one shared ``Token``, kept in
     ``memo`` (surface -> Token; a fresh one per file when not given). Pass
@@ -367,45 +384,41 @@ def load_corpus(
     seen: set[str] = set()
     if memo is None:
         memo = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise CorpusError(f"invalid JSON: {e.msg}", line_no) from e
-                if not isinstance(record, dict):
-                    raise CorpusError("record is not an object", line_no)
-                if schema.id_field not in record:
-                    raise CorpusError(f"record has no {schema.id_field!r}", line_no)
-                raw_id = record[schema.id_field]
-                if not isinstance(raw_id, (str, int)) or isinstance(raw_id, bool):
-                    raise CorpusError(f"document id must be a string or integer", line_no)
-                doc_id = str(raw_id)
-                if not doc_id:
-                    raise CorpusError("document id is empty", line_no)
-                if any(ch in doc_id for ch in "\t\n\r"):
-                    # Ids are written as fields of tab-separated, line-based files.
-                    raise CorpusError(
-                        f"document id {doc_id!r} contains a tab or line break", line_no
-                    )
-                if doc_id in seen:
-                    raise DuplicateDocumentError(f"duplicate document id {doc_id!r}", line_no)
-                seen.add(doc_id)
-                title = record.get(schema.title_field)
-                if title is not None and not isinstance(title, str):
-                    raise CorpusError(f"document {doc_id!r}: title must be a string", line_no)
-                sentences = _record_sentences(
-                    record, doc_id, schema, stopwords, abbreviations, memo, line_no
+    with naming(path), open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise CorpusError(f"invalid JSON: {e.msg}", line_no) from e
+            if not isinstance(record, dict):
+                raise CorpusError("record is not an object", line_no)
+            if schema.id_field not in record:
+                raise CorpusError(f"record has no {schema.id_field!r}", line_no)
+            raw_id = record[schema.id_field]
+            if not isinstance(raw_id, (str, int)) or isinstance(raw_id, bool):
+                raise CorpusError(f"document id must be a string or integer", line_no)
+            doc_id = str(raw_id)
+            if not doc_id:
+                raise CorpusError("document id is empty", line_no)
+            if any(ch in doc_id for ch in "\t\n\r"):
+                # Ids are written as fields of tab-separated, line-based files.
+                raise CorpusError(
+                    f"document id {doc_id!r} contains a tab or line break", line_no
                 )
-                yield Document(
-                    doc_id=doc_id, dataset_tag=dataset_tag, sentences=sentences, title=title
-                )
-    except CorpusError as e:
-        e.args = (f"{path}: {e}",)  # the type, line and traceback stay
-        raise
+            if doc_id in seen:
+                raise DuplicateDocumentError(f"duplicate document id {doc_id!r}", line_no)
+            seen.add(doc_id)
+            title = record.get(schema.title_field)
+            if title is not None and not isinstance(title, str):
+                raise CorpusError(f"document {doc_id!r}: title must be a string", line_no)
+            sentences = _record_sentences(
+                record, doc_id, schema, stopwords, abbreviations, memo, line_no
+            )
+            yield Document(
+                doc_id=doc_id, dataset_tag=dataset_tag, sentences=sentences, title=title
+            )
 
 
 def save_corpus(docs: Iterable[Document], path: Path | str) -> int:

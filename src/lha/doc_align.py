@@ -15,6 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .ann_index import AnnIndex
+from .corpus import InputError, naming
 from .embeddings import EmbeddingMatrix
 
 __all__ = ["DocPair", "align_documents", "write_doc_pairs", "read_doc_pairs"]
@@ -47,7 +48,7 @@ def align_documents(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if src.dim != tgt_index.dim:
-        raise ValueError(f"source dim {src.dim} != index dim {tgt_index.dim}")
+        raise InputError(f"source dim {src.dim} != index dim {tgt_index.dim}")
     rows64 = src.rows.astype(np.float64)
     norms = np.linalg.norm(rows64, axis=1)
     # Sources in id order; query_block returns each one's neighbors by
@@ -79,22 +80,19 @@ def write_doc_pairs(pairs: Iterable[DocPair], path: Path | str) -> int:
 
 def read_doc_pairs(path: Path | str) -> list[DocPair]:
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with naming(path), open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             fields = line.split("\t")
             if len(fields) != 3:
-                raise ValueError(
-                    f"{path}: line {line_no}: expected 3 tab-separated fields, "
-                    f"got {len(fields)}"
+                raise InputError(
+                    f"expected 3 tab-separated fields, got {len(fields)}", line_no
                 )
             try:
                 sim = float(fields[2])
             except ValueError as e:
-                raise ValueError(
-                    f"{path}: line {line_no}: unparsable similarity {fields[2]!r}"
-                ) from e
+                raise InputError(f"unparsable similarity {fields[2]!r}", line_no) from e
             pairs.append(DocPair(fields[0], fields[1], sim))
     return pairs

@@ -24,7 +24,7 @@ from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Mapping, 
 
 import numpy as np
 
-from .corpus import Document, Token
+from .corpus import Document, InputError, Token, naming
 
 __all__ = [
     "EmbeddingFormatError",
@@ -48,17 +48,11 @@ _HEADER = struct.Struct("<4sHBQI")  # magic, version, flags, count, dim
 _ID_LEN = struct.Struct("<I")
 
 
-class EmbeddingFormatError(ValueError):
-    """Malformed word-vector or embedding file. Carries a 1-based line number
-    when known, and the message without it in ``reason``."""
-
-    def __init__(self, reason: str, line: int | None = None):
-        super().__init__(reason if line is None else f"line {line}: {reason}")
-        self.reason = reason
-        self.line = line
+class EmbeddingFormatError(InputError):
+    """Malformed word-vector or embedding file."""
 
 
-class EmbeddingLookupError(KeyError):
+class EmbeddingLookupError(InputError, KeyError):
     """A requested unit id has no row in a precomputed matrix."""
 
     __str__ = Exception.__str__  # the message unquoted, unlike KeyError's
@@ -392,7 +386,8 @@ def load_word_vectors(
     skipped and ``#`` is an ordinary character. Tokens are lowercased; the
     first occurrence of a token wins. A line whose component count does not
     match the header dimension, or whose components do not parse as finite
-    floats, raises ``path: line N: ...``, the first such line of the file.
+    floats, raises ``path: line N: ...``, the first such line of the file;
+    text that is not UTF-8 raises ``path: not UTF-8 (...)``.
 
     With ``vocabulary``, the table holds only the rows of its words, in file
     order; every line is still parsed and checked. Lines are read
@@ -406,12 +401,8 @@ def load_word_vectors(
     of a token winning across ranges. No worker outlives the call.
     """
     wanted = None if vocabulary is None else set(vocabulary)
-    try:
-        with open(path, "rb", buffering=0) as raw:
-            return _load(path, raw.fileno(), wanted)
-    except EmbeddingFormatError as e:
-        e.args = (f"{path}: {e}",)  # the type, line and traceback stay
-        raise
+    with naming(path), open(path, "rb", buffering=0) as raw:
+        return _load(path, raw.fileno(), wanted)
 
 
 def _load(path: Path | str, fd: int, wanted: set[str] | None) -> WordVectorTable:
@@ -478,7 +469,7 @@ class EmbeddingMatrix:
         self._id_to_row = {}
         for i, uid in enumerate(self.unit_ids):
             if uid in self._id_to_row:
-                raise ValueError(f"duplicate unit id {uid!r}")
+                raise InputError(f"duplicate unit id {uid!r}")
             self._id_to_row[uid] = i
 
     @property
@@ -545,7 +536,7 @@ def load_embeddings(path: Path | str) -> EmbeddingMatrix:
     + UTF-8 bytes), then ``count * dim`` float32 row values. A row holding a
     NaN or an infinity is rejected. A malformed file raises ``path: ...``.
     """
-    try:
+    with naming(path):
         with open(path, "rb") as fh:
             header = _read_exact(fh, _HEADER.size, "header")
             magic, version, flags, count, dim = _HEADER.unpack(header)
@@ -572,12 +563,9 @@ def load_embeddings(path: Path | str) -> EmbeddingMatrix:
             raise EmbeddingFormatError(
                 f"non-finite value in the row of unit id {unit_ids[bad[0]]!r}"
             )
-    except EmbeddingFormatError as e:
-        e.args = (f"{path}: {e}",)  # the type and traceback stay
-        raise
-    return EmbeddingMatrix(
-        unit_ids, rows.copy(), unit_normalized=bool(flags & _FLAG_UNIT_NORMALIZED)
-    )
+        return EmbeddingMatrix(
+            unit_ids, rows.copy(), unit_normalized=bool(flags & _FLAG_UNIT_NORMALIZED)
+        )
 
 
 # Units averaged per array pass.
@@ -641,7 +629,7 @@ def check_sentence_rows(
     for uid in matrix.unit_ids:
         doc_id, _, ordinal = uid.rpartition("#")
         if ordinal.isdigit() and doc_id in doc_ids and uid not in sentence_ids:
-            raise ValueError(
+            raise InputError(
                 f"sentence embedding row {uid!r} is not a sentence of document "
                 f"{doc_id!r} as the corpus is split"
             )

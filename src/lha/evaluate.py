@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .ann_index import build_index, id_ranks, top_k
-from .corpus import Document, Sentence, load_corpus
+from .corpus import Document, InputError, Sentence, load_corpus, naming
 from .doc_align import align_documents
 from .embeddings import EmbeddingMatrix, WordVectorTable, embed_corpus
 from .metrics import CosineScorer, Scorer
@@ -86,24 +86,26 @@ def normalize_label(raw: str) -> str:
 def load_gold_pairs(path: Path | str) -> list[GoldPair]:
     """Load gold pairs from JSONL {source_key, target_key, label}."""
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with naming(path), open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 r = json.loads(line)
             except json.JSONDecodeError as e:
-                raise ValueError(f"{path}: line {line_no}: invalid JSON") from e
+                raise InputError("invalid JSON", line_no) from e
+            if not isinstance(r, dict):
+                raise InputError("record is not an object", line_no)
             try:
                 pairs.append(
                     GoldPair(
                         source_key=str(r["source_key"]),
                         target_key=str(r["target_key"]),
-                        label=normalize_label(r["label"]),
+                        label=normalize_label(str(r["label"])),
                     )
                 )
             except (KeyError, ValueError) as e:
-                raise ValueError(f"{path}: line {line_no}: {e}") from e
+                raise InputError(str(e), line_no) from e
     return pairs
 
 
@@ -139,7 +141,7 @@ def gold_from_tsv(
     """
     pairs = []
     need = max(source_col, target_col, label_col) + 1
-    with open(path, "r", encoding="utf-8") as fh:
+    with naming(path), open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if skip_header and line_no == 1:
                 continue
@@ -148,14 +150,13 @@ def gold_from_tsv(
                 continue
             fields = line.split(delimiter)
             if len(fields) < need:
-                raise ValueError(
-                    f"{path}: line {line_no}: expected at least {need} fields, "
-                    f"got {len(fields)}"
+                raise InputError(
+                    f"expected at least {need} fields, got {len(fields)}", line_no
                 )
             try:
                 label = normalize_label(fields[label_col])
             except ValueError as e:
-                raise ValueError(f"{path}: line {line_no}: {e}") from e
+                raise InputError(str(e), line_no) from e
             pairs.append(
                 GoldPair(
                     source_key=fields[source_col].strip(),
@@ -338,16 +339,15 @@ def load_eval_dataset(root: Path | str) -> EvalDataset:
         d.doc_id: d for d in load_corpus(root / "target_docs.jsonl", "tgt", memo=tokens)
     }
     gold_doc_pairs = []
-    with open(root / "doc_pairs.tsv", "r", encoding="utf-8") as fh:
+    doc_pairs = root / "doc_pairs.tsv"
+    with naming(doc_pairs), open(doc_pairs, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             fields = line.split("\t")
             if len(fields) < 2:
-                raise ValueError(
-                    f"doc_pairs.tsv line {line_no}: expected 2 tab-separated ids"
-                )
+                raise InputError("expected 2 tab-separated ids", line_no)
             gold_doc_pairs.append((fields[0], fields[1]))
     gold_pairs = load_gold_pairs(root / "gold_pairs.jsonl")
     noise_src = list(load_corpus(root / "noise_source_docs.jsonl", "noise_src", memo=tokens))
@@ -368,10 +368,11 @@ def gold_positive_set(
     allowed = set(positive_labels)
     unknown = allowed - set(LABELS)
     if unknown:
-        raise ValueError(f"unknown positive labels {sorted(unknown)}")
-    return {
-        (g.source_key, g.target_key) for g in gold_pairs if g.label in allowed
-    }
+        raise InputError(f"unknown positive labels {sorted(unknown)}")
+    positives = {(g.source_key, g.target_key) for g in gold_pairs if g.label in allowed}
+    if not positives:
+        raise InputError(f"no gold pair is labelled {' or '.join(sorted(allowed))}")
+    return positives
 
 
 def _score_doc_pair(

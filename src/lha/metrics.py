@@ -14,7 +14,7 @@ from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Document, Sentence, content_tokens
+from .corpus import Document, InputError, Sentence, content_tokens
 from .embeddings import EmbeddingMatrix, WordVectorTable, unit_rows
 
 __all__ = [
@@ -100,7 +100,7 @@ class Bm25Stats:
             total_len += len(bag)
             doc_freq.update(set(bag))
         if n == 0:
-            raise ValueError("BM25 statistics need at least one document")
+            raise InputError("BM25 statistics need at least one document")
         return cls(
             doc_count=n,
             doc_freq=dict(doc_freq),
@@ -515,7 +515,7 @@ class CosineScorer(Scorer):
 
     def __init__(self, source: EmbeddingMatrix, target: EmbeddingMatrix):
         if source.dim != target.dim:
-            raise ValueError(f"dimension mismatch: {source.dim} vs {target.dim}")
+            raise InputError(f"dimension mismatch: {source.dim} vs {target.dim}")
         self.source = source
         self.target = target
         self._source_unit = unit_rows(source.rows.astype(np.float64))
@@ -681,37 +681,34 @@ def make_scorer(
     source: EmbeddingMatrix | None = None,
     target: EmbeddingMatrix | None = None,
     table: WordVectorTable | None = None,
-    stats: Bm25Stats | None = None,
     target_docs: Iterable[Document] | None = None,
     k1: float = 1.2,
     b: float = 0.75,
     floor: float | None = None,
 ) -> Scorer:
-    """Build a scorer by name; a missing input raises ValueError.
+    """Build a scorer by name; a missing input raises InputError.
 
     cosine reads the ``source`` and ``target`` sentence embedding matrices.
-    bm25 without ``stats`` computes them over ``target_docs``. ``floor`` is
-    the wmd scorer's pruning floor (see ``WmdScorer``); it must only be set
-    where no value below it is read. Other kinds ignore it.
+    bm25 computes its collection statistics over ``target_docs``. ``floor``
+    is the wmd scorer's pruning floor (see ``WmdScorer``); it must only be
+    set where no value below it is read. Other kinds ignore it.
     """
     if kind == "cosine":
         if source is None or target is None:
-            raise ValueError("cosine scorer needs source and target sentence embeddings")
+            raise InputError("cosine scorer needs source and target sentence embeddings")
         return CosineScorer(source, target)
     if kind == "overlap":
         return OverlapScorer()
     if kind == "bm25":
-        if stats is None and target_docs is not None:
-            stats = Bm25Stats.from_documents(
-                (content_tokens(s.tokens) for d in target_docs for s in d.sentences),
-                k1=k1,
-                b=b,
-            )
-        if stats is None:
-            raise ValueError("bm25 scorer needs collection statistics")
-        return Bm25Scorer(stats)
+        if target_docs is None:
+            raise InputError("bm25 scorer needs collection statistics")
+        return Bm25Scorer(Bm25Stats.from_documents(
+            (content_tokens(s.tokens) for d in target_docs for s in d.sentences),
+            k1=k1,
+            b=b,
+        ))
     if kind in TABLE_SCORERS:
         if table is None:
-            raise ValueError(f"{kind} scorer needs a word-vector table")
+            raise InputError(f"{kind} scorer needs a word-vector table")
         return WmdScorer(table, floor) if kind == "wmd" else RwmdScorer(table)
     raise ValueError(f"unknown scorer kind {kind!r}")

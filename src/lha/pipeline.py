@@ -28,11 +28,13 @@ from . import __version__
 from .ann_index import build_index
 from .corpus import (
     Document,
+    InputError,
     Token,
     corpus_index,
     load_abbreviations,
     load_corpus,
     load_stopwords,
+    naming,
 )
 # perfbench/spans.py patches lha.pipeline.tokenize; the pipeline never calls it.
 from .corpus import tokenize  # noqa: F401
@@ -102,21 +104,25 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: Path | str) -> "PipelineConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError(f"{path}: config must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
-        required = ("source_corpus", "target_corpus", "out_dir")
-        missing = [k for k in required if k not in raw]
-        if missing:
-            raise ValueError(f"{path}: missing required keys: {', '.join(missing)}")
-        type_errors = _type_errors(raw)
-        if type_errors:
-            raise ValueError(f"{path}: {type_errors[0]}")
+        with naming(path):
+            with open(path, "r", encoding="utf-8") as fh:
+                try:
+                    raw = json.load(fh)
+                except json.JSONDecodeError as e:
+                    raise InputError(f"invalid JSON: {e.msg}", e.lineno) from e
+            if not isinstance(raw, dict):
+                raise InputError("config must be a JSON object")
+            known = {f.name for f in fields(cls)}
+            unknown = sorted(set(raw) - known)
+            if unknown:
+                raise InputError(f"unknown config keys: {', '.join(unknown)}")
+            required = ("source_corpus", "target_corpus", "out_dir")
+            missing = [k for k in required if k not in raw]
+            if missing:
+                raise InputError(f"missing required keys: {', '.join(missing)}")
+            type_errors = _type_errors(raw)
+            if type_errors:
+                raise InputError(type_errors[0])
         return cls(**raw)
 
     def with_overrides(self, overrides: Sequence[str]) -> "PipelineConfig":
@@ -126,9 +132,9 @@ class PipelineConfig:
         for item in overrides:
             key, sep, value = item.partition("=")
             if not sep:
-                raise ValueError(f"override {item!r} is not key=value")
+                raise InputError(f"override {item!r} is not key=value")
             if key not in by_name:
-                raise ValueError(f"unknown config key {key!r}")
+                raise InputError(f"unknown config key {key!r}")
             updates[key] = _coerce(value, by_name[key].type, key)
         return dataclasses.replace(self, **updates)
 
@@ -157,21 +163,21 @@ def _coerce(value: str, annotation: object, key: str):
     text = str(annotation)
     if value.lower() in ("null", "none"):
         if "None" not in text:
-            raise ValueError(f"{key} cannot be null")
+            raise InputError(f"{key} cannot be null")
         return None
     if "bool" in text:
         if value.lower() in ("true", "1", "yes"):
             return True
         if value.lower() in ("false", "0", "no"):
             return False
-        raise ValueError(f"{key} expects a boolean, got {value!r}")
+        raise InputError(f"{key} expects a boolean, got {value!r}")
     try:
         if "int" in text:
             return int(value)
         if "float" in text:
             return float(value)
     except ValueError as e:
-        raise ValueError(f"{key} expects a number, got {value!r}") from e
+        raise InputError(f"{key} expects a number, got {value!r}") from e
     return value
 
 
@@ -274,14 +280,11 @@ class RunSummary:
     outputs: dict[str, str]
     cached_stages: list[str] = field(default_factory=list)
 
-    def to_dict(self, include_runtime: bool = False) -> dict:
-        out = {**self.summary, "outputs": dict(sorted(self.outputs.items()))}
-        if include_runtime:
-            out["cached_stages"] = list(self.cached_stages)
-        return out
+    def to_dict(self) -> dict:
+        return {**self.summary, "outputs": dict(sorted(self.outputs.items()))}
 
-    def to_json(self, include_runtime: bool = False) -> str:
-        return json.dumps(self.to_dict(include_runtime), sort_keys=True, indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def _sha256(path: Path) -> str:

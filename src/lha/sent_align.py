@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .ann_index import line_ranks
-from .corpus import Document, Sentence, content_tokens
+from .corpus import Document, InputError, Sentence, content_tokens, naming
 # perfbench/spans.py patches lha.sent_align.tokenize; this module never calls it.
 from .corpus import tokenize  # noqa: F401
 from .doc_align import DocPair
@@ -91,16 +91,14 @@ def normalize_pair_key(source_text: str, target_text: str) -> tuple[str, str]:
 def load_exclusion_set(path: Path | str) -> frozenset[tuple[str, str]]:
     """Load test-set sentence pairs to exclude, TSV source<TAB>target."""
     keys = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with naming(path), open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             fields = line.split("\t")
             if len(fields) != 2:
-                raise ValueError(
-                    f"{path}: line {line_no}: expected 2 tab-separated fields"
-                )
+                raise InputError("expected 2 tab-separated fields", line_no)
             keys.add(normalize_pair_key(fields[0], fields[1]))
     return frozenset(keys)
 

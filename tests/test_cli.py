@@ -1331,6 +1331,131 @@ def test_malformed_doc_pairs_is_a_usage_error(workspace) -> None:
     assert not (workspace / "groups.jsonl").exists()
 
 
+# The malformed files of TestMalformedInput: name -> (path under the
+# workspace, bytes). The eval ones replace a file of the eval directory.
+_CORPUS_LINE = b'{"id": "ok", "text": "Fine."}\n{"id": "x", "text": 5}\n'
+_NOT_UTF8 = b'{"id": "ok", "text": "Caf\xe9."}\n'
+_BAD_FILES = {
+    "corpus-line": ("bad.jsonl", _CORPUS_LINE),
+    "corpus-utf8": ("bad.jsonl", _NOT_UTF8),
+    "stopwords": ("bad.txt", b"the\n\xff\n"),
+    "vectors": ("bad.vec", b"2 3\ncat 1 0 0\ndog 1 0\n"),
+    "lhae": ("bad.lhae", b"LHAE\x01"),
+    "doc-pairs": ("bad.tsv", b"s1\tt1\n"),
+    "exclude": ("bad.tsv", b"one field\n"),
+    "config": ("bad.json", b'{"out_dir": \n'),
+    "eval-corpus-line": ("evaldata/source_docs.jsonl", _CORPUS_LINE),
+    "eval-corpus-utf8": ("evaldata/target_docs.jsonl", _NOT_UTF8),
+    "eval-doc-pairs": ("evaldata/doc_pairs.tsv", b"s1 t1\n"),
+    "gold-label": ("evaldata/gold_pairs.jsonl",
+                   b'{"source_key": "s1#0", "target_key": "t1#0", "label": "great"}\n'),
+}
+_EMBED = ["embed", "--corpus", "SOURCE", "--level", "doc", "--vectors", "VECTORS",
+          "--out", "OUT"]
+_ALIGN_SENTS = ["align-sents", "--doc-pairs", "PAIRS", "--source-corpus", "SOURCE",
+                "--target-corpus", "TARGET", "--scorer", "wmd", "--vectors", "VECTORS",
+                "--theta-s", "0.6", "--out", "OUT"]
+_EVAL = {
+    "sent": (["eval", "sent", "--data-dir", "EVAL", "--vectors", "VECTORS"],
+             "--sent-embeddings"),
+    "doc": (["eval", "doc", "--data-dir", "EVAL", "--n-noise", "1", "--vectors", "VECTORS"],
+            "--doc-embeddings"),
+    "joint": (["eval", "joint", "--mode", "lha", "--data-dir", "EVAL", "--n-noise", "1",
+               "--vectors", "VECTORS"], "--doc-embeddings"),
+}
+
+
+def _bad(argv: list[str], place: str) -> list[str]:
+    """``argv`` reading the malformed file at ``place``."""
+    return ["BAD" if a == place else a for a in argv]
+
+
+# Case id -> (argv, malformed file); BAD in an argument stands for the file.
+_MALFORMED = {
+    "embed-corpus-line": (_bad(_EMBED, "SOURCE"), "corpus-line"),
+    "embed-corpus-utf8": (_bad(_EMBED, "SOURCE"), "corpus-utf8"),
+    "embed-stopwords": ([*_EMBED, "--stopwords", "BAD"], "stopwords"),
+    "embed-vectors": (_bad(_EMBED, "VECTORS"), "vectors"),
+    "embed-lhae": (["embed", "--corpus", "SOURCE", "--level", "doc",
+                    "--strategy", "precomputed:BAD", "--out", "OUT"], "lhae"),
+    "align-docs-lhae": (["align-docs", "--source-embeddings", "BAD",
+                         "--target-embeddings", "DOC_TARGET", "--out", "OUT"], "lhae"),
+    "align-sents-corpus-line": (_bad(_ALIGN_SENTS, "TARGET"), "corpus-line"),
+    "align-sents-corpus-utf8": (_bad(_ALIGN_SENTS, "SOURCE"), "corpus-utf8"),
+    "align-sents-stopwords": ([*_ALIGN_SENTS, "--stopwords", "BAD"], "stopwords"),
+    "align-sents-vectors": (_bad(_ALIGN_SENTS, "VECTORS"), "vectors"),
+    "align-sents-lhae": (["align-sents", "--doc-pairs", "PAIRS", "--source-corpus", "SOURCE",
+                          "--target-corpus", "TARGET", "--source-sent-embeddings",
+                          "SENT_SOURCE", "--target-sent-embeddings", "BAD",
+                          "--theta-s", "0.6", "--out", "OUT"], "lhae"),
+    "align-sents-doc-pairs": (_bad(_ALIGN_SENTS, "PAIRS"), "doc-pairs"),
+    "align-sents-exclude": ([*_ALIGN_SENTS, "--exclude", "BAD"], "exclude"),
+    **{
+        f"eval-{name}-{bad}": (argv, bad)
+        for name, (argv, _) in _EVAL.items()
+        for bad in ("eval-corpus-line", "eval-corpus-utf8", "eval-doc-pairs", "gold-label")
+    },
+    **{f"eval-{name}-vectors": (_bad(argv, "VECTORS"), "vectors")
+       for name, (argv, _) in _EVAL.items()},
+    **{f"eval-{name}-lhae": ([*argv, flag, "BAD"], "lhae")
+       for name, (argv, flag) in _EVAL.items()},
+    "validate-config": (["validate", "--config", "BAD"], "config"),
+    "run-config": (["run", "--config", "BAD"], "config"),
+}
+
+
+class TestMalformedInput:
+    """Each malformed input file of each command is a usage error (exit 2),
+    without a traceback, whose message starts with the file's path."""
+
+    @pytest.fixture
+    def places(self, workspace, eval_dir) -> dict:
+        for side, level in (("target", "doc"), ("source", "sent")):
+            invoke("embed", "--corpus", str(workspace / f"{side}.jsonl"), "--level", level,
+                   "--vectors", str(workspace / "vectors.txt"),
+                   "--out", str(workspace / f"{level}_{side}.lhae"))
+        (workspace / "pairs.tsv").write_text("s1\tt1\t1.0\n", encoding="utf-8")
+        return {
+            "SOURCE": workspace / "source.jsonl", "TARGET": workspace / "target.jsonl",
+            "VECTORS": workspace / "vectors.txt", "PAIRS": workspace / "pairs.tsv",
+            "OUT": workspace / "out.bin", "EVAL": eval_dir,
+            "DOC_TARGET": workspace / "doc_target.lhae",
+            "SENT_SOURCE": workspace / "sent_source.lhae",
+        }
+
+    @pytest.mark.parametrize("case", list(_MALFORMED))
+    def test_usage_error_starts_with_the_path(self, workspace, places, case) -> None:
+        command, bad = _MALFORMED[case]
+        name, content = _BAD_FILES[bad]
+        path = workspace / name
+        path.write_bytes(content)
+        args = [str(places.get(a, a)).replace("BAD", str(path)) for a in command]
+        result = invoke(*args)
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert f"Error: {path}: " in result.output
+        assert not places["OUT"].exists()
+
+    def test_exclude_is_read_before_the_vectors(self, workspace, places, monkeypatch) -> None:
+        def load_word_vectors(*args):
+            pytest.fail("the vectors were read")
+
+        monkeypatch.setattr("lha.cli.load_word_vectors", load_word_vectors)
+        (workspace / "bad.tsv").write_text("one field\n", encoding="utf-8")
+        args = [str(places.get(a, a)) for a in _ALIGN_SENTS]
+        result = invoke(*args, "--exclude", str(workspace / "bad.tsv"))
+        assert result.exit_code == 2
+        assert f"{workspace / 'bad.tsv'}: line 1: expected 2 tab-separated fields" in result.output
+
+    @pytest.mark.parametrize("name", ["sent", "joint"])
+    def test_positive_labels_that_no_gold_pair_carries(self, places, name) -> None:
+        argv, _ = _EVAL[name]
+        result = invoke(*(str(places.get(a, a)) for a in argv),
+                        "--positive-labels", "nonvalid")
+        assert result.exit_code == 2, result.output
+        assert "Error: no gold pair is labelled nonvalid" in result.output
+
+
 def test_one_list_of_scorers() -> None:
     """The CLI's scorer choices, the names validate_config accepts and the
     kinds make_scorer builds are one set."""

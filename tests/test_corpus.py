@@ -15,11 +15,14 @@ from lha.corpus import (
     CorpusError,
     CorpusSchema,
     DuplicateDocumentError,
+    InputError,
     content_tokens,
     corpus_index,
     default_abbreviations,
     default_stopwords,
+    load_abbreviations,
     load_corpus,
+    load_stopwords,
     parse_uid,
     save_corpus,
     sentence_uid,
@@ -473,6 +476,21 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="tab or line break") as exc:
             list(load_corpus(path))
         assert exc.value.line == 2
+
+    def test_not_utf8_names_the_file(self, tmp_path) -> None:
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b'{"id": "d1", "text": "A."}\n{"id": "d2", "text": "\xff"}\n')
+        with pytest.raises(InputError) as exc:
+            list(load_corpus(path))
+        assert str(exc.value) == f"{path}: not UTF-8 (invalid start byte)"
+
+    @pytest.mark.parametrize("load", [load_stopwords, load_abbreviations])
+    def test_word_list_not_utf8_names_the_file(self, tmp_path, load) -> None:
+        path = tmp_path / "words.txt"
+        path.write_bytes(b"the\n\xff\n")
+        with pytest.raises(InputError) as exc:
+            load(path)
+        assert str(exc.value).startswith(f"{path}: not UTF-8")
 
     @pytest.mark.parametrize("record, error", [
         ({"id": "d1", "text": 5}, CorpusError),

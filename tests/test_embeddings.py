@@ -11,8 +11,9 @@ import threading
 import numpy as np
 import pytest
 
+import lha.corpus
 from lha import embeddings
-from lha.corpus import Document, Sentence, Token, tokenize
+from lha.corpus import Document, InputError, Sentence, Token, tokenize
 from lha.embeddings import (
     EmbeddingFormatError,
     EmbeddingLookupError,
@@ -112,6 +113,13 @@ class TestLoadWordVectors:
         with pytest.raises(EmbeddingFormatError) as info:
             load_word_vectors(path)
         assert str(info.value) == f"{path}: {message}"
+
+    def test_not_utf8_names_the_file(self, tmp_path) -> None:
+        path = tmp_path / "v.txt"
+        path.write_bytes(b"3 2\na 1 2\nb 3 4\ncaf\xe9 5 6\n")
+        with pytest.raises(InputError) as info:
+            load_word_vectors(path)
+        assert str(info.value) == f"{path}: not UTF-8 (invalid continuation byte)"
 
     def test_hash_is_a_token_and_python_floats_parse(self, tmp_path) -> None:
         path = tmp_path / "v.txt"
@@ -634,6 +642,20 @@ class TestAverageKernel:
         table = WordVectorTable(2, {"a": [-0.0, 1.0], "b": [-0.0, -0.0]})
         for tokens in (["a"], ["b"], ["a", "b"]):
             assert np.signbit(embed_avg(tokens, table)).tolist() == [False, False]
+
+
+@pytest.mark.parametrize("error", [
+    InputError, EmbeddingFormatError, EmbeddingLookupError, lha.corpus.CorpusError,
+])
+def test_input_errors_share_one_format(error) -> None:
+    e = error("bad value", 3)
+    assert isinstance(e, InputError) and isinstance(e, ValueError)
+    assert (str(e), e.reason, e.line) == ("line 3: bad value", "bad value", 3)
+    assert str(error("bad value")) == "bad value"
+
+
+def test_lookup_error_is_a_key_error() -> None:
+    assert isinstance(EmbeddingLookupError("x"), KeyError)
 
 
 class TestEmbeddingMatrix:

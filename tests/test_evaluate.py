@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from lha.corpus import content_tokens, load_corpus
+from lha.corpus import InputError, content_tokens, load_corpus
 from lha.embeddings import EmbeddingMatrix, embed_corpus
 from lha.evaluate import (
     LABELS,
@@ -82,6 +82,21 @@ class TestGoldIo:
         path.write_text('{"source_key": "a"}\nnot json\n', encoding="utf-8")
         with pytest.raises(ValueError, match="line 1"):
             load_gold_pairs(path)
+
+    @pytest.mark.parametrize("line, reason", [
+        ('["a", "b", "good"]', "record is not an object"),
+        ('{"source_key": "a", "target_key": "b", "label": 1}',
+         "unrecognized gold label '1'"),
+        ('{"source_key": "a", "target_key": "b", "label": "great"}',
+         "unrecognized gold label 'great'"),
+    ])
+    def test_load_names_file_and_line(self, tmp_path, line, reason) -> None:
+        path = tmp_path / "gold.jsonl"
+        path.write_text(f'{{"source_key": "a", "target_key": "b", "label": "good"}}\n{line}\n',
+                        encoding="utf-8")
+        with pytest.raises(InputError) as exc:
+            load_gold_pairs(path)
+        assert str(exc.value) == f"{path}: line 2: {reason}"
 
     def test_from_tsv_defaults(self, tmp_path) -> None:
         path = tmp_path / "gold.tsv"
@@ -277,6 +292,12 @@ class TestSentenceProtocol:
         assert report.f1_max == 1.0
         # the weather pair scores ~0.65, so the maximizing cut drops to it
         assert report.best_threshold == pytest.approx(0.6536, abs=1e-3)
+
+    def test_positive_labels_no_gold_pair_carries(self, toy_table) -> None:
+        dataset = topical_dataset()
+        with pytest.raises(InputError, match="no gold pair is labelled nonvalid or partial"):
+            eval_sentence_alignment(dataset, dataset_scorer(toy_table, dataset),
+                                    positive_labels=("partial", "nonvalid"))
 
     def test_unknown_doc_pair_rejected(self, toy_table) -> None:
         dataset = topical_dataset()
@@ -495,6 +516,15 @@ class TestLoadEvalDataset:
         (tmp_path / "doc_pairs.tsv").write_text("only-one-id\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 1"):
             load_eval_dataset(tmp_path)
+
+    def test_bad_doc_pairs_line_names_the_file(self, tmp_path) -> None:
+        self.write_dataset(tmp_path)
+        (tmp_path / "doc_pairs.tsv").write_text("s1\tt1\nonly-one-id\n", encoding="utf-8")
+        with pytest.raises(InputError) as exc:
+            load_eval_dataset(tmp_path)
+        assert str(exc.value) == (
+            f"{tmp_path / 'doc_pairs.tsv'}: line 2: expected 2 tab-separated ids"
+        )
 
 
 def shared_id_dataset(target_id: str) -> EvalDataset:

@@ -300,11 +300,11 @@ class TestScorers:
         assert matrix[0, 0] > 0.0
 
     def test_factory_kinds(self, toy_table) -> None:
-        stats = Bm25Stats.from_documents([["x"]])
-        rows = embed_corpus([doc("d", ["A cat."])], "sentence", toy_table)
+        docs = [doc("d", ["A cat."])]
+        rows = embed_corpus(docs, "sentence", toy_table)
         for kind in ("cosine", "overlap", "bm25", "wmd", "rwmd"):
             scorer = make_scorer(kind, source=rows, target=rows, table=toy_table,
-                                 stats=stats)
+                                 target_docs=docs)
             assert scorer.kind == kind
 
     def test_factory_validates_inputs(self, toy_table) -> None:

@@ -322,7 +322,7 @@ class TestRunPipeline:
         plain = summary.to_dict()
         assert "cached_stages" not in plain
         assert plain["groups"] == 3
-        assert "cached_stages" in summary.to_dict(include_runtime=True)
+        assert summary.cached_stages == []
         assert summary.to_json() == summary.to_json()
 
     def test_rerun_is_fully_cached(self, tmp_path) -> None:
