@@ -13,14 +13,15 @@ import functools
 import io
 import os
 import pickle
+import re
 import signal
 import stat
 import struct
 import warnings
 from dataclasses import dataclass, field
-from itertools import islice, product, repeat
+from itertools import chain, islice, product, repeat
 from pathlib import Path
-from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -94,9 +95,8 @@ class WordVectorTable:
         return np.array([self._index[t] for t in tokens], dtype=np.intp)
 
 
-def _read_header(fh: TextIO) -> tuple[int, int]:
+def _read_header(header: str) -> tuple[int, int]:
     """The count and the dimension from the header line ``count dim``."""
-    header = fh.readline()
     try:
         count, dim = map(int, header.split())
     except ValueError as e:
@@ -136,14 +136,10 @@ def _parse_lines(lines: Sequence[str], first: int, dim: int) -> tuple[list[str],
     return tokens, rows
 
 
-def _parse_chunk(lines: Sequence[str], first: int, dim: int) -> tuple[list[str], np.ndarray]:
-    """``_parse_lines``, by numpy's C reader where it accepts the lines.
-
-    The reader parses well-formed lines in one pass, column 0 through
-    ``token``. Lines it refuses, or reads with another column count or a
-    non-finite value, are parsed again one at a time, so the per-line rules
-    alone decide what is accepted and what is raised.
-    """
+def _read_rows(lines: Sequence[str], dim: int) -> tuple[list[str], np.ndarray] | None:
+    """The lowercased tokens and the rows of the vector lines ``lines``, by
+    numpy's C reader in one pass, column 0 through ``token``; None where it
+    refuses a line, or reads another column count or a non-finite value."""
     tokens: list[str] = []
 
     def token(field: str) -> float:
@@ -157,10 +153,110 @@ def _parse_chunk(lines: Sequence[str], first: int, dim: int) -> tuple[list[str],
             rows = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2,
                               converters={0: token}, encoding=None)
     except ValueError:
-        rows = None
-    if rows is not None and rows.shape[1] == dim + 1 and np.isfinite(rows).all():
+        return None
+    if rows.shape[1] == dim + 1 and np.isfinite(rows).all():
         return tokens, rows[:, 1:]
-    return _parse_lines(lines, first, dim)
+    return None
+
+
+def _parse_chunk(lines: Sequence[str], first: int, dim: int) -> tuple[list[str], np.ndarray]:
+    """``_parse_lines``, by numpy's C reader where it accepts the lines.
+
+    Lines the reader refuses are parsed again one at a time, so the per-line
+    rules alone decide what is accepted and what is raised.
+    """
+    return _read_rows(lines, dim) or _parse_lines(lines, first, dim)
+
+
+_DIGITS = b"0123456789"
+
+
+def _pairs(follows: Iterable[tuple[bytes, bytes]]) -> np.ndarray:
+    """Byte pairs read as little-endian uint16, ``a + 256 * b`` -> whether
+    ``b`` may follow ``a``: for each ``(before, after)``, each byte of
+    ``after`` may follow each byte of ``before``."""
+    table = np.zeros(1 << 16, dtype=bool)
+    for before, after in follows:
+        for a, b in product(before, after):
+            table[a + 256 * b] = True
+    return table
+
+
+# Byte pairs of a line of fields -?D+(.D*)?(e[-+]?D+)?, each after one space,
+# ended by "\n"; and of the points, exponents and spaces of such a line, at
+# most one point and one exponent a field, the point first.
+_FIELD_PAIRS = _pairs([(b" ", b"-" + _DIGITS), (b"-+", _DIGITS), (b"e", b"-+" + _DIGITS),
+                       (b".", b"e \n" + _DIGITS), (_DIGITS, b".e \n" + _DIGITS), (b"\n", b" ")])
+_MARK_PAIRS = _pairs([(b" ", b" .e\n"), (b".", b" e\n"), (b"e", b" \n"), (b"\n", b" ")])
+_LONG_EXPONENT = re.compile(rb"e[-+]?[0-9]{3}")
+
+
+def _all_pairs(data: bytes, table: np.ndarray) -> bool:
+    """Whether ``table`` allows each pair of adjacent bytes of ``data``."""
+    return all(np.take(table, np.frombuffer(data, "<u2", (len(data) - start) // 2, start)).all()
+               for start in (0, 1))
+
+
+def _shaped(rests: list[str], dim: int) -> bool:
+    """Whether each of ``rests``, a line from its first space on, its end
+    stripped, is ``dim`` fields ``-?D+(.D*)?(e[-+]?D{1,2})?`` (ASCII
+    digits), each after one space, with no run of 207 digits (some shorter
+    runs fail too): a shape the per-line rules always accept, as finite
+    floats (below 10 ** 305). fastText's writer, which puts a space after
+    every value and writes small ones with an exponent, has this shape."""
+    try:
+        data = "\n".join([*rests, ""]).encode("ascii")
+    except UnicodeEncodeError:
+        return False
+    # Without signs and digits, each line is dim spaces and its "\n", with
+    # at most ".e" after each space: this also rules out every other byte.
+    marks = data.translate(None, b"-+" + _DIGITS)
+    if marks.translate(None, b".e") != (b" " * dim + b"\n") * len(rests):
+        return False
+    if not (_all_pairs(marks, _MARK_PAIRS) and _all_pairs(data, _FIELD_PAIRS)):
+        return False
+    # Finite: no exponent of 3 digits, and no run of 207 digits, so no 25
+    # aligned 8-byte words of digits, which alone of these bytes have bit 4
+    # set.
+    if b"e" in marks and _LONG_EXPONENT.search(data):
+        return False
+    digits = np.uint64(0x1010101010101010)
+    words = np.frombuffer(data, "<u8", len(data) // 8) & digits == digits
+    for step in (1, 2, 4, 8):  # words[i]: words i to i + 2 * step - 1 all digits
+        words = words[:-step] & words[step:]
+    return not (words[:-9] & words[9:]).any()
+
+
+def _kept_rows(lines: list[str], dim: int, wanted: set[str] | None,
+               index: dict[str, int]) -> tuple[list[str], np.ndarray] | None:
+    """The tokens and rows of the kept lines of the chunk ``lines``, or None
+    where the chunk must be parsed line by line.
+
+    A kept line's token (the text before its first space, lowercased) is new
+    to ``index`` and to the chunk, and in ``wanted`` (None: any token); its
+    row is ``_read_rows``'. Every other non-blank line is checked and never
+    converted: ``_shaped`` proves the per-line rules accept what follows its
+    token, less the trailing whitespace ``str.split`` drops. None where a
+    non-blank line has no space, starts with a token ``str.split`` would
+    split or that is empty, fails the check, or is kept and refused by the
+    reader.
+    """
+    lines = [line for line in lines if not line.isspace()]  # blank to str.split
+    cuts = [line.find(" ") for line in lines]
+    tokens = [line[:cut] for line, cut in zip(lines, cuts)]
+    words = "\n".join(tokens)
+    if -1 in cuts or words.split() != tokens:  # each token is its line's first field
+        return None
+    kept: dict[str, str] = {}
+    checked: list[str] = []
+    for word, line, cut in zip(words.lower().split("\n"), lines, cuts):
+        if word in index or word in kept or (wanted is not None and word not in wanted):
+            checked.append(line[cut:].rstrip())
+        else:
+            kept[word] = line
+    if checked and not _shaped(checked, dim):
+        return None
+    return _read_rows(list(kept.values()), dim) if kept else ([], np.empty((0, dim)))
 
 
 # Vector lines parsed per call of numpy's reader, and rows per read of a
@@ -189,13 +285,12 @@ class _ByteRange(io.RawIOBase):
         return len(data)
 
 
-def _text(fd: int, start: int, end: int | None) -> TextIO:
-    """Bytes ``start`` to ``end`` of the open file ``fd`` read as
-    ``open(path, encoding="utf-8")`` reads them: UTF-8, universal newlines.
-    With ``end`` None, ``fd`` itself from where it stands (a pipe, say)."""
+def _reader(fd: int, start: int, end: int | None) -> BinaryIO:
+    """Bytes ``start`` to ``end`` of the open file ``fd``, buffered; with
+    ``end`` None, ``fd`` itself from where it stands (a pipe, say)."""
     if end is None:
-        return open(fd, encoding="utf-8", closefd=False)
-    return io.TextIOWrapper(io.BufferedReader(_ByteRange(fd, start, end)), encoding="utf-8")
+        return open(fd, "rb", closefd=False)
+    return io.BufferedReader(_ByteRange(fd, start, end), 1 << 16)
 
 
 def _cpus() -> list[int]:
@@ -301,15 +396,31 @@ def _keep(index: dict[str, int], rows: np.ndarray, tokens: Sequence[str],
     return rows
 
 
-def _parse_range(fh: TextIO, first: int, dim: int, wanted: set[str] | None,
+def _parse_range(fh: Iterator[bytes], first: int, dim: int, wanted: set[str] | None,
                  index: dict[str, int], rows: np.ndarray) -> tuple[np.ndarray, int]:
     """Parse the vector lines of ``fh``, the first of which is line
     ``first``, ``_LINES`` at a time into ``index`` and ``rows``: the rows
-    and the number of the last line read."""
+    and the number of the last line read.
+
+    Each chunk is decoded as UTF-8. A chunk that holds a ``\\r`` is split
+    as text mode splits it (universal newlines); such a chunk, and one
+    ``_kept_rows`` cannot sort, has every line parsed by ``_parse_chunk``.
+    """
     while lines := list(islice(fh, _LINES)):
-        tokens, vectors = _parse_chunk(lines, first, dim)
-        first += len(lines)
-        rows = _keep(index, rows, tokens, vectors, wanted)
+        data = b"".join(lines)
+        if b"\r" in data:  # text mode also ends a line at a lone "\r"
+            text = io.StringIO(data.decode("utf-8"), newline=None).readlines()
+        else:
+            text = [line.decode("utf-8") for line in lines]
+            kept = _kept_rows(text, dim, wanted, index)
+            if kept is not None:
+                rows = _keep(index, rows, *kept, wanted)
+                first += len(text)
+                continue
+        for lo in range(0, len(text), _LINES):
+            tokens, vectors = _parse_chunk(text[lo : lo + _LINES], first, dim)
+            first += len(text[lo : lo + _LINES])
+            rows = _keep(index, rows, tokens, vectors, wanted)
     return rows, first - 1
 
 
@@ -344,7 +455,7 @@ def _fork(fd: int, start: int, end: int, dim: int, wanted: set[str] | None,
         index: dict[str, int] = {}
         with open(w, "wb") as out:
             try:
-                rows, lines = _parse_range(_text(fd, start, end), 1, dim, wanted, index, rows)
+                rows, lines = _parse_range(_reader(fd, start, end), 1, dim, wanted, index, rows)
             except Exception as e:
                 pickle.dump(e, out)
             else:
@@ -390,9 +501,11 @@ def load_word_vectors(
     text that is not UTF-8 raises ``path: not UTF-8 (...)``.
 
     With ``vocabulary``, the table holds only the rows of its words, in file
-    order; every line is still parsed and checked. Lines are read
-    ``_LINES`` at a time, so no more than one such chunk is held beside the
-    rows kept.
+    order. Lines are read ``_LINES`` at a time, so no more than one such
+    chunk is held beside the rows kept. Every line is still checked, but
+    only a kept line (the first of a word the table keeps) is converted;
+    the others are checked by their bytes, and a chunk that check cannot
+    prove is parsed again line by line (``_kept_rows``).
 
     A regular file is cut into byte ranges, one per allowed CPU and each at
     least ``_MIN_RANGE`` bytes. This process parses the first, header
@@ -411,8 +524,12 @@ def _load(path: Path | str, fd: int, wanted: set[str] | None) -> WordVectorTable
     ends: list[int | None] = [None]  # a pipe is read as it comes, by this process alone
     if stat.S_ISREG(st.st_mode):
         ends = _ends(fd, st.st_size, min(len(cpus), st.st_size // _MIN_RANGE))
-    fh = _text(fd, 0, ends[0])
-    count, dim = _read_header(fh)
+    fh = _reader(fd, 0, ends[0])
+    # Text mode ends the header at a lone "\r" too; the rest is line 2.
+    header, _, rest = fh.readline().partition(b"\r")
+    count, dim = _read_header(header.decode("utf-8"))
+    rest = rest.removeprefix(b"\n")
+    body = chain([rest] if rest else [], fh)
     # Sized by the vocabulary, else by the header's count, which is not
     # checked: a vector line holds at least 2 * dim + 1 characters, so the
     # file's size bounds the rows too. Rows past those kept are never
@@ -427,7 +544,7 @@ def _load(path: Path | str, fd: int, wanted: set[str] | None) -> WordVectorTable
             workers.append((*_fork(fd, start, end, dim, wanted, cpu), start, end))
         if workers:
             _pin(cpus[0])
-        rows, lines = _parse_range(fh, 2, dim, wanted, index, rows)
+        rows, lines = _parse_range(body, 2, dim, wanted, index, rows)
         for _, inp, start, end in workers:
             try:
                 rows, lines = _merge(inp, index, rows, lines)

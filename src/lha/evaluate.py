@@ -37,6 +37,7 @@ __all__ = [
     "gold_from_tsv",
     "f1max_sweep",
     "EvalDataset",
+    "IncompleteDatasetError",
     "load_eval_dataset",
     "noise_pools",
     "sample_docs",
@@ -310,18 +311,24 @@ _DATASET_FILES = (
 )
 
 
+class IncompleteDatasetError(InputError, FileNotFoundError):
+    """An evaluation directory lacks some of its files."""
+
+
 def load_eval_dataset(root: Path | str) -> EvalDataset:
     """Load a prepared evaluation directory.
 
     Expects: source_docs.jsonl and target_docs.jsonl (the annotated article
     pairs), doc_pairs.tsv (gold article pairings, two tab-separated ids per
-    line), gold_pairs.jsonl (labelled sentence pairs keyed docid#ordinal),
-    and noise_source_docs.jsonl / noise_target_docs.jsonl (distractor pools).
+    line, each a document of its side), gold_pairs.jsonl (labelled sentence
+    pairs keyed docid#ordinal), and noise_source_docs.jsonl /
+    noise_target_docs.jsonl (distractor pools). A missing file raises
+    ``IncompleteDatasetError``, naming every file missing.
     """
     root = Path(root)
     missing = [name for name in _DATASET_FILES if not (root / name).exists()]
     if missing:
-        raise FileNotFoundError(
+        raise IncompleteDatasetError(
             f"evaluation dataset incomplete at {root}: missing {', '.join(missing)}. "
             "Prepare the annotated wiki/simple alignment set as described in the "
             "README section 'Evaluation data': convert the published gold file "
@@ -348,6 +355,10 @@ def load_eval_dataset(root: Path | str) -> EvalDataset:
             fields = line.split("\t")
             if len(fields) < 2:
                 raise InputError("expected 2 tab-separated ids", line_no)
+            for doc_id, docs, name in ((fields[0], src_docs, "source_docs.jsonl"),
+                                       (fields[1], tgt_docs, "target_docs.jsonl")):
+                if doc_id not in docs:
+                    raise InputError(f"document {doc_id!r} is not in {name}", line_no)
             gold_doc_pairs.append((fields[0], fields[1]))
     gold_pairs = load_gold_pairs(root / "gold_pairs.jsonl")
     noise_src = list(load_corpus(root / "noise_source_docs.jsonl", "noise_src", memo=tokens))

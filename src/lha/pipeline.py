@@ -400,7 +400,9 @@ def align_doc_files(source: Path | str, target: Path | str, k: int, theta_d: flo
                     out: Path | str) -> int:
     """The ``align_docs`` stage: pair the documents of the ``source`` embedding
     file with those of ``target``, indexed in memory; returns the pairs written."""
-    index = build_index(load_embeddings(target))
+    matrix = load_embeddings(target)
+    with naming(target):
+        index = build_index(matrix)
     return write_doc_pairs(align_documents(load_embeddings(source), index, k, theta_d), out)
 
 

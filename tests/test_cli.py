@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from lha.cli import _sentence_matrices, main
 from lha.corpus import corpus_index, load_corpus
 from lha.doc_align import read_doc_pairs
 from lha.embeddings import (
+    EmbeddingFormatError,
     EmbeddingMatrix,
     WordVectorTable,
     embed_corpus,
@@ -29,6 +31,7 @@ from lha.metrics import SCORERS, CosineScorer, make_scorer
 from lha.pipeline import PipelineConfig, PipelineStageError, run_pipeline, validate_config
 from lha.sent_align import read_groups, sentence_sim_matrix
 from conftest import _TOY_VECTORS, doc, write_jsonl, write_vectors
+from oracles import word_vectors_oracle
 
 
 @pytest.fixture(autouse=True)
@@ -1255,6 +1258,84 @@ class TestVectorFileErrors:
                 in result.output)
 
 
+class TestUnusedVectorLines:
+    """How the lines of --vectors that no corpus word uses are written changes
+    no output, whether a load proves their shape or reads their chunk as
+    text; a malformed one fails with the per-line rules' message."""
+
+    # Lines of words the corpora do not hold: plain, and in forms only the
+    # per-line rules read.
+    UNUSED = [
+        ("zebra 0.5 -0.25 1.0\n", "zebra 0.5 -0.25 1.0\r\n"),
+        ("yak 0.5 0.25 0.125\n", "yak\t0.5\t0.25 0.125\n"),
+        ("xylo 0.001 2.0 3.0\n", "xylo 1e-3 2.0 3.0\n"),
+        ("wolf 0.5 1.0 2.0\n", "wolf +.5 1.0 2.0\n"),
+        ("vole 10.0 2.0 3.0\n", "vole 1_0 2.0 3.0\n"),
+        ("urchin -0.0 0.0 1.0\n", "urchin -0 0.0 1.0\n"),
+        ("tapir 0.5 1.0 2.0\n", "tapir\u00a00.5\u00a01.0 2.0\n"),
+    ]
+
+    @pytest.fixture(autouse=True)
+    def chunk(self, monkeypatch) -> None:
+        # Three lines a chunk, so some chunks are proved and some read as text.
+        monkeypatch.setattr("lha.embeddings._LINES", 3)
+
+    def write(self, path: Path, form: int, bad: str | None = None) -> Path:
+        """The toy vectors, one unused line after each, in ``form`` (0:
+        plain, 1: odd); ``bad`` replaces the fourth unused line."""
+        used = [f"{w} " + " ".join(f"{x:.6f}" for x in v) + "\n"
+                for w, v in _TOY_VECTORS.items()]
+        unused = [line[form] for line in self.UNUSED]
+        if bad is not None:
+            unused[3] = bad
+        body = [line for pair in zip(used, unused * 2) for line in pair]
+        path.write_bytes(f"{len(body)} 3\n{''.join(body)}".encode("utf-8"))
+        return path
+
+    def outputs(self, workspace: Path, vectors: Path) -> dict:
+        """groups.jsonl of cosine and wmd runs and of align-sents with rwmd,
+        or each command's exit code and output where it fails."""
+        out = {}
+        for scorer in ("cosine", "wmd"):
+            out_dir = workspace / f"{vectors.stem}-{scorer}"
+            result = invoke("run", "--config", str(workspace / "config.json"),
+                            "--set", f"word_vectors={vectors}",
+                            "--set", f"out_dir={out_dir}", "--set", f"scorer={scorer}")
+            out[scorer] = ((out_dir / "groups.jsonl").read_bytes() if result.exit_code == 0
+                           else (result.exit_code, result.output))
+        groups = workspace / f"{vectors.stem}-rwmd.jsonl"
+        result = invoke("align-sents", "--doc-pairs", str(workspace / "pairs.tsv"),
+                        "--source-corpus", str(workspace / "source.jsonl"),
+                        "--target-corpus", str(workspace / "target.jsonl"),
+                        "--scorer", "rwmd", "--vectors", str(vectors),
+                        "--theta-s", "0.3", "--out", str(groups))
+        out["rwmd"] = (groups.read_bytes() if result.exit_code == 0
+                       else (result.exit_code, result.output))
+        return out
+
+    def test_odd_forms_change_no_output(self, workspace) -> None:
+        (workspace / "pairs.tsv").write_text("s1\tt1\t1.0\ns2\tt2\t1.0\n", encoding="utf-8")
+        plain = self.outputs(workspace, self.write(workspace / "plain.vec", 0))
+        odd = self.outputs(workspace, self.write(workspace / "odd.vec", 1))
+        assert plain == odd
+        assert all(isinstance(groups, bytes) and groups.count(b"\n") >= 1
+                   for groups in plain.values()), plain
+
+    @pytest.mark.parametrize("form", [0, 1], ids=["plain", "odd"])
+    def test_a_malformed_unused_line_names_its_line(self, workspace, form) -> None:
+        (workspace / "pairs.tsv").write_text("s1\tt1\t1.0\n", encoding="utf-8")
+        path = self.write(workspace / "bad.vec", form, bad="wolf 0.5 1.0 2.0.0\n")
+        with pytest.raises(EmbeddingFormatError) as info:
+            word_vectors_oracle(path)
+        message = f"{path}: {info.value}"
+        assert message.endswith(": line 9: unparsable vector component")
+        out = self.outputs(workspace, path)
+        assert out["cosine"][0] == out["wmd"][0] == 1
+        assert f"stage 'embed_docs_src' failed: {message}" in out["cosine"][1]
+        assert f"stage 'embed_docs_src' failed: {message}" in out["wmd"][1]
+        assert out["rwmd"][0] == 2 and f"Error: {message}" in out["rwmd"][1]
+
+
 class TestEmbeddingFileErrors:
     """A malformed .lhae file is a usage error (exit 2) that names the file,
     in every command that reads one."""
@@ -1347,6 +1428,8 @@ _BAD_FILES = {
     "eval-corpus-line": ("evaldata/source_docs.jsonl", _CORPUS_LINE),
     "eval-corpus-utf8": ("evaldata/target_docs.jsonl", _NOT_UTF8),
     "eval-doc-pairs": ("evaldata/doc_pairs.tsv", b"s1 t1\n"),
+    "eval-doc-pair-id": ("evaldata/doc_pairs.tsv", b"s1\tt1\ns2\tt9\n"),
+    "empty-lhae": ("empty.lhae", struct.pack("<4sHBQI", b"LHAE", 1, 0, 0, 3)),
     "gold-label": ("evaldata/gold_pairs.jsonl",
                    b'{"source_key": "s1#0", "target_key": "t1#0", "label": "great"}\n'),
 }
@@ -1380,6 +1463,8 @@ _MALFORMED = {
                     "--strategy", "precomputed:BAD", "--out", "OUT"], "lhae"),
     "align-docs-lhae": (["align-docs", "--source-embeddings", "BAD",
                          "--target-embeddings", "DOC_TARGET", "--out", "OUT"], "lhae"),
+    "align-docs-empty-target": (["align-docs", "--source-embeddings", "DOC_TARGET",
+                                 "--target-embeddings", "BAD", "--out", "OUT"], "empty-lhae"),
     "align-sents-corpus-line": (_bad(_ALIGN_SENTS, "TARGET"), "corpus-line"),
     "align-sents-corpus-utf8": (_bad(_ALIGN_SENTS, "SOURCE"), "corpus-utf8"),
     "align-sents-stopwords": ([*_ALIGN_SENTS, "--stopwords", "BAD"], "stopwords"),
@@ -1393,7 +1478,8 @@ _MALFORMED = {
     **{
         f"eval-{name}-{bad}": (argv, bad)
         for name, (argv, _) in _EVAL.items()
-        for bad in ("eval-corpus-line", "eval-corpus-utf8", "eval-doc-pairs", "gold-label")
+        for bad in ("eval-corpus-line", "eval-corpus-utf8", "eval-doc-pairs",
+                    "eval-doc-pair-id", "gold-label")
     },
     **{f"eval-{name}-vectors": (_bad(argv, "VECTORS"), "vectors")
        for name, (argv, _) in _EVAL.items()},
@@ -1446,6 +1532,16 @@ class TestMalformedInput:
         result = invoke(*args, "--exclude", str(workspace / "bad.tsv"))
         assert result.exit_code == 2
         assert f"{workspace / 'bad.tsv'}: line 1: expected 2 tab-separated fields" in result.output
+
+    @pytest.mark.parametrize("name", list(_EVAL))
+    def test_eval_data_dir_lacking_a_file(self, places, name) -> None:
+        (places["EVAL"] / "noise_target_docs.jsonl").unlink()
+        argv, _ = _EVAL[name]
+        result = invoke(*(str(places.get(a, a)) for a in argv))
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert (f"Error: evaluation dataset incomplete at {places['EVAL']}: "
+                "missing noise_target_docs.jsonl." in result.output)
 
     @pytest.mark.parametrize("name", ["sent", "joint"])
     def test_positive_labels_that_no_gold_pair_carries(self, places, name) -> None:

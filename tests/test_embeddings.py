@@ -435,6 +435,203 @@ class TestVocabularyLoadSplit(_Split, TestVocabularyLoad):
         self.check(path, [{"w001"}])
 
 
+# Fields a checked line may carry: some are a shape the check proves, the
+# rest send their chunk down the text path, where the per-line rules accept
+# (".5", 308 and 309 integer digits below the overflow, "1E5", a 3-digit
+# exponent, Arabic-Indic digits) or raise (".", "-.", misplaced signs, 309
+# nines, an exponent with no digits or a point, an overflowing exponent).
+_NEAR_MISSES = (".", "-.", "5.", ".5", "--5.0", "5-.0", "5.0-", "1" * 308 + ".5",
+                "9" * 309 + ".0", "1" + "0" * 308 + ".0", "\u0661\u0662.\u0663", "-0.0",
+                "00.5", "7", "1e5", "-1.5e-05", "2.e+07", "1E5", "1e-100", "1e400", "e5",
+                "1e", "1e-", "1e+-5", "1e5.0", "1.5e3e4", "9" * 206 + "e99", "9" * 210 + "e99")
+# Tokens of checked lines: none is in the vocabulary, or each comes again.
+_VOCABULARY = ("cat", "dog", "äpfel", "οδος")
+_CHECKED_TOKENS = ("a-b", "x.y", "3.5", "-", ".", "naïve", "ÉCOLE", "ΟΔΟΣ", "Straße",
+                   "CAT", "Dog", "ÄPFEL")
+
+
+def _checked_lines_file(rng: np.random.Generator) -> str:
+    """A small word-vector file whose kept lines (the first line of each
+    word of ``_VOCABULARY``) are plain, and whose checked lines carry near
+    misses: fields of ``_NEAR_MISSES``, a double space, or whitespace after
+    the last field."""
+    dim = int(rng.integers(1, 4))
+    pick = lambda seq: seq[int(rng.integers(len(seq)))]  # noqa: E731
+    text, seen = f"9 {dim}\n", set()
+    for _ in range(int(rng.integers(1, 12))):
+        word = pick(_VOCABULARY if rng.random() < 0.4 else _CHECKED_TOKENS)
+        kept = word.lower() in _VOCABULARY and word.lower() not in seen
+        seen.add(word.lower())
+        fields = [f"{rng.normal():.{int(rng.integers(1, 6))}f}" for _ in range(dim)]
+        separators = [" "] * dim + ["\n"]
+        if not kept:
+            for i in range(dim):
+                if rng.random() < 0.2:
+                    fields[i] = pick(_NEAR_MISSES)
+            if rng.random() < 0.05:
+                separators[int(rng.integers(dim))] = "  "
+            if rng.random() < 0.15:
+                separators[-1] = pick((" \n", "  \n", "\t\n", " \x1c\n"))
+        text += word + "".join(sep + field for sep, field in zip(separators, fields))
+        text += separators[-1]
+    return text
+
+
+class TestCheckedLines:
+    """Near misses in the lines a load checks but does not convert, in files
+    cut into 1, 2 and 3 byte ranges and read 1, 2 and 512 lines a chunk:
+    each table is the whole read's cut to the vocabulary, or each load raises
+    the whole read's message."""
+
+    @pytest.fixture(params=[1, 2, 3], ids=["1cpu", "2cpus", "3cpus"])
+    def ranges(self, request, monkeypatch) -> int:
+        _cut_into(monkeypatch, request.param)
+        return request.param
+
+    @pytest.fixture(params=_CHUNKS, ids=["1", "2", "default"])
+    def chunk(self, request, monkeypatch) -> None:
+        if request.param is not None:
+            monkeypatch.setattr(embeddings, "_LINES", request.param)
+
+    def test_near_misses(self, tmp_path, ranges, chunk) -> None:
+        rng = np.random.default_rng(24)
+        path = tmp_path / "v.vec"
+        outcomes = {"table": 0, "error": 0}
+        for _ in range(250):
+            path.write_bytes(_checked_lines_file(rng).encode("utf-8"))
+            try:
+                whole = whole_file_loader_oracle(path)
+            except EmbeddingFormatError as e:
+                for vocabulary in (set(_VOCABULARY), None):
+                    with pytest.raises(EmbeddingFormatError) as info:
+                        load_word_vectors(path, vocabulary)
+                    assert str(info.value) == f"{path}: {e}", path.read_bytes()
+                outcomes["error"] += 1
+                continue
+            for vocabulary in (set(_VOCABULARY), None):
+                assert_restricted(load_word_vectors(path, vocabulary), whole, vocabulary)
+            outcomes["table"] += 1
+        assert min(outcomes.values()) > 100, outcomes
+
+
+class TestTextPath:
+    """Only lines of words a load keeps are converted, and a line the shape
+    check cannot prove sends its own chunk, and no other, down the text path."""
+
+    # Eight lines a chunk; the third chunk holds lines 18 to 25.
+    chunk, third = 8, 18
+
+    @pytest.fixture(autouse=True)
+    def lines(self, monkeypatch) -> None:
+        monkeypatch.setattr(embeddings, "_LINES", self.chunk)
+
+    def body(self) -> list[str]:
+        """40 plain lines: the words k0 .. k9, then u10 .. u39, with k3 again
+        in upper case in the third chunk."""
+        body = [f"{'k' if i < 10 else 'u'}{i} {i}.5 -0.{i}\n" for i in range(40)]
+        body[self.third - 2 + 5] = "K3 1.0 2.0\n"
+        return body
+
+    def spy(self, monkeypatch, name: str) -> list:
+        calls, real = [], getattr(embeddings, name)
+
+        def spying(lines, *args):
+            calls.append((list(lines), *args))
+            return real(lines, *args)
+
+        monkeypatch.setattr(embeddings, name, spying)
+        return calls
+
+    @pytest.mark.parametrize("fasttext", [False, True], ids=["plain", "fasttext"])
+    def test_only_kept_lines_are_converted(self, tmp_path, monkeypatch, fasttext) -> None:
+        body = self.body()
+        if fasttext:  # a space after every value, and %g values: integers, exponents
+            body = [line.replace(".5 ", "e-05 ").replace(" -0.", " -")[:-1] + " \n"
+                    for line in body]
+        body[12:12] = ["\n", " \t\n"]  # blank lines, skipped on this path too
+        path = tmp_path / "v.vec"
+        path.write_text("40 2\n" + "".join(body), encoding="utf-8")
+        read = self.spy(monkeypatch, "_read_rows")
+        monkeypatch.setattr(embeddings, "_parse_lines", None)  # calling it would raise
+        vocabulary = {"k1", "k3", "k7", "u30"}
+        table = load_word_vectors(path, vocabulary)
+        assert [line for lines, _ in read for line in lines] == [
+            line for line in body if line.startswith(("k1 ", "k3 ", "k7 ", "u30 "))]
+        assert_restricted(table, whole_file_loader_oracle(path), vocabulary)
+
+    @pytest.mark.parametrize("line", [
+        "u20 0.5 1.5\r\n", "u20\t0.5 1.5\n", "u20 0.5\x1c1.5\n", "u20\u00a00.5 1.5\n",
+        "u20 1E-3 1.5\n", "u20 1e-100 1.5\n", "u20 1_0 1.5\n", "u20 +.5 1.5\n",
+        "u20 .5 1.5\n", "u20 0.5  1.5\n", " u20 0.5 1.5\n", "k3 0.5\x85 1.5\n",
+        "k9 1_0 1.5\n", "\x1cu21 0.5 1.5\n",
+    ], ids=["crlf", "tab", "x1c", "nbsp", "capital-exponent", "3-digit-exponent",
+            "underscore", "plus", "no-integer-digit", "double", "leading",
+            "nel-after-kept-word", "kept-and-refused", "x1c-before-kept-word"])
+    def test_a_trigger_sends_its_chunk_alone(self, tmp_path, monkeypatch, line) -> None:
+        body = self.body()
+        body[self.third - 2 + 2] = line
+        path = tmp_path / "v.vec"
+        path.write_bytes(("40 2\n" + "".join(body)).encode("utf-8"))
+        text = self.spy(monkeypatch, "_parse_chunk")
+        vocabulary = {"k3", "k9", "u21"}
+        table = load_word_vectors(path, vocabulary)
+        third = [line.replace("\r\n", "\n")
+                 for line in body[self.third - 2 : self.third - 2 + self.chunk]]
+        assert text == [(third, self.third, 2)]
+        assert_restricted(table, whole_file_loader_oracle(path), vocabulary)
+
+    @pytest.mark.parametrize("line, message", [
+        (b"u20 inf 1.5\n", "line 20: non-finite vector component"),
+        (b"u20 0.5 x\n", "line 20: unparsable vector component"),
+        (b"u20 0.5\n", "line 20: expected 2 components, got 1"),
+        (b"u20 0.5 1.5\ru20 1.5\n", "line 21: expected 2 components, got 1"),
+        (b"u20 \xff 1.5\n", "not UTF-8 (invalid start byte)"),
+        (b"u20\tx 0.5 1.5\n", "line 20: expected 2 components, got 3"),
+        # An empty token, and a token split in two, in one chunk.
+        (b" 0.5 1.5\nu20\tx 0.5\n", "line 20: expected 2 components, got 1"),
+    ], ids=["inf", "letter", "short", "lone-cr", "not-utf8", "tab-in-token",
+            "leading-space-and-tab-in-token"])
+    def test_a_bad_unused_line_raises_the_old_message(
+        self, tmp_path, monkeypatch, line, message
+    ) -> None:
+        body = [line.encode() for line in self.body()]
+        body[self.third - 2 + 2] = line
+        path = tmp_path / "v.vec"
+        path.write_bytes(b"40 2\n" + b"".join(body))
+        text = self.spy(monkeypatch, "_parse_chunk")
+        with pytest.raises(InputError) as info:
+            load_word_vectors(path, {"k3", "u21"})
+        assert str(info.value) == f"{path}: {message}"
+        assert [first for _, first, _ in text] == ([] if b"\xff" in line else [self.third])
+
+    def test_a_line_without_a_space(self, tmp_path) -> None:
+        path = tmp_path / "v.vec"
+        path.write_text("2 1\nk0 0.5\n1.5\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError) as info:
+            load_word_vectors(path, {"k0"})
+        assert str(info.value) == f"{path}: line 3: expected 1 components, got 0"
+
+    @pytest.mark.parametrize("line", [
+        "u16 0.5 1.5\ru16 2.5 3.5\n", " \r \n", "u30 0.5 1.5\ru17 2.5 3.5\n",
+    ], ids=["checked", "blank", "kept"])
+    def test_lines_after_a_lone_cr_keep_their_numbers(self, tmp_path, line) -> None:
+        body = self.body()
+        body[self.third - 2] = line  # two lines to text mode
+        body[35] = "u35 nan 1.5\n"
+        path = tmp_path / "v.vec"
+        path.write_text("40 2\n" + "".join(body), encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError) as info:
+            load_word_vectors(path, {"k3", "u30"})
+        assert str(info.value) == f"{path}: line 38: non-finite vector component"
+
+    @pytest.mark.parametrize("header", ["2 2\r", "2 2\r\n", "2 2\r\r\n"])
+    def test_header_ending_in_a_cr(self, tmp_path, header) -> None:
+        path = tmp_path / "v.vec"
+        path.write_bytes((header + "".join(self.body())).encode("utf-8"))
+        assert_restricted(load_word_vectors(path, {"k1", "u39"}),
+                          whole_file_loader_oracle(path), {"k1", "u39"})
+
+
 class TestWorkers:
     """No worker outlives a load and this process's CPU mask is restored,
     whether the load succeeds, fails, is interrupted or loses a worker."""

@@ -15,6 +15,7 @@ from lha.evaluate import (
     EvalDataset,
     EvalReport,
     GoldPair,
+    IncompleteDatasetError,
     _doc_sim_matrix,
     _rescore,
     eval_document_alignment,
@@ -510,6 +511,29 @@ class TestLoadEvalDataset:
         (tmp_path / "gold_pairs.jsonl").unlink()
         with pytest.raises(FileNotFoundError, match="gold_pairs.jsonl"):
             load_eval_dataset(tmp_path)
+
+    def test_missing_files_are_an_input_error(self, tmp_path) -> None:
+        self.write_dataset(tmp_path)
+        (tmp_path / "gold_pairs.jsonl").unlink()
+        (tmp_path / "noise_target_docs.jsonl").unlink()
+        with pytest.raises(IncompleteDatasetError) as info:
+            load_eval_dataset(tmp_path)
+        assert isinstance(info.value, InputError) and isinstance(info.value, FileNotFoundError)
+        assert str(info.value).startswith(
+            f"evaluation dataset incomplete at {tmp_path}: "
+            "missing gold_pairs.jsonl, noise_target_docs.jsonl. ")
+
+    @pytest.mark.parametrize("pairs, message", [
+        ("s1\tt1\ns9\tt2\n", "line 2: document 's9' is not in source_docs.jsonl"),
+        ("s1\tt9\n", "line 1: document 't9' is not in target_docs.jsonl"),
+        ("s1\ts1\n", "line 1: document 's1' is not in target_docs.jsonl"),
+    ])
+    def test_doc_pair_ids_are_documents_of_their_side(self, tmp_path, pairs, message) -> None:
+        self.write_dataset(tmp_path)
+        (tmp_path / "doc_pairs.tsv").write_text(pairs, encoding="utf-8")
+        with pytest.raises(InputError) as info:
+            load_eval_dataset(tmp_path)
+        assert str(info.value) == f"{tmp_path / 'doc_pairs.tsv'}: {message}"
 
     def test_bad_doc_pairs_line(self, tmp_path) -> None:
         self.write_dataset(tmp_path)
