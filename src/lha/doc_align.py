@@ -21,10 +21,9 @@ from .embeddings import EmbeddingMatrix
 __all__ = ["DocPair", "align_documents", "write_doc_pairs", "read_doc_pairs"]
 
 # Source rows scored per matrix product: at least _MIN_ROWS, and about
-# _BLOCK_CELLS similarities. On the one BLAS thread a run holds, a product
-# costs about its size, and each block adds a fixed cost of array calls
-# around it, so fewer, larger blocks are faster; a larger budget only adds
-# peak memory.
+# _BLOCK_CELLS similarities. Each block adds a fixed cost of array calls
+# around its product, so fewer, larger blocks are faster; the budget caps a
+# block's similarities, and so the stage's peak memory, at about 1 MB.
 _MIN_ROWS = 64
 _BLOCK_CELLS = 2**17
 

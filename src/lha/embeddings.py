@@ -8,8 +8,6 @@ Rows are stored float32; all similarity math downstream casts to float64.
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import functools
 import io
 import os
 import pickle
@@ -21,7 +19,7 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import chain, islice, product, repeat
 from pathlib import Path
-from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -39,7 +37,6 @@ __all__ = [
     "embed_avg",
     "check_sentence_rows",
     "embed_corpus",
-    "one_blas_thread",
 ]
 
 _MAGIC = b"LHAE"
@@ -310,58 +307,6 @@ def _pin(cpu: int) -> None:
         os.sched_setaffinity(0, {cpu})
 
 
-_MAPS = "/proc/self/maps"
-
-
-@functools.cache
-def _openblas() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
-    """The thread-count getter and setter of each OpenBLAS library mapped into
-    this process when first called: none where the maps file cannot be read
-    (not Linux) or no mapped library exports them (MKL, Accelerate)."""
-    try:
-        with open(_MAPS, "rb") as fh:
-            lines = [line.split(maxsplit=5) for line in fh if b"openblas" in line]
-    except OSError:
-        return ()
-    paths = {fields[5].rstrip(b"\n") for fields in lines
-             if len(fields) == 6 and b"openblas" in os.path.basename(fields[5])}
-    found = []
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(os.fsdecode(path))
-        except OSError:
-            continue
-        for prefix, suffix in product(("scipy_", ""), ("64_", "")):
-            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                found.append((get, set_))
-                break
-    return tuple(found)
-
-
-@contextlib.contextmanager
-def one_blas_thread() -> Iterator[None]:
-    """Hold every OpenBLAS library of the process at one thread, and give each
-    its previous count back on exit (nested entries restore in LIFO order).
-    An idle OpenBLAS worker busy-waits after a threaded product, on a CPU the
-    work after it needs; one thread changes no result, as OpenBLAS never
-    splits a product's inner sum. The count is process-wide, so entries
-    that do not nest (overlapping threads) are not supported. Libraries are
-    found on first entry; without OpenBLAS this does nothing."""
-    libs = _openblas()
-    counts = [get() for get, _ in libs]
-    for _, set_ in libs:
-        set_(1)
-    try:
-        yield
-    finally:
-        for (_, set_), count in zip(libs, counts):
-            set_(count)
-
-
 def _ends(fd: int, size: int, n: int) -> list[int]:
     """The end offsets of at most ``n`` byte ranges of about equal size that
     cover the file's ``size`` bytes. Each but the last falls just after a
@@ -433,10 +378,11 @@ def _fork(fd: int, start: int, end: int, dim: int, wanted: set[str] | None,
     r, w = os.pipe()
     try:
         with warnings.catch_warnings():
-            # Python 3.12+ warns that forking a threaded process (numpy's BLAS
-            # pool) may deadlock the child. This child only parses text, which
-            # calls no BLAS and takes no lock another thread may hold, and it
-            # leaves by os._exit.
+            # Python 3.12+ warns that forking a threaded process may deadlock
+            # the child, and numpy's OpenBLAS starts its pool threads when it
+            # is imported, so every fork here would warn. This child only
+            # parses text, which calls no BLAS and takes no lock another
+            # thread may hold, and it leaves by os._exit.
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
     except BaseException:
@@ -636,8 +582,10 @@ def save_embeddings(matrix: EmbeddingMatrix, path: Path | str) -> None:
         fh.write(rows.tobytes())
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
+def _read_exact(fh, n: int, what: str, size: int | None) -> bytes:
+    """``n`` bytes of ``fh``, read only if a file of ``size`` bytes (None:
+    unknown) holds them, so a corrupt header allocates nothing it names."""
+    data = fh.read(n if size is None else min(n, size - fh.tell()))
     if len(data) != n:
         raise EmbeddingFormatError(
             f"truncated file: expected {n} bytes for {what}, got {len(data)}"
@@ -655,7 +603,9 @@ def load_embeddings(path: Path | str) -> EmbeddingMatrix:
     """
     with naming(path):
         with open(path, "rb") as fh:
-            header = _read_exact(fh, _HEADER.size, "header")
+            st = os.fstat(fh.fileno())
+            size = st.st_size if stat.S_ISREG(st.st_mode) else None
+            header = _read_exact(fh, _HEADER.size, "header", size)
             magic, version, flags, count, dim = _HEADER.unpack(header)
             if magic != _MAGIC:
                 raise EmbeddingFormatError(
@@ -665,12 +615,12 @@ def load_embeddings(path: Path | str) -> EmbeddingMatrix:
                 raise EmbeddingFormatError(f"unsupported version {version}")
             unit_ids = []
             for i in range(count):
-                (id_len,) = _ID_LEN.unpack(_read_exact(fh, _ID_LEN.size, f"id {i} length"))
+                (id_len,) = _ID_LEN.unpack(_read_exact(fh, _ID_LEN.size, f"id {i} length", size))
                 try:
-                    unit_ids.append(_read_exact(fh, id_len, f"id {i}").decode("utf-8"))
+                    unit_ids.append(_read_exact(fh, id_len, f"id {i}", size).decode("utf-8"))
                 except UnicodeDecodeError as e:
                     raise EmbeddingFormatError(f"id {i} is not UTF-8") from e
-            row_bytes = _read_exact(fh, count * dim * 4, "rows")
+            row_bytes = _read_exact(fh, count * dim * 4, "rows", size)
             trailing = fh.read(1)
             if trailing:
                 raise EmbeddingFormatError("trailing bytes after rows")

@@ -44,7 +44,6 @@ from .embeddings import (
     embed_corpus,
     load_embeddings,
     load_word_vectors,
-    one_blas_thread,
     save_embeddings,
 )
 from .metrics import SCORERS, TABLE_SCORERS, WmdScorer, make_scorer
@@ -406,18 +405,8 @@ def align_doc_files(source: Path | str, target: Path | str, k: int, theta_d: flo
     return write_doc_pairs(align_documents(load_embeddings(source), index, k, theta_d), out)
 
 
-@one_blas_thread()
 def run_pipeline(config: PipelineConfig) -> RunSummary:
-    """Execute all stages, reusing cached results where hashes match.
-
-    The run holds every OpenBLAS library of the process at one thread and
-    restores each one's count when it returns or raises (``one_blas_thread``):
-    an idle OpenBLAS worker busy-waits after a threaded product and slows the
-    single-threaded work that follows. The count is process-wide and each run
-    restores the count it found, so runs that overlap in threads are not
-    supported: they can run threaded products or leave the count at 1.
-    Without OpenBLAS nothing changes.
-    """
+    """Execute all stages, reusing cached results where hashes match."""
     findings = validate_config(config)
     for level, message in findings:
         (logger.error if level == "error" else logger.warning)("%s", message)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 import pytest
 
+import lha
 from lha.corpus import Document, Sentence, content_tokens, tokenize
 from lha.embeddings import WordVectorTable, embed_corpus
 from lha.metrics import (
@@ -86,6 +88,14 @@ def pair_score(
         return to_similarity(distance(x, y, scorer.table))
     except UnembeddableSentenceError:
         return 0.0
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """This process's environment with ``extra`` set, in which a child
+    interpreter imports the ``lha`` this suite tests."""
+    src = str(Path(lha.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    return {**os.environ, **extra, "PYTHONPATH": path}
 
 
 def write_jsonl(path: Path, records: list[dict]) -> Path:

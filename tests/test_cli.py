@@ -1430,6 +1430,12 @@ _BAD_FILES = {
     "eval-doc-pairs": ("evaldata/doc_pairs.tsv", b"s1 t1\n"),
     "eval-doc-pair-id": ("evaldata/doc_pairs.tsv", b"s1\tt1\ns2\tt9\n"),
     "empty-lhae": ("empty.lhae", struct.pack("<4sHBQI", b"LHAE", 1, 0, 0, 3)),
+    # A header naming 2**32 - 1 values a row: 16 GiB of rows in a 28-byte file.
+    "huge-dim-lhae": ("huge.lhae", struct.pack("<4sHBQII", b"LHAE", 1, 0, 1, 0xFFFFFFFF, 1)
+                      + b"a" + bytes(4)),
+    # A header naming a 2**32 - 1 byte id in a 24-byte file.
+    "huge-id-lhae": ("huge_id.lhae", struct.pack("<4sHBQII", b"LHAE", 1, 0, 1, 1, 0xFFFFFFFF)
+                     + b"a"),
     "gold-label": ("evaldata/gold_pairs.jsonl",
                    b'{"source_key": "s1#0", "target_key": "t1#0", "label": "great"}\n'),
 }
@@ -1465,6 +1471,11 @@ _MALFORMED = {
                          "--target-embeddings", "DOC_TARGET", "--out", "OUT"], "lhae"),
     "align-docs-empty-target": (["align-docs", "--source-embeddings", "DOC_TARGET",
                                  "--target-embeddings", "BAD", "--out", "OUT"], "empty-lhae"),
+    "align-docs-huge-dim": (["align-docs", "--source-embeddings", "BAD",
+                             "--target-embeddings", "DOC_TARGET", "--out", "OUT"],
+                            "huge-dim-lhae"),
+    "align-docs-huge-id": (["align-docs", "--source-embeddings", "DOC_TARGET",
+                            "--target-embeddings", "BAD", "--out", "OUT"], "huge-id-lhae"),
     "align-sents-corpus-line": (_bad(_ALIGN_SENTS, "TARGET"), "corpus-line"),
     "align-sents-corpus-utf8": (_bad(_ALIGN_SENTS, "SOURCE"), "corpus-utf8"),
     "align-sents-stopwords": ([*_ALIGN_SENTS, "--stopwords", "BAD"], "stopwords"),

@@ -6,6 +6,9 @@ import bisect
 import contextlib
 import os
 import signal
+import struct
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -25,7 +28,7 @@ from lha.embeddings import (
     load_word_vectors,
     save_embeddings,
 )
-from conftest import doc, write_vectors
+from conftest import child_env, doc, write_vectors
 from oracles import embed_avg_oracle, whole_file_loader_oracle, word_vectors_oracle
 
 
@@ -962,6 +965,65 @@ class TestBinaryFormat:
             load_embeddings(path)
         assert str(info.value) == f"{path}: id 1 is not UTF-8"
 
+    # A header-declared size far beyond the file: the id length of id 0 or of
+    # id 1 (measured against the bytes left after id 0), or the row bytes of
+    # a dim of 2**32 - 1.
+    @pytest.mark.parametrize("blob, message", [
+        (struct.pack("<4sHBQII", b"LHAE", 1, 0, 1, 2, 0xFFFFFFFF) + b"a" + bytes(8),
+         "expected 4294967295 bytes for id 0, got 9"),
+        (struct.pack("<4sHBQI", b"LHAE", 1, 0, 2, 1) + struct.pack("<I", 1) + b"a"
+         + struct.pack("<I", 0xFFFFFFFF) + bytes(8),
+         "expected 4294967295 bytes for id 1, got 8"),
+        (struct.pack("<4sHBQI", b"LHAE", 1, 0, 2, 0xFFFFFFFF)
+         + struct.pack("<I", 1) + b"a" + struct.pack("<I", 1) + b"b" + bytes(16),
+         f"expected {2 * 0xFFFFFFFF * 4} bytes for rows, got 16"),
+    ], ids=["id-length", "later-id-length", "dim"])
+    def test_sizes_beyond_the_file_allocate_nothing(self, tmp_path, blob, message) -> None:
+        """Loaded in a child whose address space is capped at 2 GiB, so that
+        reading what the header names would fail with a MemoryError."""
+        pytest.importorskip("resource")  # the cap needs a Unix rlimit
+        path = tmp_path / "m.lhae"
+        path.write_bytes(blob)
+        code = (
+            "import resource, sys\n"
+            "from lha.embeddings import EmbeddingFormatError, load_embeddings\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({2 << 30}, {2 << 30}))\n"
+            "try:\n    load_embeddings(sys.argv[1])\n"
+            "except EmbeddingFormatError as e:\n    print(e)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, str(path)],
+                              env=child_env(OPENBLAS_NUM_THREADS="1"),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{path}: truncated file: {message}\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("cut, message", [
+        (0, None),
+        (6, "expected 16 bytes for rows, got 10"),
+        (17, "expected 1 bytes for id 1, got 0"),
+    ], ids=["whole", "short-rows", "short-id"])
+    def test_pipe(self, tmp_path, cut, message) -> None:
+        # A pipe has no size to check a header against: it is read as it comes.
+        matrix = EmbeddingMatrix(["a", "b"], np.eye(2, dtype=np.float32))
+        save_embeddings(matrix, tmp_path / "m.lhae")
+        blob = (tmp_path / "m.lhae").read_bytes()
+        path = tmp_path / "m.pipe"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(blob[:len(blob) - cut],))
+        writer.start()
+        try:
+            if message is None:
+                loaded = load_embeddings(path)
+                assert loaded.unit_ids == matrix.unit_ids
+                assert loaded.rows.tobytes() == matrix.rows.tobytes()
+            else:
+                with pytest.raises(EmbeddingFormatError) as info:
+                    load_embeddings(path)
+                assert str(info.value) == f"{path}: truncated file: {message}"
+        finally:
+            writer.join(60)
+        assert not writer.is_alive()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_rejected(self, tmp_path, bad) -> None:

@@ -11,18 +11,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import lha.metrics
-from conftest import write_jsonl
+from conftest import child_env, write_jsonl
 from test_pipeline import make_workspace
-
-SRC = str(Path(lha.metrics.__file__).resolve().parents[1])
 
 _PRELUDE = """
 import sys
@@ -46,11 +42,9 @@ print(json.dumps({
 
 
 def _run(body: str) -> dict:
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.run(
         [sys.executable, "-c", "import json\n" + _PRELUDE + body + _EPILOGUE],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])

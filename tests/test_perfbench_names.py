@@ -12,7 +12,6 @@ import dataclasses
 import importlib.util
 import inspect
 import json
-import os
 import subprocess
 import sys
 import time
@@ -23,6 +22,7 @@ import pytest
 
 import lha.pipeline
 import lha.sent_align
+from conftest import child_env
 from test_pipeline import make_workspace
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -90,13 +90,10 @@ def test_traced_repetition_runs_the_wmd_stage(tmp_path) -> None:
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(dataclasses.asdict(config)), encoding="utf-8")
     result_path = tmp_path / "result.json"
-    src = str(Path(lha.pipeline.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "rep.py"), str(config_path),
          str(time.monotonic()), "1", str(result_path)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(result_path.read_text(encoding="utf-8"))

@@ -29,7 +29,7 @@ from lha.pipeline import (
 from lha.doc_align import read_doc_pairs
 from lha.embeddings import load_word_vectors
 from lha.sent_align import align_sentences, read_groups
-from conftest import _TOY_VECTORS, write_jsonl, write_vectors
+from conftest import _TOY_VECTORS, child_env, write_jsonl, write_vectors
 
 ALL_STAGES = [
     "embed_docs_src", "embed_docs_tgt", "align_docs",
@@ -938,13 +938,10 @@ for config in configs:
 def run_in_child(
     configs: list[PipelineConfig], kill_before: str = "", hash_seed: str = "0"
 ) -> int:
-    paths = [str(Path(lha.pipeline.__file__).resolve().parents[1])]
-    paths += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
-    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": os.pathsep.join(paths)}
     args = json.dumps([dataclasses.asdict(c) for c in configs])
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, args, kill_before],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=child_env(PYTHONHASHSEED=hash_seed), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode in (0, 17), proc.stderr
     return proc.returncode
