@@ -29,14 +29,8 @@ from .evaluate import (
 )
 from .metrics import SCORERS, TABLE_SCORERS, make_scorer
 from .pipeline import PipelineConfig, PipelineStageError, align_doc_files, run_pipeline
-from .pipeline import validate_config, value_findings
-from .sent_align import (
-    FilterPolicy,
-    align_sentences,
-    load_exclusion_set,
-    write_groups,
-    write_groups_tsv,
-)
+from .pipeline import align_sentence_files, validate_config, value_findings
+from .sent_align import FilterPolicy, load_exclusion_set
 
 logger = logging.getLogger("lha")
 
@@ -181,7 +175,9 @@ def align_sents(doc_pairs, source_corpus, target_corpus, scorer, vectors,
         raise click.UsageError("give both --source- and --target-sent-embeddings")
     # The small files first, so that a malformed one fails before the vectors load.
     pairs = read_doc_pairs(doc_pairs)
-    exclusion_set = load_exclusion_set(exclude) if exclude else frozenset()
+    policy = FilterPolicy(min_overlap=min_overlap, max_len_ratio=max_len_ratio,
+                          exclusion_set=load_exclusion_set(exclude) if exclude else frozenset(),
+                          stage=filter_stage)
     stops = load_stopwords(stopwords)
     abbrevs = load_abbreviations(abbreviations)
     tokens = {}  # one Token per surface form, shared by both corpora
@@ -192,13 +188,13 @@ def align_sents(doc_pairs, source_corpus, target_corpus, scorer, vectors,
     table = _vector_table(vectors, scorer in TABLE_SCORERS
                           or (scorer == "cosine" and not source_sent_embeddings),
                           src_docs.values(), tgt_docs.values())
-    sentence_matrices = {}
+    inputs = {"table": table}
     for side, path, docs in (
         ("source", source_sent_embeddings, src_docs),
         ("target", target_sent_embeddings, tgt_docs),
     ):
         if path:
-            matrix = load_embeddings(path)
+            inputs[side] = matrix = load_embeddings(path)
             uids = [s.uid for d in docs.values() for s in d.sentences]
             with naming(path):
                 check_sentence_rows(matrix, docs, set(uids))
@@ -206,31 +202,9 @@ def align_sents(doc_pairs, source_corpus, target_corpus, scorer, vectors,
                     matrix.row_index(uid)
         elif scorer == "cosine" and table is not None:
             # The unit rows `lha embed --level sent` writes and `lha run` scores.
-            matrix = embed_corpus(docs.values(), "sentence", table)
-        else:
-            continue
-        sentence_matrices[side] = matrix
-    scorer_obj = make_scorer(
-        scorer,
-        table=table,
-        target_docs=tgt_docs.values(),
-        k1=bm25_k1,
-        b=bm25_b,
-        # Only cells at or above theta_s are ever emitted.
-        floor=theta_s,
-        **sentence_matrices,
-    )
-    policy = FilterPolicy(
-        min_overlap=min_overlap,
-        max_len_ratio=max_len_ratio,
-        exclusion_set=exclusion_set,
-        stage=filter_stage,
-    )
-    groups = list(align_sentences(pairs, src_docs, tgt_docs, scorer_obj, k, theta_s, policy))
-    n = write_groups(groups, out)
-    if tsv_out:
-        write_groups_tsv(groups, tsv_out)
-    logger.info("wrote %d aligned groups to %s", n, out)
+            inputs[side] = embed_corpus(docs.values(), "sentence", table)
+    align_sentence_files(pairs, src_docs, tgt_docs, scorer, inputs, k, theta_s, policy,
+                         bm25_k1, bm25_b, out, tsv_out)
 
 
 @main.group("eval")

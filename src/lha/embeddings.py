@@ -129,8 +129,8 @@ def _parse_lines(lines: Sequence[str], first: int, dim: int) -> tuple[list[str],
             tokens.append(fields[0].lower())
             yield vec
 
-    rows = np.fromiter(vectors(), dtype=np.dtype((np.float64, dim)))
-    return tokens, rows
+    # Stacked from the checked rows: the header's dim alone sizes nothing.
+    return tokens, np.array(list(vectors()), dtype=np.float64).reshape(-1, dim)
 
 
 def _read_rows(lines: Sequence[str], dim: int) -> tuple[list[str], np.ndarray] | None:
@@ -207,8 +207,10 @@ def _shaped(rests: list[str], dim: int) -> bool:
         return False
     # Without signs and digits, each line is dim spaces and its "\n", with
     # at most ".e" after each space: this also rules out every other byte.
+    # Lengths go first, so that the header's dim alone sizes nothing.
     marks = data.translate(None, b"-+" + _DIGITS)
-    if marks.translate(None, b".e") != (b" " * dim + b"\n") * len(rests):
+    spaces = marks.translate(None, b".e")
+    if len(spaces) != (dim + 1) * len(rests) or spaces != (b" " * dim + b"\n") * len(rests):
         return False
     if not (_all_pairs(marks, _MARK_PAIRS) and _all_pairs(data, _FIELD_PAIRS)):
         return False
@@ -424,7 +426,7 @@ def _merge(inp: BinaryIO, index: dict[str, int], rows: np.ndarray,
     if isinstance(result, BaseException):
         raise result
     tokens, lines = result
-    buffer = np.empty((_LINES, rows.shape[1]))
+    buffer = np.empty((min(_LINES, len(tokens)), rows.shape[1]))
     for lo in range(0, len(tokens), _LINES):
         chunk = buffer[: len(tokens) - lo]
         if inp.readinto(memoryview(chunk).cast("B")) != chunk.nbytes:
@@ -582,10 +584,20 @@ def save_embeddings(matrix: EmbeddingMatrix, path: Path | str) -> None:
         fh.write(rows.tobytes())
 
 
-def _read_exact(fh, n: int, what: str, size: int | None) -> bytes:
-    """``n`` bytes of ``fh``, read only if a file of ``size`` bytes (None:
-    unknown) holds them, so a corrupt header allocates nothing it names."""
-    data = fh.read(n if size is None else min(n, size - fh.tell()))
+# The most bytes read at once from a file of unknown size (a pipe, say).
+_PIECE = 1 << 20
+
+
+def _read_exact(fh, n: int, what: str, size: int | None) -> bytes | bytearray:
+    """``n`` bytes of ``fh``, read only if a file of ``size`` bytes holds
+    them, or, of unknown size (None), ``_PIECE`` at a time as they come: so
+    a corrupt header allocates nothing it names."""
+    if size is not None:
+        data = fh.read(min(n, size - fh.tell()))
+    else:
+        data = bytearray()
+        while len(data) < n and (piece := fh.read(min(n - len(data), _PIECE))):
+            data += piece
     if len(data) != n:
         raise EmbeddingFormatError(
             f"truncated file: expected {n} bytes for {what}, got {len(data)}"

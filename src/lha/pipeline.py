@@ -22,7 +22,7 @@ import os
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import __version__
 from .ann_index import build_index
@@ -38,7 +38,7 @@ from .corpus import (
 )
 # perfbench/spans.py patches lha.pipeline.tokenize; the pipeline never calls it.
 from .corpus import tokenize  # noqa: F401
-from .doc_align import align_documents, read_doc_pairs, write_doc_pairs
+from .doc_align import DocPair, align_documents, read_doc_pairs, write_doc_pairs
 from .embeddings import (
     WordVectorTable,
     embed_corpus,
@@ -48,6 +48,8 @@ from .embeddings import (
 )
 from .metrics import SCORERS, TABLE_SCORERS, WmdScorer, make_scorer
 from .sent_align import (
+    DROP_REASONS,
+    AlignedGroup,
     FilterPolicy,
     align_sentences,
     load_exclusion_set,
@@ -62,6 +64,7 @@ __all__ = [
     "PipelineStageError",
     "RunSummary",
     "align_doc_files",
+    "align_sentence_files",
     "validate_config",
     "value_findings",
     "run_pipeline",
@@ -405,6 +408,32 @@ def align_doc_files(source: Path | str, target: Path | str, k: int, theta_d: flo
     return write_doc_pairs(align_documents(load_embeddings(source), index, k, theta_d), out)
 
 
+def align_sentence_files(
+    doc_pairs: Sequence[DocPair], src_docs: Mapping[str, Document],
+    tgt_docs: Mapping[str, Document], scorer: str, inputs: Mapping, k: int, theta_s: float,
+    policy: FilterPolicy, bm25_k1: float, bm25_b: float, out: Path | str,
+    tsv_out: Path | str | None,
+) -> tuple[list[AlignedGroup], dict[str, int]]:
+    """The ``align_sents`` stage: score the sentences of each doc pair by the
+    ``scorer`` kind built from ``inputs`` (sentence matrices or a word-vector
+    table), merge, filter and write the groups; returns them and their counts."""
+    built = make_scorer(scorer, target_docs=tgt_docs.values(), k1=bm25_k1, b=bm25_b,
+                        # Only cells at or above theta_s are ever emitted.
+                        floor=theta_s, **inputs)
+    counts: dict[str, int] = {}
+    groups = list(align_sentences(doc_pairs, src_docs, tgt_docs, built, k, theta_s,
+                                  policy, counts))
+    logger.info("doc pairs: %d scored of %d retrieved", counts["scored_pairs"], len(doc_pairs))
+    if isinstance(built, WmdScorer):
+        logger.info("wmd cells: %d scored, %d pruned by the RWMD bound, %d solved",
+                    built.cells, built.pruned, built.solved)
+    write_groups(groups, out)
+    if tsv_out:
+        write_groups_tsv(groups, tsv_out)
+    logger.info("wrote %d aligned groups to %s", len(groups), out)
+    return groups, counts
+
+
 def run_pipeline(config: PipelineConfig) -> RunSummary:
     """Execute all stages, reusing cached results where hashes match."""
     findings = validate_config(config)
@@ -503,15 +532,6 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
             }
         elif config.scorer in TABLE_SCORERS:
             inputs = {"table": table()}
-        scorer = make_scorer(
-            config.scorer,
-            target_docs=tgt_docs.values(),
-            k1=config.bm25_k1,
-            b=config.bm25_b,
-            # Only cells at or above theta_s are ever emitted.
-            floor=config.theta_s,
-            **inputs,
-        )
         exclusion = config.exclusion_file
         policy = FilterPolicy(
             min_overlap=config.min_overlap,
@@ -520,24 +540,11 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
             stage=config.filter_stage,
         )
         doc_pairs = read_doc_pairs(paths["doc_pairs"])
-        drop_counts: dict[str, int] = {}
-        groups = list(align_sentences(
-            doc_pairs, src_docs, tgt_docs, scorer, config.k_sent, config.theta_s,
-            policy, drop_counts,
-        ))
-        # What is left in drop_counts are the drop reasons.
-        scored, raw_pairs, merged, source_tokens, target_tokens = map(drop_counts.pop, (
-            "scored_pairs", "raw_pairs", "merged_groups", "source_tokens", "target_tokens"
-        ))
-        logger.info("doc pairs: %d scored of %d retrieved", scored, len(doc_pairs))
-        if isinstance(scorer, WmdScorer):
-            logger.info(
-                "wmd cells: %d scored, %d pruned by the RWMD bound, %d solved",
-                scorer.cells, scorer.pruned, scorer.solved,
-            )
-        write_groups(groups, paths["groups"])
-        if config.emit_tsv:
-            write_groups_tsv(groups, paths["groups_tsv"])
+        groups, counts = align_sentence_files(
+            doc_pairs, src_docs, tgt_docs, config.scorer, inputs, config.k_sent,
+            config.theta_s, policy, config.bm25_k1, config.bm25_b, paths["groups"],
+            paths["groups_tsv"] if config.emit_tsv else None,
+        )
         n = len(groups)
         stats = {
             "documents": {"source": len(src_docs), "target": len(tgt_docs)},
@@ -546,9 +553,9 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
                 "target": sum(len(d.sentences) for d in tgt_docs.values()),
             },
             "doc_pairs": len(doc_pairs),
-            "raw_sentence_pairs": raw_pairs,
-            "merged_groups": merged,
-            "dropped": dict(sorted(drop_counts.items())),
+            "raw_sentence_pairs": counts["raw_pairs"],
+            "merged_groups": counts["merged_groups"],
+            "dropped": {reason: counts[reason] for reason in DROP_REASONS},
             "groups": n,
         }
         _write_json(paths["align_stats"], stats)
@@ -562,8 +569,8 @@ def run_pipeline(config: PipelineConfig) -> RunSummary:
 
         _write_json(paths["summary"], {
             **stats,
-            "mean_source_tokens": mean(source_tokens),
-            "mean_target_tokens": mean(target_tokens),
+            "mean_source_tokens": mean(counts["source_tokens"]),
+            "mean_target_tokens": mean(counts["target_tokens"]),
             "pct_multi_sentence_source": pct_multi(g.source_ids for g in groups),
             "pct_multi_sentence_target": pct_multi(g.target_ids for g in groups),
         })

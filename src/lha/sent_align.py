@@ -34,6 +34,7 @@ __all__ = [
     "merge_components",
     "merge_groups",
     "filter_reason",
+    "DROP_REASONS",
     "align_sentences",
     "normalize_pair_key",
     "load_exclusion_set",
@@ -43,6 +44,8 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+DROP_REASONS = ("missing_doc", "overlap", "length_ratio", "excluded", "duplicate")
 
 _WS_RE = re.compile(r"\s+")
 # What write_groups_tsv writes as a space, so each group stays one line
@@ -275,17 +278,16 @@ def align_sentences(
     document id is logged and skipped. A pair whose best cell the scorer
     bounds below theta_s (see ``Scorer.best_cells``) holds no cell to keep
     and is skipped unscored. ``drop_counts``, when given, is filled with
-    per-reason drop tallies, the ``scored_pairs``, ``raw_pairs`` and
-    ``merged_groups`` counts, and the token totals of the yielded groups'
-    sides (``source_tokens``, ``target_tokens``).
+    a drop tally for each of ``DROP_REASONS``, the ``scored_pairs``,
+    ``raw_pairs`` and ``merged_groups`` counts, and the token totals of the
+    yielded groups' sides (``source_tokens``, ``target_tokens``).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     policy = policy or FilterPolicy()
     counts = drop_counts if drop_counts is not None else {}
-    for key in ("missing_doc", "overlap", "length_ratio", "excluded", "duplicate",
-                "scored_pairs", "raw_pairs", "merged_groups", "source_tokens",
-                "target_tokens"):
+    for key in (*DROP_REASONS, "scored_pairs", "raw_pairs", "merged_groups",
+                "source_tokens", "target_tokens"):
         counts.setdefault(key, 0)
     seen: set[tuple[str, str]] = set()
     best = _best_cells(doc_pairs, src_docs, tgt_docs, scorer)

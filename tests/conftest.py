@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -96,6 +98,24 @@ def child_env(**extra: str) -> dict[str, str]:
     src = str(Path(lha.__file__).resolve().parents[1])
     path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
     return {**os.environ, **extra, "PYTHONPATH": path}
+
+
+# The address space of a capped child: reading the gigabytes a corrupt
+# header names fails in it with a MemoryError.
+_CAP = 2 << 30
+
+
+def run_capped(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``args`` (its ``sys.argv[1:]``) in a child
+    interpreter whose address space is capped at ``_CAP`` bytes once
+    ``lha.cli``, and with it every ``lha`` module, is imported. Skips where
+    there is no such cap (no Unix rlimit)."""
+    pytest.importorskip("resource")
+    prelude = ("import resource\nimport lha.cli\n"
+               f"resource.setrlimit(resource.RLIMIT_AS, ({_CAP}, {_CAP}))\n")
+    return subprocess.run([sys.executable, "-c", prelude + code, *args],
+                          env=child_env(OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=120)
 
 
 def write_jsonl(path: Path, records: list[dict]) -> Path:

@@ -293,6 +293,63 @@ class TestStageCommands:
         chained = (tmp_path / "groups.jsonl").read_text("utf-8")
         assert "s#2" in chained
 
+    @pytest.mark.parametrize("options, keys", [
+        (["--filter-stage", "pair"], {"filter_stage": "pair"}),
+        (["--exclude", "EXCLUDE"], {"exclusion_file": "EXCLUDE"}),
+        (["--scorer", "bm25", "--bm25-k1", "2.0", "--bm25-b", "0.3"],
+         {"scorer": "bm25", "bm25_k1": 2.0, "bm25_b": 0.3}),
+        (["--max-len-ratio", "1.2"], {"max_len_ratio": 1.2}),
+        (["--scorer", "wmd"], {"scorer": "wmd"}),
+    ], ids=["filter-stage-pair", "exclude", "bm25", "max-len-ratio", "wmd"])
+    def test_align_sents_is_the_pipeline_stage(self, tmp_path, options, keys) -> None:
+        # On `lha run`'s doc pairs, the command writes the groups `lha run`
+        # writes and logs the stage's numbers as `lha run` does.
+        write_jsonl(tmp_path / "source.jsonl", [
+            {"id": "s1", "sentences": ["The cat sat.", "The dog sat on a mat.",
+                                       "An apple fell.", "Rain came."]},
+            {"id": "s2", "sentences": ["Rain is coming.", "Snow is coming."]},
+        ])
+        write_jsonl(tmp_path / "target.jsonl", [
+            {"id": "t1", "sentences": ["A kitten sat.", "A banana fell.", "Bread."]},
+            {"id": "t2", "sentences": ["The storm rain came.", "Sun!"]},
+        ])
+        write_vectors(tmp_path / "vectors.txt", _TOY_VECTORS)
+        exclude = tmp_path / "exclude.tsv"
+        exclude.write_text("An apple fell.\tA banana fell. Bread.\n", encoding="utf-8")
+        keys = {k: str(exclude) if v == "EXCLUDE" else v for k, v in keys.items()}
+        (tmp_path / "config.json").write_text(json.dumps({
+            "source_corpus": str(tmp_path / "source.jsonl"),
+            "target_corpus": str(tmp_path / "target.jsonl"),
+            "out_dir": str(tmp_path / "out"),
+            "word_vectors": str(tmp_path / "vectors.txt"),
+            "k_doc": 2, "k_sent": 2, "theta_d": 0.0, "theta_s": 0.5, "min_overlap": 0.0,
+            **keys,
+        }), encoding="utf-8")
+        run = invoke("run", "--config", str(tmp_path / "config.json"))
+        assert run.exit_code == 0, run.output
+        chain = invoke(
+            "align-sents", "--doc-pairs", str(tmp_path / "out" / "doc_pairs.tsv"),
+            "--source-corpus", str(tmp_path / "source.jsonl"),
+            "--target-corpus", str(tmp_path / "target.jsonl"),
+            "--vectors", str(tmp_path / "vectors.txt"), "--k", "2", "--theta-s", "0.5",
+            "--min-overlap", "0.0", *(str(exclude) if o == "EXCLUDE" else o for o in options),
+            "--out", str(tmp_path / "groups.jsonl"), "--tsv-out", str(tmp_path / "groups.tsv"),
+        )
+        assert chain.exit_code == 0, chain.output
+        for name in ("groups.jsonl", "groups.tsv"):
+            assert (tmp_path / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
+        assert (tmp_path / "groups.tsv").read_text("utf-8")
+
+        def stage_numbers(stderr: str) -> list[str]:
+            return [line for line in stderr.splitlines()
+                    if ": doc pairs: " in line or ": wmd cells: " in line]
+
+        logged = stage_numbers(run.stderr)
+        assert stage_numbers(chain.stderr) == logged
+        assert len(logged) == (2 if keys.get("scorer") == "wmd" else 1)
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text("utf-8"))
+        assert summary["dropped"]["excluded"] == (1 if "exclusion_file" in keys else 0)
+
     def test_align_sents_wmd_prunes_below_theta_s(self, workspace, monkeypatch) -> None:
         # Like `lha run`, the chain solves no LP of a cell whose RWMD bound is
         # below theta_s, and writes the same groups.
@@ -302,7 +359,7 @@ class TestStageCommands:
             built.append(make_scorer(*args, **kwargs))
             return built[-1]
 
-        monkeypatch.setattr("lha.cli.make_scorer", recording_make_scorer)
+        monkeypatch.setattr("lha.pipeline.make_scorer", recording_make_scorer)
         pairs_path = self.run_stages(workspace)
         result = invoke(
             "align-sents", "--doc-pairs", str(pairs_path),
@@ -1421,6 +1478,8 @@ _BAD_FILES = {
     "corpus-utf8": ("bad.jsonl", _NOT_UTF8),
     "stopwords": ("bad.txt", b"the\n\xff\n"),
     "vectors": ("bad.vec", b"2 3\ncat 1 0 0\ndog 1 0\n"),
+    # A header naming 10**9 components a line.
+    "huge-dim-vectors": ("huge.vec", b"2 1000000000\ncat 0.5 0.5\ndog 0.5 0.5\n"),
     "lhae": ("bad.lhae", b"LHAE\x01"),
     "doc-pairs": ("bad.tsv", b"s1\tt1\n"),
     "exclude": ("bad.tsv", b"one field\n"),
@@ -1465,6 +1524,7 @@ _MALFORMED = {
     "embed-corpus-utf8": (_bad(_EMBED, "SOURCE"), "corpus-utf8"),
     "embed-stopwords": ([*_EMBED, "--stopwords", "BAD"], "stopwords"),
     "embed-vectors": (_bad(_EMBED, "VECTORS"), "vectors"),
+    "embed-huge-dim-vectors": (_bad(_EMBED, "VECTORS"), "huge-dim-vectors"),
     "embed-lhae": (["embed", "--corpus", "SOURCE", "--level", "doc",
                     "--strategy", "precomputed:BAD", "--out", "OUT"], "lhae"),
     "align-docs-lhae": (["align-docs", "--source-embeddings", "BAD",

@@ -7,8 +7,6 @@ import contextlib
 import os
 import signal
 import struct
-import subprocess
-import sys
 import threading
 
 import numpy as np
@@ -28,7 +26,7 @@ from lha.embeddings import (
     load_word_vectors,
     save_embeddings,
 )
-from conftest import child_env, doc, write_vectors
+from conftest import doc, run_capped, write_vectors
 from oracles import embed_avg_oracle, whole_file_loader_oracle, word_vectors_oracle
 
 
@@ -364,6 +362,47 @@ class TestVocabularyLoad:
 
 class TestLoadWordVectorsSplit(_Split, TestLoadWordVectors):
     pass
+
+
+# A capped child's load of the vector file sys.argv[1], cut into sys.argv[2]
+# byte ranges, with the comma-separated vocabulary sys.argv[3] ("-": none):
+# it prints the error, or else the table's length.
+_LOAD_VECTORS = (
+    "import os, sys\n"
+    "from lha import embeddings\n"
+    "from lha.corpus import InputError\n"
+    "embeddings._cpus = lambda: [min(os.sched_getaffinity(0))] * int(sys.argv[2])\n"
+    "embeddings._MIN_RANGE = 1\n"
+    "vocabulary = None if sys.argv[3] == '-' else sys.argv[3].split(',')\n"
+    "try:\n    print(len(embeddings.load_word_vectors(sys.argv[1], vocabulary)))\n"
+    "except InputError as e:\n    print(e)\n"
+)
+
+
+class TestHeaderDimension:
+    """A header naming 10**9 components a line, loaded in a child capped at
+    2 GiB: the header alone sizes no allocation, so the first line is
+    refused by the per-line rule, whether a load keeps it or only checks it."""
+
+    _BODY = "w0 1 2 3 4\nw1 1 2 3 4\nw2 1 2 3 4\n"
+
+    @pytest.mark.parametrize("vocabulary", ["-", "w0", "x"],
+                             ids=["no-vocabulary", "kept-line", "unkept-lines"])
+    def test_first_line_refused(self, tmp_path, vocabulary) -> None:
+        path = tmp_path / "v.vec"
+        path.write_text("3 1000000000\n" + self._BODY, encoding="utf-8")
+        proc = run_capped(_LOAD_VECTORS, str(path), "1", vocabulary)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{path}: line 2: expected 1000000000 components, got 4\n"
+
+    def test_blank_range_read_back(self, tmp_path) -> None:
+        # A worker's range of blank lines sends back no rows, so reading them
+        # back needs no buffer.
+        path = tmp_path / "v.vec"
+        path.write_text("0 1000000000\n" + "\n" * 64, encoding="utf-8")
+        proc = run_capped(_LOAD_VECTORS, str(path), "2", "-")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
 
 
 def _numbered_lines(n: int) -> list[str]:
@@ -898,6 +937,16 @@ class TestEmbeddingMatrix:
         assert twice.unit_normalized
 
 
+# A capped child's load of the embedding file sys.argv[1]: it prints the
+# error, if any.
+_LOAD_EMBEDDINGS = (
+    "import sys\n"
+    "from lha.embeddings import EmbeddingFormatError, load_embeddings\n"
+    "try:\n    load_embeddings(sys.argv[1])\n"
+    "except EmbeddingFormatError as e:\n    print(e)\n"
+)
+
+
 class TestBinaryFormat:
     def test_round_trip_bit_exact(self, tmp_path) -> None:
         rng = np.random.default_rng(11)
@@ -981,21 +1030,31 @@ class TestBinaryFormat:
     def test_sizes_beyond_the_file_allocate_nothing(self, tmp_path, blob, message) -> None:
         """Loaded in a child whose address space is capped at 2 GiB, so that
         reading what the header names would fail with a MemoryError."""
-        pytest.importorskip("resource")  # the cap needs a Unix rlimit
         path = tmp_path / "m.lhae"
         path.write_bytes(blob)
-        code = (
-            "import resource, sys\n"
-            "from lha.embeddings import EmbeddingFormatError, load_embeddings\n"
-            f"resource.setrlimit(resource.RLIMIT_AS, ({2 << 30}, {2 << 30}))\n"
-            "try:\n    load_embeddings(sys.argv[1])\n"
-            "except EmbeddingFormatError as e:\n    print(e)\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code, str(path)],
-                              env=child_env(OPENBLAS_NUM_THREADS="1"),
-                              capture_output=True, text=True, timeout=120)
+        proc = run_capped(_LOAD_EMBEDDINGS, str(path))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"{path}: truncated file: {message}\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_sizes_allocate_nothing(self, tmp_path) -> None:
+        """A pipe's header naming 2**32 - 1 values a row, read in a child
+        capped at 2 GiB: the rows are read as they come, and end with the
+        pipe."""
+        path = tmp_path / "m.pipe"
+        os.mkfifo(path)
+        blob = struct.pack("<4sHBQII", b"LHAE", 1, 0, 1, 0xFFFFFFFF, 1) + b"a" + bytes(8)
+        # A daemon, so that a child that never opens the pipe leaves no
+        # thread blocked behind the test.
+        writer = threading.Thread(target=path.write_bytes, args=(blob,), daemon=True)
+        writer.start()
+        proc = run_capped(_LOAD_EMBEDDINGS, str(path))
+        writer.join(60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            f"{path}: truncated file: expected {0xFFFFFFFF * 4} bytes for rows, got 8\n"
+        )
+        assert not writer.is_alive()
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     @pytest.mark.parametrize("cut, message", [

@@ -26,7 +26,7 @@ from lha.pipeline import (
     run_pipeline,
     validate_config,
 )
-from lha.doc_align import read_doc_pairs
+from lha.doc_align import DocPair, read_doc_pairs
 from lha.embeddings import load_word_vectors
 from lha.sent_align import align_sentences, read_groups
 from conftest import _TOY_VECTORS, child_env, write_jsonl, write_vectors
@@ -710,6 +710,47 @@ class TestStageLog:
         lines = [m for m in caplog.messages if m.startswith("doc pairs:")]
         assert lines == [f"doc pairs: {len(scored)} scored of {retrieved} retrieved"]
         assert 0 < len(scored) < retrieved
+
+
+class TestSummarySchema:
+    def test_dropped_names_each_reason(self, tmp_path, monkeypatch) -> None:
+        # s3 repeats s1, so its groups are duplicates, and one doc pair read
+        # names a document no corpus holds: the run drops groups and pairs
+        # for every reason.
+        s1 = ["The cat sat.", "The dog sat on a mat.", "An apple fell.", "Rain came."]
+        write_jsonl(tmp_path / "source.jsonl", [
+            {"id": "s1", "sentences": s1},
+            {"id": "s2", "sentences": ["Rain is coming.", "Snow is coming."]},
+            {"id": "s3", "sentences": s1},
+        ])
+        write_jsonl(tmp_path / "target.jsonl", [
+            {"id": "t1", "sentences": ["A kitten sat.", "A banana fell.", "Bread."]},
+            {"id": "t2", "sentences": ["The storm rain came.", "Sun!"]},
+        ])
+        write_vectors(tmp_path / "vectors.txt", _TOY_VECTORS)
+        exclude = tmp_path / "exclude.tsv"
+        exclude.write_text("An apple fell.\tA banana fell. Bread.\n", encoding="utf-8")
+        read = lha.pipeline.read_doc_pairs
+        monkeypatch.setattr(lha.pipeline, "read_doc_pairs",
+                            lambda path: [*read(path), DocPair("s9", "t1", 1.0)])
+        run_pipeline(PipelineConfig(
+            source_corpus=str(tmp_path / "source.jsonl"),
+            target_corpus=str(tmp_path / "target.jsonl"),
+            out_dir=str(tmp_path / "out"),
+            word_vectors=str(tmp_path / "vectors.txt"),
+            k_doc=2, k_sent=2, theta_d=0.0, theta_s=0.5, min_overlap=0.3,
+            exclusion_file=str(exclude),
+        ))
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text("utf-8"))
+        assert set(summary["dropped"]) == {
+            "missing_doc", "overlap", "length_ratio", "excluded", "duplicate",
+        }
+        assert all(summary["dropped"].values()), summary["dropped"]
+        stats = json.loads((tmp_path / "out" / "align_stats.json").read_text("utf-8"))
+        means = {"mean_source_tokens", "mean_target_tokens",
+                 "pct_multi_sentence_source", "pct_multi_sentence_target"}
+        assert stats == {key: v for key, v in summary.items() if key not in means}
+        assert means <= set(summary)
 
 
 class TestLazyVectors:
