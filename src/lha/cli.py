@@ -11,13 +11,7 @@ from . import __version__
 from .corpus import InputError, corpus_index, load_abbreviations, load_corpus
 from .corpus import load_stopwords, naming
 from .doc_align import read_doc_pairs
-from .embeddings import (
-    check_sentence_rows,
-    embed_corpus,
-    load_embeddings,
-    load_word_vectors,
-    save_embeddings,
-)
+from .embeddings import embed_corpus, load_embeddings, load_word_vectors, save_embeddings
 from .evaluate import (
     LABELS,
     eval_document_alignment,
@@ -64,20 +58,29 @@ def main(quiet: bool) -> None:
     )
 
 
+def _embedded(path, level, *corpora) -> list:
+    """Each of ``corpora``'s unit rows, read from the embedding file at
+    ``path`` as `lha run` reads it: by ``embed_corpus``, which puts them in
+    corpus order, unit-normalizes them and checks each uid's row and the
+    corpus split. An error names the file."""
+    matrix = load_embeddings(path)
+    with naming(path):
+        return [embed_corpus(docs, level, matrix) for docs in corpora]
+
+
 def _parse_strategy(strategy: str, vectors: str | None):
-    """Resolve --strategy avg|precomputed:<path> into a function from the
-    parsed documents to the word-vector table or the matrix they are
-    embedded from."""
+    """Resolve --strategy avg|precomputed:<path> into a function that embeds
+    the parsed documents at a level, from the word-vector table or from the
+    matrix."""
     if strategy == "avg":
         if not vectors:
             raise click.UsageError("--strategy avg requires --vectors")
-        return lambda docs: _vector_table(vectors, True, docs)
+        return lambda docs, level: embed_corpus(docs, level, _vector_table(vectors, True, docs))
     if strategy.startswith("precomputed:"):
         path = strategy.split(":", 1)[1]
         if not path:
             raise click.UsageError("--strategy precomputed:<path> needs a path")
-        matrix = load_embeddings(path)
-        return lambda docs: matrix
+        return lambda docs, level: _embedded(path, level, docs)[0]
     raise click.UsageError(f"unknown strategy {strategy!r}; use avg or precomputed:<path>")
 
 
@@ -93,13 +96,13 @@ def _parse_strategy(strategy: str, vectors: str | None):
 @click.option("--abbreviations", type=click.Path(exists=True, dir_okay=False))
 def embed(corpus, level, strategy, vectors, out, stopwords, abbreviations) -> None:
     """Embed a corpus at document or sentence level into a binary file."""
-    source_for = _parse_strategy(strategy, vectors)
+    embed_docs = _parse_strategy(strategy, vectors)
     docs = list(load_corpus(
         corpus,
         stopwords=load_stopwords(stopwords),
         abbreviations=load_abbreviations(abbreviations),
     ))
-    matrix = embed_corpus(docs, "document" if level == "doc" else "sentence", source_for(docs))
+    matrix = embed_docs(docs, "document" if level == "doc" else "sentence")
     save_embeddings(matrix, out)
     logger.info("wrote %d x %d embeddings to %s", matrix.count, matrix.dim, out)
 
@@ -189,20 +192,13 @@ def align_sents(doc_pairs, source_corpus, target_corpus, scorer, vectors,
                           or (scorer == "cosine" and not source_sent_embeddings),
                           src_docs.values(), tgt_docs.values())
     inputs = {"table": table}
-    for side, path, docs in (
-        ("source", source_sent_embeddings, src_docs),
-        ("target", target_sent_embeddings, tgt_docs),
-    ):
-        if path:
-            inputs[side] = matrix = load_embeddings(path)
-            uids = [s.uid for d in docs.values() for s in d.sentences]
-            with naming(path):
-                check_sentence_rows(matrix, docs, set(uids))
-                for uid in uids:
-                    matrix.row_index(uid)
-        elif scorer == "cosine" and table is not None:
-            # The unit rows `lha embed --level sent` writes and `lha run` scores.
-            inputs[side] = embed_corpus(docs.values(), "sentence", table)
+    if scorer == "cosine" and source_sent_embeddings:
+        inputs["source"], = _embedded(source_sent_embeddings, "sentence", src_docs.values())
+        inputs["target"], = _embedded(target_sent_embeddings, "sentence", tgt_docs.values())
+    elif scorer == "cosine" and table is not None:
+        # The unit rows `lha embed --level sent` writes and `lha run` scores.
+        inputs["source"], inputs["target"] = (
+            embed_corpus(docs.values(), "sentence", table) for docs in (src_docs, tgt_docs))
     align_sentence_files(pairs, src_docs, tgt_docs, scorer, inputs, k, theta_s, policy,
                          bm25_k1, bm25_b, out, tsv_out)
 
@@ -217,15 +213,10 @@ def _echo_report(report, include_timing: bool) -> None:
     click.echo(report.table(), err=True)
 
 
-def _shared_matrix(flag, path, src_docs, tgt_docs, level):
-    """Load the file of an eval embedding flag, whose one matrix covers both
-    sides; None when the flag is not given.
-
-    A matrix has one row per unit id, so a source and a target unit that
-    share an id cannot both be read from it. That is a usage error.
-    """
-    if not path:
-        return None
+def _check_ids(flag, src_docs, tgt_docs, level) -> None:
+    """The file of an eval embedding flag holds one matrix for both sides,
+    with one row per unit id, so a source and a target unit that share an
+    id cannot both be read from it. That is a usage error."""
 
     def unit_ids(docs):
         if level == "document":
@@ -239,30 +230,29 @@ def _shared_matrix(flag, path, src_docs, tgt_docs, level):
             f"{flag} holds one matrix for both sides, but a source and a target "
             f"{level} share the unit id {shared!r}"
         )
-    return load_embeddings(path)
 
 
 def _doc_embedder(path, table, src_docs, tgt_docs):
-    """The --doc-embeddings matrix, or else the --vectors table, to embed
-    documents from; None when neither is given."""
-    matrix = _shared_matrix("--doc-embeddings", path, src_docs, tgt_docs, "document")
-    return table if matrix is None else matrix
+    """The documents' rows from the --doc-embeddings matrix, or else the
+    --vectors table, to embed them from; None when neither is given."""
+    if not path:
+        return table
+    _check_ids("--doc-embeddings", src_docs, tgt_docs, "document")
+    return _embedded(path, "document", [*src_docs, *tgt_docs])[0]
 
 
 def _sentence_matrices(path, table, src_docs, tgt_docs) -> dict:
-    """The cosine scorer's ``source``/``target`` sentence embeddings: the one
-    --sent-embeddings matrix for both sides, or else each side's unit rows
-    averaged from the --vectors table (the rows `lha embed --level sent`
-    writes and `lha run` scores); empty when neither is given."""
-    matrix = _shared_matrix("--sent-embeddings", path, src_docs, tgt_docs, "sentence")
-    if matrix is not None:
-        return {"source": matrix, "target": matrix}
-    if table is None:
+    """The cosine scorer's ``source``/``target`` sentence rows, as `lha run`
+    scores them: read from the one --sent-embeddings matrix, or else averaged
+    from the --vectors table; empty when neither is given."""
+    if path:
+        _check_ids("--sent-embeddings", src_docs, tgt_docs, "sentence")
+        rows = _embedded(path, "sentence", src_docs, tgt_docs)
+    elif table is not None:
+        rows = [embed_corpus(docs, "sentence", table) for docs in (src_docs, tgt_docs)]
+    else:
         return {}
-    return {
-        side: embed_corpus(docs, "sentence", table)
-        for side, docs in (("source", src_docs), ("target", tgt_docs))
-    }
+    return dict(zip(("source", "target"), rows))
 
 
 def _all_docs(dataset):
@@ -348,9 +338,8 @@ def eval_doc(data_dir, vectors, doc_embeddings, n_noise, seed, include_timing) -
     """Document identification among noise articles."""
     dataset = load_eval_dataset(data_dir)
     _check_noise(dataset, n_noise)
-    docs = _all_docs(dataset)
-    table = _vector_table(vectors, not doc_embeddings, *docs)
-    embedder = _doc_embedder(doc_embeddings, table, *docs)
+    table = _vector_table(vectors, not doc_embeddings, *_all_docs(dataset))
+    embedder = _doc_embedder(doc_embeddings, table, *sample_docs(dataset, n_noise, seed))
     if embedder is None:
         raise click.UsageError("needs --vectors or --doc-embeddings")
     report = eval_document_alignment(dataset, embedder=embedder, n_noise=n_noise, seed=seed)
@@ -380,13 +369,11 @@ def eval_joint_cmd(data_dir, mode, vectors, doc_embeddings, sent_embeddings,
     _check_options("cosine", k_doc=("--k-doc", k_doc), theta_d=("--theta-d", theta_d))
     dataset = load_eval_dataset(data_dir)
     _check_noise(dataset, n_noise)
-    docs = _all_docs(dataset)
     table = _vector_table(vectors, not sent_embeddings or rescore != "none"
-                          or (mode == "lha" and not doc_embeddings), *docs)
-    # Averaged rows are made only for the articles eval_joint draws.
-    sent_docs = docs if sent_embeddings else sample_docs(dataset, n_noise, seed)
-    sent_scorer = make_scorer("cosine", **_sentence_matrices(sent_embeddings, table, *sent_docs))
-    doc_embedder = _doc_embedder(doc_embeddings, table, *docs)
+                          or (mode == "lha" and not doc_embeddings), *_all_docs(dataset))
+    docs = sample_docs(dataset, n_noise, seed)  # the only articles eval_joint reads
+    sent_scorer = make_scorer("cosine", **_sentence_matrices(sent_embeddings, table, *docs))
+    doc_embedder = _doc_embedder(doc_embeddings, table, *docs) if mode == "lha" else None
     rescorer = None if rescore == "none" else make_scorer(rescore, table=table)
     report = eval_joint(
         mode,

@@ -35,7 +35,6 @@ __all__ = [
     "save_embeddings",
     "load_embeddings",
     "embed_avg",
-    "check_sentence_rows",
     "embed_corpus",
 ]
 
@@ -349,9 +348,9 @@ def _parse_range(fh: Iterator[bytes], first: int, dim: int, wanted: set[str] | N
     ``first``, ``_LINES`` at a time into ``index`` and ``rows``: the rows
     and the number of the last line read.
 
-    Each chunk is decoded as UTF-8. A chunk that holds a ``\\r`` is split
-    as text mode splits it (universal newlines); such a chunk, and one
-    ``_kept_rows`` cannot sort, has every line parsed by ``_parse_chunk``.
+    Each chunk is decoded as UTF-8; one that holds a ``\\r`` is split as
+    text mode splits it (universal newlines). ``_kept_rows`` sorts its
+    lines, or else ``_parse_chunk`` parses every one.
     """
     while lines := list(islice(fh, _LINES)):
         data = b"".join(lines)
@@ -359,15 +358,9 @@ def _parse_range(fh: Iterator[bytes], first: int, dim: int, wanted: set[str] | N
             text = io.StringIO(data.decode("utf-8"), newline=None).readlines()
         else:
             text = [line.decode("utf-8") for line in lines]
-            kept = _kept_rows(text, dim, wanted, index)
-            if kept is not None:
-                rows = _keep(index, rows, *kept, wanted)
-                first += len(text)
-                continue
-        for lo in range(0, len(text), _LINES):
-            tokens, vectors = _parse_chunk(text[lo : lo + _LINES], first, dim)
-            first += len(text[lo : lo + _LINES])
-            rows = _keep(index, rows, tokens, vectors, wanted)
+        kept = _kept_rows(text, dim, wanted, index)
+        rows = _keep(index, rows, *(kept or _parse_chunk(text, first, dim)), wanted)
+        first += len(text)
     return rows, first - 1
 
 
@@ -699,7 +692,7 @@ def embed_avg(
     return _avg_rows([tokens], table)[0]
 
 
-def check_sentence_rows(
+def _check_sentence_rows(
     matrix: EmbeddingMatrix, doc_ids: Collection[str], sentence_ids: Collection[str]
 ) -> None:
     """Reject a row ``doc#n`` of a document in ``doc_ids`` that is not one of
@@ -725,7 +718,7 @@ def embed_corpus(
     ``level`` is ``"document"`` or ``"sentence"``. With a word-vector table
     as ``source``, a unit's row is the average of its word vectors; with a
     precomputed matrix, the matrix's row of its unit id. Precomputed sentence
-    embeddings must match the corpus split (see ``check_sentence_rows``).
+    embeddings must match the corpus split (see ``_check_sentence_rows``).
     """
     if level not in ("document", "sentence"):
         raise ValueError(f"level must be 'document' or 'sentence', got {level!r}")
@@ -739,7 +732,7 @@ def embed_corpus(
     if isinstance(source, EmbeddingMatrix):
         rows = source.rows[[source.row_index(uid) for uid in unit_ids]]
         if level == "sentence":
-            check_sentence_rows(source, {doc.doc_id for doc in docs}, set(unit_ids))
+            _check_sentence_rows(source, {doc.doc_id for doc in docs}, set(unit_ids))
     else:
         # Averaged a chunk at a time into float32, so no float64 copy of the
         # whole corpus is ever held.

@@ -519,10 +519,7 @@ class CosineScorer(Scorer):
         self.source = source
         self.target = target
         self._source_unit = unit_rows(source.rows.astype(np.float64))
-        self._target_unit = (
-            self._source_unit if target is source
-            else unit_rows(target.rows.astype(np.float64))
-        )
+        self._target_unit = unit_rows(target.rows.astype(np.float64))
         # Per side: id -> (tuple, its row indices).
         self._indices: tuple[dict, dict] = ({}, {})
 

@@ -379,6 +379,39 @@ class TestStageCommands:
         assert (workspace / "groups.jsonl").read_bytes() == (
             workspace / "out" / "groups.jsonl").read_bytes()
 
+    def test_align_sents_scores_a_raw_matrix_as_run_does(self, workspace) -> None:
+        # A matrix of the user's own need not hold unit rows; here each row
+        # has its own scale. `lha run` scores the rows its embed_sents stage
+        # makes from the matrix, and the chain must score the same rows.
+        pairs_path = self.run_stages(workspace)
+        rng = np.random.default_rng(1)
+        raw = {}
+        for side in ("source", "target"):
+            unit = workspace / f"unit_{side}.lhae"
+            invoke("embed", "--corpus", str(workspace / f"{side}.jsonl"), "--level", "sent",
+                   "--vectors", str(workspace / "vectors.txt"), "--out", str(unit))
+            matrix = load_embeddings(unit)
+            raw[side] = workspace / f"raw_{side}.lhae"
+            scales = rng.uniform(0.5, 3.0, (matrix.count, 1))
+            save_embeddings(EmbeddingMatrix(matrix.unit_ids, matrix.rows * scales), raw[side])
+        result = invoke(
+            "align-sents", "--doc-pairs", str(pairs_path),
+            "--source-corpus", str(workspace / "source.jsonl"),
+            "--target-corpus", str(workspace / "target.jsonl"),
+            "--source-sent-embeddings", str(raw["source"]),
+            "--target-sent-embeddings", str(raw["target"]),
+            "--k", "2", "--theta-s", "0.6", "--min-overlap", "0.2",
+            "--out", str(workspace / "groups.jsonl"),
+        )
+        assert result.exit_code == 0, result.output
+        result = invoke("run", "--config", str(workspace / "config.json"),
+                        "--set", f"sent_embeddings_source={raw['source']}",
+                        "--set", f"sent_embeddings_target={raw['target']}")
+        assert result.exit_code == 0, result.output
+        for name in ("doc_pairs.tsv", "groups.jsonl"):
+            assert (workspace / name).read_bytes() == (workspace / "out" / name).read_bytes()
+        assert len(read_groups(workspace / "groups.jsonl")) == 3
+
     def test_align_sents_cosine_needs_embeddings_or_vectors(self, workspace) -> None:
         pairs_path = self.run_stages(workspace)
         result = invoke(
@@ -597,6 +630,15 @@ class TestMissingRows:
         assert result.exit_code == 2
         assert "no embedding row for unit id 'a#2'" in result.output
         assert not (two_rows / "again.lhae").exists()
+
+    def test_embed_precomputed_names_the_file(self, two_rows) -> None:
+        result = invoke(
+            "embed", "--corpus", str(two_rows / "a.jsonl"), "--level", "sent",
+            "--strategy", f"precomputed:{two_rows / 'two.lhae'}",
+            "--out", str(two_rows / "again.lhae"),
+        )
+        assert result.exit_code == 2
+        assert f"{two_rows / 'two.lhae'}: no embedding row for unit id 'a#2'" in result.output
 
     def test_align_sents(self, two_rows) -> None:
         result = invoke(
@@ -1446,6 +1488,67 @@ class TestEmbeddingFileErrors:
         assert (f"{files['BAD']}: truncated file: expected 19 bytes for header, got 5"
                 in result.output)
         assert not files["OUT"].exists()
+
+    @pytest.fixture
+    def faulty(self, workspace, eval_dir) -> dict:
+        """One-matrix files of the eval set with one fault each: a missing
+        target row, or a row of a sentence the corpus split does not make."""
+        vectors = workspace / "vectors.txt"
+        faults = {
+            "SENT_MISSING": ("sent", lambda ids: [i for i in ids if i != "t1#1"]),
+            "SENT_SPLIT": ("sent", lambda ids: [*ids, "s1#2"]),
+            "DOC_MISSING": ("doc", lambda ids: [i for i in ids if i != "t1"]),
+        }
+        files = {}
+        for name, (level, fault) in faults.items():
+            whole = load_embeddings(TestSharedIds.one_matrix(eval_dir, vectors, level))
+            ids = fault(whole.unit_ids)
+            rows = np.ones((len(ids), whole.dim), dtype=np.float32)
+            files[name] = eval_dir / f"{name.lower()}.lhae"
+            save_embeddings(EmbeddingMatrix(ids, rows), files[name])
+        return files
+
+    @pytest.mark.parametrize("command, file, message", [
+        (["eval", "sent"], "SENT_MISSING", "no embedding row for unit id 't1#1'"),
+        (["eval", "sent"], "SENT_SPLIT", "sentence embedding row 's1#2' is not a "
+         "sentence of document 's1' as the corpus is split"),
+        (["eval", "doc", "--n-noise", "1"], "DOC_MISSING", "no embedding row for unit id 't1'"),
+        (["eval", "joint", "--mode", "lha", "--n-noise", "1", "--vectors", "VECTORS"],
+         "DOC_MISSING", "no embedding row for unit id 't1'"),
+        (["eval", "joint", "--mode", "global", "--n-noise", "1"], "SENT_MISSING",
+         "no embedding row for unit id 't1#1'"),
+        (["eval", "joint", "--mode", "global", "--n-noise", "1"], "SENT_SPLIT",
+         "sentence embedding row 's1#2' is not a sentence of document 's1' as the "
+         "corpus is split"),
+    ], ids=["eval-sent-missing", "eval-sent-split", "eval-doc-missing",
+            "eval-joint-lha-missing", "eval-joint-global-missing", "eval-joint-global-split"])
+    def test_a_row_error_names_the_file(
+        self, files, faulty, eval_dir, command, file, message
+    ) -> None:
+        flag = "--doc-embeddings" if file.startswith("DOC") else "--sent-embeddings"
+        args = [str(files.get(a, a)) for a in command]
+        result = invoke(*args, "--data-dir", str(eval_dir), flag, str(faulty[file]))
+        assert result.exit_code == 2, result.output
+        assert f"{faulty[file]}: {message}" in result.output
+
+    @pytest.mark.parametrize("command, unused", [
+        (["align-sents", "--doc-pairs", "PAIRS", "--source-corpus", "SOURCE",
+          "--target-corpus", "TARGET", "--scorer", "bm25", "--theta-s", "0.5",
+          "--out", "OUT"],
+         ["--source-sent-embeddings", "BAD", "--target-sent-embeddings", "BAD"]),
+        (["eval", "joint", "--mode", "global", "--data-dir", "EVAL", "--n-noise", "1",
+          "--vectors", "VECTORS"], ["--doc-embeddings", "BAD"]),
+    ], ids=["align-sents-bm25", "eval-joint-global"])
+    def test_an_unused_file_is_not_read(self, files, eval_dir, command, unused) -> None:
+        places = {**files, "EVAL": eval_dir}
+        outputs = []
+        for args in (command, command + unused):
+            files["OUT"].unlink(missing_ok=True)
+            result = invoke(*(str(places.get(a, a)) for a in args))
+            assert result.exit_code == 0, result.output
+            written = files["OUT"].read_bytes() if files["OUT"].exists() else None
+            outputs.append((result.stdout, written))
+        assert outputs[0] == outputs[1]
 
     def test_run_names_the_file(self, workspace, files) -> None:
         result = invoke("run", "--config", str(workspace / "config.json"),

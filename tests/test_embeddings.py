@@ -584,15 +584,16 @@ class TestTextPath:
         monkeypatch.setattr(embeddings, name, spying)
         return calls
 
-    @pytest.mark.parametrize("fasttext", [False, True], ids=["plain", "fasttext"])
-    def test_only_kept_lines_are_converted(self, tmp_path, monkeypatch, fasttext) -> None:
+    @pytest.mark.parametrize("form", ["plain", "fasttext", "crlf"])
+    def test_only_kept_lines_are_converted(self, tmp_path, monkeypatch, form) -> None:
         body = self.body()
-        if fasttext:  # a space after every value, and %g values: integers, exponents
+        if form == "fasttext":  # a space after every value, and %g values: integers, exponents
             body = [line.replace(".5 ", "e-05 ").replace(" -0.", " -")[:-1] + " \n"
                     for line in body]
         body[12:12] = ["\n", " \t\n"]  # blank lines, skipped on this path too
+        newline = "\r\n" if form == "crlf" else "\n"
         path = tmp_path / "v.vec"
-        path.write_text("40 2\n" + "".join(body), encoding="utf-8")
+        path.write_bytes(("40 2\n" + "".join(body)).replace("\n", newline).encode("utf-8"))
         read = self.spy(monkeypatch, "_read_rows")
         monkeypatch.setattr(embeddings, "_parse_lines", None)  # calling it would raise
         vocabulary = {"k1", "k3", "k7", "u30"}
@@ -602,11 +603,11 @@ class TestTextPath:
         assert_restricted(table, whole_file_loader_oracle(path), vocabulary)
 
     @pytest.mark.parametrize("line", [
-        "u20 0.5 1.5\r\n", "u20\t0.5 1.5\n", "u20 0.5\x1c1.5\n", "u20\u00a00.5 1.5\n",
+        "u20\t0.5 1.5\n", "u20 0.5\x1c1.5\n", "u20\u00a00.5 1.5\n",
         "u20 1E-3 1.5\n", "u20 1e-100 1.5\n", "u20 1_0 1.5\n", "u20 +.5 1.5\n",
         "u20 .5 1.5\n", "u20 0.5  1.5\n", " u20 0.5 1.5\n", "k3 0.5\x85 1.5\n",
         "k9 1_0 1.5\n", "\x1cu21 0.5 1.5\n",
-    ], ids=["crlf", "tab", "x1c", "nbsp", "capital-exponent", "3-digit-exponent",
+    ], ids=["tab", "x1c", "nbsp", "capital-exponent", "3-digit-exponent",
             "underscore", "plus", "no-integer-digit", "double", "leading",
             "nel-after-kept-word", "kept-and-refused", "x1c-before-kept-word"])
     def test_a_trigger_sends_its_chunk_alone(self, tmp_path, monkeypatch, line) -> None:
@@ -617,8 +618,7 @@ class TestTextPath:
         text = self.spy(monkeypatch, "_parse_chunk")
         vocabulary = {"k3", "k9", "u21"}
         table = load_word_vectors(path, vocabulary)
-        third = [line.replace("\r\n", "\n")
-                 for line in body[self.third - 2 : self.third - 2 + self.chunk]]
+        third = body[self.third - 2 : self.third - 2 + self.chunk]
         assert text == [(third, self.third, 2)]
         assert_restricted(table, whole_file_loader_oracle(path), vocabulary)
 
@@ -665,6 +665,21 @@ class TestTextPath:
         with pytest.raises(EmbeddingFormatError) as info:
             load_word_vectors(path, {"k3", "u30"})
         assert str(info.value) == f"{path}: line 38: non-finite vector component"
+
+    @pytest.mark.parametrize("at, line, message", [
+        (20, "u20 0.5\r1.5", "line 20: expected 2 components, got 1"),
+        (16, "u16 0.5 1.5\ru16 2.5 3.5", "line 38: non-finite vector component"),
+    ], ids=["bad", "before-a-bad-line"])
+    def test_a_lone_cr_in_a_crlf_file(self, tmp_path, at, line, message) -> None:
+        # A CRLF chunk is sorted like any other; a lone "\r" still ends a line.
+        body = [line.replace("\n", "\r\n") for line in self.body()]
+        body[at - 2] = line + "\r\n"
+        body[35] = "u35 nan 1.5\r\n"
+        path = tmp_path / "v.vec"
+        path.write_bytes(("40 2\r\n" + "".join(body)).encode("utf-8"))
+        with pytest.raises(EmbeddingFormatError) as info:
+            load_word_vectors(path, {"k3", "u30"})
+        assert str(info.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("header", ["2 2\r", "2 2\r\n", "2 2\r\r\n"])
     def test_header_ending_in_a_cr(self, tmp_path, header) -> None:
